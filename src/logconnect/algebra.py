@@ -3,7 +3,7 @@
 Thin, contract-enforcing wrappers over LAPACK via numpy/scipy: Schur-based
 eigendecomposition, matrix exponential, the branch-normalized matrix
 logarithm (eigenvalue real parts in [0, 1)), a spectrum-guarded Sylvester
-solver and a commutation test.
+solver, the nonresonance predicate and a commutation test.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ __all__ = [
     "mat_exp",
     "mat_log_normalized",
     "sylvester_solve",
+    "nonresonant",
     "commuting",
 ]
 
@@ -127,6 +128,19 @@ def sylvester_solve(A, B, C, tol: float = 1e-9) -> np.ndarray:
         raise ResonantSpectrum("spec(A) and spec(B) intersect within tolerance")
     # scipy solves A X + X B = C
     return scipy.linalg.solve_sylvester(A, -B, C)
+
+
+def nonresonant(A, tol: float = 1e-9) -> bool:
+    """True iff no eigenvalue difference lies within tol of a positive integer.
+
+    The positive integer nearest to a difference d is max(1, round(Re d)), so
+    one comparison per ordered pair decides.
+    """
+    eig = np.linalg.eigvals(as_matrix(A))
+    scale = max(np.max(np.abs(eig)), 1.0)
+    d = (eig[:, None] - eig[None, :])[~np.eye(len(eig), dtype=bool)]
+    k = np.maximum(1.0, np.round(d.real))
+    return not np.any(np.abs(d - k) < tol * scale)
 
 
 def commuting(family, tol: float = 1e-10) -> bool:

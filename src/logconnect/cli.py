@@ -28,7 +28,6 @@ from .serialization import (
     parse_loops,
     parse_ratfunc,
     matrix_to_json,
-    scalar_to_json,
     system_to_json,
     validate_schema,
 )
@@ -118,9 +117,7 @@ def residues_cmd(input, output):
     """All residue matrices (plus infinity for Fuchsian systems)."""
     def op():
         conn = _parse_as(input, FuchsianSystem, LocalModel, LogConnection)
-        if isinstance(conn, FuchsianSystem):
-            count = conn.k
-        elif isinstance(conn, LocalModel):
+        if isinstance(conn, (FuchsianSystem, LocalModel)):
             count = conn.k
         else:
             count = len(conn.divisor)
@@ -157,17 +154,11 @@ def monodromy_cmd(input, tol, basepoint, loops_path, output):
             loops = [monodromy.circle_loop(0.0, 1.0)]
         else:
             raise SchemaViolation("", "supply --loops for this system kind")
-        rep = monodromy.monodromy_rep(conn, loops, tol=t) \
-            if isinstance(conn, FuchsianSystem) else None
-        if rep is None:
-            mats = [monodromy.transport(conn, lp, tol=t) for lp in loops]
-            payload = {"matrices": [matrix_to_json(M) for M in mats]}
-        else:
-            payload = {
-                "matrices": [matrix_to_json(M) for M in rep.matrices],
-                "infinity": matrix_to_json(rep.infinity),
-                "composition_convention": rep.composition_convention,
-            }
+        rep = monodromy.monodromy_rep(conn, loops, tol=t)
+        payload = {"matrices": [matrix_to_json(M) for M in rep.matrices]}
+        if rep.infinity is not None:
+            payload["infinity"] = matrix_to_json(rep.infinity)
+            payload["composition_convention"] = rep.composition_convention
         return "ok", payload, ()
     _run(op, output)
 

@@ -17,6 +17,7 @@ from . import algebra
 from .errors import (
     NonConstantResidue,
     ResonantResidue,
+    SchemaViolation,
     ToleranceNotMet,
     UnsupportedBranch,
 )
@@ -35,14 +36,19 @@ __all__ = [
 ]
 
 
-def _scalar_matrix(M):
-    """Nested tuple of exact sympy scalars from any matrix-like input."""
-    A = [[to_exact_scalar(e) for e in row] for row in np.asarray(M, dtype=object)]
-    return tuple(tuple(row) for row in A)
+def _residue_tuple(m, residues):
+    """Residues as nested tuples of exact sympy scalars, each checked m x m.
 
-
-def _matrix_is_exact(M) -> bool:
-    return all(is_exact_input(e) for row in np.asarray(M, dtype=object) for e in row)
+    Also returns whether every input entry was exact.
+    """
+    mats = [np.asarray(A, dtype=object) for A in residues]
+    exact = all(is_exact_input(e) for A in mats for row in A for e in row)
+    res_t = tuple(tuple(tuple(to_exact_scalar(e) for e in row) for row in A)
+                  for A in mats)
+    for A in res_t:
+        if len(A) != m or any(len(row) != m for row in A):
+            raise ValueError(f"residues must be {m}x{m}")
+    return res_t, exact
 
 
 def matrix_array(M) -> np.ndarray:
@@ -65,23 +71,19 @@ class FuchsianSystem:
     def __init__(self, m, poles, residues):
         if len(poles) != len(residues):
             raise ValueError("one residue matrix per pole required")
-        exact = all(is_exact_input(p) for p in poles) and all(
-            _matrix_is_exact(A) for A in residues
-        )
         poles_t = tuple(to_exact_scalar(p) for p in poles)
         pts = [complex(p) for p in poles_t]
         for i, a in enumerate(pts):
-            for b in pts[i + 1:]:
-                if abs(a - b) <= 1e-9:
-                    raise ValueError("poles must be pairwise distinct (separation > 1e-9)")
-        res_t = tuple(_scalar_matrix(A) for A in residues)
-        for A in res_t:
-            if len(A) != m or any(len(row) != m for row in A):
-                raise ValueError(f"residues must be {m}x{m}")
+            # the pointer names a field of the ``fuchsian`` JSON document
+            if any(abs(a - b) <= 1e-9 for b in pts[:i]):
+                raise SchemaViolation(
+                    f"/poles/{i}", "poles must be pairwise distinct (separation > 1e-9)"
+                )
+        res_t, exact = _residue_tuple(m, residues)
         object.__setattr__(self, "m", int(m))
         object.__setattr__(self, "poles", poles_t)
         object.__setattr__(self, "residues", res_t)
-        object.__setattr__(self, "exact", exact)
+        object.__setattr__(self, "exact", exact and all(is_exact_input(p) for p in poles))
 
     @property
     def k(self) -> int:
@@ -140,11 +142,7 @@ class LocalModel:
             n = k
         if k > n:
             raise ValueError("need at least as many chart variables as divisor branches")
-        exact = all(_matrix_is_exact(A) for A in residues)
-        res_t = tuple(_scalar_matrix(A) for A in residues)
-        for A in res_t:
-            if len(A) != m or any(len(row) != m for row in A):
-                raise ValueError(f"residues must be {m}x{m}")
+        res_t, exact = _residue_tuple(m, residues)
         object.__setattr__(self, "m", int(m))
         object.__setattr__(self, "n", int(n))
         object.__setattr__(self, "residues", res_t)
@@ -318,10 +316,16 @@ def pullback_power(C, var: int, nu: int):
 
     The substituted variable's branch must be x_var = 0 and must be the only
     branch in that variable; its residue multiplies by nu, all other branches
-    are untouched.
+    are untouched.  ``var`` must index a chart variable (a Fuchsian system has
+    one); a local model has no term in a chart variable without a branch.
     """
     if nu < 1 or int(nu) != nu:
         raise ValueError("nu must be a positive integer")
+    n = 1 if isinstance(C, FuchsianSystem) else C.n
+    if not 0 <= var < n:
+        raise ValueError(f"var must index a chart variable, 0 <= var < {n}")
+    if isinstance(C, LocalModel) and var >= C.k:
+        return C
     if isinstance(C, FuchsianSystem):
         if C.k != 1:
             conn = C.to_log_connection()
@@ -390,21 +394,6 @@ def _polynomial_part(conn: LogConnection, A: np.ndarray):
     return coeffs
 
 
-def _is_resonant(A: np.ndarray, tol: float = 1e-9) -> bool:
-    eig = np.linalg.eigvals(np.asarray(A, dtype=complex))
-    scale = max(np.max(np.abs(eig)), 1.0)
-    spread = int(np.ceil(np.max(np.abs(eig[:, None] - eig[None, :]).real))) + 1
-    for i in range(len(eig)):
-        for j in range(len(eig)):
-            if i == j:
-                continue
-            d = eig[i] - eig[j]
-            for k in range(1, spread + 1):
-                if abs(d - k) < tol * scale:
-                    return True
-    return False
-
-
 def poincare_normalize(C, order: int = 10, tol: float = 1e-8) -> GaugeSeries:
     """Gauge series trivializing the holomorphic part of a one-variable system.
 
@@ -416,7 +405,7 @@ def poincare_normalize(C, order: int = 10, tol: float = 1e-8) -> GaugeSeries:
     if conn.n != 1 or len(conn.divisor) != 1 or complex(conn.divisor[0][1]) != 0:
         raise ValueError("normalization needs a one-variable system with single branch x = 0")
     A = residue(conn, 0)
-    if _is_resonant(A):
+    if not algebra.nonresonant(A):
         raise ResonantResidue(
             "residue has an eigenvalue pair differing by a positive integer"
         )

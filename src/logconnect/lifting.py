@@ -15,6 +15,7 @@ from math import lcm
 import numpy as np
 
 from . import algebra
+from .algebra import TWO_PI
 from .connections import FuchsianSystem, LocalModel
 from .errors import (
     DimensionMismatch,
@@ -88,14 +89,18 @@ class ProjectivePresentation:
         return ProjectivePresentation(self.m, gens, self.relations, poles=self.poles)
 
 
-def _commutator_scalar(N1, N2, tol: float = 1e-8):
-    """Scalar lambda with N1 N2 N1^{-1} = lambda N2; None if not scalar."""
-    m = N1.shape[0]
-    K = N1 @ N2 @ np.linalg.inv(N1) @ np.linalg.inv(N2)
+def _scalar_of(K, tol: float):
+    """lambda with K = lambda I within tol (relative to |K|); None if K is not scalar."""
+    m = K.shape[0]
     lam = np.trace(K) / m
     if np.linalg.norm(K - lam * np.eye(m)) > tol * max(np.linalg.norm(K), 1.0):
         return None
     return lam
+
+
+def _commutator_scalar(N1, N2, tol: float = 1e-8):
+    """Scalar lambda with N1 N2 N1^{-1} = lambda N2; None if not scalar."""
+    return _scalar_of(N1 @ N2 @ np.linalg.inv(N1) @ np.linalg.inv(N2), tol)
 
 
 def lift_commuting(tuple_of_classes, tol: float = 1e-8) -> LiftReport:
@@ -164,23 +169,34 @@ def _simultaneous_eigenbasis(mats, tol: float = 1e-8, attempts: int = 8):
 def _log_in_basis(N, V, Vinv):
     """Branch-normalized log computed eigenvalue-wise in the common basis."""
     D = np.diag(Vinv @ N @ V)
-    mus = np.log(np.abs(D)) / (2j * np.pi) + (np.mod(np.angle(D), 2 * np.pi)) / (2 * np.pi)
+    mus = np.log(np.abs(D)) / (2j * np.pi) + (np.mod(np.angle(D), TWO_PI)) / TWO_PI
     return V @ np.diag(mus) @ Vinv
+
+
+def _realizing_residues(classes, error):
+    """Residues whose exponentials are commuting SL lifts of the classes.
+
+    Lifts the classes, then takes branch-normalized logs in a common
+    eigenbasis.  A nontrivial obstruction scalar, or a pair of classes that
+    does not commute projectively, raises ``error``.
+    """
+    try:
+        report = lift_commuting(classes)
+    except NotProjectivelyCommuting as exc:
+        raise error(str(exc)) from exc
+    if not report.success:
+        raise error("linear lifts do not commute (nontrivial obstruction scalar)")
+    lifts = [np.asarray(M) for M in report.lifts]
+    V = _simultaneous_eigenbasis(lifts)
+    Vinv = np.linalg.inv(V)
+    return [_log_in_basis(N, V, Vinv) for N in lifts]
 
 
 def local_realize(tuple_of_classes, tol: float = 1e-7) -> LocalModel:
     """Local model whose coordinate-circle monodromies are the given classes."""
-    report = lift_commuting(tuple_of_classes)
-    if not report.success:
-        raise NotProjectivelyCommuting(
-            "linear lifts do not commute; no commuting local model exists"
-        )
-    lifts = [np.asarray(M) for M in report.lifts]
-    V = _simultaneous_eigenbasis(lifts)
-    Vinv = np.linalg.inv(V)
-    residues = [_log_in_basis(N, V, Vinv) for N in lifts]
-    model = LocalModel(lifts[0].shape[0], residues)
-    for j, (A, g) in enumerate(zip(residues, tuple_of_classes)):
+    residues = _realizing_residues(tuple_of_classes, NotProjectivelyCommuting)
+    model = LocalModel(residues[0].shape[0], residues)
+    for j, g in enumerate(tuple_of_classes):
         Mj = transport(LocalModel(model.m, [model.residues[j]]), circle_loop(0.0, 1.0))
         target = g if isinstance(g, ProjectiveClass) else ProjectiveClass(g)
         if not proj_equal(Mj, target.canonical, tol):
@@ -203,7 +219,7 @@ def lifting_exponent(lifts, k_max: int = 360, tol: float = 1e-9) -> int:
                 r = eig[i] / eig[j]
                 if abs(abs(r) - 1.0) > tol:
                     continue  # off the unit circle: infinite order, not collected
-                theta = np.angle(r) / (2 * np.pi)
+                theta = np.angle(r) / TWO_PI
                 for k in range(1, k_max + 1):
                     if abs(k * theta - round(k * theta)) < tol * max(1, k):
                         orders.add(k)
@@ -228,9 +244,8 @@ def verify_lift_after_power(P: ProjectivePresentation, nu: int,
     lifts = {name: g.canonical for name, g in powered.generators.items()}
     scalars = []
     for word in powered.relations:
-        val = powered._evaluate_word(word, lifts)
-        lam = np.trace(val) / powered.m
-        if np.linalg.norm(val - lam * np.eye(powered.m)) > tol * max(np.linalg.norm(val), 1.0):
+        lam = _scalar_of(powered._evaluate_word(word, lifts), tol)
+        if lam is None:
             raise NotProjectivelyCommuting(
                 "relation word does not evaluate to a scalar matrix in the lifts"
             )
@@ -253,22 +268,7 @@ def realize_fuchsian(P: ProjectivePresentation, poles=None,
     if poles is None or len(poles) != len(P.names):
         raise ValueError("one pole per generator required")
     classes = P.generator_list()
-    lifts = [g.canonical for g in classes]
-    for i in range(len(lifts)):
-        for j in range(i + 1, len(lifts)):
-            if _commutator_scalar(lifts[i], lifts[j]) is None:
-                raise NonAbelianUnsupported(
-                    "generators do not commute pairwise; general realization "
-                    "is out of scope"
-                )
-    report = lift_commuting(classes)
-    if not report.success:
-        raise NonAbelianUnsupported(
-            "linear lifts do not commute (nontrivial obstruction scalar)"
-        )
-    V = _simultaneous_eigenbasis(lifts)
-    Vinv = np.linalg.inv(V)
-    residues = [_log_in_basis(N, V, Vinv) for N in lifts]
+    residues = _realizing_residues(classes, NonAbelianUnsupported)
     system = FuchsianSystem(P.m, poles, residues)
     loops = standard_loops(system)
     rep = projective_monodromy(system, loops, tol=1e-10)

@@ -8,11 +8,12 @@ is an antirepresentation: T(alpha then beta) = T(beta) @ T(alpha).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.integrate import solve_ivp
 
+from .algebra import TWO_PI
 from .connections import FuchsianSystem, LocalModel, _as_connection
 from .errors import (
     DegenerateConfiguration,
@@ -33,8 +34,6 @@ __all__ = [
     "projective_monodromy",
     "relation_check",
 ]
-
-TWO_PI = 2.0 * np.pi
 
 
 @dataclass(frozen=True)
@@ -205,6 +204,8 @@ def standard_loops(F: FuchsianSystem, basepoint=None, clearance=None):
 def _poles_of(C):
     if isinstance(C, FuchsianSystem):
         return [complex(p) for p in C.poles]
+    if isinstance(C, LocalModel):
+        return [0.0]
     conn = _as_connection(C)
     if conn.n != 1:
         return []
@@ -239,8 +240,6 @@ def _omega_callable(C):
 def transport(C, path: LoopPath, tol: float = 1e-10) -> np.ndarray:
     """Fundamental-solution transport matrix along a path: Y(end) = T Y(start)."""
     conn_poles = _poles_of(C)
-    if isinstance(C, LocalModel):
-        conn_poles = [0.0]
     if conn_poles:
         clr = path.clearance(conn_poles)
         if clr < 1e-12:
@@ -264,6 +263,14 @@ def transport(C, path: LoopPath, tol: float = 1e-10) -> np.ndarray:
     return T
 
 
+def _ordered_product(mats, m: int) -> np.ndarray:
+    """M_k ... M_1 for mats = [M_1, ..., M_k]: the loop product in path order."""
+    prod = np.eye(m, dtype=complex)
+    for M in mats:
+        prod = M @ prod
+    return prod
+
+
 def monodromy_rep(C, loops, tol: float = 1e-10) -> MonodromyRep:
     """Transport each loop; for Fuchsian systems also report the implied
     infinity matrix (inverse of the ordered product in the concatenation
@@ -272,10 +279,7 @@ def monodromy_rep(C, loops, tol: float = 1e-10) -> MonodromyRep:
     mats = [transport(C, lp, tol) for lp in loops]
     infinity = None
     if isinstance(C, FuchsianSystem):
-        prod = np.eye(C.m, dtype=complex)
-        for M in mats:
-            prod = M @ prod
-        infinity = np.linalg.inv(prod)
+        infinity = np.linalg.inv(_ordered_product(mats, C.m))
     bp = loops[0].basepoint if loops else 0.0
     names = tuple(f"p{i}" for i in range(len(loops)))
     return MonodromyRep(basepoint=bp, loops=tuple(loops), names=names,
@@ -285,56 +289,38 @@ def monodromy_rep(C, loops, tol: float = 1e-10) -> MonodromyRep:
 def projective_monodromy(C, loops, tol: float = 1e-10) -> MonodromyRep:
     """Projective classes of the linear transport; trace-choice independence is
     asserted when the input is a Riccati system."""
-    if isinstance(C, RiccatiSystem):
-        lifted0 = reconstruct(C, None)
+    loops = list(loops)
+    riccati = isinstance(C, RiccatiSystem)
+    rep = monodromy_rep(reconstruct(C, None) if riccati else C, loops, tol)
+    if riccati:
         # a second, distinct trace: m * dx in the first chart variable
         other = tuple(
             RationalFunction.constant(C.m if v == 0 else 0, C.gens)
             for v in range(C.n)
         )
         lifted1 = reconstruct(C, other)
-        reps0 = [transport(lifted0, lp, tol) for lp in loops]
-        reps1 = [transport(lifted1, lp, tol) for lp in loops]
-        for M0, M1 in zip(reps0, reps1):
-            if not proj_equal(M0, M1, 1e-7):
+        for M0, lp in zip(rep.matrices, loops):
+            if not proj_equal(M0, transport(lifted1, lp, tol), 1e-7):
                 raise ToleranceNotMet(
                     "projective transport depends on the chosen trace beyond tolerance"
                 )
-        mats = reps0
-        base = lifted0
-    else:
-        base = C
-        mats = [transport(C, lp, tol) for lp in loops]
-    classes = tuple(ProjectiveClass(M) for M in mats)
-    infinity = None
-    if isinstance(base, FuchsianSystem):
-        prod = np.eye(base.m, dtype=complex)
-        for M in mats:
-            prod = M @ prod
-        infinity = ProjectiveClass(np.linalg.inv(prod))
-    bp = loops[0].basepoint if loops else 0.0
-    names = tuple(f"p{i}" for i in range(len(loops)))
-    return MonodromyRep(basepoint=bp, loops=tuple(loops), names=names,
-                        matrices=classes, infinity=infinity)
+    infinity = None if rep.infinity is None else ProjectiveClass(rep.infinity)
+    return replace(rep, matrices=tuple(ProjectiveClass(M) for M in rep.matrices),
+                   infinity=infinity)
 
 
 def relation_check(rep: MonodromyRep, tol: float = 1e-7) -> bool:
     """Sphere relation: ordered loop product times the infinity matrix is trivial."""
-    mats = rep.matrices
+    mats = list(rep.matrices)
     if not mats:
         return True
+    if rep.infinity is not None:
+        mats.append(rep.infinity)
     projective = isinstance(mats[0], ProjectiveClass)
-    m = mats[0].m if projective else mats[0].shape[0]
-    prod = np.eye(m, dtype=complex)
-    for M in mats:
-        A = M.canonical if projective else M
-        prod = A @ prod
-    inf = rep.infinity
-    if inf is None:
-        total = prod
-    else:
-        A = inf.canonical if projective else inf
-        total = A @ prod
+    if projective:
+        mats = [M.canonical for M in mats]
+    m = mats[0].shape[0]
+    total = _ordered_product(mats, m)
     if projective:
         return proj_equal(total, np.eye(m), tol)
     return bool(np.linalg.norm(total - np.eye(m)) < tol * max(np.linalg.norm(total), 1.0))

@@ -15,6 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import algebra
+from .algebra import TWO_PI, nonresonant
 from .connections import LogConnection, flatness_check, _as_connection
 from .errors import DimensionMismatch, NonIntegrable, SingularMatrix
 from .ratfunc import RationalFunction
@@ -29,9 +30,6 @@ __all__ = [
     "nonresonant",
     "proj_equal",
 ]
-
-TWO_PI = 2.0 * np.pi
-
 
 class RiccatiSystem:
     """Coefficient 1-forms of the projectivized system in the chart y_m != 0.
@@ -166,23 +164,6 @@ def property_Pm(M, m: int | None = None, tol: float = 1e-9) -> bool:
     return True
 
 
-def nonresonant(A, tol: float = 1e-9) -> bool:
-    """True iff no eigenvalue difference lies within tol of a positive integer."""
-    M = algebra.as_matrix(A)
-    eig = np.linalg.eigvals(M)
-    scale = max(np.max(np.abs(eig)), 1.0)
-    spread = int(np.ceil(np.max(np.abs(eig[:, None] - eig[None, :])))) + 1
-    for i in range(len(eig)):
-        for j in range(len(eig)):
-            if i == j:
-                continue
-            d = eig[i] - eig[j]
-            for k in range(1, spread + 1):
-                if abs(d - k) < tol * scale:
-                    return False
-    return True
-
-
 class ProjectiveClass:
     """A GL matrix modulo nonzero scalars, with a canonical representative.
 
@@ -209,17 +190,11 @@ class ProjectiveClass:
         k = int(theta // sector) % m
         self.canonical = M1 * np.exp(-1j * sector * k)
 
-    def matrix(self) -> np.ndarray:
-        return self.canonical
-
     def power(self, nu: int) -> "ProjectiveClass":
         return ProjectiveClass(np.linalg.matrix_power(self.canonical, nu))
 
     def __matmul__(self, other: "ProjectiveClass") -> "ProjectiveClass":
         return ProjectiveClass(self.canonical @ other.canonical)
-
-    def inverse(self) -> "ProjectiveClass":
-        return ProjectiveClass(np.linalg.inv(self.canonical))
 
     def equals(self, other: "ProjectiveClass", tol: float = 1e-9) -> bool:
         return proj_equal(self, other, tol)

@@ -14,7 +14,7 @@ import numpy as np
 import sympy as sp
 from sympy.polys.domains import QQ_I
 
-from .connections import FuchsianSystem, LocalModel, LogConnection, GaugeSeries
+from .connections import FuchsianSystem, LocalModel, LogConnection, GaugeSeries, matrix_array
 from .errors import SchemaViolation
 from .lifting import LiftReport, ProjectivePresentation
 from .monodromy import ArcSegment, LineSegment, LoopPath
@@ -159,16 +159,7 @@ def _parse_fuchsian(doc):
     for i, p in enumerate(poles_doc):
         v, _ = parse_scalar(p, f"/poles/{i}")
         poles.append(v)
-    for i, a in enumerate(poles):
-        for j, b in enumerate(poles[:i]):
-            if abs(complex(a) - complex(b)) <= 1e-9:
-                raise SchemaViolation(
-                    f"/poles/{i}", "poles must be pairwise distinct (separation > 1e-9)"
-                )
-    residues = []
-    for i, R in enumerate(res_doc):
-        M, exact = parse_matrix(R, m, f"/residues/{i}")
-        residues.append(M)
+    residues = [parse_matrix(R, m, f"/residues/{i}")[0] for i, R in enumerate(res_doc)]
     return FuchsianSystem(m, poles, residues)
 
 
@@ -224,6 +215,17 @@ def _parse_log_connection(doc):
                 for j, e in enumerate(row)
             ))
         comps.append(tuple(rows))
+    for v, c in divisor:
+        x = gens[v]
+        for i, row in enumerate(comps[v]):
+            for j, f in enumerate(row):
+                # (x - c)^2 divides the denominator iff it and its x-derivative vanish at c
+                if f.den.eval(x, c) == 0 and f.den.diff(x).eval(x, c) == 0:
+                    raise SchemaViolation(
+                        f"/components/{v}/{i}/{j}",
+                        f"pole of order > 1 along the branch {x} = {c}; "
+                        "entries must be logarithmic",
+                    )
     exact = all(f.exact for comp in comps for row in comp for f in row)
     return LogConnection(m, gens, divisor, tuple(comps), exact=exact)
 
@@ -263,7 +265,7 @@ def _parse_presentation(doc):
     generators = {}
     for name, M in gens_doc.items():
         mat, _ = parse_matrix(M, m, f"/generators/{name}")
-        generators[name] = np.array([[complex(e) for e in row] for row in mat])
+        generators[name] = matrix_array(mat)
     relations = doc.get("relations", [])
     if not isinstance(relations, list):
         raise SchemaViolation("/relations", "expected a list of words")
@@ -285,8 +287,7 @@ def _parse_presentation(doc):
 
 def _parse_matrix_doc(doc):
     m = _require(doc, "rank", "", int)
-    mat, exact = parse_matrix(_require(doc, "matrix", "", list), m, "/matrix")
-    return np.array([[complex(e) for e in row] for row in mat])
+    return matrix_array(parse_matrix(_require(doc, "matrix", "", list), m, "/matrix")[0])
 
 
 PARSERS = {

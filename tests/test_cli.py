@@ -152,3 +152,67 @@ def test_lift_rep_obstruction_reported():
     payload = json.loads(result.output)["payload"]
     scalars = [complex(*s) for s in payload["obstruction_scalars"]]
     assert any(abs(s + 1) < 1e-9 for s in scalars)
+
+
+@pytest.mark.parametrize("fixture, var, code", [
+    ("local_model_commuting.json", "5", 2),
+    ("local_model_commuting.json", "2", 2),
+    ("local_model_commuting.json", "-1", 2),
+    ("local_model_commuting.json", "1", 0),
+    ("fuchsian_quarter.json", "5", 2),
+    ("fuchsian_quarter.json", "1", 2),
+    ("fuchsian_quarter.json", "-1", 2),
+    ("fuchsian_quarter.json", "0", 0),
+])
+def test_pullback_var_range(fixture, var, code):
+    result = invoke(["pullback", fixture, "--var", var, "--nu", "2"])
+    assert result.exit_code == code, result.output
+    doc = json.loads(result.output)
+    assert doc["status"] == {0: "ok", 2: "error"}[code]
+    if code == 2:
+        assert doc["payload"]["error"] == "ValueError"
+
+
+def test_pullback_in_branchless_variable_is_identity(tmp_path):
+    # x2 carries no branch, so omega has no dx2 term to pull back
+    doc = {"type": "local_model", "rank": 2, "vars": 2,
+           "residues": [[[[1, 0], [0, 0]], [[0, 0], ["1/2", 0]]]]}
+    path = tmp_path / "one_branch.json"
+    path.write_text(json.dumps(doc))
+    result = invoke(["pullback", str(path), "--var", "1", "--nu", "3"])
+    assert result.exit_code == 0, result.output
+    payload = json.loads(result.output)["payload"]
+    assert payload["vars"] == 2
+    assert payload["residues"] == [[[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]]
+
+
+@pytest.mark.parametrize("den, pointer", [
+    ({"2": [1, 0]}, "/components/0/0/0"),                # 1/x^2 along x = 0
+    ({"3": [1, 0], "2": [-1, 0]}, "/components/0/0/0"),  # 1/(x^2 (x - 1))
+])
+def test_double_pole_is_schema_error(tmp_path, den, pointer):
+    doc = {"type": "log_connection", "rank": 1, "vars": ["x"],
+           "divisor": [{"var": 0, "value": [0, 0]}],
+           "components": [[[{"num": {"0": [1, 0]}, "den": den}]]]}
+    path = tmp_path / "double_pole.json"
+    path.write_text(json.dumps(doc))
+    result = invoke(["residues", str(path)])
+    assert result.exit_code == 2, result.output
+    payload = json.loads(result.output)["payload"]
+    assert payload["error"] == "SchemaViolation"
+    assert payload["pointer"] == pointer
+
+
+def test_simple_pole_off_the_origin_still_parses(tmp_path):
+    # 1/((x - 1)(x - 2)^2) is logarithmic along the declared branch x = 1
+    doc = {"type": "log_connection", "rank": 1, "vars": ["x"],
+           "divisor": [{"var": 0, "value": [1, 0]}],
+           "components": [[[{"num": {"0": [1, 0]},
+                             "den": {"3": [1, 0], "2": [-5, 0], "1": [8, 0],
+                                     "0": [-4, 0]}}]]]}
+    path = tmp_path / "simple_pole.json"
+    path.write_text(json.dumps(doc))
+    result = invoke(["residues", str(path)])
+    assert result.exit_code == 0, result.output
+    R = json.loads(result.output)["payload"]["residues"][0]
+    assert complex(*R[0][0]) == pytest.approx(1.0)

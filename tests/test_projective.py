@@ -4,10 +4,12 @@ import sympy as sp
 
 from logconnect import (
     FuchsianSystem,
+    LocalModel,
     ProjectiveClass,
     RationalFunction,
     mat_log_normalized,
     nonresonant,
+    poincare_normalize,
     proj_equal,
     projectivize,
     property_Pm,
@@ -15,9 +17,32 @@ from logconnect import (
     trace_free_lift,
 )
 from logconnect.connections import flatness_check
-from logconnect.errors import DimensionMismatch, SingularMatrix
+from logconnect.errors import DimensionMismatch, ResonantResidue, SingularMatrix
 
 from conftest import random_fuchsian, trace_form
+
+
+def reference_nonresonant(A, tol=1e-9):
+    """Try every positive integer up to the widest eigenvalue gap."""
+    eig = np.linalg.eigvals(np.asarray(A, dtype=complex))
+    scale = max(np.max(np.abs(eig)), 1.0)
+    spread = int(np.ceil(np.max(np.abs(eig[:, None] - eig[None, :])))) + 1
+    return not any(
+        abs(eig[i] - eig[j] - k) < tol * scale
+        for i in range(len(eig)) for j in range(len(eig)) if i != j
+        for k in range(1, spread + 1)
+    )
+
+
+def spectrum_cases(nprng, count, max_rank=4):
+    """Matrices whose eigenvalue gaps sit on, near and off the integers, both signs."""
+    offsets = np.array([0.0, 1e-12, -1e-12, 1e-6, 0.25, 0.5, 1e-3j, 0.5j])
+    for _ in range(count):
+        m = int(nprng.integers(1, max_rank + 1))
+        base = complex(nprng.normal(), nprng.normal())
+        eig = base + nprng.integers(-40, 41, size=m) + nprng.choice(offsets, size=m)
+        V = np.eye(m) + 0.2 * nprng.normal(size=(m, m))
+        yield V @ np.diag(eig) @ np.linalg.inv(V)
 
 
 class TestProjectivize:
@@ -164,6 +189,28 @@ class TestNonresonant:
                 A = mat_log_normalized(M)
                 assert nonresonant(m * A)
         assert count > 100
+
+    def test_matches_reference_loop(self, nprng):
+        # diag(1, 5/2) is fixtures/matrix_pm_ok.json: a gap of 3/2 is resonant
+        # only under the sloppy tolerance 0.6 (0.5 < 0.6 * 2.5)
+        cases = [np.diag([1.0, 2.5])] + list(spectrum_cases(nprng, 300))
+        verdicts = set()
+        for A in cases:
+            for tol in (1e-9, 1e-3, 0.6):
+                expected = reference_nonresonant(A, tol)
+                assert nonresonant(A, tol) == expected, (np.linalg.eigvals(A), tol)
+                verdicts.add(expected)
+        assert verdicts == {True, False}
+        assert nonresonant(np.diag([1.0, 2.5])) and not nonresonant(np.diag([1.0, 2.5]), 0.6)
+
+    def test_normalize_rejects_what_the_reference_loop_calls_resonant(self, nprng):
+        for A in spectrum_cases(nprng, 12, max_rank=3):
+            model = LocalModel(A.shape[0], [A])
+            if reference_nonresonant(A):
+                poincare_normalize(model, order=2)
+            else:
+                with pytest.raises(ResonantResidue):
+                    poincare_normalize(model, order=2)
 
 
 class TestProjectiveClass:
