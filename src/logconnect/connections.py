@@ -250,10 +250,6 @@ class GaugeSeries:
         object.__setattr__(self, "coefficients", coeffs)
         object.__setattr__(self, "order", len(coeffs) - 1)
 
-    @property
-    def m(self) -> int:
-        return self.coefficients[0].shape[0]
-
 
 def _as_connection(C) -> LogConnection:
     return C.to_log_connection()
@@ -291,18 +287,24 @@ def residue(C, branch, tol: float = 1e-10) -> np.ndarray:
     conn = _as_connection(C)
     var, value = conn.divisor[branch]
     x = conn.gens[var]
-    out = np.zeros((conn.m, conn.m), dtype=complex)
+    line = sp.Poly(x - value, *conn.gens, domain=QQ_I)
+    # an entry num/den has residue num/q at x = value when den = (x - value) q, else 0
+    parts = {}
+    for i, j in np.ndindex(conn.m, conn.m):
+        f = conn.entry(var, i, j)
+        q, r = f.den.div(line)
+        if r.is_zero:
+            parts[i, j] = RationalFunction(f.num, q, _normalized=True)
     others = [g for g in conn.gens if g is not x]
     # three sample points along the branch guard against non-constant residues
     samples = [0.37 + 0.21j, -0.52 + 0.8j, 1.13 - 0.44j]
     results = []
     for s in samples if others else samples[:1]:
         vals = {g: s + 0.1 * idx for idx, g in enumerate(others)}
+        vals[x] = complex(value)
         R = np.zeros((conn.m, conn.m), dtype=complex)
-        for i in range(conn.m):
-            for j in range(conn.m):
-                f = conn.entry(var, i, j) * RationalFunction.from_expr(x - value, conn.gens)
-                R[i, j] = f.eval({**vals, x: complex(value)})
+        for (i, j), f in parts.items():
+            R[i, j] = f.eval(vals)
         results.append(R)
     scale = max(np.linalg.norm(results[0]), 1.0)
     for R in results[1:]:
@@ -364,34 +366,29 @@ def pullback_power(C, var: int, nu: int):
     return LogConnection(conn.m, conn.gens, conn.divisor, tuple(comps), exact=conn.exact)
 
 
-def _polynomial_part(conn: LogConnection, A: np.ndarray):
-    """Coefficients tau_0, tau_1, ... of the holomorphic part of a one-variable system."""
-    x = conn.gens[0]
+def _series_parts(conn: LogConnection):
+    """A and tau_0, tau_1, ... of a one-variable system A dx/x + tau(x) dx.
+
+    Entries are reduced with a monic denominator, so the form holds iff every
+    denominator is 1 or x; the coefficients are then read off the numerators.
+    """
+    if conn.n != 1 or len(conn.divisor) != 1 or complex(conn.divisor[0][1]) != 0:
+        raise ValueError("normalization needs a one-variable system with single branch x = 0")
     m = conn.m
-    coeffs = []
-    max_deg = 0
-    polys = []
-    for i in range(m):
-        prow = []
-        for j in range(m):
-            f = conn.entry(0, i, j) - RationalFunction.from_expr(
-                to_exact_scalar(A[i, j]) / x, conn.gens
+    laurent = {}  # entry -> its coefficients of x^-1, x^0, x^1, ...
+    for i, j in np.ndindex(m, m):
+        f = conn.entry(0, i, j)
+        if not f.den.is_monomial or f.den.degree() > 1:
+            raise ValueError(
+                "connection is not of the form A dx/x + tau(x) dx with polynomial tau"
             )
-            if f.den.degree() > 0:
-                raise ValueError(
-                    "connection is not of the form A dx/x + tau(x) dx with polynomial tau"
-                )
-            p = f.num
-            max_deg = max(max_deg, p.degree() if not p.is_zero else 0)
-            prow.append(p)
-        polys.append(prow)
-    for d in range(max_deg + 1):
-        T = np.zeros((m, m), dtype=complex)
-        for i in range(m):
-            for j in range(m):
-                T[i, j] = complex(polys[i][j].as_expr().coeff(x, d))
-        coeffs.append(T)
-    return coeffs
+        pad = [0] * (1 - f.den.degree())  # no x^-1 term when the denominator is 1
+        coeffs = f.num.as_list(native=True)[::-1]  # QQ_I elements, no sympy expressions
+        laurent[i, j] = pad + [complex(float(c.x), float(c.y)) for c in coeffs]
+    L = np.zeros((max(2, *map(len, laurent.values())), m, m), dtype=complex)
+    for (i, j), coeffs in laurent.items():
+        L[:len(coeffs), i, j] = coeffs
+    return L[0], list(L[1:])
 
 
 def poincare_normalize(C, order: int = 10, tol: float = 1e-8) -> GaugeSeries:
@@ -401,16 +398,12 @@ def poincare_normalize(C, order: int = 10, tol: float = 1e-8) -> GaugeSeries:
     recursion A G_k - G_k (A + k I) = -[x^{k-1}](tau(x) G(x)) for k = 1..order,
     so that the gauge transform of the connection is A dx/x + O(x^order).
     """
-    conn = _as_connection(C)
-    if conn.n != 1 or len(conn.divisor) != 1 or complex(conn.divisor[0][1]) != 0:
-        raise ValueError("normalization needs a one-variable system with single branch x = 0")
-    A = residue(conn, 0)
+    A, taus = _series_parts(_as_connection(C))
     if not algebra.nonresonant(A):
         raise ResonantResidue(
             "residue has an eigenvalue pair differing by a positive integer"
         )
-    taus = _polynomial_part(conn, A)
-    m = conn.m
+    m = A.shape[0]
     G = [np.eye(m, dtype=complex)]
     for k in range(1, order + 1):
         # coefficient of x^{k-1} in tau(x) G(x)
@@ -420,7 +413,7 @@ def poincare_normalize(C, order: int = 10, tol: float = 1e-8) -> GaugeSeries:
                 rhs += T @ G[k - 1 - d]
         G.append(algebra.sylvester_solve(A, A + k * np.eye(m), -rhs))
     gauge = GaugeSeries(G)
-    defect = poincare_defect(conn, gauge)
+    defect = _defect(A, taus, gauge)
     if defect > tol:
         raise ToleranceNotMet(f"normalization defect {defect:.3e} above {tol:.1e}")
     return gauge
@@ -432,10 +425,11 @@ def poincare_defect(C, gauge: GaugeSeries) -> float:
     Zero (to rounding) certifies the gauge reduces the system to its local
     model through the truncation order.
     """
-    conn = _as_connection(C)
-    A = residue(conn, 0)
-    taus = _polynomial_part(conn, A)
-    m, N = conn.m, gauge.order
+    return _defect(*_series_parts(_as_connection(C)), gauge)
+
+
+def _defect(A, taus, gauge: GaugeSeries) -> float:
+    m, N = A.shape[0], gauge.order
     G = list(gauge.coefficients)
     # series inverse H = G^{-1}: H_0 = I, H_k = -sum_{j<k} H_j G_{k-j}
     H = [np.eye(m, dtype=complex)]

@@ -194,6 +194,8 @@ def _realizing_residues(classes, error):
 
 def local_realize(tuple_of_classes, tol: float = 1e-7) -> LocalModel:
     """Local model whose coordinate-circle monodromies are the given classes."""
+    if len(tuple_of_classes) == 0:
+        raise ValueError("a local model needs at least one generator")
     residues = _realizing_residues(tuple_of_classes, NotProjectivelyCommuting)
     model = LocalModel(residues[0].shape[0], residues)
     for j, g in enumerate(tuple_of_classes):

@@ -8,6 +8,7 @@ comparisons can fall back to a tolerance when the provenance was inexact.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import sympy as sp
@@ -30,27 +31,15 @@ def is_exact_input(value) -> bool:
 def to_exact_scalar(value) -> sp.Expr:
     """Convert a scalar to an exact sympy number (floats become dyadic rationals)."""
     if isinstance(value, sp.Basic):
-        if value.has(sp.Float):
-            c = complex(value)
-            return sp.Rational(Fraction(c.real)) + sp.Rational(Fraction(c.imag)) * sp.I
-        return value
-    if isinstance(value, complex):
-        return sp.Rational(Fraction(value.real)) + sp.Rational(Fraction(value.imag)) * sp.I
-    if isinstance(value, float):
-        return sp.Rational(Fraction(value))
+        if not value.has(sp.Float):
+            return value
+        value = complex(value)
+    if isinstance(value, (float, complex)):
+        c = complex(value)
+        return sp.Rational(Fraction(c.real)) + sp.Rational(Fraction(c.imag)) * sp.I
     if isinstance(value, (int, Fraction)):
         return sp.Rational(value)
     raise TypeError(f"cannot interpret {value!r} as a complex scalar")
-
-
-def _monic(num: sp.Poly, den: sp.Poly):
-    dom = den.domain
-    lc = dom.convert(den.LC())
-    if lc != dom.one:
-        inv = dom.quo(dom.one, lc)
-        num = num.mul_ground(inv)
-        den = den.mul_ground(inv)
-    return num, den
 
 
 class RationalFunction:
@@ -62,19 +51,18 @@ class RationalFunction:
         if den.is_zero:
             raise ZeroDivisionError("denominator is identically zero")
         if not _normalized:
+            dom = den.domain
             if num.is_zero:
-                den = sp.Poly(1, *den.gens, domain=den.domain)
-            elif den.is_ground:
-                lc = den.domain.convert(den.LC())
-                if lc != den.domain.one:
-                    num = num.mul_ground(den.domain.quo(den.domain.one, lc))
-                den = sp.Poly(1, *den.gens, domain=den.domain)
+                den = sp.Poly(1, *den.gens, domain=dom)
             else:
-                g = num.gcd(den)
-                if not g.is_one:
-                    num = num.quo(g)
-                    den = den.quo(g)
-                num, den = _monic(num, den)
+                if not den.is_ground:
+                    g = num.gcd(den)
+                    if not g.is_one:
+                        num, den = num.quo(g), den.quo(g)
+                lc = dom.convert(den.LC())
+                if lc != dom.one:
+                    inv = dom.quo(dom.one, lc)
+                    num, den = num.mul_ground(inv), den.mul_ground(inv)
         self.num = num
         self.den = den
         self.gens = num.gens
@@ -170,16 +158,24 @@ class RationalFunction:
 
     def subst_power(self, var, nu: int) -> "RationalFunction":
         """Substitute ``var -> var**nu`` in numerator and denominator."""
-        num = sp.Poly(self.num.as_expr().subs(var, var ** nu), *self.gens, domain=QQ_I)
-        den = sp.Poly(self.den.as_expr().subs(var, var ** nu), *self.gens, domain=QQ_I)
-        return RationalFunction(num, den, exact=self.exact)
+        k = self.gens.index(var)
+
+        def scaled(poly):
+            return sp.Poly.from_dict(
+                {e[:k] + (e[k] * nu,) + e[k + 1:]: c for e, c in poly.terms()},
+                *self.gens, domain=QQ_I)
+
+        return RationalFunction(scaled(self.num), scaled(self.den), exact=self.exact)
 
     def eval(self, values: dict) -> complex:
         """Numeric evaluation; ``values`` maps chart symbols to complex numbers."""
         pt = [complex(values[g]) for g in self.gens]
-        n = complex(self.num.as_expr().subs(dict(zip(self.gens, pt))))
-        d = complex(self.den.as_expr().subs(dict(zip(self.gens, pt))))
-        return n / d
+
+        def value(poly):
+            return sum(complex(c) * math.prod(v ** e for v, e in zip(pt, monom))
+                       for monom, c in poly.terms())
+
+        return value(self.num) / value(self.den)
 
     def as_expr(self) -> sp.Expr:
         return self.num.as_expr() / self.den.as_expr()

@@ -3,11 +3,14 @@
 Complex scalars serialize as two-element arrays [re, im]; matrices as
 row-major nested arrays.  On input, each part of a scalar may also be a
 string fraction like "1/3" to request exact coefficients; output always
-emits numbers.
+emits numbers.  Numbers must be finite and ranks integers >= 1.  Rational
+functions are {num, den} maps from keys "e1,...,en" (exponents >= 0) to
+scalars, read directly into polynomials over QQ_I.
 """
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -37,12 +40,14 @@ __all__ = [
 def _part(value, pointer):
     if isinstance(value, bool):
         raise SchemaViolation(pointer, "expected a number or fraction string")
+    if isinstance(value, float) and not math.isfinite(value):
+        raise SchemaViolation(pointer, "expected a finite number")
     if isinstance(value, (int, float)):
         return value, isinstance(value, int) or float(value).is_integer()
     if isinstance(value, str):
         try:
             return Fraction(value), True
-        except ValueError as exc:
+        except (ValueError, ZeroDivisionError) as exc:
             raise SchemaViolation(pointer, f"bad fraction literal {value!r}") from exc
     raise SchemaViolation(pointer, "expected a number or fraction string")
 
@@ -106,35 +111,30 @@ def parse_ratfunc(doc, gens, pointer):
         raise SchemaViolation(pointer, "expected {num, den} coefficient maps")
 
     def build(part, ptr):
-        expr = sp.Integer(0)
         entries = doc[part]
         if not isinstance(entries, dict):
             raise SchemaViolation(ptr, "expected a monomial -> coefficient map")
+        coeffs = {}
         exact = True
         for key, val in entries.items():
             try:
-                exps = [int(e) for e in key.split(",")]
+                exps = tuple(int(e) for e in key.split(","))
             except ValueError as exc:
                 raise SchemaViolation(f"{ptr}/{key}", "bad monomial key") from exc
             if len(exps) != len(gens):
                 raise SchemaViolation(f"{ptr}/{key}", "monomial arity mismatch")
+            if min(exps) < 0:
+                raise SchemaViolation(f"{ptr}/{key}", "negative exponent")
             coeff, ex = parse_scalar(val, f"{ptr}/{key}")
             exact = exact and ex
-            term = coeff
-            for g, e in zip(gens, exps):
-                term *= g ** e
-            expr += term
-        return expr, exact
+            coeffs[exps] = coeffs.get(exps, 0) + coeff
+        return sp.Poly.from_dict(coeffs, *gens, domain=QQ_I), exact
 
     num, ex1 = build("num", pointer + "/num")
     den, ex2 = build("den", pointer + "/den")
-    if den == 0:
+    if den.is_zero:
         raise SchemaViolation(pointer + "/den", "denominator is identically zero")
-    return RationalFunction(
-        sp.Poly(num, *gens, domain=QQ_I),
-        sp.Poly(den, *gens, domain=QQ_I),
-        exact=ex1 and ex2,
-    )
+    return RationalFunction(num, den, exact=ex1 and ex2)
 
 
 # -- systems -----------------------------------------------------------
@@ -149,8 +149,16 @@ def _require(doc, key, pointer, kind=None):
     return val
 
 
-def _parse_fuchsian(doc):
+def _rank(doc):
+    """The ``rank`` field: an integer >= 1 (a JSON ``true`` is not one)."""
     m = _require(doc, "rank", "", int)
+    if isinstance(m, bool) or m < 1:
+        raise SchemaViolation("/rank", "expected an integer >= 1")
+    return m
+
+
+def _parse_fuchsian(doc):
+    m = _rank(doc)
     poles_doc = _require(doc, "poles", "", list)
     res_doc = _require(doc, "residues", "", list)
     if len(res_doc) != len(poles_doc):
@@ -164,7 +172,7 @@ def _parse_fuchsian(doc):
 
 
 def _parse_local_model(doc):
-    m = _require(doc, "rank", "", int)
+    m = _rank(doc)
     res_doc = _require(doc, "residues", "", list)
     residues = [parse_matrix(R, m, f"/residues/{i}")[0] for i, R in enumerate(res_doc)]
     n = doc.get("vars", len(residues))
@@ -195,14 +203,13 @@ def _parse_divisor(doc, nvars, pointer):
 
 
 def _parse_log_connection(doc):
-    m = _require(doc, "rank", "", int)
+    m = _rank(doc)
     gens = _parse_gens_field(doc, "")
     divisor = _parse_divisor(doc, len(gens), "")
     comps_doc = _require(doc, "components", "", list)
     if len(comps_doc) != len(gens):
         raise SchemaViolation("/components", "one matrix component per variable required")
     comps = []
-    exact = True
     for v, comp in enumerate(comps_doc):
         if not isinstance(comp, list) or len(comp) != m:
             raise SchemaViolation(f"/components/{v}", f"expected {m} rows")
@@ -237,15 +244,12 @@ def _parse_oneform(doc, gens, pointer):
 
 
 def _parse_riccati(doc):
-    m = _require(doc, "rank", "", int)
+    m = _rank(doc)
     gens = _parse_gens_field(doc, "")
     divisor = _parse_divisor(doc, len(gens), "") if "divisor" in doc else ()
-    b = [_parse_oneform(e, gens, f"/b/{i}")
-         for i, e in enumerate(_require(doc, "b", "", list))]
-    delta = [_parse_oneform(e, gens, f"/delta/{i}")
-             for i, e in enumerate(_require(doc, "delta", "", list))]
-    c = [_parse_oneform(e, gens, f"/c/{i}")
-         for i, e in enumerate(_require(doc, "c", "", list))]
+    b, delta, c = ([_parse_oneform(e, gens, f"/{key}/{i}")
+                    for i, e in enumerate(_require(doc, key, "", list))]
+                   for key in ("b", "delta", "c"))
     offdiag = {}
     for key, val in doc.get("offdiag", {}).items():
         try:
@@ -253,14 +257,17 @@ def _parse_riccati(doc):
         except ValueError as exc:
             raise SchemaViolation(f"/offdiag/{key}", "bad index pair") from exc
         offdiag[(i, k)] = _parse_oneform(val, gens, f"/offdiag/{key}")
-    exact = all(
-        f.exact for group in (b, delta, c) for form in group for f in form
-    ) and all(f.exact for form in offdiag.values() for f in form)
+    for i in range(m - 1):
+        for k in range(m - 1):
+            if i != k and (i, k) not in offdiag:
+                raise SchemaViolation("/offdiag", f"missing the pair {i},{k}")
+    forms = [*b, *delta, *c, *offdiag.values()]
+    exact = all(f.exact for form in forms for f in form)
     return RiccatiSystem(m, gens, divisor, b, delta, offdiag, c, exact=exact)
 
 
 def _parse_presentation(doc):
-    m = _require(doc, "rank", "", int)
+    m = _rank(doc)
     gens_doc = _require(doc, "generators", "", dict)
     generators = {}
     for name, M in gens_doc.items():
@@ -286,7 +293,7 @@ def _parse_presentation(doc):
 
 
 def _parse_matrix_doc(doc):
-    m = _require(doc, "rank", "", int)
+    m = _rank(doc)
     return matrix_array(parse_matrix(_require(doc, "matrix", "", list), m, "/matrix")[0])
 
 

@@ -8,12 +8,13 @@ import sys
 
 import numpy as np
 import pytest
+import sympy as sp
 from click.testing import CliRunner
 
 import logconnect
-from logconnect import FuchsianSystem, RiccatiSystem
+from logconnect import FuchsianSystem, RiccatiSystem, projective
 from logconnect.cli import main
-from logconnect.serialization import validate_schema
+from logconnect.serialization import system_to_json, validate_schema
 
 ROOT = pathlib.Path(__file__).parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -216,3 +217,114 @@ def test_simple_pole_off_the_origin_still_parses(tmp_path):
     assert result.exit_code == 0, result.output
     R = json.loads(result.output)["payload"]["residues"][0]
     assert complex(*R[0][0]) == pytest.approx(1.0)
+
+
+def test_negative_exponent_is_schema_error(tmp_path):
+    doc = {"type": "log_connection", "rank": 1, "vars": ["x"],
+           "divisor": [{"var": 0, "value": [0, 0]}],
+           "components": [[[{"num": {"-1": [1, 0]}, "den": {"0": [1, 0]}}]]]}
+    path = tmp_path / "negative_exponent.json"
+    path.write_text(json.dumps(doc))
+    result = invoke(["residues", str(path)])
+    assert result.exit_code == 2, result.output
+    payload = json.loads(result.output)["payload"]
+    assert payload["error"] == "SchemaViolation"
+    assert payload["pointer"] == "/components/0/0/0/num/-1"
+
+
+@pytest.mark.parametrize("verb, doc, pointer", [
+    ("check-flat", {"type": "fuchsian", "rank": 0, "poles": [], "residues": []}, "/rank"),
+    ("check-flat", {"type": "fuchsian", "rank": True, "poles": [[0, 0]],
+                    "residues": [[[[0.25, 0]]]]}, "/rank"),
+    ("check-flat", {"type": "fuchsian", "rank": -1, "poles": [], "residues": []}, "/rank"),
+    ("predicates", {"type": "matrix", "rank": 1, "matrix": [[[float("nan"), 0]]]},
+     "/matrix/0/0/0"),
+    ("predicates", {"type": "matrix", "rank": 1, "matrix": [[[0, float("inf")]]]},
+     "/matrix/0/0/1"),
+    ("check-flat", {"type": "fuchsian", "rank": 1, "poles": [[0, 0]],
+                    "residues": [[[["1/0", 0]]]]}, "/residues/0/0/0/0"),
+], ids=["rank 0", "rank true", "rank -1", "NaN", "Infinity", "fraction 1/0"])
+def test_bad_rank_or_scalar_is_schema_error(tmp_path, verb, doc, pointer):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(doc))  # writes NaN and Infinity as bare literals
+    result = invoke([verb, str(path)])
+    assert result.exit_code == 2, result.output
+    payload = json.loads(result.output)["payload"]
+    assert payload["error"] == "SchemaViolation"
+    assert payload["pointer"] == pointer
+
+
+def test_riccati_missing_offdiag_is_schema_error(tmp_path):
+    F = FuchsianSystem(3, [0, 1], [[[1, 0, 0], [0, 0, 1], [0, 0, sp.Rational(1, 2)]],
+                                   [[0, 1, 0], [0, 0, 0], [1, 0, 0]]])
+    doc = system_to_json(projective.projectivize(F))
+    assert doc["offdiag"]
+    del doc["offdiag"]
+    path = tmp_path / "no_offdiag.json"
+    path.write_text(json.dumps(doc))
+    result = invoke(["lift-trace-free", str(path)])
+    assert result.exit_code == 2, result.output
+    payload = json.loads(result.output)["payload"]
+    assert payload["error"] == "SchemaViolation"
+    assert payload["pointer"] == "/offdiag"
+    assert "0,1" in payload["message"]
+
+
+@pytest.mark.parametrize("verb", ["realize-local", "realize-fuchsian"])
+def test_presentation_without_generators_is_error(tmp_path, verb):
+    path = tmp_path / "no_generators.json"
+    path.write_text(json.dumps({"type": "presentation", "rank": 2, "generators": {}}))
+    result = invoke([verb, str(path)])
+    assert result.exit_code == 2, result.output
+    assert json.loads(result.output)["payload"]["error"] == "ValueError"
+
+
+def kronecker_gauge(A, taus, order):
+    """G_0..G_order of A G_k - G_k (A + k I) = -sum_d T_d G_{k-1-d}, by Kronecker solves.
+
+    vec(A X - X B) is (I (x) A - B^T (x) I) vec(X) in column-major order.
+    """
+    m = A.shape[0]
+    eye = np.eye(m)
+    G = [eye.astype(complex)]
+    for k in range(1, order + 1):
+        rhs = -sum(T @ G[k - 1 - d] for d, T in enumerate(taus) if k - 1 - d >= 0)
+        K = np.kron(eye, A) - np.kron((A + k * eye).T, eye)
+        G.append(np.linalg.solve(K, rhs.ravel(order="F")).reshape((m, m), order="F"))
+    return G
+
+
+def _entry(num, den):
+    return {"num": num, "den": den}
+
+
+DEN_X = {"1": [1, 0]}
+DEN_ONE = {"0": [1, 0]}
+
+
+@pytest.mark.parametrize("components, A, taus", [
+    # exact residues such as 1/3, which no binary float represents
+    ([[_entry({"0": ["1/3", 0], "1": [1, 0]}, DEN_X), _entry({"1": ["2/7", 0]}, DEN_ONE)],
+      [_entry({"0": ["1/2", "1/3"]}, DEN_X), _entry({"0": ["-1/3", 0], "2": [1, 0]}, DEN_X)]],
+     [[1 / 3, 0], [0.5 + 1j / 3, -1 / 3]],
+     [[[1, 0], [0, 0]], [[0, 2 / 7], [0, 1]]]),
+    # (0.3x + 0.1)/(0.3x): a float denominator that is not monic
+    ([[_entry({"1": [0.3, 0], "0": [0.1, 0]}, {"1": [0.3, 0]}), _entry({"0": [0.2, 0]}, DEN_ONE)],
+      [_entry({"0": [0, 0]}, DEN_ONE), _entry({"0": [0.7, 0], "1": [0.1, 0.2]}, DEN_X)]],
+     [[0.1 / 0.3, 0], [0, 0.7]],
+     [[[1, 0.2], [0, 0.1 + 0.2j]]]),
+], ids=["exact thirds", "float 0.3x"])
+def test_normalize_reads_the_exact_series(tmp_path, components, A, taus):
+    doc = {"type": "log_connection", "rank": 2, "vars": ["x"],
+           "divisor": [{"var": 0, "value": [0, 0]}], "components": [components]}
+    path = tmp_path / "series.json"
+    path.write_text(json.dumps(doc))
+    result = invoke(["normalize", str(path), "--order", "8"])
+    assert result.exit_code == 0, result.output
+    got = json.loads(result.output)["payload"]["coefficients"]
+    want = kronecker_gauge(np.array(A, dtype=complex),
+                           [np.array(T, dtype=complex) for T in taus], 8)
+    assert len(got) == len(want)
+    for G, W in zip(got, want):
+        G = np.array([[complex(*e) for e in row] for row in G])
+        assert np.max(np.abs(G - W)) <= 1e-9 * max(1.0, np.max(np.abs(W)))

@@ -18,6 +18,7 @@ from logconnect import (
 from logconnect.connections import LogConnection
 from logconnect.errors import ResonantResidue, UnsupportedBranch
 from logconnect.ratfunc import RationalFunction
+from logconnect.serialization import validate_schema
 
 from conftest import random_fuchsian, rational_matrix
 
@@ -178,6 +179,29 @@ class TestPoincareNormalize:
             conn = one_var_system(A.tolist(), [T.tolist() for T in tau])
             gauge = poincare_normalize(conn, order=8)
             assert poincare_defect(conn, gauge) < 1e-7
+
+    def test_defect_of_parsed_fraction_documents(self, rng):
+        # fraction-string coefficients: residues like 1/3 are exact, never binary floats
+        def frac(span, den):
+            return f"{rng.randint(-span, span)}/{rng.randint(1, den)}"
+
+        for _ in range(6):
+            m = rng.choice([2, 3])
+            components = []
+            for i in range(m):
+                row = []
+                for j in range(m):
+                    # diagonal spread below 1 and a small off-diagonal keep A nonresonant
+                    a = f"{rng.randint(1, 8)}/9" if i == j else f"{rng.randint(-3, 3)}/50"
+                    num = {"0": [a, frac(1, 50)]}
+                    num.update({str(d): [frac(4, 7), frac(4, 7)] for d in (1, 2, 3)})
+                    row.append({"num": num, "den": {"1": [1, 0]}})
+                components.append(row)
+            conn = validate_schema({"type": "log_connection", "rank": m, "vars": ["x"],
+                                    "divisor": [{"var": 0, "value": [0, 0]}],
+                                    "components": [components]})
+            gauge = poincare_normalize(conn, order=10)
+            assert poincare_defect(conn, gauge) < 1e-9
 
 
 class TestInvariants:

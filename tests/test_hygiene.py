@@ -39,3 +39,13 @@ def test_no_unused_imports(path):
     unused = {name: line for name, line in imported_names(tree).items()
               if name not in used_names(tree)}
     assert not unused, f"{path.name} imports names it never uses: {unused}"
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_expression_substitution(path):
+    """Exact data stays in polynomial arithmetic: no sympy ``.subs`` round trips."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    calls = [node.lineno for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "subs"]
+    assert not calls, f"{path.name} calls .subs( on lines {calls}"
