@@ -1,6 +1,10 @@
 """Regenerate the bundled fixture corpus and its manifest.
 
 Run from the repository root:  python3 fixtures/generate.py
+
+``documents()`` returns every file of the corpus as a JSON document and
+``render`` gives its exact text, so a test can check that the committed files
+are what this script writes.
 """
 
 import json
@@ -14,11 +18,18 @@ from logconnect.serialization import system_to_json
 HERE = pathlib.Path(__file__).parent
 
 
-def write(name, doc):
-    (HERE / name).write_text(json.dumps(doc, indent=2, sort_keys=True) + "\n")
+def render(doc):
+    """The text of a corpus file holding ``doc``."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
-def main():
+def documents():
+    """File name -> JSON document, for every file of the corpus and the manifest."""
+    docs = {}
+
+    def write(name, doc):
+        docs[name] = doc
+
     write("fuchsian_quarter.json", {
         "type": "fuchsian",
         "rank": 2,
@@ -176,6 +187,12 @@ def main():
         {"args": ["check-flat", "duplicate_poles.json"], "expect": 2},
     ]
     write("manifest.json", manifest)
+    return docs
+
+
+def main():
+    for name, doc in documents().items():
+        (HERE / name).write_text(render(doc))
 
 
 if __name__ == "__main__":

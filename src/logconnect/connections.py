@@ -21,7 +21,7 @@ from .errors import (
     ToleranceNotMet,
     UnsupportedBranch,
 )
-from .ratfunc import RationalFunction, is_exact_input, to_exact_scalar
+from .ratfunc import RationalFunction, complex_terms, evaluator, is_exact_input, to_exact_scalar
 
 __all__ = [
     "FuchsianSystem",
@@ -192,6 +192,7 @@ class LogConnection:
             tuple(tuple(row) for row in comp) for comp in components
         )
         self.exact = bool(exact)
+        self._callables = {}  # var -> numeric evaluator of Omega_var
         if len(self.components) != self.n:
             raise ValueError("one matrix component per chart variable required")
 
@@ -199,19 +200,16 @@ class LogConnection:
         return self.components[var][i][j]
 
     def component_callable(self, var: int):
-        """Compiled numeric evaluator x -> Omega_var(x) (ndarray)."""
-        cache = getattr(self, "_callables", None)
-        if cache is None:
-            cache = {}
-            self._callables = cache
-        if var not in cache:
-            exprs = sp.Matrix(
-                [[self.entry(var, i, j).as_expr() for j in range(self.m)]
-                 for i in range(self.m)]
-            )
-            fn = sp.lambdify(self.gens, exprs, modules="numpy")
-            cache[var] = lambda *xs: np.asarray(fn(*xs), dtype=complex)
-        return cache[var]
+        """Numeric evaluator x -> Omega_var(x) (ndarray), built once per variable."""
+        if var not in self._callables:
+            entries = [self.entry(var, i, j) for i, j in np.ndindex(self.m, self.m)]
+            values = evaluator([f.num for f in entries] + [f.den for f in entries])
+            k, shape = len(entries), (self.m, self.m)
+            def omega(*xs):
+                v = values(*xs)  # the numerators, then the denominators
+                return (v[:k] / v[k:]).reshape(shape)
+            self._callables[var] = omega
+        return self._callables[var]
 
     def map_entries(self, func) -> "LogConnection":
         comps = tuple(
@@ -286,25 +284,24 @@ def residue(C, branch, tol: float = 1e-10) -> np.ndarray:
         return C.residue_array(branch)
     conn = _as_connection(C)
     var, value = conn.divisor[branch]
-    x = conn.gens[var]
-    line = sp.Poly(x - value, *conn.gens, domain=QQ_I)
+    line = sp.Poly(conn.gens[var] - value, *conn.gens, domain=QQ_I)
     # an entry num/den has residue num/q at x = value when den = (x - value) q, else 0
     parts = {}
     for i, j in np.ndindex(conn.m, conn.m):
         f = conn.entry(var, i, j)
         q, r = f.den.div(line)
         if r.is_zero:
-            parts[i, j] = RationalFunction(f.num, q, _normalized=True)
-    others = [g for g in conn.gens if g is not x]
+            parts[i, j] = evaluator([f.num, q])
     # three sample points along the branch guard against non-constant residues
     samples = [0.37 + 0.21j, -0.52 + 0.8j, 1.13 - 0.44j]
     results = []
-    for s in samples if others else samples[:1]:
-        vals = {g: s + 0.1 * idx for idx, g in enumerate(others)}
-        vals[x] = complex(value)
+    for s in samples if conn.n > 1 else samples[:1]:
+        point = [s + 0.1 * idx for idx in range(conn.n - 1)]
+        point.insert(var, complex(value))  # on the branch x_var = value
         R = np.zeros((conn.m, conn.m), dtype=complex)
-        for (i, j), f in parts.items():
-            R[i, j] = f.eval(vals)
+        for (i, j), values in parts.items():
+            num, den = values(*point)
+            R[i, j] = complex(num) / complex(den)
         results.append(R)
     scale = max(np.linalg.norm(results[0]), 1.0)
     for R in results[1:]:
@@ -375,19 +372,18 @@ def _series_parts(conn: LogConnection):
     if conn.n != 1 or len(conn.divisor) != 1 or complex(conn.divisor[0][1]) != 0:
         raise ValueError("normalization needs a one-variable system with single branch x = 0")
     m = conn.m
-    laurent = {}  # entry -> its coefficients of x^-1, x^0, x^1, ...
+    laurent = {}  # (k, i, j) -> coefficient of x^(k - 1) in entry (i, j)
     for i, j in np.ndindex(m, m):
         f = conn.entry(0, i, j)
         if not f.den.is_monomial or f.den.degree() > 1:
             raise ValueError(
                 "connection is not of the form A dx/x + tau(x) dx with polynomial tau"
             )
-        pad = [0] * (1 - f.den.degree())  # no x^-1 term when the denominator is 1
-        coeffs = f.num.as_list(native=True)[::-1]  # QQ_I elements, no sympy expressions
-        laurent[i, j] = pad + [complex(float(c.x), float(c.y)) for c in coeffs]
-    L = np.zeros((max(2, *map(len, laurent.values())), m, m), dtype=complex)
-    for (i, j), coeffs in laurent.items():
-        L[:len(coeffs), i, j] = coeffs
+        for (e,), c in complex_terms(f.num).items():
+            laurent[e + 1 - f.den.degree(), i, j] = c
+    L = np.zeros((max([1, *(k for k, _, _ in laurent)]) + 1, m, m), dtype=complex)
+    for index, c in laurent.items():
+        L[index] = c
     return L[0], list(L[1:])
 
 

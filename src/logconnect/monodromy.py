@@ -233,8 +233,7 @@ def _omega_callable(C):
     conn = _as_connection(C)
     if conn.n != 1:
         raise ValueError("transport is defined for one-variable charts")
-    f = conn.component_callable(0)
-    return f
+    return conn.component_callable(0)
 
 
 def transport(C, path: LoopPath, tol: float = 1e-10) -> np.ndarray:

@@ -1,45 +1,69 @@
 """Exact multivariate rational functions over the Gaussian rationals.
 
 Entries of logarithmic connection matrices live here.  Coefficients are
-always kept in sympy's ``QQ_I`` domain; floating-point inputs are converted
-to their exact dyadic value and the fraction carries an ``exact`` flag so
+always kept in sympy's ``QQ_I`` domain, and this is the one module where they
+cross to and from complex numbers; floating-point inputs are converted to
+their exact dyadic value and the fraction carries an ``exact`` flag so
 comparisons can fall back to a tolerance when the provenance was inexact.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
+from functools import reduce
 
+import numpy as np
 import sympy as sp
-from sympy.polys.domains import QQ_I
+from sympy.polys.domains import QQ, QQ_I
 
-__all__ = ["RationalFunction", "to_exact_scalar", "is_exact_input"]
+__all__ = ["RationalFunction", "evaluator", "complex_terms", "to_qqi", "to_exact_scalar",
+           "is_exact_input"]
 
 
 def is_exact_input(value) -> bool:
     """True when ``value`` carries no floating-point contamination."""
-    if isinstance(value, (int, Fraction)):
-        return True
-    if isinstance(value, (float, complex)):
-        return float(value.real).is_integer() and float(getattr(value, "imag", 0.0)).is_integer()
     if isinstance(value, sp.Basic):
         return not value.has(sp.Float)
-    return False
+    if isinstance(value, (float, complex)):
+        return float(value.real).is_integer() and float(value.imag).is_integer()
+    return isinstance(value, (int, Fraction))
 
 
 def to_exact_scalar(value) -> sp.Expr:
     """Convert a scalar to an exact sympy number (floats become dyadic rationals)."""
-    if isinstance(value, sp.Basic):
-        if not value.has(sp.Float):
-            return value
-        value = complex(value)
-    if isinstance(value, (float, complex)):
-        c = complex(value)
-        return sp.Rational(Fraction(c.real)) + sp.Rational(Fraction(c.imag)) * sp.I
+    if isinstance(value, sp.Basic) and not value.has(sp.Float):
+        return value
     if isinstance(value, (int, Fraction)):
         return sp.Rational(value)
-    raise TypeError(f"cannot interpret {value!r} as a complex scalar")
+    if not isinstance(value, (float, complex, sp.Basic)):
+        raise TypeError(f"cannot interpret {value!r} as a complex scalar")
+    c = complex(value)
+    return QQ_I.to_sympy(to_qqi(c.real, c.imag))
+
+
+def to_qqi(re, im=0):
+    """The exact ``QQ_I`` element re + i*im; parts are ints, Fractions or floats."""
+    re, im = Fraction(re), Fraction(im)
+    return QQ_I(QQ(re.numerator, re.denominator), QQ(im.numerator, im.denominator))
+
+
+def complex_terms(poly) -> dict:
+    """Monomial -> coefficient of a polynomial over ``QQ_I``, each part correctly rounded."""
+    return {e: complex(float(c.x), float(c.y)) for e, c in poly.as_dict(native=True).items()}
+
+
+def evaluator(polys):
+    """(x_1, ..., x_n) -> ndarray of the values of ``polys`` (not all zero), from tables
+    of their shared monomial exponents and complex coefficients, one variable at a time."""
+    terms = [complex_terms(p) for p in polys]
+    monoms = sorted(set().union(*terms))
+    exponents = np.array(monoms).T
+    coefficients = np.array([[t.get(e, 0j) for t in terms] for e in monoms])
+    def values(*point):
+        if len(point) != len(exponents):
+            raise TypeError(f"expected {len(exponents)} coordinates, got {len(point)}")
+        return reduce(np.multiply, map(np.power, point, exponents)) @ coefficients
+    return values
 
 
 class RationalFunction:
@@ -59,9 +83,8 @@ class RationalFunction:
                     g = num.gcd(den)
                     if not g.is_one:
                         num, den = num.quo(g), den.quo(g)
-                lc = dom.convert(den.LC())
-                if lc != dom.one:
-                    inv = dom.quo(dom.one, lc)
+                inv = dom.quo(dom.one, den.rep.LC())
+                if inv != dom.one:
                     num, den = num.mul_ground(inv), den.mul_ground(inv)
         self.num = num
         self.den = den
@@ -75,10 +98,7 @@ class RationalFunction:
         expr = sp.sympify(expr)
         if exact is None:
             exact = not expr.has(sp.Float)
-        if expr.has(sp.Float):
-            expr = expr.replace(
-                lambda e: e.is_Float, lambda e: sp.Rational(Fraction(float(e)))
-            )
+        expr = expr.replace(lambda e: e.is_Float, to_exact_scalar)
         n, d = sp.fraction(sp.together(expr))
         num = sp.Poly(n, *gens, domain=QQ_I)
         den = sp.Poly(d, *gens, domain=QQ_I)
@@ -162,23 +182,15 @@ class RationalFunction:
 
         def scaled(poly):
             return sp.Poly.from_dict(
-                {e[:k] + (e[k] * nu,) + e[k + 1:]: c for e, c in poly.terms()},
+                {e[:k] + (e[k] * nu,) + e[k + 1:]: c for e, c in poly.as_dict(native=True).items()},
                 *self.gens, domain=QQ_I)
 
         return RationalFunction(scaled(self.num), scaled(self.den), exact=self.exact)
 
     def eval(self, values: dict) -> complex:
         """Numeric evaluation; ``values`` maps chart symbols to complex numbers."""
-        pt = [complex(values[g]) for g in self.gens]
-
-        def value(poly):
-            return sum(complex(c) * math.prod(v ** e for v, e in zip(pt, monom))
-                       for monom, c in poly.terms())
-
-        return value(self.num) / value(self.den)
-
-    def as_expr(self) -> sp.Expr:
-        return self.num.as_expr() / self.den.as_expr()
+        num, den = evaluator([self.num, self.den])(*(complex(values[g]) for g in self.gens))
+        return complex(num) / complex(den)
 
     # -- predicates -----------------------------------------------------
 
@@ -188,11 +200,9 @@ class RationalFunction:
 
     def is_zero_within(self, tol: float) -> bool:
         """Zero test honoring inexact provenance: coefficient magnitudes below tol."""
-        if self.num.is_zero:
-            return True
-        if self.exact:
-            return False
-        return max(abs(complex(c)) for c in self.num.coeffs()) < tol
+        if self.exact or self.num.is_zero:
+            return self.num.is_zero
+        return max(map(abs, complex_terms(self.num).values())) < tol
 
     def equals(self, other, tol: float = 1e-12) -> bool:
         o = self._coerce(other)
@@ -210,4 +220,4 @@ class RationalFunction:
         return hash((self.num, self.den))
 
     def __repr__(self):
-        return f"RationalFunction({self.as_expr()})"
+        return f"RationalFunction({self.num!r}, {self.den!r})"

@@ -5,7 +5,8 @@ row-major nested arrays.  On input, each part of a scalar may also be a
 string fraction like "1/3" to request exact coefficients; output always
 emits numbers.  Numbers must be finite and ranks integers >= 1.  Rational
 functions are {num, den} maps from keys "e1,...,en" (exponents >= 0) to
-scalars, read directly into polynomials over QQ_I.
+scalars, read directly into polynomials over QQ_I; each emitted coefficient
+part is the correctly rounded float of its exact value.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from .errors import SchemaViolation
 from .lifting import LiftReport, ProjectivePresentation
 from .monodromy import ArcSegment, LineSegment, LoopPath
 from .projective import ProjectiveClass, RiccatiSystem
-from .ratfunc import RationalFunction
+from .ratfunc import RationalFunction, complex_terms, is_exact_input, to_qqi
 
 __all__ = [
     "parse_scalar",
@@ -38,12 +39,10 @@ __all__ = [
 
 
 def _part(value, pointer):
-    if isinstance(value, bool):
-        raise SchemaViolation(pointer, "expected a number or fraction string")
     if isinstance(value, float) and not math.isfinite(value):
         raise SchemaViolation(pointer, "expected a finite number")
-    if isinstance(value, (int, float)):
-        return value, isinstance(value, int) or float(value).is_integer()
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return value, is_exact_input(value)
     if isinstance(value, str):
         try:
             return Fraction(value), True
@@ -52,16 +51,22 @@ def _part(value, pointer):
     raise SchemaViolation(pointer, "expected a number or fraction string")
 
 
-def parse_scalar(value, pointer=""):
-    """[re, im] (or bare number) -> exact sympy scalar plus exactness flag."""
+def _parse_qqi(value, pointer):
+    """[re, im] (or bare number) -> exact QQ_I element plus exactness flag."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         re, exact = _part(value, pointer)
-        return sp.Rational(Fraction(re)), exact
+        return to_qqi(re), exact
     if not isinstance(value, list) or len(value) != 2:
         raise SchemaViolation(pointer, "expected [re, im]")
     re, ex1 = _part(value[0], pointer + "/0")
     im, ex2 = _part(value[1], pointer + "/1")
-    return sp.Rational(Fraction(re)) + sp.Rational(Fraction(im)) * sp.I, ex1 and ex2
+    return to_qqi(re, im), ex1 and ex2
+
+
+def parse_scalar(value, pointer=""):
+    """[re, im] (or bare number) -> exact sympy scalar plus exactness flag."""
+    z, exact = _parse_qqi(value, pointer)
+    return QQ_I.to_sympy(z), exact
 
 
 def scalar_to_json(z):
@@ -73,32 +78,28 @@ def parse_matrix(doc, m, pointer):
     if not isinstance(doc, list) or len(doc) != m:
         raise SchemaViolation(pointer, f"expected {m} rows")
     out = []
-    exact = True
     for i, row in enumerate(doc):
         if not isinstance(row, list) or len(row) != m:
             raise SchemaViolation(f"{pointer}/{i}", f"expected {m} entries")
         r = []
         for j, e in enumerate(row):
             v, ex = parse_scalar(e, f"{pointer}/{i}/{j}")
-            exact = exact and ex
-            r.append(v if ex else complex(v))
+            r.append(v if ex else complex(v))  # a complex entry marks the data inexact
         out.append(r)
-    return out, exact
+    return out
 
 
 def matrix_to_json(M):
-    A = np.asarray(M, dtype=complex)
-    return [[[float(e.real), float(e.imag)] for e in row] for row in A]
+    return [[scalar_to_json(e) for e in row] for row in np.asarray(M, dtype=complex)]
 
 
 # -- rational functions ------------------------------------------------
 
 
 def _poly_to_json(poly: sp.Poly):
-    out = {}
-    for monom, coeff in poly.terms():
-        key = ",".join(str(e) for e in monom)
-        out[key] = scalar_to_json(coeff.as_expr() if hasattr(coeff, "as_expr") else coeff)
+    # the zero polynomial is written as its constant term 0
+    terms = complex_terms(poly) or {(0,) * len(poly.gens): 0j}
+    out = {",".join(str(e) for e in monom): scalar_to_json(c) for monom, c in terms.items()}
     return dict(sorted(out.items()))
 
 
@@ -125,9 +126,9 @@ def parse_ratfunc(doc, gens, pointer):
                 raise SchemaViolation(f"{ptr}/{key}", "monomial arity mismatch")
             if min(exps) < 0:
                 raise SchemaViolation(f"{ptr}/{key}", "negative exponent")
-            coeff, ex = parse_scalar(val, f"{ptr}/{key}")
+            coeff, ex = _parse_qqi(val, f"{ptr}/{key}")
             exact = exact and ex
-            coeffs[exps] = coeffs.get(exps, 0) + coeff
+            coeffs[exps] = coeffs.get(exps, QQ_I.zero) + coeff
         return sp.Poly.from_dict(coeffs, *gens, domain=QQ_I), exact
 
     num, ex1 = build("num", pointer + "/num")
@@ -149,35 +150,30 @@ def _require(doc, key, pointer, kind=None):
     return val
 
 
-def _rank(doc):
-    """The ``rank`` field: an integer >= 1 (a JSON ``true`` is not one)."""
-    m = _require(doc, "rank", "", int)
-    if isinstance(m, bool) or m < 1:
-        raise SchemaViolation("/rank", "expected an integer >= 1")
-    return m
+def _integer(doc, key, pointer="", low=1, high=math.inf):
+    """The field ``key``: an integer with low <= value < high (a JSON ``true`` is not one)."""
+    v = _require(doc, key, pointer, int)
+    if isinstance(v, bool) or not low <= v < high:
+        raise SchemaViolation(f"{pointer}/{key}", f"expected an integer in [{low}, {high})")
+    return v
 
 
 def _parse_fuchsian(doc):
-    m = _rank(doc)
+    m = _integer(doc, "rank")
     poles_doc = _require(doc, "poles", "", list)
     res_doc = _require(doc, "residues", "", list)
     if len(res_doc) != len(poles_doc):
         raise SchemaViolation("/residues", "one residue per pole required")
-    poles = []
-    for i, p in enumerate(poles_doc):
-        v, _ = parse_scalar(p, f"/poles/{i}")
-        poles.append(v)
-    residues = [parse_matrix(R, m, f"/residues/{i}")[0] for i, R in enumerate(res_doc)]
+    poles = [parse_scalar(p, f"/poles/{i}")[0] for i, p in enumerate(poles_doc)]
+    residues = [parse_matrix(R, m, f"/residues/{i}") for i, R in enumerate(res_doc)]
     return FuchsianSystem(m, poles, residues)
 
 
 def _parse_local_model(doc):
-    m = _rank(doc)
+    m = _integer(doc, "rank")
     res_doc = _require(doc, "residues", "", list)
-    residues = [parse_matrix(R, m, f"/residues/{i}")[0] for i, R in enumerate(res_doc)]
-    n = doc.get("vars", len(residues))
-    if not isinstance(n, int) or n < len(residues):
-        raise SchemaViolation("/vars", "chart dimension must be an int >= branch count")
+    residues = [parse_matrix(R, m, f"/residues/{i}") for i, R in enumerate(res_doc)]
+    n = _integer(doc, "vars", low=len(residues)) if "vars" in doc else len(residues)
     return LocalModel(m, residues, n=n)
 
 
@@ -193,9 +189,7 @@ def _parse_divisor(doc, nvars, pointer):
     for i, d in enumerate(_require(doc, "divisor", pointer, list)):
         if not isinstance(d, dict):
             raise SchemaViolation(f"{pointer}/divisor/{i}", "expected {var, value}")
-        v = _require(d, "var", f"{pointer}/divisor/{i}", int)
-        if not 0 <= v < nvars:
-            raise SchemaViolation(f"{pointer}/divisor/{i}/var", "variable index out of range")
+        v = _integer(d, "var", f"{pointer}/divisor/{i}", low=0, high=nvars)
         val, _ = parse_scalar(_require(d, "value", f"{pointer}/divisor/{i}"),
                               f"{pointer}/divisor/{i}/value")
         out.append((v, val))
@@ -203,7 +197,7 @@ def _parse_divisor(doc, nvars, pointer):
 
 
 def _parse_log_connection(doc):
-    m = _rank(doc)
+    m = _integer(doc, "rank")
     gens = _parse_gens_field(doc, "")
     divisor = _parse_divisor(doc, len(gens), "")
     comps_doc = _require(doc, "components", "", list)
@@ -244,18 +238,20 @@ def _parse_oneform(doc, gens, pointer):
 
 
 def _parse_riccati(doc):
-    m = _rank(doc)
+    m = _integer(doc, "rank")
     gens = _parse_gens_field(doc, "")
     divisor = _parse_divisor(doc, len(gens), "") if "divisor" in doc else ()
     b, delta, c = ([_parse_oneform(e, gens, f"/{key}/{i}")
                     for i, e in enumerate(_require(doc, key, "", list))]
                    for key in ("b", "delta", "c"))
     offdiag = {}
-    for key, val in doc.get("offdiag", {}).items():
+    for key, val in (_require(doc, "offdiag", "", dict) if "offdiag" in doc else {}).items():
         try:
             i, k = (int(t) for t in key.split(","))
         except ValueError as exc:
             raise SchemaViolation(f"/offdiag/{key}", "bad index pair") from exc
+        if i == k or (i, k) in offdiag or not (0 <= i < m - 1 and 0 <= k < m - 1):
+            raise SchemaViolation(f"/offdiag/{key}", f"expected i != k below {m - 1}, each once")
         offdiag[(i, k)] = _parse_oneform(val, gens, f"/offdiag/{key}")
     for i in range(m - 1):
         for k in range(m - 1):
@@ -267,12 +263,11 @@ def _parse_riccati(doc):
 
 
 def _parse_presentation(doc):
-    m = _rank(doc)
+    m = _integer(doc, "rank")
     gens_doc = _require(doc, "generators", "", dict)
     generators = {}
     for name, M in gens_doc.items():
-        mat, _ = parse_matrix(M, m, f"/generators/{name}")
-        generators[name] = matrix_array(mat)
+        generators[name] = matrix_array(parse_matrix(M, m, f"/generators/{name}"))
     relations = doc.get("relations", [])
     if not isinstance(relations, list):
         raise SchemaViolation("/relations", "expected a list of words")
@@ -293,8 +288,8 @@ def _parse_presentation(doc):
 
 
 def _parse_matrix_doc(doc):
-    m = _rank(doc)
-    return matrix_array(parse_matrix(_require(doc, "matrix", "", list), m, "/matrix")[0])
+    m = _integer(doc, "rank")
+    return matrix_array(parse_matrix(_require(doc, "matrix", "", list), m, "/matrix"))
 
 
 PARSERS = {

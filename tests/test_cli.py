@@ -1,5 +1,6 @@
 """Command-line interface tests driven by the bundled fixture corpus."""
 
+import importlib.util
 import json
 import os
 import pathlib
@@ -14,7 +15,8 @@ from click.testing import CliRunner
 import logconnect
 from logconnect import FuchsianSystem, RiccatiSystem, projective
 from logconnect.cli import main
-from logconnect.serialization import system_to_json, validate_schema
+from logconnect.ratfunc import RationalFunction
+from logconnect.serialization import ratfunc_to_json, system_to_json, validate_schema
 
 ROOT = pathlib.Path(__file__).parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -48,6 +50,16 @@ def test_byte_stable_across_runs():
         a = invoke(entry["args"]).output
         b = invoke(entry["args"]).output
         assert a == b, entry["args"]
+
+
+def test_fixture_corpus_is_what_its_generator_writes():
+    spec = importlib.util.spec_from_file_location("generate", FIXTURES / "generate.py")
+    generate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(generate)
+    docs = generate.documents()
+    assert sorted(docs) == sorted(p.name for p in FIXTURES.glob("*.json"))
+    for name, doc in docs.items():
+        assert generate.render(doc) == (FIXTURES / name).read_text(), name
 
 
 def test_installed_entry_point():
@@ -243,7 +255,15 @@ def test_negative_exponent_is_schema_error(tmp_path):
      "/matrix/0/0/1"),
     ("check-flat", {"type": "fuchsian", "rank": 1, "poles": [[0, 0]],
                     "residues": [[[["1/0", 0]]]]}, "/residues/0/0/0/0"),
-], ids=["rank 0", "rank true", "rank -1", "NaN", "Infinity", "fraction 1/0"])
+    ("check-flat", {"type": "local_model", "rank": 1, "vars": True,
+                    "residues": [[[[1, 0]]]]}, "/vars"),
+    ("residues", {"type": "log_connection", "rank": 1, "vars": ["x", "y"],
+                  "divisor": [{"var": True, "value": [0, 0]}],
+                  "components": [[[{"num": {"0,0": [0, 0]}, "den": {"0,0": [1, 0]}}]],
+                                 [[{"num": {"0,0": [1, 0]}, "den": {"0,1": [1, 0]}}]]]},
+     "/divisor/0/var"),
+], ids=["rank 0", "rank true", "rank -1", "NaN", "Infinity", "fraction 1/0",
+        "vars true", "divisor var true"])
 def test_bad_rank_or_scalar_is_schema_error(tmp_path, verb, doc, pointer):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(doc))  # writes NaN and Infinity as bare literals
@@ -268,6 +288,29 @@ def test_riccati_missing_offdiag_is_schema_error(tmp_path):
     assert payload["error"] == "SchemaViolation"
     assert payload["pointer"] == "/offdiag"
     assert "0,1" in payload["message"]
+
+
+@pytest.mark.parametrize("key", ["5,7", "1,1", "0,2", "-1,0"])
+def test_riccati_offdiag_pair_outside_the_rank_is_schema_error(tmp_path, key):
+    # rank 3: the off-diagonal pairs are i != k with i, k in {0, 1}
+    F = FuchsianSystem(3, [0, 1], [[[1, 0, 0], [0, 0, 1], [0, 0, sp.Rational(1, 2)]],
+                                   [[0, 1, 0], [0, 0, 0], [1, 0, 0]]])
+    doc = system_to_json(projective.projectivize(F))
+    doc["offdiag"][key] = doc["offdiag"]["0,1"]
+    path = tmp_path / "extra_offdiag.json"
+    path.write_text(json.dumps(doc))
+    result = invoke(["lift-trace-free", str(path)])
+    assert result.exit_code == 2, result.output
+    payload = json.loads(result.output)["payload"]
+    assert payload["error"] == "SchemaViolation"
+    assert payload["pointer"] == f"/offdiag/{key}"
+
+
+def test_zero_numerator_serializes_as_its_constant_term():
+    x, y = sp.symbols("x y")
+    for gens, key in [((x,), "0"), ((x, y), "0,0")]:
+        zero = ratfunc_to_json(RationalFunction.zero(gens))
+        assert zero == {"num": {key: [0.0, 0.0]}, "den": {key: [1.0, 0.0]}}
 
 
 @pytest.mark.parametrize("verb", ["realize-local", "realize-fuchsian"])

@@ -49,3 +49,21 @@ def test_no_expression_substitution(path):
              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
              and node.func.attr == "subs"]
     assert not calls, f"{path.name} calls .subs( on lines {calls}"
+
+
+EXPRESSION_CALLS = {"lambdify", "as_expr", "terms", "coeffs", "all_coeffs"}
+
+
+def called_name(call):
+    """The name a call invokes: ``f`` for both ``f(...)`` and ``obj.f(...)``."""
+    return getattr(call.func, "attr", getattr(call.func, "id", None))
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_coefficient_expression_round_trip(path):
+    """Coefficients cross between QQ_I and complex numbers only through ratfunc's
+    native readers: no ``lambdify`` and no per-term sympy expressions."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    calls = [(node.lineno, called_name(node)) for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and called_name(node) in EXPRESSION_CALLS]
+    assert not calls, f"{path.name} builds sympy expressions from coefficients: {calls}"

@@ -1,10 +1,13 @@
 from fractions import Fraction
 
+import pytest
 import sympy as sp
 from hypothesis import given, strategies as st
 from sympy.polys.domains import QQ_I
 
-from logconnect import RationalFunction
+from logconnect import LocalModel, RationalFunction, projectivize, trace_free_lift
+
+from conftest import random_fuchsian, rational_matrix
 
 x, y = sp.symbols("x y")
 
@@ -73,3 +76,67 @@ def test_multivariate_exact():
 def test_eval():
     f = RationalFunction.from_expr((x + 1) / (x - 1), (x,))
     assert abs(f.eval({x: 3.0}) - 2.0) < 1e-15
+
+
+def test_eval_at_a_pole_raises():
+    f = RationalFunction.from_expr((x + 1) / (x - 1), (x,))
+    with pytest.raises(ZeroDivisionError):
+        f.eval({x: 1.0})
+
+
+def exact_value(f, point):
+    """f at a Gaussian-rational point, as (re, im) Fractions, in exact arithmetic.
+
+    Coefficients are read through sympy expressions, independently of the
+    library's numeric evaluator.
+    """
+    def mul(a, b):
+        return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+    def value(poly):
+        total = (Fraction(0), Fraction(0))
+        for monom, c in poly.as_dict().items():
+            re, im = c.as_real_imag()
+            term = (Fraction(int(re.p), int(re.q)), Fraction(int(im.p), int(im.q)))
+            for z, e in zip(point, monom):
+                for _ in range(e):
+                    term = mul(term, z)
+            total = (total[0] + term[0], total[1] + term[1])
+        return total
+
+    num, (dr, di) = value(f.num), value(f.den)
+    norm = dr * dr + di * di
+    return mul(num, (dr / norm, -di / norm))
+
+
+def dyadic_point(rng, n):
+    """Gaussian rationals with dyadic parts, so the float point is exact; Im != 0."""
+    return [(Fraction(rng.randint(-48, 48), 16),
+             Fraction(rng.choice([-1, 1]) * rng.randint(1, 48), 16)) for _ in range(n)]
+
+
+def assert_matches_exact(conn, var, point):
+    got = conn.component_callable(var)(*(complex(float(a), float(b)) for a, b in point))
+    for i in range(conn.m):
+        for j in range(conn.m):
+            re, im = exact_value(conn.entry(var, i, j), point)
+            want = complex(float(re), float(im))
+            assert abs(got[i, j] - want) <= 1e-14 * abs(want), (i, j, got[i, j], want)
+
+
+def test_component_callable_of_a_trace_free_lift_matches_exact_evaluation(rng):
+    for _ in range(6):
+        lift = trace_free_lift(projectivize(random_fuchsian(rng)))
+        for _ in range(3):
+            assert_matches_exact(lift, 0, dyadic_point(rng, 1))
+
+
+def test_component_callable_of_a_two_variable_local_model_matches_exact_evaluation(rng):
+    for m in (2, 3):
+        conn = LocalModel(m, [rational_matrix(rng, m), rational_matrix(rng, m)]).to_log_connection()
+        for _ in range(3):
+            point = dyadic_point(rng, 2)
+            for var in (0, 1):
+                assert_matches_exact(conn, var, point)
+    with pytest.raises(TypeError):
+        conn.component_callable(0)(0.5 + 0.5j)  # one coordinate for two variables
