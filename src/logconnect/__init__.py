@@ -1,56 +1,34 @@
 """Flat logarithmic connections, Riccati projectivization, numerical
-monodromy and the projective lifting pipeline."""
+monodromy and the projective lifting pipeline.
 
-from .algebra import (
-    Spectrum,
-    commuting,
-    eigen_decompose,
-    mat_exp,
-    mat_log_normalized,
-    sylvester_solve,
-)
-from .connections import (
-    FuchsianSystem,
-    GaugeSeries,
-    LocalModel,
-    LogConnection,
-    flatness_check,
-    poincare_defect,
-    poincare_normalize,
-    pullback_power,
-    residue,
-)
-from .lifting import (
-    LiftReport,
-    ProjectivePresentation,
-    lift_commuting,
-    lifting_exponent,
-    local_realize,
-    realize_fuchsian,
-    verify_lift_after_power,
-)
-from .monodromy import (
-    ArcSegment,
-    LineSegment,
-    LoopPath,
-    MonodromyRep,
-    circle_loop,
-    monodromy_rep,
-    projective_monodromy,
-    relation_check,
-    standard_loops,
-    transport,
-)
-from .projective import (
-    ProjectiveClass,
-    RiccatiSystem,
-    nonresonant,
-    proj_equal,
-    projectivize,
-    property_Pm,
-    reconstruct,
-    trace_free_lift,
-)
-from .ratfunc import RationalFunction
+The names below are resolved on first access (PEP 562), so importing the
+package, or one numpy-only submodule, loads neither sympy nor scipy.
+"""
+
+import importlib
+
+# exported name -> the submodule that defines it
+_EXPORTS = {name: module for module, names in {
+    "algebra": "Spectrum commuting eigen_decompose mat_exp mat_log_normalized "
+               "sylvester_solve nonresonant ProjectiveClass proj_equal property_Pm",
+    "connections": "FuchsianSystem GaugeSeries LocalModel LogConnection flatness_check "
+                   "poincare_defect poincare_normalize pullback_power residue",
+    "lifting": "LiftReport ProjectivePresentation lift_commuting lifting_exponent "
+               "local_realize realize_fuchsian verify_lift_after_power",
+    "monodromy": "ArcSegment LineSegment LoopPath MonodromyRep circle_loop monodromy_rep "
+                 "projective_monodromy relation_check standard_loops transport",
+    "projective": "RiccatiSystem projectivize reconstruct trace_free_lift",
+    "ratfunc": "RationalFunction",
+}.items() for name in names.split()}
+
+__all__ = sorted(_EXPORTS)
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    if name not in _EXPORTS:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f"{__name__}.{_EXPORTS[name]}"), name)
+    globals()[name] = value
+    return value

@@ -3,7 +3,10 @@
 Thin, contract-enforcing wrappers over LAPACK via numpy/scipy: Schur-based
 eigendecomposition, matrix exponential, the branch-normalized matrix
 logarithm (eigenvalue real parts in [0, 1)), a spectrum-guarded Sylvester
-solver, the nonresonance predicate and a commutation test.
+solver, the two spectral predicates (nonresonance, eigenvalue separation), a
+commutation test and projective classes of matrices.  ``scipy.linalg`` is
+imported by the four kernels that call it, on first use, so the predicates
+and projective classes cost numpy alone.
 """
 
 from __future__ import annotations
@@ -11,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     DimensionMismatch,
@@ -28,7 +30,10 @@ __all__ = [
     "mat_log_normalized",
     "sylvester_solve",
     "nonresonant",
+    "property_Pm",
     "commuting",
+    "ProjectiveClass",
+    "proj_equal",
 ]
 
 TWO_PI = 2.0 * np.pi
@@ -65,6 +70,8 @@ class Spectrum:
 
 def eigen_decompose(M, tol: float = 1e-10) -> Spectrum:
     """Schur decomposition with a reconstruction-residual guarantee."""
+    import scipy.linalg
+
     A = as_matrix(M)
     try:
         T, Q = scipy.linalg.schur(A, output="complex")
@@ -79,6 +86,8 @@ def eigen_decompose(M, tol: float = 1e-10) -> Spectrum:
 
 def mat_exp(A) -> np.ndarray:
     """Matrix exponential (scaling and squaring, via scipy)."""
+    import scipy.linalg
+
     E = scipy.linalg.expm(as_matrix(A))
     if not np.all(np.isfinite(E)):
         raise OverflowError("matrix exponential overflowed")
@@ -94,6 +103,8 @@ def mat_log_normalized(M, tol: float = 1e-12) -> np.ndarray:
     in [0, 2*pi), i.e. Re(mu) = arg(lambda)/(2*pi) in [0, 1).  Works for
     non-diagonalizable M since it is a single analytic matrix function.
     """
+    import scipy.linalg
+
     A = as_matrix(M)
     m = A.shape[0]
     det = np.linalg.det(A)
@@ -117,6 +128,8 @@ def _spectra_disjoint(ea, eb, tol: float) -> bool:
 
 def sylvester_solve(A, B, C, tol: float = 1e-9) -> np.ndarray:
     """Solve A X - X B = C; requires spec(A) and spec(B) disjoint within tol."""
+    import scipy.linalg
+
     A = as_matrix(A)
     B = as_matrix(B)
     C = np.asarray(C, dtype=complex)
@@ -143,6 +156,29 @@ def nonresonant(A, tol: float = 1e-9) -> bool:
     return not np.any(np.abs(d - k) < tol * scale)
 
 
+def property_Pm(M, m: int | None = None, tol: float = 1e-9) -> bool:
+    """Eigenvalue separation predicate on PGL classes.
+
+    True iff for any pair of eigenvalues of a (hence any) lift,
+    lambda_1^m = lambda_2^m implies lambda_1 = lambda_2.
+    """
+    A = as_matrix(M)
+    if m is None:
+        m = A.shape[0]
+    scale = np.max(np.abs(A))
+    if scale == 0.0 or abs(np.linalg.det(A)) < (1e-10 * scale) ** A.shape[0]:
+        raise SingularMatrix("predicate defined on invertible classes only")
+    eig = np.linalg.eigvals(A)
+    for i in range(len(eig)):
+        for j in range(i + 1, len(eig)):
+            s = max(abs(eig[i]), abs(eig[j]))
+            powers_equal = abs(eig[i] ** m - eig[j] ** m) < tol * s ** m
+            values_equal = abs(eig[i] - eig[j]) < tol * s
+            if powers_equal and not values_equal:
+                return False
+    return True
+
+
 def commuting(family, tol: float = 1e-10) -> bool:
     """True iff every pair in the family commutes to relative tolerance."""
     mats = [as_matrix(M) for M in family]
@@ -154,3 +190,52 @@ def commuting(family, tol: float = 1e-10) -> bool:
             if np.linalg.norm(Mi @ Mj - Mj @ Mi) > bound:
                 return False
     return True
+
+
+class ProjectiveClass:
+    """A GL matrix modulo nonzero scalars, with a canonical representative.
+
+    The canonical form has determinant 1 and the first nonzero entry in
+    row-major order has argument in [0, 2*pi/m); this fixes the m-th root of
+    unity ambiguity deterministically.
+    """
+
+    def __init__(self, rep, tol: float = 1e-10):
+        A = as_matrix(rep)
+        m = A.shape[0]
+        det = np.linalg.det(A)
+        scale = np.max(np.abs(A))
+        # scale-invariant singularity test: det is homogeneous of degree m
+        if scale == 0.0 or abs(det) < (tol * scale) ** m:
+            raise SingularMatrix("projective classes need invertible representatives")
+        self.rep = A
+        self.m = m
+        M1 = A * det ** (-1.0 / m)
+        flat = M1.ravel()
+        lead = flat[np.argmax(np.abs(flat) > 1e-12 * np.max(np.abs(flat)))]
+        theta = np.angle(lead) % TWO_PI
+        sector = TWO_PI / m
+        k = int(theta // sector) % m
+        self.canonical = M1 * np.exp(-1j * sector * k)
+
+    def power(self, nu: int) -> "ProjectiveClass":
+        return ProjectiveClass(np.linalg.matrix_power(self.canonical, nu))
+
+    def __matmul__(self, other: "ProjectiveClass") -> "ProjectiveClass":
+        return ProjectiveClass(self.canonical @ other.canonical)
+
+    def equals(self, other: "ProjectiveClass", tol: float = 1e-9) -> bool:
+        return proj_equal(self, other, tol)
+
+    def __repr__(self):
+        return f"ProjectiveClass({np.array2string(self.canonical, precision=4)})"
+
+
+def proj_equal(a, b, tol: float = 1e-9) -> bool:
+    """Scalar-equivalence of representatives via the least-squares scalar."""
+    A = a.rep if isinstance(a, ProjectiveClass) else as_matrix(a)
+    B = b.rep if isinstance(b, ProjectiveClass) else as_matrix(b)
+    if A.shape != B.shape:
+        raise DimensionMismatch("projective classes of different rank")
+    lam = np.vdot(B, A) / np.vdot(B, B)
+    return np.linalg.norm(A - lam * B) < tol * max(np.linalg.norm(A), 1e-300)

@@ -6,24 +6,34 @@ operation and emits a verdict object
     {"status": "ok"|"fail"|"error", "payload": ..., "diagnostics": [...]}
 
 with exit code 0 for ok, 1 for fail, 2 for error.  The default tolerance can
-be overridden with the LOGCONNECT_TOL environment variable; ``--output -``
-(the default) writes to standard output.
+be overridden with the LOGCONNECT_TOL environment variable; a tolerance must
+be finite and positive.  ``--output -`` (the default) writes to standard
+output; when the output path cannot be written, the error verdict goes to
+standard output instead.
+
+Start-up cost.  This module imports only numpy and the numpy-only modules
+every verb runs (``serialization``, ``lifting``, ``algebra``); each verb
+imports the rest itself.  ``predicates``, ``exponent`` and ``lift-rep`` need
+nothing more.  ``check-flat``, ``residues``, ``projectivize``,
+``reconstruct``, ``lift-trace-free``, ``pullback`` and ``normalize`` read
+exact data and pay for sympy (``normalize`` also for ``scipy.linalg``).
+``monodromy``, ``realize-local`` and ``realize-fuchsian`` transport and pay
+for sympy and ``scipy.integrate`` as well.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 
 import click
 import numpy as np
 
-from . import connections, lifting, monodromy, projective
-from .connections import FuchsianSystem, LocalModel, LogConnection
+from . import algebra, lifting
 from .errors import LogConnectError, SchemaViolation
 from .lifting import ProjectivePresentation
-from .projective import RiccatiSystem
 from .serialization import (
     parse_loops,
     parse_ratfunc,
@@ -36,10 +46,17 @@ DEFAULT_TOL = 1e-10
 
 
 def _tolerance(opt, default=DEFAULT_TOL):
-    if opt is not None:
-        return float(opt)
+    """``--tol``, else LOGCONNECT_TOL, else the verb's default; finite and positive."""
     env = os.environ.get("LOGCONNECT_TOL")
-    return float(env) if env else default
+    if opt is not None:
+        tol, source = opt, "--tol"
+    elif env:
+        tol, source = float(env), "LOGCONNECT_TOL"
+    else:
+        return default
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"{source} must be a finite positive number, got {tol!r}")
+    return tol
 
 
 def _load(path):
@@ -49,18 +66,17 @@ def _load(path):
         return json.load(fh)
 
 
-def _emit(verdict, output):
-    text = json.dumps(verdict, indent=2, sort_keys=True)
+def _finish(status, payload, output, diagnostics=()):
+    text = json.dumps({"status": status, "payload": payload,
+                       "diagnostics": list(diagnostics)}, indent=2, sort_keys=True)
     if output == "-":
         click.echo(text)
     else:
-        with open(output, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-
-
-def _finish(status, payload, output, diagnostics=()):
-    _emit({"status": status, "payload": payload, "diagnostics": list(diagnostics)},
-          output)
+        try:
+            with open(output, "w", encoding="utf-8") as fh:
+                fh.write(text + "\n")
+        except OSError as exc:  # the verdict could not be written where asked
+            _finish("error", {"error": type(exc).__name__, "message": str(exc)}, "-")
     sys.exit({"ok": 0, "fail": 1}.get(status, 2))
 
 
@@ -87,6 +103,13 @@ def _parse_as(path, *types):
     return obj
 
 
+def _parse_connection(path):
+    """A ``fuchsian``, ``local_model`` or ``log_connection`` document."""
+    from .connections import FuchsianSystem, LocalModel, LogConnection
+
+    return _parse_as(path, FuchsianSystem, LocalModel, LogConnection)
+
+
 out_opt = click.option("--output", default="-", help="output path, '-' for stdout")
 tol_opt = click.option("--tol", default=None, type=float,
                        help="tolerance (default from LOGCONNECT_TOL or 1e-10)")
@@ -104,8 +127,10 @@ def main():
 def check_flat(input, tol, output):
     """Symbolic flatness verdict for a connection file."""
     def op():
-        conn = _parse_as(input, FuchsianSystem, LocalModel, LogConnection)
-        flat = connections.flatness_check(conn, tol=_tolerance(tol, 1e-12))
+        from .connections import flatness_check
+
+        t = _tolerance(tol, 1e-12)
+        flat = flatness_check(_parse_connection(input), tol=t)
         return ("ok" if flat else "fail"), {"flat": flat}, ()
     _run(op, output)
 
@@ -116,12 +141,14 @@ def check_flat(input, tol, output):
 def residues_cmd(input, output):
     """All residue matrices (plus infinity for Fuchsian systems)."""
     def op():
-        conn = _parse_as(input, FuchsianSystem, LocalModel, LogConnection)
+        from .connections import FuchsianSystem, LocalModel, residue
+
+        conn = _parse_connection(input)
         if isinstance(conn, (FuchsianSystem, LocalModel)):
             count = conn.k
         else:
             count = len(conn.divisor)
-        payload = {"residues": [matrix_to_json(connections.residue(conn, i))
+        payload = {"residues": [matrix_to_json(residue(conn, i))
                                 for i in range(count)]}
         if isinstance(conn, FuchsianSystem):
             payload["infinity"] = matrix_to_json(conn.residue_at_infinity())
@@ -140,8 +167,11 @@ def residues_cmd(input, output):
 def monodromy_cmd(input, tol, basepoint, loops_path, output):
     """Numerical monodromy matrices over standard (or supplied) loops."""
     def op():
-        conn = _parse_as(input, FuchsianSystem, LocalModel, LogConnection)
+        from . import monodromy
+        from .connections import FuchsianSystem, LocalModel
+
         t = _tolerance(tol)
+        conn = _parse_connection(input)
         if loops_path is not None:
             loops = parse_loops(_load(loops_path))
         elif isinstance(conn, FuchsianSystem):
@@ -169,8 +199,9 @@ def monodromy_cmd(input, tol, basepoint, loops_path, output):
 def projectivize_cmd(input, output):
     """Riccati coefficient extraction."""
     def op():
-        conn = _parse_as(input, FuchsianSystem, LocalModel, LogConnection)
-        return "ok", system_to_json(projective.projectivize(conn)), ()
+        from .projective import projectivize
+
+        return "ok", system_to_json(projectivize(_parse_connection(input))), ()
     _run(op, output)
 
 
@@ -182,6 +213,8 @@ def projectivize_cmd(input, output):
 def reconstruct_cmd(input, trace_json, output):
     """Unique linear system with given Riccati data and trace (default 0)."""
     def op():
+        from .projective import RiccatiSystem, reconstruct
+
         ric = _parse_as(input, RiccatiSystem)
         trace = None
         if trace_json is not None:
@@ -190,7 +223,7 @@ def reconstruct_cmd(input, trace_json, output):
                 raise SchemaViolation("/trace", "expected one entry per chart variable")
             trace = tuple(parse_ratfunc(e, ric.gens, f"/trace/{i}")
                           for i, e in enumerate(doc))
-        conn = projective.reconstruct(ric, trace)
+        conn = reconstruct(ric, trace)
         return "ok", system_to_json(conn), ()
     _run(op, output)
 
@@ -201,8 +234,9 @@ def reconstruct_cmd(input, trace_json, output):
 def lift_trace_free(input, output):
     """Trace-free linear lift of a Riccati system (verified flat)."""
     def op():
-        ric = _parse_as(input, RiccatiSystem)
-        conn = projective.trace_free_lift(ric)
+        from .projective import RiccatiSystem, trace_free_lift
+
+        conn = trace_free_lift(_parse_as(input, RiccatiSystem))
         return "ok", system_to_json(conn), ()
     _run(op, output)
 
@@ -214,13 +248,12 @@ def lift_trace_free(input, output):
 def predicates_cmd(input, tol, output):
     """Eigenvalue-separation and nonresonance predicates for a matrix file."""
     def op():
-        doc = _load(input)
-        M = validate_schema(doc)
+        t = _tolerance(tol, 1e-9)
+        M = validate_schema(_load(input))
         if not isinstance(M, np.ndarray):
             raise SchemaViolation("/type", "expected a 'matrix' document")
-        t = _tolerance(tol, 1e-9)
-        pm = projective.property_Pm(M, tol=t)
-        nr = projective.nonresonant(M, tol=t)
+        pm = algebra.property_Pm(M, tol=t)
+        nr = algebra.nonresonant(M, tol=t)
         status = "ok" if (pm and nr) else "fail"
         return status, {"property_Pm": pm, "nonresonant": nr}, ()
     _run(op, output)
@@ -234,8 +267,9 @@ def predicates_cmd(input, tol, output):
 def pullback_cmd(input, var, nu, output):
     """Pull back along x_var -> x_var^nu."""
     def op():
-        conn = _parse_as(input, FuchsianSystem, LocalModel, LogConnection)
-        out = connections.pullback_power(conn, var, nu)
+        from .connections import pullback_power
+
+        out = pullback_power(_parse_connection(input), var, nu)
         return "ok", system_to_json(out), ()
     _run(op, output)
 
@@ -247,8 +281,9 @@ def pullback_cmd(input, var, nu, output):
 def normalize_cmd(input, order, output):
     """Poincare gauge series reducing A dx/x + tau(x) dx to its local model."""
     def op():
-        conn = _parse_as(input, FuchsianSystem, LocalModel, LogConnection)
-        gauge = connections.poincare_normalize(conn, order=order)
+        from .connections import poincare_normalize
+
+        gauge = poincare_normalize(_parse_connection(input), order=order)
         return "ok", system_to_json(gauge), ()
     _run(op, output)
 

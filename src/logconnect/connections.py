@@ -301,6 +301,8 @@ def residue(C, branch, tol: float = 1e-10) -> np.ndarray:
         R = np.zeros((conn.m, conn.m), dtype=complex)
         for (i, j), values in parts.items():
             num, den = values(*point)
+            if den == 0:  # num/q has a pole on the branch, at this sample
+                raise NonConstantResidue("residue has a pole on the branch at a sample point")
             R[i, j] = complex(num) / complex(den)
         results.append(R)
     scale = max(np.linalg.norm(results[0]), 1.0)

@@ -4,7 +4,8 @@ Commuting PGL tuples are lifted to SL with their commutator obstruction
 scalars (roots of unity); local models realizing them are built from
 branch-normalized logarithms; the lifting exponent is the lcm of the orders
 of finite-order eigenvalue ratios, and raising generators to that power
-kills the obstruction.
+kills the obstruction.  Only the two realizations transport, so only they
+import ``connections`` and ``monodromy`` (sympy and scipy.integrate).
 """
 
 from __future__ import annotations
@@ -15,8 +16,7 @@ from math import lcm
 import numpy as np
 
 from . import algebra
-from .algebra import TWO_PI
-from .connections import FuchsianSystem, LocalModel
+from .algebra import TWO_PI, ProjectiveClass, proj_equal, property_Pm
 from .errors import (
     DimensionMismatch,
     NonAbelianUnsupported,
@@ -24,8 +24,6 @@ from .errors import (
     NotProjectivelyCommuting,
     OrderOverflow,
 )
-from .monodromy import standard_loops, projective_monodromy, transport, circle_loop
-from .projective import ProjectiveClass, proj_equal, property_Pm
 
 __all__ = [
     "ProjectivePresentation",
@@ -194,6 +192,9 @@ def _realizing_residues(classes, error):
 
 def local_realize(tuple_of_classes, tol: float = 1e-7) -> LocalModel:
     """Local model whose coordinate-circle monodromies are the given classes."""
+    from .connections import LocalModel
+    from .monodromy import circle_loop, transport
+
     if len(tuple_of_classes) == 0:
         raise ValueError("a local model needs at least one generator")
     residues = _realizing_residues(tuple_of_classes, NotProjectivelyCommuting)
@@ -265,6 +266,9 @@ def realize_fuchsian(P: ProjectivePresentation, poles=None,
     """Abelian desk-scale Riemann-Hilbert: commuting diagonalizable generators
     become residues (branch-normalized logs in a common basis) at the given poles.
     """
+    from .connections import FuchsianSystem
+    from .monodromy import projective_monodromy, standard_loops
+
     if poles is None:
         poles = P.poles
     if poles is None or len(poles) != len(P.names):

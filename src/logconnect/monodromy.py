@@ -13,14 +13,14 @@ from dataclasses import dataclass, replace
 import numpy as np
 from scipy.integrate import solve_ivp
 
-from .algebra import TWO_PI
+from .algebra import TWO_PI, ProjectiveClass, proj_equal
 from .connections import FuchsianSystem, LocalModel, _as_connection
 from .errors import (
     DegenerateConfiguration,
     PoleProximity,
     ToleranceNotMet,
 )
-from .projective import ProjectiveClass, proj_equal, reconstruct, RiccatiSystem
+from .projective import reconstruct, RiccatiSystem
 from .ratfunc import RationalFunction
 
 __all__ = [

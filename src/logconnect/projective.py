@@ -1,4 +1,4 @@
-"""Riccati projectivization of linear systems and the two spectral predicates.
+"""Riccati projectivization of linear systems.
 
 The projectivization of dy = omega y in the affine chart z_i = y_i / y_m is
 the quadratic system
@@ -7,17 +7,15 @@ the quadratic system
            + sum_{k != i} omega_{i,k} z_k - sum_k omega_{m,k} z_i z_k,
 
 whose coefficients determine omega up to a scalar form; fixing the trace
-recovers omega uniquely.
+recovers omega uniquely.  The spectral predicates and projective classes
+live in the numpy-only ``algebra`` module and are re-exported here.
 """
 
 from __future__ import annotations
 
-import numpy as np
-
-from . import algebra
-from .algebra import TWO_PI, nonresonant
+from .algebra import ProjectiveClass, nonresonant, proj_equal, property_Pm
 from .connections import LogConnection, flatness_check, _as_connection
-from .errors import DimensionMismatch, NonIntegrable, SingularMatrix
+from .errors import DimensionMismatch, NonIntegrable
 from .ratfunc import RationalFunction
 
 __all__ = [
@@ -139,75 +137,3 @@ def trace_free_lift(R: RiccatiSystem) -> LogConnection:
             "projectivization of a flat connection on the trivial bundle"
         )
     return conn
-
-
-def property_Pm(M, m: int | None = None, tol: float = 1e-9) -> bool:
-    """Eigenvalue separation predicate on PGL classes.
-
-    True iff for any pair of eigenvalues of a (hence any) lift,
-    lambda_1^m = lambda_2^m implies lambda_1 = lambda_2.
-    """
-    A = algebra.as_matrix(M)
-    if m is None:
-        m = A.shape[0]
-    scale = np.max(np.abs(A))
-    if scale == 0.0 or abs(np.linalg.det(A)) < (1e-10 * scale) ** A.shape[0]:
-        raise SingularMatrix("predicate defined on invertible classes only")
-    eig = np.linalg.eigvals(A)
-    for i in range(len(eig)):
-        for j in range(i + 1, len(eig)):
-            s = max(abs(eig[i]), abs(eig[j]))
-            powers_equal = abs(eig[i] ** m - eig[j] ** m) < tol * s ** m
-            values_equal = abs(eig[i] - eig[j]) < tol * s
-            if powers_equal and not values_equal:
-                return False
-    return True
-
-
-class ProjectiveClass:
-    """A GL matrix modulo nonzero scalars, with a canonical representative.
-
-    The canonical form has determinant 1 and the first nonzero entry in
-    row-major order has argument in [0, 2*pi/m); this fixes the m-th root of
-    unity ambiguity deterministically.
-    """
-
-    def __init__(self, rep, tol: float = 1e-10):
-        A = algebra.as_matrix(rep)
-        m = A.shape[0]
-        det = np.linalg.det(A)
-        scale = np.max(np.abs(A))
-        # scale-invariant singularity test: det is homogeneous of degree m
-        if scale == 0.0 or abs(det) < (tol * scale) ** m:
-            raise SingularMatrix("projective classes need invertible representatives")
-        self.rep = A
-        self.m = m
-        M1 = A * det ** (-1.0 / m)
-        flat = M1.ravel()
-        lead = flat[np.argmax(np.abs(flat) > 1e-12 * np.max(np.abs(flat)))]
-        theta = np.angle(lead) % TWO_PI
-        sector = TWO_PI / m
-        k = int(theta // sector) % m
-        self.canonical = M1 * np.exp(-1j * sector * k)
-
-    def power(self, nu: int) -> "ProjectiveClass":
-        return ProjectiveClass(np.linalg.matrix_power(self.canonical, nu))
-
-    def __matmul__(self, other: "ProjectiveClass") -> "ProjectiveClass":
-        return ProjectiveClass(self.canonical @ other.canonical)
-
-    def equals(self, other: "ProjectiveClass", tol: float = 1e-9) -> bool:
-        return proj_equal(self, other, tol)
-
-    def __repr__(self):
-        return f"ProjectiveClass({np.array2string(self.canonical, precision=4)})"
-
-
-def proj_equal(a, b, tol: float = 1e-9) -> bool:
-    """Scalar-equivalence of representatives via the least-squares scalar."""
-    A = a.rep if isinstance(a, ProjectiveClass) else algebra.as_matrix(a)
-    B = b.rep if isinstance(b, ProjectiveClass) else algebra.as_matrix(b)
-    if A.shape != B.shape:
-        raise DimensionMismatch("projective classes of different rank")
-    lam = np.vdot(B, A) / np.vdot(B, B)
-    return np.linalg.norm(A - lam * B) < tol * max(np.linalg.norm(A), 1e-300)

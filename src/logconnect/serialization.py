@@ -7,6 +7,12 @@ emits numbers.  Numbers must be finite and ranks integers >= 1.  Rational
 functions are {num, den} maps from keys "e1,...,en" (exponents >= 0) to
 scalars, read directly into polynomials over QQ_I; each emitted coefficient
 part is the correctly rounded float of its exact value.
+
+``matrix`` and ``presentation`` documents are numeric: their entries and
+poles are read straight to complex numbers, and this module imports
+nothing heavier than numpy.  The exact kinds import sympy (through
+``connections``, ``projective`` and ``ratfunc``) when one is first read or
+written, and loops import ``monodromy``.
 """
 
 from __future__ import annotations
@@ -15,15 +21,10 @@ import math
 from fractions import Fraction
 
 import numpy as np
-import sympy as sp
-from sympy.polys.domains import QQ_I
 
-from .connections import FuchsianSystem, LocalModel, LogConnection, GaugeSeries, matrix_array
+from .algebra import ProjectiveClass
 from .errors import SchemaViolation
 from .lifting import LiftReport, ProjectivePresentation
-from .monodromy import ArcSegment, LineSegment, LoopPath
-from .projective import ProjectiveClass, RiccatiSystem
-from .ratfunc import RationalFunction, complex_terms, is_exact_input, to_qqi
 
 __all__ = [
     "parse_scalar",
@@ -39,10 +40,11 @@ __all__ = [
 
 
 def _part(value, pointer):
+    """One part of a scalar as an int, float or Fraction, plus whether it is exact."""
     if isinstance(value, float) and not math.isfinite(value):
         raise SchemaViolation(pointer, "expected a finite number")
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return value, is_exact_input(value)
+        return value, isinstance(value, int) or value.is_integer()
     if isinstance(value, str):
         try:
             return Fraction(value), True
@@ -51,22 +53,42 @@ def _part(value, pointer):
     raise SchemaViolation(pointer, "expected a number or fraction string")
 
 
-def _parse_qqi(value, pointer):
-    """[re, im] (or bare number) -> exact QQ_I element plus exactness flag."""
+def _parts(value, pointer):
+    """[re, im] (or bare number) -> (re, im, exact), the parts as in ``_part``."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
         re, exact = _part(value, pointer)
-        return to_qqi(re), exact
+        return re, 0, exact
     if not isinstance(value, list) or len(value) != 2:
         raise SchemaViolation(pointer, "expected [re, im]")
     re, ex1 = _part(value[0], pointer + "/0")
     im, ex2 = _part(value[1], pointer + "/1")
-    return to_qqi(re, im), ex1 and ex2
+    return re, im, ex1 and ex2
+
+
+def _complex(value, pointer):
+    """[re, im] (or bare number) -> complex, each part correctly rounded."""
+    re, im, _ = _parts(value, pointer)
+    try:
+        return complex(re, im)
+    except OverflowError as exc:
+        raise SchemaViolation(pointer, "expected a number within float range") from exc
 
 
 def parse_scalar(value, pointer=""):
     """[re, im] (or bare number) -> exact sympy scalar plus exactness flag."""
-    z, exact = _parse_qqi(value, pointer)
-    return QQ_I.to_sympy(z), exact
+    from sympy.polys.domains import QQ_I
+
+    from .ratfunc import to_qqi
+
+    re, im, exact = _parts(value, pointer)
+    return QQ_I.to_sympy(to_qqi(re, im)), exact
+
+
+def _exact_or_complex(value, pointer):
+    """The exact sympy scalar, or its complex value when the input is inexact;
+    a complex entry marks the system built from it inexact."""
+    v, exact = parse_scalar(value, pointer)
+    return v if exact else complex(v)
 
 
 def scalar_to_json(z):
@@ -74,19 +96,25 @@ def scalar_to_json(z):
     return [c.real, c.imag]
 
 
-def parse_matrix(doc, m, pointer):
+def _matrix(doc, m, pointer, read):
+    """An m x m nested list of ``read(entry, pointer)``."""
     if not isinstance(doc, list) or len(doc) != m:
         raise SchemaViolation(pointer, f"expected {m} rows")
     out = []
     for i, row in enumerate(doc):
         if not isinstance(row, list) or len(row) != m:
             raise SchemaViolation(f"{pointer}/{i}", f"expected {m} entries")
-        r = []
-        for j, e in enumerate(row):
-            v, ex = parse_scalar(e, f"{pointer}/{i}/{j}")
-            r.append(v if ex else complex(v))  # a complex entry marks the data inexact
-        out.append(r)
+        out.append([read(e, f"{pointer}/{i}/{j}") for j, e in enumerate(row)])
     return out
+
+
+def parse_matrix(doc, m, pointer):
+    """Exact entries as sympy scalars, inexact ones as complex numbers."""
+    return _matrix(doc, m, pointer, _exact_or_complex)
+
+
+def _complex_matrix(doc, m, pointer):
+    return np.array(_matrix(doc, m, pointer, _complex), dtype=complex)
 
 
 def matrix_to_json(M):
@@ -96,18 +124,25 @@ def matrix_to_json(M):
 # -- rational functions ------------------------------------------------
 
 
-def _poly_to_json(poly: sp.Poly):
+def _poly_to_json(poly):
+    from .ratfunc import complex_terms
+
     # the zero polynomial is written as its constant term 0
     terms = complex_terms(poly) or {(0,) * len(poly.gens): 0j}
     out = {",".join(str(e) for e in monom): scalar_to_json(c) for monom, c in terms.items()}
     return dict(sorted(out.items()))
 
 
-def ratfunc_to_json(f: RationalFunction):
+def ratfunc_to_json(f):
     return {"num": _poly_to_json(f.num), "den": _poly_to_json(f.den)}
 
 
 def parse_ratfunc(doc, gens, pointer):
+    import sympy as sp
+    from sympy.polys.domains import QQ_I
+
+    from .ratfunc import RationalFunction, to_qqi
+
     if not isinstance(doc, dict) or "num" not in doc or "den" not in doc:
         raise SchemaViolation(pointer, "expected {num, den} coefficient maps")
 
@@ -126,9 +161,9 @@ def parse_ratfunc(doc, gens, pointer):
                 raise SchemaViolation(f"{ptr}/{key}", "monomial arity mismatch")
             if min(exps) < 0:
                 raise SchemaViolation(f"{ptr}/{key}", "negative exponent")
-            coeff, ex = _parse_qqi(val, f"{ptr}/{key}")
+            re, im, ex = _parts(val, f"{ptr}/{key}")
             exact = exact and ex
-            coeffs[exps] = coeffs.get(exps, QQ_I.zero) + coeff
+            coeffs[exps] = coeffs.get(exps, QQ_I.zero) + to_qqi(re, im)
         return sp.Poly.from_dict(coeffs, *gens, domain=QQ_I), exact
 
     num, ex1 = build("num", pointer + "/num")
@@ -159,17 +194,21 @@ def _integer(doc, key, pointer="", low=1, high=math.inf):
 
 
 def _parse_fuchsian(doc):
+    from .connections import FuchsianSystem
+
     m = _integer(doc, "rank")
     poles_doc = _require(doc, "poles", "", list)
     res_doc = _require(doc, "residues", "", list)
     if len(res_doc) != len(poles_doc):
         raise SchemaViolation("/residues", "one residue per pole required")
-    poles = [parse_scalar(p, f"/poles/{i}")[0] for i, p in enumerate(poles_doc)]
+    poles = [_exact_or_complex(p, f"/poles/{i}") for i, p in enumerate(poles_doc)]
     residues = [parse_matrix(R, m, f"/residues/{i}") for i, R in enumerate(res_doc)]
     return FuchsianSystem(m, poles, residues)
 
 
 def _parse_local_model(doc):
+    from .connections import LocalModel
+
     m = _integer(doc, "rank")
     res_doc = _require(doc, "residues", "", list)
     residues = [parse_matrix(R, m, f"/residues/{i}") for i, R in enumerate(res_doc)]
@@ -178,6 +217,8 @@ def _parse_local_model(doc):
 
 
 def _parse_gens_field(doc, pointer):
+    import sympy as sp
+
     names = _require(doc, "vars", pointer, list)
     if not names or not all(isinstance(s, str) for s in names):
         raise SchemaViolation(pointer + "/vars", "expected a nonempty list of names")
@@ -185,21 +226,25 @@ def _parse_gens_field(doc, pointer):
 
 
 def _parse_divisor(doc, nvars, pointer):
-    out = []
+    """The branches as (var, exact value) pairs, plus whether every value was exact."""
+    out, exact = [], True
     for i, d in enumerate(_require(doc, "divisor", pointer, list)):
         if not isinstance(d, dict):
             raise SchemaViolation(f"{pointer}/divisor/{i}", "expected {var, value}")
         v = _integer(d, "var", f"{pointer}/divisor/{i}", low=0, high=nvars)
-        val, _ = parse_scalar(_require(d, "value", f"{pointer}/divisor/{i}"),
-                              f"{pointer}/divisor/{i}/value")
+        val, ex = parse_scalar(_require(d, "value", f"{pointer}/divisor/{i}"),
+                               f"{pointer}/divisor/{i}/value")
         out.append((v, val))
-    return tuple(out)
+        exact = exact and ex
+    return tuple(out), exact
 
 
 def _parse_log_connection(doc):
+    from .connections import LogConnection
+
     m = _integer(doc, "rank")
     gens = _parse_gens_field(doc, "")
-    divisor = _parse_divisor(doc, len(gens), "")
+    divisor, exact = _parse_divisor(doc, len(gens), "")
     comps_doc = _require(doc, "components", "", list)
     if len(comps_doc) != len(gens):
         raise SchemaViolation("/components", "one matrix component per variable required")
@@ -227,7 +272,7 @@ def _parse_log_connection(doc):
                         f"pole of order > 1 along the branch {x} = {c}; "
                         "entries must be logarithmic",
                     )
-    exact = all(f.exact for comp in comps for row in comp for f in row)
+    exact = exact and all(f.exact for comp in comps for row in comp for f in row)
     return LogConnection(m, gens, divisor, tuple(comps), exact=exact)
 
 
@@ -238,9 +283,11 @@ def _parse_oneform(doc, gens, pointer):
 
 
 def _parse_riccati(doc):
+    from .projective import RiccatiSystem
+
     m = _integer(doc, "rank")
     gens = _parse_gens_field(doc, "")
-    divisor = _parse_divisor(doc, len(gens), "") if "divisor" in doc else ()
+    divisor, exact = _parse_divisor(doc, len(gens), "") if "divisor" in doc else ((), True)
     b, delta, c = ([_parse_oneform(e, gens, f"/{key}/{i}")
                     for i, e in enumerate(_require(doc, key, "", list))]
                    for key in ("b", "delta", "c"))
@@ -258,7 +305,7 @@ def _parse_riccati(doc):
             if i != k and (i, k) not in offdiag:
                 raise SchemaViolation("/offdiag", f"missing the pair {i},{k}")
     forms = [*b, *delta, *c, *offdiag.values()]
-    exact = all(f.exact for form in forms for f in form)
+    exact = exact and all(f.exact for form in forms for f in form)
     return RiccatiSystem(m, gens, divisor, b, delta, offdiag, c, exact=exact)
 
 
@@ -267,7 +314,7 @@ def _parse_presentation(doc):
     gens_doc = _require(doc, "generators", "", dict)
     generators = {}
     for name, M in gens_doc.items():
-        generators[name] = matrix_array(parse_matrix(M, m, f"/generators/{name}"))
+        generators[name] = _complex_matrix(M, m, f"/generators/{name}")
     relations = doc.get("relations", [])
     if not isinstance(relations, list):
         raise SchemaViolation("/relations", "expected a list of words")
@@ -280,7 +327,7 @@ def _parse_presentation(doc):
                 raise SchemaViolation(f"/relations/{i}", f"unknown generator {base!r}")
     poles = None
     if "poles" in doc:
-        poles = [parse_scalar(p, f"/poles/{i}")[0] for i, p in enumerate(doc["poles"])]
+        poles = [_complex(p, f"/poles/{i}") for i, p in enumerate(doc["poles"])]
     try:
         return ProjectivePresentation(m, generators, relations, poles=poles)
     except ValueError as exc:
@@ -289,7 +336,7 @@ def _parse_presentation(doc):
 
 def _parse_matrix_doc(doc):
     m = _integer(doc, "rank")
-    return matrix_array(parse_matrix(_require(doc, "matrix", "", list), m, "/matrix"))
+    return _complex_matrix(_require(doc, "matrix", "", list), m, "/matrix")
 
 
 PARSERS = {
@@ -319,6 +366,8 @@ def validate_schema(doc):
 
 def parse_loops(doc, pointer="/loops"):
     """Parse a list of loop documents into LoopPath objects."""
+    from .monodromy import ArcSegment, LineSegment, LoopPath
+
     if not isinstance(doc, list):
         raise SchemaViolation(pointer, "expected a list of loops")
     loops = []
@@ -326,29 +375,28 @@ def parse_loops(doc, pointer="/loops"):
         ptr = f"{pointer}/{i}"
         if not isinstance(entry, dict):
             raise SchemaViolation(ptr, "expected {basepoint, segments}")
-        bp, _ = parse_scalar(_require(entry, "basepoint", ptr), ptr + "/basepoint")
-        current = complex(bp)
+        current = bp = _complex(_require(entry, "basepoint", ptr), ptr + "/basepoint")
         segs = []
         for j, s in enumerate(_require(entry, "segments", ptr, list)):
             sptr = f"{ptr}/segments/{j}"
             kind = _require(s, "kind", sptr, str)
             if kind == "line":
-                to, _ = parse_scalar(_require(s, "to", sptr), sptr + "/to")
-                segs.append(LineSegment(current, complex(to)))
-                current = complex(to)
+                to = _complex(_require(s, "to", sptr), sptr + "/to")
+                segs.append(LineSegment(current, to))
+                current = to
             elif kind == "arc":
-                center, _ = parse_scalar(_require(s, "center", sptr), sptr + "/center")
+                center = _complex(_require(s, "center", sptr), sptr + "/center")
                 radius = _require(s, "radius", sptr, (int, float))
                 a0 = _require(s, "from_angle", sptr, (int, float))
                 a1 = _require(s, "to_angle", sptr, (int, float))
-                seg = ArcSegment(complex(center), float(radius), float(a0), float(a1))
+                seg = ArcSegment(center, float(radius), float(a0), float(a1))
                 if abs(seg.point(0.0) - current) > 1e-9:
                     raise SchemaViolation(sptr, "arc does not start at the current point")
                 segs.append(seg)
                 current = seg.point(1.0)
             else:
                 raise SchemaViolation(sptr + "/kind", "expected 'line' or 'arc'")
-        loops.append(LoopPath(segs, basepoint=complex(bp)))
+        loops.append(LoopPath(segs, basepoint=bp))
     return loops
 
 
@@ -361,6 +409,20 @@ def _oneform_to_json(form):
 
 def system_to_json(obj):
     """Serialize any library object to its JSON document."""
+    if isinstance(obj, LiftReport):
+        return {
+            "type": "lift_report",
+            "lifts": [matrix_to_json(M) for M in obj.lifts],
+            "obstruction_scalars": [scalar_to_json(s) for s in obj.obstruction_scalars],
+            "success": obj.success,
+        }
+    if isinstance(obj, ProjectiveClass):
+        return matrix_to_json(obj.canonical)
+    if isinstance(obj, np.ndarray):
+        return matrix_to_json(obj)
+    from .connections import FuchsianSystem, GaugeSeries, LocalModel, LogConnection
+    from .projective import RiccatiSystem
+
     if isinstance(obj, FuchsianSystem):
         return {
             "type": "fuchsian",
@@ -411,15 +473,4 @@ def system_to_json(obj):
             "order": obj.order,
             "coefficients": [matrix_to_json(G) for G in obj.coefficients],
         }
-    if isinstance(obj, LiftReport):
-        return {
-            "type": "lift_report",
-            "lifts": [matrix_to_json(M) for M in obj.lifts],
-            "obstruction_scalars": [scalar_to_json(s) for s in obj.obstruction_scalars],
-            "success": obj.success,
-        }
-    if isinstance(obj, ProjectiveClass):
-        return matrix_to_json(obj.canonical)
-    if isinstance(obj, np.ndarray):
-        return matrix_to_json(obj)
     raise TypeError(f"no JSON form for {type(obj).__name__}")

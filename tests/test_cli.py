@@ -13,7 +13,7 @@ import sympy as sp
 from click.testing import CliRunner
 
 import logconnect
-from logconnect import FuchsianSystem, RiccatiSystem, projective
+from logconnect import FuchsianSystem, RiccatiSystem, projective, realize_fuchsian
 from logconnect.cli import main
 from logconnect.ratfunc import RationalFunction
 from logconnect.serialization import ratfunc_to_json, system_to_json, validate_schema
@@ -21,6 +21,31 @@ from logconnect.serialization import ratfunc_to_json, system_to_json, validate_s
 ROOT = pathlib.Path(__file__).parent.parent
 FIXTURES = ROOT / "fixtures"
 MANIFEST = json.loads((FIXTURES / "manifest.json").read_text())
+
+
+HEAVY = ("sympy", "scipy.linalg", "scipy.integrate")
+# Runs the CLI's main, then writes to stderr which HEAVY libraries it loaded.
+PROBE = (
+    "import sys\n"
+    "from logconnect.cli import main\n"
+    "try:\n    main(sys.argv[1:])\n"
+    "except SystemExit as exc:\n    code = exc.code\n"
+    f"print('LOADED', *(m for m in {HEAVY!r} if m in sys.modules), file=sys.stderr)\n"
+    "sys.exit(code)\n"
+)
+
+
+def run_process(args, env=None, code=PROBE):
+    """Run ``code`` with ``args`` in a fresh interpreter that imports this
+    session's ``logconnect``: (exit code, stdout, heavy libraries it loaded)."""
+    src = str(pathlib.Path(logconnect.__file__).parent.parent)
+    pythonpath = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    fixed = [str(FIXTURES / a) if a.endswith(".json") and "/" not in a else a for a in args]
+    r = subprocess.run([sys.executable, "-c", code, *fixed], capture_output=True, text=True,
+                       timeout=60, env={**os.environ, "PYTHONPATH": pythonpath, **(env or {})})
+    loaded = [line.split()[1:] for line in r.stderr.splitlines() if line.startswith("LOADED")]
+    assert loaded, r.stderr
+    return r.returncode, r.stdout, set(loaded[-1])
 
 
 def invoke(args, env=None):
@@ -274,6 +299,22 @@ def test_bad_rank_or_scalar_is_schema_error(tmp_path, verb, doc, pointer):
     assert payload["pointer"] == pointer
 
 
+@pytest.mark.parametrize("part", [10 ** 400, "1e400", f"-{10 ** 400}/3"], ids=["int", "e", "p/q"])
+@pytest.mark.parametrize("kind", ["matrix", "presentation"])
+def test_scalar_beyond_float_range_is_schema_error(tmp_path, part, kind):
+    # numeric documents are read to complex numbers, which cannot hold these
+    entry = [[[1, 0], [0, part]], [[0, 0], [1, 0]]]
+    if kind == "matrix":
+        verb, doc, pointer = "predicates", {"matrix": entry}, "/matrix/0/1"
+    else:
+        verb, doc, pointer = "exponent", {"generators": {"g": entry}}, "/generators/g/0/1"
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps({"type": kind, "rank": 2, **doc}))
+    result = invoke([verb, str(path)])
+    assert result.exit_code == 2, result.output
+    assert json.loads(result.output)["payload"]["pointer"] == pointer
+
+
 def test_riccati_missing_offdiag_is_schema_error(tmp_path):
     F = FuchsianSystem(3, [0, 1], [[[1, 0, 0], [0, 0, 1], [0, 0, sp.Rational(1, 2)]],
                                    [[0, 1, 0], [0, 0, 0], [1, 0, 0]]])
@@ -371,3 +412,120 @@ def test_normalize_reads_the_exact_series(tmp_path, components, A, taus):
     for G, W in zip(got, want):
         G = np.array([[complex(*e) for e in row] for row in G])
         assert np.max(np.abs(G - W)) <= 1e-9 * max(1.0, np.max(np.abs(W)))
+
+
+# verb -> the heavy libraries it must not load
+NOT_LOADED = {
+    **dict.fromkeys(["predicates", "exponent", "lift-rep"], set(HEAVY)),
+    **dict.fromkeys(["check-flat", "residues", "projectivize", "reconstruct",
+                     "lift-trace-free", "pullback", "normalize"], {"scipy.integrate"}),
+    **dict.fromkeys(["monodromy", "realize-local", "realize-fuchsian"], set()),
+}
+
+
+def test_importing_the_cli_loads_no_heavy_library():
+    code = f"import sys, logconnect.cli; print('LOADED', *(m for m in {HEAVY!r} if m in sys.modules), file=sys.stderr)"
+    assert run_process([], code=code)[2] == set()
+
+
+@pytest.mark.parametrize(
+    "entry", MANIFEST, ids=lambda e: " ".join(e["args"]))
+def test_each_verb_loads_only_its_libraries(entry):
+    code, _, loaded = run_process(entry["args"])
+    assert code == entry["expect"]
+    assert not loaded & NOT_LOADED[entry["args"][0]], loaded
+
+
+# every name the package exported when it imported all its submodules eagerly
+EXPORTED = {
+    "algebra": ["Spectrum", "commuting", "eigen_decompose", "mat_exp", "mat_log_normalized",
+                "sylvester_solve"],
+    "connections": ["FuchsianSystem", "GaugeSeries", "LocalModel", "LogConnection",
+                    "flatness_check", "poincare_defect", "poincare_normalize",
+                    "pullback_power", "residue"],
+    "lifting": ["LiftReport", "ProjectivePresentation", "lift_commuting", "lifting_exponent",
+                "local_realize", "realize_fuchsian", "verify_lift_after_power"],
+    "monodromy": ["ArcSegment", "LineSegment", "LoopPath", "MonodromyRep", "circle_loop",
+                  "monodromy_rep", "projective_monodromy", "relation_check", "standard_loops",
+                  "transport"],
+    "projective": ["ProjectiveClass", "RiccatiSystem", "nonresonant", "proj_equal",
+                   "projectivize", "property_Pm", "reconstruct", "trace_free_lift"],
+    "ratfunc": ["RationalFunction"],
+}
+
+
+@pytest.mark.parametrize("module, name", [(m, n) for m, names in EXPORTED.items() for n in names])
+def test_exported_name_is_the_submodules_object(module, name):
+    namespace = {}
+    exec(f"from logconnect import {name} as value", namespace)
+    submodule = importlib.import_module(f"logconnect.{module}")
+    assert namespace["value"] is getattr(submodule, name)
+
+
+def test_all_lists_the_exported_names():
+    assert sorted(logconnect.__all__) == sorted(n for names in EXPORTED.values() for n in names)
+
+
+@pytest.mark.parametrize("args, env", [
+    (["predicates", "matrix_pm_bad.json", "--tol", "nan"], None),
+    (["predicates", "matrix_pm_bad.json", "--tol", "-1"], None),
+    (["predicates", "matrix_pm_ok.json", "--tol", "inf"], None),
+    (["check-flat", "fuchsian_quarter.json", "--tol", "0"], None),
+    (["check-flat", "local_model_noncommuting.json"], {"LOGCONNECT_TOL": "-inf"}),
+    (["monodromy", "fuchsian_quarter.json"], {"LOGCONNECT_TOL": "nan"}),
+    (["monodromy", "fuchsian_quarter.json"], {"LOGCONNECT_TOL": "0"}),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else str(v))
+def test_bad_tolerance_is_error(args, env):
+    code, out, _ = run_process(args, env)
+    assert code == 2, out
+    payload = json.loads(out)["payload"]
+    assert payload["error"] == "ValueError"
+    assert ("--tol" if "--tol" in args else "LOGCONNECT_TOL") in payload["message"]
+
+
+@pytest.mark.parametrize("fixture", ["fuchsian_quarter.json", "bad_schema.json"])
+def test_unwritable_output_prints_an_error_verdict(tmp_path, fixture):
+    target = tmp_path / "missing" / "out.json"
+    result = invoke(["check-flat", fixture, "--output", str(target)])
+    assert result.exit_code == 2, result.output
+    payload = json.loads(result.output)["payload"]
+    assert payload["error"] == "FileNotFoundError"
+    assert not target.exists()
+
+
+def test_residue_with_a_pole_at_a_sample_point_is_error(tmp_path):
+    # along x = 0 the residue of 1/(x (y - c)) is 1/(y - c), which has a pole at
+    # y = c; c is the first point at which residue() samples the branch
+    den = {"1,1": [1, 0], "1,0": [-0.37, -0.21]}
+    doc = {"type": "log_connection", "rank": 1, "vars": ["x", "y"],
+           "divisor": [{"var": 0, "value": [0, 0]}],
+           "components": [[[_entry({"0,0": [1, 0]}, den)]],
+                          [[_entry({"0,0": [0, 0]}, {"0,0": [1, 0]})]]]}
+    path = tmp_path / "pole_at_sample.json"
+    path.write_text(json.dumps(doc))
+    result = invoke(["residues", str(path)])
+    assert result.exit_code == 2, result.output
+    assert json.loads(result.output)["payload"]["error"] == "NonConstantResidue"
+
+
+@pytest.mark.parametrize("pole, exact, realized_exact", [
+    ([0.3, 0], False, False), ([0, 0.5], False, False),
+    (["3/10", 0], True, False), ([2, -1], True, True)])
+def test_float_pole_or_branch_makes_the_data_inexact(pole, exact, realized_exact):
+    residue = [[[1, 0]]]  # exact, so the pole alone decides
+    system = validate_schema({"type": "fuchsian", "rank": 1, "poles": [[5, 0], pole],
+                              "residues": [residue, residue]})
+    assert system.exact is exact
+    zero = _entry({"0": [0, 0]}, {"0": [1, 0]})
+    conn = validate_schema({"type": "log_connection", "rank": 1, "vars": ["x"],
+                            "divisor": [{"var": 0, "value": pole}], "components": [[[zero]]]})
+    assert conn.exact is exact
+    ric = validate_schema({"type": "riccati", "rank": 2, "vars": ["x"],
+                           "divisor": [{"var": 0, "value": pole}],
+                           "b": [[zero]], "delta": [[zero]], "c": [[zero]]})
+    assert ric.exact is exact
+    # presentations are numeric: poles are read to complex numbers like the
+    # generators, which are exact only with integer parts
+    pres = validate_schema({"type": "presentation", "rank": 1,
+                            "generators": {"a": residue}, "poles": [pole]})
+    assert realize_fuchsian(pres).exact is realized_exact

@@ -67,3 +67,57 @@ def test_no_coefficient_expression_round_trip(path):
     calls = [(node.lineno, called_name(node)) for node in ast.walk(tree)
              if isinstance(node, ast.Call) and called_name(node) in EXPRESSION_CALLS]
     assert not calls, f"{path.name} builds sympy expressions from coefficients: {calls}"
+
+
+HEAVY = ("sympy", "scipy.linalg", "scipy.integrate")
+# module -> the heavy libraries importing it loads, directly or through the
+# package's own modules; every verb imports cli, serialization and lifting
+TIERS = {
+    "__init__": set(),
+    "errors": set(),
+    "algebra": set(),
+    "lifting": set(),
+    "serialization": set(),
+    "cli": set(),
+    "ratfunc": {"sympy"},
+    "connections": {"sympy"},
+    "projective": {"sympy"},
+    "monodromy": {"sympy", "scipy.integrate"},
+}
+
+
+def module_level_imports(tree):
+    """Modules imported outside function bodies: dotted names for absolute
+    imports, the bare module name for the package's own (``from . import``)."""
+    out = set()
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue  # runs on call, not on import
+        if isinstance(node, ast.Import):
+            out.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            out.add(node.module)
+        elif isinstance(node, ast.ImportFrom):
+            out.update([node.module] if node.module else [a.name for a in node.names])
+        stack.extend(ast.iter_child_nodes(node))
+    return out
+
+
+def test_heavy_libraries_load_only_where_pinned():
+    """sympy, scipy.linalg and scipy.integrate each cost hundreds of
+    milliseconds per process, so a module may load one at import time only
+    if the table above says so."""
+    graph = {p.stem: module_level_imports(ast.parse(p.read_text(), filename=str(p)))
+             for p in PACKAGE.glob("*.py")}
+
+    def loads(module, seen):
+        seen.add(module)
+        out = {lib for lib in HEAVY for name in graph[module]
+               if name == lib or name.startswith(lib + ".")}
+        for name in graph[module] & (set(graph) - seen):
+            out |= loads(name, seen)
+        return out
+
+    assert {module: loads(module, set()) for module in graph} == TIERS
