@@ -8,6 +8,8 @@ the general ``LogConnection``, whose entries are exact rational functions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add, mul
 
 import numpy as np
 import sympy as sp
@@ -30,6 +32,7 @@ __all__ = [
     "GaugeSeries",
     "flatness_check",
     "residue",
+    "line_quotient",
     "pullback_power",
     "poincare_normalize",
     "poincare_defect",
@@ -54,6 +57,33 @@ def _residue_tuple(m, residues):
 def matrix_array(M) -> np.ndarray:
     """Numeric complex ndarray view of a stored scalar matrix."""
     return np.array([[complex(e) for e in row] for row in M], dtype=complex)
+
+
+def _pole_sums(m, gens, lines, residues, exact):
+    """The m x m matrix of entries sum_k A_k[i][j] / l_k, built reduced with no gcd.
+
+    ``lines`` are monic, of degree one in ``gens`` and with pairwise distinct
+    zeros.  Over the support S of an entry (the k with A_k[i][j] != 0), its
+    den is prod_S l_k and its num sum_S A_k[i][j] prod_{S - k} l_l, which
+    vanishes at no zero of den.  The products are formed once per support.
+    """
+    coeffs = [[[QQ_I.from_sympy(a) for a in row] for row in A] for A in residues]
+    one = sp.Poly(1, *gens, domain=QQ_I)
+    products = {}  # support -> (den, the cofactor of each of its lines)
+
+    def entry(i, j):
+        support = tuple(k for k, A in enumerate(coeffs) if A[i][j])
+        if not support:
+            return RationalFunction.zero(gens)
+        if support not in products:
+            factors = [lines[k] for k in support]
+            products[support] = (reduce(mul, factors), [
+                reduce(mul, factors[:s] + factors[s + 1:], one) for s in range(len(factors))])
+        den, cofactors = products[support]
+        num = reduce(add, (c.mul_ground(coeffs[k][i][j]) for k, c in zip(support, cofactors)))
+        return RationalFunction(num, den, exact=exact, _normalized=True)
+
+    return tuple(tuple(entry(i, j) for j in range(m)) for i in range(m))
 
 
 @dataclass(frozen=True)
@@ -96,27 +126,18 @@ class FuchsianSystem:
         return -sum(self.residue_array(i) for i in range(self.k))
 
     def to_log_connection(self) -> "LogConnection":
+        """The embedding: entry (i, j) is sum_k A_k[i][j] / (x - p_k), summed over
+        the poles where A_k[i][j] != 0.  Built with no gcd (``_pole_sums``): the
+        poles are distinct, so at each such p_k the numerator is
+        A_k[i][j] prod_{l != k} (p_k - p_l) != 0 and the fraction is reduced."""
         cached = getattr(self, "_log_connection", None)
         if cached is not None:
             return cached
         x = sp.Symbol("x")
-        gens = (x,)
-        dens = [sp.Poly(x - p, x, domain=QQ_I) for p in self.poles]
-        comps = []
-        for i in range(self.m):
-            row_forms = []
-            for j in range(self.m):
-                f = RationalFunction.zero(gens)
-                for A, den in zip(self.residues, dens):
-                    if A[i][j] == 0:
-                        continue
-                    num = sp.Poly(A[i][j], x, domain=QQ_I)
-                    f = f + RationalFunction(num, den, exact=self.exact,
-                                             _normalized=True)
-                row_forms.append(f)
-            comps.append(tuple(row_forms))
+        lines = [sp.Poly(x - p, x, domain=QQ_I) for p in self.poles]
+        comp = _pole_sums(self.m, (x,), lines, self.residues, self.exact)
         divisor = tuple((0, p) for p in self.poles)
-        conn = LogConnection(self.m, gens, divisor, (tuple(comps),), exact=self.exact)
+        conn = LogConnection(self.m, (x,), divisor, (comp,), exact=self.exact)
         object.__setattr__(self, "_log_connection", conn)
         return conn
 
@@ -156,23 +177,16 @@ class LocalModel:
         return matrix_array(self.residues[i])
 
     def to_log_connection(self) -> "LogConnection":
+        """The embedding: component j is A_j / x_j for a branch j, else zero.  Built
+        with no gcd (``_pole_sums`` with one line): each a / x_j with a != 0 is
+        reduced with a monic denominator, and each zero entry is
+        ``RationalFunction.zero``."""
         gens = sp.symbols(f"x1:{self.n + 1}") if self.n > 1 else (sp.Symbol("x1"),)
-        comps = []
-        for j in range(self.n):
-            rows = []
-            for i in range(self.m):
-                row = []
-                for l in range(self.m):
-                    if j < self.k:
-                        num = sp.Poly(self.residues[j][i][l], *gens, domain=QQ_I)
-                        den = sp.Poly(gens[j], *gens, domain=QQ_I)
-                        row.append(RationalFunction(num, den, exact=self.exact))
-                    else:
-                        row.append(RationalFunction.zero(gens))
-                rows.append(tuple(row))
-            comps.append(tuple(rows))
+        lines = [sp.Poly(g, *gens, domain=QQ_I) for g in gens]
+        comps = tuple(_pole_sums(self.m, gens, lines[j:j + 1], self.residues[j:j + 1], self.exact)
+                      for j in range(self.n))
         divisor = tuple((j, sp.Integer(0)) for j in range(self.k))
-        return LogConnection(self.m, gens, divisor, tuple(comps), exact=self.exact)
+        return LogConnection(self.m, gens, divisor, comps, exact=self.exact)
 
 
 class LogConnection:
@@ -274,6 +288,20 @@ def flatness_check(C, tol: float = 1e-12) -> bool:
     return True
 
 
+def line_quotient(poly, line, exact: bool, tol: float = 1e-10):
+    """poly / line when the degree-one ``line`` x_var - c divides ``poly``, else None.
+
+    For inexact data the remainder, poly at x_var = c, need only vanish within
+    ``tol`` relative to the largest coefficient of ``poly``, so a float branch
+    value still meets the exact pole it rounds.
+    """
+    q, r = poly.div(line)
+    if r.is_zero or not exact and (max(map(abs, complex_terms(r).values()))
+                                   <= tol * max(map(abs, complex_terms(poly).values()))):
+        return q
+    return None
+
+
 def residue(C, branch, tol: float = 1e-10) -> np.ndarray:
     """Residue matrix along a divisor branch; ``branch='inf'`` for Fuchsian infinity."""
     if isinstance(C, FuchsianSystem):
@@ -289,8 +317,8 @@ def residue(C, branch, tol: float = 1e-10) -> np.ndarray:
     parts = {}
     for i, j in np.ndindex(conn.m, conn.m):
         f = conn.entry(var, i, j)
-        q, r = f.den.div(line)
-        if r.is_zero:
+        q = line_quotient(f.den, line, conn.exact, tol)
+        if q is not None:
             parts[i, j] = evaluator([f.num, q])
     # three sample points along the branch guard against non-constant residues
     samples = [0.37 + 0.21j, -0.52 + 0.8j, 1.13 - 0.44j]

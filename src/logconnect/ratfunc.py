@@ -161,8 +161,13 @@ class RationalFunction:
         o = self._coerce(other)
         if o.num.is_zero:
             raise ZeroDivisionError("division by the zero rational function")
-        return RationalFunction(self.num * o.den, self.den * o.num,
-                                exact=self.exact and o.exact)
+        exact = self.exact and o.exact
+        if o.num.is_ground and o.den.is_ground:  # a constant: scale the numerator only
+            dom = self.num.domain
+            inv = dom.quo(o.den.rep.LC(), o.num.rep.LC())
+            return RationalFunction(self.num.mul_ground(inv), self.den, exact=exact,
+                                    _normalized=True)
+        return RationalFunction(self.num * o.den, self.den * o.num, exact=exact)
 
     def __rtruediv__(self, other):
         return self._coerce(other) / self

@@ -18,6 +18,7 @@ written, and loops import ``monodromy``.
 from __future__ import annotations
 
 import math
+import sys
 from fractions import Fraction
 
 import numpy as np
@@ -193,6 +194,17 @@ def _integer(doc, key, pointer="", low=1, high=math.inf):
     return v
 
 
+def _real(doc, key, pointer, positive=False):
+    """The field ``key``: a finite number (a JSON ``true`` is not one), > 0 when
+    ``positive``, as a float."""
+    v = _require(doc, key, pointer)
+    if (isinstance(v, (int, float)) and not isinstance(v, bool)
+            and abs(v) <= sys.float_info.max and (v > 0 or not positive)):
+        return float(v)
+    raise SchemaViolation(f"{pointer}/{key}",
+                          "expected a finite number" + (" > 0" if positive else ""))
+
+
 def _parse_fuchsian(doc):
     from .connections import FuchsianSystem
 
@@ -240,7 +252,10 @@ def _parse_divisor(doc, nvars, pointer):
 
 
 def _parse_log_connection(doc):
-    from .connections import LogConnection
+    import sympy as sp
+    from sympy.polys.domains import QQ_I
+
+    from .connections import LogConnection, line_quotient
 
     m = _integer(doc, "rank")
     gens = _parse_gens_field(doc, "")
@@ -261,18 +276,19 @@ def _parse_log_connection(doc):
                 for j, e in enumerate(row)
             ))
         comps.append(tuple(rows))
+    exact = exact and all(f.exact for comp in comps for row in comp for f in row)
     for v, c in divisor:
-        x = gens[v]
+        line = sp.Poly(gens[v] - c, *gens, domain=QQ_I)
         for i, row in enumerate(comps[v]):
             for j, f in enumerate(row):
-                # (x - c)^2 divides the denominator iff it and its x-derivative vanish at c
-                if f.den.eval(x, c) == 0 and f.den.diff(x).eval(x, c) == 0:
+                # (x - c)^2 divides the denominator, within tolerance for inexact data
+                q = line_quotient(f.den, line, exact)
+                if q is not None and line_quotient(q, line, exact) is not None:
                     raise SchemaViolation(
                         f"/components/{v}/{i}/{j}",
-                        f"pole of order > 1 along the branch {x} = {c}; "
+                        f"pole of order > 1 along the branch {gens[v]} = {c}; "
                         "entries must be logarithmic",
                     )
-    exact = exact and all(f.exact for comp in comps for row in comp for f in row)
     return LogConnection(m, gens, divisor, tuple(comps), exact=exact)
 
 
@@ -379,6 +395,8 @@ def parse_loops(doc, pointer="/loops"):
         segs = []
         for j, s in enumerate(_require(entry, "segments", ptr, list)):
             sptr = f"{ptr}/segments/{j}"
+            if not isinstance(s, dict):
+                raise SchemaViolation(sptr, "expected a segment object")
             kind = _require(s, "kind", sptr, str)
             if kind == "line":
                 to = _complex(_require(s, "to", sptr), sptr + "/to")
@@ -386,10 +404,8 @@ def parse_loops(doc, pointer="/loops"):
                 current = to
             elif kind == "arc":
                 center = _complex(_require(s, "center", sptr), sptr + "/center")
-                radius = _require(s, "radius", sptr, (int, float))
-                a0 = _require(s, "from_angle", sptr, (int, float))
-                a1 = _require(s, "to_angle", sptr, (int, float))
-                seg = ArcSegment(center, float(radius), float(a0), float(a1))
+                seg = ArcSegment(center, _real(s, "radius", sptr, positive=True),
+                                 _real(s, "from_angle", sptr), _real(s, "to_angle", sptr))
                 if abs(seg.point(0.0) - current) > 1e-9:
                     raise SchemaViolation(sptr, "arc does not start at the current point")
                 segs.append(seg)

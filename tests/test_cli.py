@@ -529,3 +529,61 @@ def test_float_pole_or_branch_makes_the_data_inexact(pole, exact, realized_exact
     pres = validate_schema({"type": "presentation", "rank": 1,
                             "generators": {"a": residue}, "poles": [pole]})
     assert realize_fuchsian(pres).exact is realized_exact
+
+
+ARC = {"kind": "arc", "center": [0, 0], "radius": 1, "from_angle": 0,
+       "to_angle": 6.283185307179586}
+
+
+@pytest.mark.parametrize("segment, pointer", [
+    ({**ARC, "radius": "1"}, "/radius"), ({**ARC, "radius": None}, "/radius"),
+    ({**ARC, "radius": True}, "/radius"), ({**ARC, "radius": 0}, "/radius"),
+    ({**ARC, "radius": -1.0}, "/radius"), ({**ARC, "from_angle": "0"}, "/from_angle"),
+    ({**ARC, "to_angle": None}, "/to_angle"), ({**ARC, "to_angle": 10 ** 400}, "/to_angle"),
+    (3, ""), ([ARC], "")])
+def test_malformed_loop_is_schema_error(tmp_path, segment, pointer):
+    path = tmp_path / "loops.json"
+    path.write_text(json.dumps([{"basepoint": [1, 0], "segments": [segment]}]))
+    result = invoke(["monodromy", "fuchsian_quarter.json", "--loops", str(path)])
+    assert result.exit_code == 2, result.output
+    payload = json.loads(result.output)["payload"]
+    assert payload["error"] == "SchemaViolation"
+    assert payload["pointer"] == "/loops/0/segments/0" + pointer
+
+
+@pytest.mark.parametrize("value", ["NaN", "Infinity"])
+def test_non_finite_loop_radius_is_schema_error(tmp_path, value):
+    # a NaN radius used to send solve_ivp into an endless loop, hence the process
+    path = tmp_path / "loops.json"
+    path.write_text(json.dumps([{"basepoint": [1, 0], "segments": [ARC]}])
+                    .replace('"radius": 1', f'"radius": {value}'))
+    code, out, _ = run_process(["monodromy", "fuchsian_quarter.json", "--loops", str(path)])
+    assert code == 2, out
+    assert json.loads(out)["payload"]["pointer"] == "/loops/0/segments/0/radius"
+
+
+def _line_entry(den):
+    return {"type": "log_connection", "rank": 1, "vars": ["x"],
+            "divisor": [{"var": 0, "value": [0.3, 0]}],
+            "components": [[[_entry({"0": [1, 0]}, den)]]]}
+
+
+@pytest.mark.parametrize("constant", ["-3/10", -0.3])
+def test_float_branch_meets_the_pole_it_rounds(tmp_path, constant):
+    # the branch 0.3 is a float, so x - 3/10 vanishes on it within tolerance
+    path = tmp_path / "branch.json"
+    path.write_text(json.dumps(_line_entry({"1": [1, 0], "0": [constant, 0]})))
+    result = invoke(["residues", str(path)])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["payload"]["residues"] == [[[[1.0, 0.0]]]]
+
+
+@pytest.mark.parametrize("den", [{"2": [1, 0], "1": ["-3/5", 0], "0": ["9/100", 0]},
+                                 {"2": [1, 0], "1": [-0.6, 0], "0": [0.09, 0]}])
+def test_float_double_pole_is_schema_error(tmp_path, den):
+    path = tmp_path / "double.json"
+    path.write_text(json.dumps(_line_entry(den)))
+    result = invoke(["residues", str(path)])
+    assert result.exit_code == 2, result.output
+    payload = json.loads(result.output)["payload"]
+    assert (payload["error"], payload["pointer"]) == ("SchemaViolation", "/components/0/0/0")

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 import sympy as sp
+from sympy.polys.domains import QQ_I
 
 from logconnect import (
     FuchsianSystem,
@@ -17,10 +18,11 @@ from logconnect import (
 )
 from logconnect.connections import LogConnection
 from logconnect.errors import ResonantResidue, UnsupportedBranch
+from logconnect.projective import projectivize, reconstruct
 from logconnect.ratfunc import RationalFunction
 from logconnect.serialization import validate_schema
 
-from conftest import random_fuchsian, rational_matrix
+from conftest import random_fuchsian, rational_matrix, trace_form
 
 
 def make_log_connection(entries, gens, divisor):
@@ -216,3 +218,87 @@ class TestInvariants:
         conn = F.to_log_connection()
         for i in range(F.k):
             assert np.allclose(residue(conn, i), F.residue_array(i))
+
+
+# Gaussian-rational poles, pairwise distinct
+POLES = [0, 1, -1, sp.Rational(1, 2) + sp.I / 3, -2 + sp.I, sp.I / 2, 3 - sp.Rational(2, 5) * sp.I]
+
+
+def sparse_residues(rng, m, k):
+    """k residue matrices, each entry zero with probability 0.4, and the entry
+    (0, m - 1) zero in all of them."""
+    mats = [rational_matrix(rng, m) for _ in range(k)]
+    for A in mats:
+        for row in A:
+            for j in range(m):
+                if rng.random() < 0.4:
+                    row[j] = 0
+        A[0][m - 1] = 0
+    return mats
+
+
+def generic_sum(gens, lines, residues, i, j):
+    """sum_k A_k[i][j] / l_k by generic RationalFunction arithmetic, which reduces
+    each partial sum by a gcd."""
+    f = RationalFunction.zero(gens)
+    for A, line in zip(residues, lines):
+        num = sp.Poly(A[i][j], *gens, domain=QQ_I)
+        f = f + RationalFunction(num, sp.Poly(line, *gens, domain=QQ_I))
+    return f
+
+
+def assert_canonical(f, ref):
+    assert (f.num, f.den) == (ref.num, ref.den)
+    assert f.den.domain.convert(f.den.LC()) == QQ_I.one
+    assert f.num.gcd(f.den).is_one
+
+
+class TestEmbedding:
+    """The embeddings build each entry reduced without a gcd; it must be the same
+    canonical fraction that gcd-reducing arithmetic gives."""
+
+    def test_fuchsian_entries_are_the_reduced_sums(self, rng):
+        x = sp.Symbol("x")
+        seen = set()
+        for _ in range(40):
+            m, k = rng.choice([2, 3]), rng.randint(1, 4)
+            poles = rng.sample(POLES, k)
+            residues = sparse_residues(rng, m, k)
+            conn = FuchsianSystem(m, poles, residues).to_log_connection()
+            for i in range(m):
+                for j in range(m):
+                    f = conn.entry(0, i, j)
+                    assert_canonical(f, generic_sum((x,), [x - p for p in poles], residues, i, j))
+                    seen.add(f.den.degree() if not f.is_zero else "zero")
+        assert {"zero", 1, 2, 3} <= seen  # all-zero entries and partial supports occur
+
+    def test_local_model_entries_are_the_reduced_sums(self, rng):
+        for _ in range(20):
+            m, k = rng.choice([2, 3]), rng.randint(1, 3)
+            n = k + rng.randint(0, 1)
+            residues = sparse_residues(rng, m, k)
+            conn = LocalModel(m, residues, n=n).to_log_connection()
+            for v in range(n):
+                for i in range(m):
+                    for j in range(m):
+                        ref = generic_sum(conn.gens, conn.gens[v:v + 1], residues[v:v + 1], i, j)
+                        assert_canonical(conn.entry(v, i, j), ref)
+
+    def test_embedding_and_division_by_a_constant_run_no_gcd(self, rng, monkeypatch):
+        poles, residues = POLES[2:5], sparse_residues(rng, 3, 3)
+        conn = FuchsianSystem(3, poles, residues).to_log_connection()
+        entry = reconstruct(projectivize(conn), trace_form(conn)).entry(0, 2, 2)
+        c = RationalFunction.constant(2 + sp.I, conn.gens)
+        expected = entry * RationalFunction.constant(sp.Rational(2, 5) - sp.I / 5, conn.gens)
+        assert not entry.den.is_ground
+
+        def gcd(*args):
+            raise AssertionError("Poly.gcd called")
+
+        monkeypatch.setattr(sp.Poly, "gcd", gcd)
+        fresh = FuchsianSystem(3, poles, residues).to_log_connection()  # not the cached one
+        assert all(fresh.entry(0, i, j).num == conn.entry(0, i, j).num
+                   for i in range(3) for j in range(3))
+        LocalModel(3, residues, n=4).to_log_connection()
+        quotient = entry / c
+        assert (quotient.num, quotient.den) == (expected.num, expected.den)
