@@ -23,7 +23,14 @@ from .errors import (
     ToleranceNotMet,
     UnsupportedBranch,
 )
-from .ratfunc import RationalFunction, complex_terms, evaluator, is_exact_input, to_exact_scalar
+from .ratfunc import (
+    RationalFunction,
+    complex_terms,
+    evaluator,
+    is_exact_input,
+    to_complex,
+    to_exact_scalar,
+)
 
 __all__ = [
     "FuchsianSystem",
@@ -56,7 +63,7 @@ def _residue_tuple(m, residues):
 
 def matrix_array(M) -> np.ndarray:
     """Numeric complex ndarray view of a stored scalar matrix."""
-    return np.array([[complex(e) for e in row] for row in M], dtype=complex)
+    return np.array([[to_complex(e) for e in row] for row in M], dtype=complex)
 
 
 def _pole_sums(m, gens, lines, residues, exact):
@@ -102,7 +109,7 @@ class FuchsianSystem:
         if len(poles) != len(residues):
             raise ValueError("one residue matrix per pole required")
         poles_t = tuple(to_exact_scalar(p) for p in poles)
-        pts = [complex(p) for p in poles_t]
+        pts = [to_complex(p) for p in poles_t]
         for i, a in enumerate(pts):
             # the pointer names a field of the ``fuchsian`` JSON document
             if any(abs(a - b) <= 1e-9 for b in pts[:i]):
@@ -325,7 +332,7 @@ def residue(C, branch, tol: float = 1e-10) -> np.ndarray:
     results = []
     for s in samples if conn.n > 1 else samples[:1]:
         point = [s + 0.1 * idx for idx in range(conn.n - 1)]
-        point.insert(var, complex(value))  # on the branch x_var = value
+        point.insert(var, to_complex(value))  # on the branch x_var = value
         R = np.zeros((conn.m, conn.m), dtype=complex)
         for (i, j), values in parts.items():
             num, den = values(*point)
@@ -359,7 +366,7 @@ def pullback_power(C, var: int, nu: int):
         if C.k != 1:
             conn = C.to_log_connection()
             return pullback_power(conn, var, nu)
-        if complex(C.poles[0]) != 0:
+        if C.poles[0] != 0:
             raise UnsupportedBranch("pullback branch must pass through the origin")
         scaled = [[sp.Integer(nu) * e for e in row] for row in C.residues[0]]
         return FuchsianSystem(C.m, (0,), (scaled,))
@@ -370,7 +377,7 @@ def pullback_power(C, var: int, nu: int):
         return LocalModel(C.m, scaled, n=C.n)
     conn = _as_connection(C)
     branches = [b for b in conn.divisor if b[0] == var]
-    if any(complex(c) != 0 for _, c in branches):
+    if any(c != 0 for _, c in branches):
         raise UnsupportedBranch(
             "pullback branch must be of the form x_var = 0 (translate first)"
         )
@@ -399,7 +406,7 @@ def _series_parts(conn: LogConnection):
     Entries are reduced with a monic denominator, so the form holds iff every
     denominator is 1 or x; the coefficients are then read off the numerators.
     """
-    if conn.n != 1 or len(conn.divisor) != 1 or complex(conn.divisor[0][1]) != 0:
+    if conn.n != 1 or len(conn.divisor) != 1 or conn.divisor[0][1] != 0:
         raise ValueError("normalization needs a one-variable system with single branch x = 0")
     m = conn.m
     laurent = {}  # (k, i, j) -> coefficient of x^(k - 1) in entry (i, j)

@@ -1,13 +1,20 @@
 """Numerical parallel transport and monodromy of linear and projective systems.
 
 Paths are piecewise lines and circular arcs in one chart variable; transport
-solves dY = Omega(x) dx Y along the path with an adaptive embedded
-Runge-Kutta pair (DOP853).  Under path concatenation the loop -> matrix map
-is an antirepresentation: T(alpha then beta) = T(beta) @ T(alpha).
+solves dY = Omega(x) dx Y segment by segment with an adaptive embedded
+Runge-Kutta pair (DOP853) and multiplies the segment matrices in path order.
+A segment that comes again in the same path, itself or retraced, is
+integrated once from the identity: within that transport call a repeat
+reuses its matrix S, and a retrace (a lasso's return spoke) solves with S
+when S is well conditioned.  Every other segment is integrated from the
+product so far, so its error stays relative to the solution it carries.
+Under path concatenation the loop -> matrix map is an antirepresentation:
+T(alpha then beta) = T(beta) @ T(alpha).
 """
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -21,7 +28,7 @@ from .errors import (
     ToleranceNotMet,
 )
 from .projective import reconstruct, RiccatiSystem
-from .ratfunc import RationalFunction
+from .ratfunc import RationalFunction, to_complex
 
 __all__ = [
     "LineSegment",
@@ -44,8 +51,11 @@ class LineSegment:
     def point(self, t):
         return self.start + t * (self.end - self.start)
 
-    def velocity(self, t):
-        return self.end - self.start
+    def point_and_velocity(self, t):
+        return self.point(t), self.end - self.start
+
+    def reversed(self) -> "LineSegment":
+        return LineSegment(self.end, self.start)
 
 
 @dataclass(frozen=True)
@@ -56,12 +66,15 @@ class ArcSegment:
     to_angle: float
 
     def point(self, t):
-        a = self.from_angle + t * (self.to_angle - self.from_angle)
-        return self.center + self.radius * np.exp(1j * a)
+        return self.point_and_velocity(t)[0]
 
-    def velocity(self, t):
-        a = self.from_angle + t * (self.to_angle - self.from_angle)
-        return 1j * (self.to_angle - self.from_angle) * self.radius * np.exp(1j * a)
+    def point_and_velocity(self, t):
+        sweep = self.to_angle - self.from_angle
+        z = self.radius * cmath.exp(1j * (self.from_angle + t * sweep))
+        return self.center + z, 1j * sweep * z
+
+    def reversed(self) -> "ArcSegment":
+        return ArcSegment(self.center, self.radius, self.to_angle, self.from_angle)
 
 
 class LoopPath:
@@ -87,17 +100,11 @@ class LoopPath:
     def clearance(self, poles) -> float:
         pts = self.samples()
         return min(
-            float(np.min(np.abs(pts - complex(p)))) for p in poles
+            float(np.min(np.abs(pts - to_complex(p)))) for p in poles
         ) if len(list(poles)) else np.inf
 
     def reversed(self) -> "LoopPath":
-        rev = []
-        for s in self.segments[::-1]:
-            if isinstance(s, LineSegment):
-                rev.append(LineSegment(s.end, s.start))
-            else:
-                rev.append(ArcSegment(s.center, s.radius, s.to_angle, s.from_angle))
-        return LoopPath(rev, basepoint=self.basepoint)
+        return LoopPath([s.reversed() for s in self.segments[::-1]], basepoint=self.basepoint)
 
     def refined(self, parts: int = 2) -> "LoopPath":
         """Split every segment into ``parts`` pieces (same trace, new discretization)."""
@@ -142,7 +149,7 @@ def standard_loops(F: FuchsianSystem, basepoint=None, clearance=None):
     Corridors are straight; a (near-)collinear pole/basepoint configuration is
     rejected rather than silently producing crossing corridors.
     """
-    poles = [complex(p) for p in F.poles]
+    poles = [to_complex(p) for p in F.poles]
     defaulted = basepoint is None
     if defaulted:
         basepoint = 1.0 + max(abs(p) for p in poles)
@@ -203,25 +210,23 @@ def standard_loops(F: FuchsianSystem, basepoint=None, clearance=None):
 
 def _poles_of(C):
     if isinstance(C, FuchsianSystem):
-        return [complex(p) for p in C.poles]
+        return [to_complex(p) for p in C.poles]
     if isinstance(C, LocalModel):
         return [0.0]
     conn = _as_connection(C)
     if conn.n != 1:
         return []
-    return [complex(c) for _, c in conn.divisor]
+    return [to_complex(c) for _, c in conn.divisor]
 
 
 def _omega_callable(C):
-    """x -> Omega(x) for a one-variable system (fast path for Fuchsian data)."""
+    """(x, dx) -> Omega(x) dx for a one-variable system (fast path for Fuchsian data)."""
     if isinstance(C, FuchsianSystem):
-        res = [C.residue_array(i) for i in range(C.k)]
-        poles = [complex(p) for p in C.poles]
-
-        def fn(x):
-            return sum(A / (x - p) for A, p in zip(res, poles))
-
-        return fn
+        m = C.m
+        # the k residues stacked as rows, so sum_i A_i dx / (x - p_i) is one product
+        stacked = np.array([C.residue_array(i) for i in range(C.k)]).reshape(C.k, m * m)
+        poles = np.array(_poles_of(C), dtype=complex)
+        return lambda x, dx: ((dx / (x - poles)) @ stacked).reshape(m, m)
     if isinstance(C, LocalModel):
         if C.k != 1:
             raise ValueError(
@@ -229,36 +234,62 @@ def _omega_callable(C):
                 "use a single-branch slice"
             )
         A = C.residue_array(0)
-        return lambda x: A / x
+        return lambda x, dx: A * (dx / x)
     conn = _as_connection(C)
     if conn.n != 1:
         raise ValueError("transport is defined for one-variable charts")
-    return conn.component_callable(0)
+    omega = conn.component_callable(0)
+    return lambda x, dx: omega(x) * dx
+
+
+# the largest cond(S) at which a retraced segment is solved with S, not integrated:
+# the inverse carries S's relative error times cond(S), so this costs at most
+# about two digits of the tolerance
+WELL_CONDITIONED = 1e2
+
+
+def _flow(omega, seg, Y0: np.ndarray, tol: float) -> np.ndarray:
+    """Y(1) for dY = Omega(x) dx Y along one segment, from Y(0) = Y0."""
+    m = Y0.shape[0]
+
+    def rhs(t, y):
+        return (omega(*seg.point_and_velocity(t)) @ y.reshape(m, m)).ravel()
+
+    sol = solve_ivp(rhs, (0.0, 1.0), Y0.ravel(), method="DOP853", rtol=tol, atol=tol * 1e-2)
+    if not sol.success:
+        raise ToleranceNotMet(f"integrator failed on a segment: {sol.message}")
+    return sol.y[:, -1].reshape(m, m)
 
 
 def transport(C, path: LoopPath, tol: float = 1e-10) -> np.ndarray:
-    """Fundamental-solution transport matrix along a path: Y(end) = T Y(start)."""
+    """Fundamental-solution transport matrix along a path: Y(end) = T Y(start).
+
+    Segments are integrated in path order, each from the product so far, except
+    one that comes again later in the path, itself or retraced: its matrix S is
+    integrated from the identity and multiplies the product (T = S @ T).  A
+    repeat then reuses S, and a retrace solves with S when cond(S) <=
+    ``WELL_CONDITIONED`` and is integrated otherwise.  Nothing outlives the call.
+    """
     conn_poles = _poles_of(C)
     if conn_poles:
         clr = path.clearance(conn_poles)
         if clr < 1e-12:
             raise PoleProximity("path passes within 1e-12 of the polar divisor")
     omega = _omega_callable(C)
-    m = C.m
-    T = np.eye(m, dtype=complex)
-    for seg in path.segments:
-        def rhs(t, y):
-            x = seg.point(t)
-            Y = y.reshape(m, m)
-            return (omega(x) @ Y * seg.velocity(t)).ravel()
-
-        sol = solve_ivp(
-            rhs, (0.0, 1.0), T.ravel(),
-            method="DOP853", rtol=tol, atol=tol * 1e-2, dense_output=False,
-        )
-        if not sol.success:
-            raise ToleranceNotMet(f"integrator failed on a segment: {sol.message}")
-        T = sol.y[:, -1].reshape(m, m)
+    segments = path.segments
+    identity = np.eye(C.m, dtype=complex)
+    T, kept = identity, {}  # kept: segment -> S, for the segments that come again
+    for i, seg in enumerate(segments):
+        rev = seg.reversed()
+        if seg in kept:
+            T = kept[seg] @ T
+        elif rev in kept and np.linalg.cond(kept[rev]) <= WELL_CONDITIONED:
+            T = np.linalg.solve(kept[rev], T)
+        elif seg in segments[i + 1:] or rev in segments[i + 1:]:
+            kept[seg] = _flow(omega, seg, identity, tol)
+            T = kept[seg] @ T
+        else:
+            T = _flow(omega, seg, T, tol)
     return T
 
 

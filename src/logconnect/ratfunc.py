@@ -16,8 +16,8 @@ import numpy as np
 import sympy as sp
 from sympy.polys.domains import QQ, QQ_I
 
-__all__ = ["RationalFunction", "evaluator", "complex_terms", "to_qqi", "to_exact_scalar",
-           "is_exact_input"]
+__all__ = ["RationalFunction", "evaluator", "complex_terms", "to_complex", "to_qqi",
+           "to_exact_scalar", "is_exact_input"]
 
 
 def is_exact_input(value) -> bool:
@@ -47,9 +47,26 @@ def to_qqi(re, im=0):
     return QQ_I(QQ(re.numerator, re.denominator), QQ(im.numerator, im.denominator))
 
 
+def _qqi_complex(z) -> complex:
+    """A ``QQ_I`` element as a complex number, each part correctly rounded."""
+    return complex(float(z.x), float(z.y))
+
+
+def to_complex(value) -> complex:
+    """A scalar as a complex number: a sympy number is read through ``QQ_I``, each
+    part correctly rounded and with no ``evalf``, unless it is not a Gaussian
+    rational (say ``sqrt(2)``); anything else goes through ``complex``."""
+    if isinstance(value, sp.Basic):
+        try:
+            return _qqi_complex(QQ_I.from_sympy(value))
+        except sp.polys.CoercionFailed:
+            pass
+    return complex(value)
+
+
 def complex_terms(poly) -> dict:
     """Monomial -> coefficient of a polynomial over ``QQ_I``, each part correctly rounded."""
-    return {e: complex(float(c.x), float(c.y)) for e, c in poly.as_dict(native=True).items()}
+    return {e: _qqi_complex(c) for e, c in poly.as_dict(native=True).items()}
 
 
 def evaluator(polys):

@@ -238,8 +238,8 @@ def _parse_gens_field(doc, pointer):
 
 
 def _parse_divisor(doc, nvars, pointer):
-    """The branches as (var, exact value) pairs, plus whether every value was exact."""
-    out, exact = [], True
+    """The branches as (var, exact value) pairs, plus whether each value was exact."""
+    out, exacts = [], []
     for i, d in enumerate(_require(doc, "divisor", pointer, list)):
         if not isinstance(d, dict):
             raise SchemaViolation(f"{pointer}/divisor/{i}", "expected {var, value}")
@@ -247,8 +247,8 @@ def _parse_divisor(doc, nvars, pointer):
         val, ex = parse_scalar(_require(d, "value", f"{pointer}/divisor/{i}"),
                                f"{pointer}/divisor/{i}/value")
         out.append((v, val))
-        exact = exact and ex
-    return tuple(out), exact
+        exacts.append(ex)
+    return tuple(out), exacts
 
 
 def _parse_log_connection(doc):
@@ -256,10 +256,11 @@ def _parse_log_connection(doc):
     from sympy.polys.domains import QQ_I
 
     from .connections import LogConnection, line_quotient
+    from .ratfunc import to_complex
 
     m = _integer(doc, "rank")
     gens = _parse_gens_field(doc, "")
-    divisor, exact = _parse_divisor(doc, len(gens), "")
+    divisor, exacts = _parse_divisor(doc, len(gens), "")
     comps_doc = _require(doc, "components", "", list)
     if len(comps_doc) != len(gens):
         raise SchemaViolation("/components", "one matrix component per variable required")
@@ -276,17 +277,20 @@ def _parse_log_connection(doc):
                 for j, e in enumerate(row)
             ))
         comps.append(tuple(rows))
-    exact = exact and all(f.exact for comp in comps for row in comp for f in row)
-    for v, c in divisor:
+    exact = all(exacts) and all(f.exact for comp in comps for row in comp for f in row)
+    for (v, c), c_exact in zip(divisor, exacts):
         line = sp.Poly(gens[v] - c, *gens, domain=QQ_I)
         for i, row in enumerate(comps[v]):
             for j, f in enumerate(row):
                 # (x - c)^2 divides the denominator, within tolerance for inexact data
                 q = line_quotient(f.den, line, exact)
                 if q is not None and line_quotient(q, line, exact) is not None:
+                    # a float branch is named by its float value, not the dyadic one stored
+                    z = to_complex(c)
+                    value = c if c_exact else repr(z.real) if z.imag == 0 else z
                     raise SchemaViolation(
                         f"/components/{v}/{i}/{j}",
-                        f"pole of order > 1 along the branch {gens[v]} = {c}; "
+                        f"pole of order > 1 along the branch {gens[v]} = {value}; "
                         "entries must be logarithmic",
                     )
     return LogConnection(m, gens, divisor, tuple(comps), exact=exact)
@@ -303,7 +307,7 @@ def _parse_riccati(doc):
 
     m = _integer(doc, "rank")
     gens = _parse_gens_field(doc, "")
-    divisor, exact = _parse_divisor(doc, len(gens), "") if "divisor" in doc else ((), True)
+    divisor, exacts = _parse_divisor(doc, len(gens), "") if "divisor" in doc else ((), ())
     b, delta, c = ([_parse_oneform(e, gens, f"/{key}/{i}")
                     for i, e in enumerate(_require(doc, key, "", list))]
                    for key in ("b", "delta", "c"))
@@ -321,7 +325,7 @@ def _parse_riccati(doc):
             if i != k and (i, k) not in offdiag:
                 raise SchemaViolation("/offdiag", f"missing the pair {i},{k}")
     forms = [*b, *delta, *c, *offdiag.values()]
-    exact = exact and all(f.exact for form in forms for f in form)
+    exact = all(exacts) and all(f.exact for form in forms for f in form)
     return RiccatiSystem(m, gens, divisor, b, delta, offdiag, c, exact=exact)
 
 

@@ -587,3 +587,15 @@ def test_float_double_pole_is_schema_error(tmp_path, den):
     assert result.exit_code == 2, result.output
     payload = json.loads(result.output)["payload"]
     assert (payload["error"], payload["pointer"]) == ("SchemaViolation", "/components/0/0/0")
+
+
+@pytest.mark.parametrize("value, named", [([0.3, 0], "x = 0.3"), (["3/10", 0], "x = 3/10")])
+def test_double_pole_names_the_branch_as_written(tmp_path, value, named):
+    doc = {**_line_entry({"2": [1, 0], "1": ["-3/5", 0], "0": ["9/100", 0]}),
+           "divisor": [{"var": 0, "value": value}]}
+    path = tmp_path / "double.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run_process(["residues", str(path)])
+    assert code == 2, out
+    message = json.loads(out)["payload"]["message"]
+    assert f"along the branch {named};" in message

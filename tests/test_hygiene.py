@@ -1,9 +1,11 @@
-"""Static checks on the library's source, with the standard library's ``ast`` only."""
+"""Static checks on the library's source, with the standard library's ``ast``, and
+checks that exact scalars reach numbers through ratfunc's reader."""
 
 import ast
 import pathlib
 
 import pytest
+import sympy as sp
 
 PACKAGE = pathlib.Path(__file__).parent.parent / "src" / "logconnect"
 MODULES = sorted(p for p in PACKAGE.glob("*.py") if p.name != "__init__.py")
@@ -121,3 +123,34 @@ def test_heavy_libraries_load_only_where_pinned():
         return out
 
     assert {module: loads(module, set()) for module in graph} == TIERS
+
+
+READER_CASES = [sp.Integer(7), sp.Integer(-3), sp.Rational(1, 3),
+                sp.Rational(5404319552844595, 18014398509481984),  # the float 0.3
+                sp.Rational(10**30 + 1, 3**40),
+                sp.Rational(1, 3) - sp.Rational(2, 7) * sp.I, 5 * sp.I / 4, sp.I]
+
+
+@pytest.mark.parametrize("value", READER_CASES, ids=str)
+def test_reader_gives_the_floats_of_evalf(value):
+    from logconnect.ratfunc import to_complex
+
+    assert to_complex(value) == complex(value)
+
+
+def test_transport_of_exact_data_never_calls_evalf(monkeypatch):
+    from logconnect import FuchsianSystem, monodromy_rep, standard_loops
+
+    third, fifth_i, quarter = sp.Rational(1, 3), sp.I / 5, sp.Rational(-1, 4)
+    poles = [0, third, -1 + sp.I / 2]
+    residues = [[[third, 0], [fifth_i, -third]], [[0, 1], [0, 0]], [[quarter, 0], [0, third]]]
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("evalf called")
+
+    monkeypatch.setattr(sp.core.evalf.EvalfMixin, "evalf", refuse)
+    with pytest.raises(AssertionError):
+        complex(third)  # complex() of a sympy number goes through the patched evalf
+    F = FuchsianSystem(2, poles, residues)
+    rep = monodromy_rep(F, standard_loops(F))
+    assert len(rep.matrices) == 3

@@ -1,9 +1,13 @@
+import random
+
 import numpy as np
 import pytest
+import sympy as sp
 
 from logconnect import (
     FuchsianSystem,
     LocalModel,
+    LoopPath,
     MonodromyRep,
     ProjectiveClass,
     circle_loop,
@@ -17,7 +21,9 @@ from logconnect import (
     standard_loops,
     transport,
 )
+from logconnect import monodromy
 from logconnect.errors import DegenerateConfiguration, PoleProximity
+from logconnect.monodromy import ArcSegment
 
 from conftest import random_fuchsian, rational_matrix
 
@@ -195,3 +201,110 @@ class TestPullbackMonodromy:
         for nu in (2, 3):
             Mnu = transport(pullback_power(F, 0, nu), circle_loop(0, 1.0), tol=1e-12)
             assert np.linalg.norm(Mnu - np.linalg.matrix_power(M, nu)) < 1e-7
+
+
+def _relative(A, B):
+    return np.linalg.norm(A - B) / np.linalg.norm(B)
+
+
+def _moderate_fuchsian(seed):
+    """Random exact system whose residue entries have real parts in [-3/4, 3/4] and
+    imaginary parts in [-1/8, 1/8], so that its loop matrices are well conditioned."""
+    rng = random.Random(seed)
+    m, k = rng.choice([2, 3]), rng.randint(1, 3)
+    poles = rng.sample([0, 1, -1, 2, sp.Rational(1, 2)], k)
+
+    def entry():
+        return sp.Rational(rng.randint(-3, 3), 4) + sp.Rational(rng.randint(-1, 1), 8) * sp.I
+
+    return FuchsianSystem(m, poles, [[[entry() for _ in range(m)] for _ in range(m)]
+                                     for _ in range(k)])
+
+
+def _with_eigenvalues(Q, eigenvalues):
+    """Q diag(eigenvalues) Q^-1 with exact Gaussian-rational entries."""
+    Q = sp.Matrix(Q)
+    return (Q * sp.diag(*eigenvalues) * Q.inv()).applyfunc(
+        lambda e: sp.expand(sp.radsimp(e))).tolist()
+
+
+# residue eigenvalues with real parts near +-3 in a skewed basis: the spoke matrices
+# have condition numbers near 6e4, and multiplying segment matrices each
+# integrated from the identity along the refined loop would lose 1e-6
+_SKEW = [[2 - sp.I / 2, sp.Rational(-13, 5) - sp.I / 5],
+         [sp.Rational(2, 5) - 2 * sp.I, sp.Rational(-3, 5) - sp.I / 5]]
+NEAR_PM3 = FuchsianSystem(2, [0, 1], [
+    _with_eigenvalues(_SKEW, [3 + sp.I / 5, sp.Rational(-29, 10) + sp.I / 10]),
+    _with_eigenvalues(_SKEW, [sp.Rational(-31, 10) + 3 * sp.I / 10,
+                              sp.Rational(59, 20) - 2 * sp.I / 5]),
+])
+# residue eigenvalues -3.36 - 3.98i and 2.86 + 0.98i at 0: the spoke matrix to the
+# pole -2 has condition number about 1e8, and inverting it would lose 1e-3
+STIFF_SPOKE = FuchsianSystem(2, [0, -2], [
+    [[-2 - 4 * sp.I, -2 + 4 * sp.I], [sp.Rational(2, 3) - 2 * sp.I, sp.Rational(3, 2) + sp.I]],
+    [[-sp.Rational(1, 2) - 3 * sp.I / 2, -1], [1 + 2 * sp.I / 3, -1]],
+])
+
+
+@pytest.fixture
+def solves(monkeypatch):
+    """The number of ``solve_ivp`` calls transport makes."""
+    calls = []
+    original = monodromy.solve_ivp
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(monodromy, "solve_ivp", counting)
+    return calls
+
+
+class TestSegmentReuse:
+    @pytest.mark.parametrize(
+        "F", [_moderate_fuchsian(seed) for seed in range(6)] + [NEAR_PM3, STIFF_SPOKE],
+        ids=[f"seed{seed}" for seed in range(6)] + ["near_pm3", "stiff_spoke"])
+    def test_standard_loop_matches_its_refinement(self, F):
+        for lp in standard_loops(F):
+            fine = lp.refined(2)  # repeats no segment; its half-spokes may retrace each other
+            assert len(set(fine.segments)) == len(fine.segments)
+            assert _relative(transport(F, lp), transport(F, fine)) < 1e-8
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_solving_with_the_spoke_matches_integrating_back(self, seed, monkeypatch):
+        F = _moderate_fuchsian(seed)
+        loops = standard_loops(F)
+        reused = [transport(F, lp) for lp in loops]
+        monkeypatch.setattr(monodromy, "WELL_CONDITIONED", 0.0)  # integrate every segment
+        for T, lp in zip(reused, loops):
+            assert _relative(T, transport(F, lp)) < 1e-9
+
+    def test_two_identical_circles_give_the_square(self, nprng, solves):
+        A = 0.5 * (nprng.normal(size=(3, 3)) + 1j * nprng.normal(size=(3, 3)))
+        F = FuchsianSystem(3, [0], [A])
+        circle = ArcSegment(0j, 1.0, 0.0, 2 * np.pi)
+        once = transport(F, LoopPath([circle]))
+        twice = transport(F, LoopPath([circle, circle]))
+        assert _relative(twice, once @ once) < 1e-9
+        assert len(solves) == 2  # one per call: the second circle reuses the first
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_reversed_loop_is_the_inverse(self, seed):
+        F = _moderate_fuchsian(seed)
+        for lp in standard_loops(F):
+            back_and_forth = transport(F, lp.reversed(), tol=1e-12) @ transport(F, lp, tol=1e-12)
+            assert np.linalg.norm(back_and_forth - np.eye(F.m)) < 1e-9
+
+    def test_standard_loop_takes_two_solves(self, solves):
+        F = FuchsianSystem(2, [0, 1, -1], [np.diag([0.3, -0.2]), np.diag([0.1, 0.25]),
+                                           [[0.2, 0.1], [0.0, -0.1]]])
+        loops = standard_loops(F, basepoint=0.5 + 2.0j)
+        transport(F, loops[0])
+        assert len(solves) == 2  # out along the spoke, around the circle; back is solved
+        solves.clear()
+        monodromy_rep(F, loops)
+        assert len(solves) == 2 * len(loops)
+
+    def test_ill_conditioned_spoke_is_integrated_back(self, solves):
+        transport(STIFF_SPOKE, standard_loops(STIFF_SPOKE)[1])
+        assert len(solves) == 3
