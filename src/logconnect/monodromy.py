@@ -3,11 +3,11 @@
 Paths are piecewise lines and circular arcs in one chart variable; transport
 solves dY = Omega(x) dx Y segment by segment with an adaptive embedded
 Runge-Kutta pair (DOP853) and multiplies the segment matrices in path order.
-A segment that comes again in the same path, itself or retraced, is
-integrated once from the identity: within that transport call a repeat
-reuses its matrix S, and a retrace (a lasso's return spoke) solves with S
-when S is well conditioned.  Every other segment is integrated from the
-product so far, so its error stays relative to the solution it carries.
+A segment that the path later retraces (a lasso's outgoing spoke) is
+integrated once from the identity, and within that transport call the
+retrace (the return spoke) solves with its matrix S when S is well
+conditioned.  Every other segment is integrated from the product so far, so
+its error stays relative to the solution it carries.
 Under path concatenation the loop -> matrix map is an antirepresentation:
 T(alpha then beta) = T(beta) @ T(alpha).
 """
@@ -265,10 +265,12 @@ def transport(C, path: LoopPath, tol: float = 1e-10) -> np.ndarray:
     """Fundamental-solution transport matrix along a path: Y(end) = T Y(start).
 
     Segments are integrated in path order, each from the product so far, except
-    one that comes again later in the path, itself or retraced: its matrix S is
-    integrated from the identity and multiplies the product (T = S @ T).  A
-    repeat then reuses S, and a retrace solves with S when cond(S) <=
-    ``WELL_CONDITIONED`` and is integrated otherwise.  Nothing outlives the call.
+    one that the path retraces later: its matrix S is integrated from the
+    identity and multiplies the product (T = S @ T), and the retrace solves with
+    S when cond(S) <= ``WELL_CONDITIONED`` and is integrated otherwise.  A
+    solved retrace carries S's error times cond(S), so a path with one can miss
+    ``tol`` by up to a factor ``WELL_CONDITIONED`` in relative error.  Nothing
+    outlives the call.
     """
     conn_poles = _poles_of(C)
     if conn_poles:
@@ -276,16 +278,15 @@ def transport(C, path: LoopPath, tol: float = 1e-10) -> np.ndarray:
         if clr < 1e-12:
             raise PoleProximity("path passes within 1e-12 of the polar divisor")
     omega = _omega_callable(C)
-    segments = path.segments
+    last = {seg: i for i, seg in enumerate(path.segments)}  # segment -> its last index
     identity = np.eye(C.m, dtype=complex)
-    T, kept = identity, {}  # kept: segment -> S, for the segments that come again
-    for i, seg in enumerate(segments):
+    T, kept = identity, {}  # kept: segment -> S, for the segments the path retraces
+    for i, seg in enumerate(path.segments):
         rev = seg.reversed()
-        if seg in kept:
-            T = kept[seg] @ T
-        elif rev in kept and np.linalg.cond(kept[rev]) <= WELL_CONDITIONED:
-            T = np.linalg.solve(kept[rev], T)
-        elif seg in segments[i + 1:] or rev in segments[i + 1:]:
+        S = kept.pop(rev, None)
+        if S is not None and np.linalg.cond(S) <= WELL_CONDITIONED:
+            T = np.linalg.solve(S, T)
+        elif S is None and last.get(rev, -1) > i:
             kept[seg] = _flow(omega, seg, identity, tol)
             T = kept[seg] @ T
         else:

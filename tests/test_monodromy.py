@@ -23,7 +23,7 @@ from logconnect import (
 )
 from logconnect import monodromy
 from logconnect.errors import DegenerateConfiguration, PoleProximity
-from logconnect.monodromy import ArcSegment
+from logconnect.monodromy import ArcSegment, LineSegment
 
 from conftest import random_fuchsian, rational_matrix
 
@@ -279,14 +279,23 @@ class TestSegmentReuse:
         for T, lp in zip(reused, loops):
             assert _relative(T, transport(F, lp)) < 1e-9
 
-    def test_two_identical_circles_give_the_square(self, nprng, solves):
+    def test_two_identical_circles_give_the_square(self, nprng):
         A = 0.5 * (nprng.normal(size=(3, 3)) + 1j * nprng.normal(size=(3, 3)))
         F = FuchsianSystem(3, [0], [A])
         circle = ArcSegment(0j, 1.0, 0.0, 2 * np.pi)
         once = transport(F, LoopPath([circle]))
         twice = transport(F, LoopPath([circle, circle]))
         assert _relative(twice, once @ once) < 1e-9
-        assert len(solves) == 2  # one per call: the second circle reuses the first
+
+    def test_retrace_after_other_segments_is_solved(self, solves):
+        F = FuchsianSystem(2, [0], [np.diag([0.3, -0.2])])
+        spoke = LineSegment(2.0 + 0j, 1.0 + 0j)
+        circle = ArcSegment(0j, 1.0, 0.0, 2 * np.pi)
+        lasso = LoopPath([spoke, circle, circle, spoke.reversed()])
+        fine = transport(F, lasso.refined(2))
+        solves.clear()
+        assert _relative(transport(F, lasso), fine) < 1e-8
+        assert len(solves) == 3  # the return spoke is solved; the repeated circle is not reused
 
     @pytest.mark.parametrize("seed", range(4))
     def test_reversed_loop_is_the_inverse(self, seed):
