@@ -27,6 +27,7 @@ from .ratfunc import (
     RationalFunction,
     complex_terms,
     evaluator,
+    from_terms,
     is_exact_input,
     to_complex,
     to_exact_scalar,
@@ -75,7 +76,7 @@ def _pole_sums(m, gens, lines, residues, exact):
     vanishes at no zero of den.  The products are formed once per support.
     """
     coeffs = [[[QQ_I.from_sympy(a) for a in row] for row in A] for A in residues]
-    one = sp.Poly(1, *gens, domain=QQ_I)
+    one = from_terms({(0,) * len(gens): QQ_I.one}, gens)
     products = {}  # support -> (den, the cofactor of each of its lines)
 
     def entry(i, j):
@@ -141,7 +142,8 @@ class FuchsianSystem:
         if cached is not None:
             return cached
         x = sp.Symbol("x")
-        lines = [sp.Poly(x - p, x, domain=QQ_I) for p in self.poles]
+        lines = [from_terms({(1,): QQ_I.one, (0,): -QQ_I.from_sympy(p)}, (x,))
+                 for p in self.poles]
         comp = _pole_sums(self.m, (x,), lines, self.residues, self.exact)
         divisor = tuple((0, p) for p in self.poles)
         conn = LogConnection(self.m, (x,), divisor, (comp,), exact=self.exact)
@@ -384,7 +386,8 @@ def pullback_power(C, var: int, nu: int):
     if nu == 1:
         return conn
     x = conn.gens[var]
-    chain = RationalFunction.from_expr(nu * x ** (nu - 1), conn.gens)
+    power = tuple(nu - 1 if v == var else 0 for v in range(conn.n))
+    chain = from_terms({power: QQ_I.convert(nu)}, conn.gens)  # d(x^nu)/dx
     comps = []
     for j in range(conn.n):
         rows = []
@@ -393,7 +396,7 @@ def pullback_power(C, var: int, nu: int):
             for l in range(conn.m):
                 f = conn.entry(j, i, l).subst_power(x, nu)
                 if j == var:
-                    f = f * chain
+                    f = RationalFunction(f.num * chain, f.den, exact=f.exact)
                 row.append(f)
             rows.append(tuple(row))
         comps.append(tuple(rows))

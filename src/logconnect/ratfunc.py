@@ -14,10 +14,13 @@ from functools import reduce
 
 import numpy as np
 import sympy as sp
+from sympy.polys.densearith import dup_rem
+from sympy.polys.densetools import dup_monic
 from sympy.polys.domains import QQ, QQ_I
+from sympy.polys.polyclasses import DMP
 
-__all__ = ["RationalFunction", "evaluator", "complex_terms", "to_complex", "to_qqi",
-           "to_exact_scalar", "is_exact_input"]
+__all__ = ["RationalFunction", "evaluator", "complex_terms", "from_terms", "to_complex",
+           "to_qqi", "to_exact_scalar", "is_exact_input"]
 
 
 def is_exact_input(value) -> bool:
@@ -83,6 +86,25 @@ def evaluator(polys):
     return values
 
 
+def from_terms(terms: dict, gens) -> sp.Poly:
+    """The polynomial in ``gens`` with the terms monomial -> ``QQ_I`` coefficient."""
+    return sp.Poly.new(DMP.from_dict(terms, len(gens) - 1, QQ_I), *gens)
+
+
+def _gcd(num: sp.Poly, den: sp.Poly) -> sp.Poly:
+    """The monic gcd of a nonzero ``num`` and ``den``: for a one-term ``den``, the power
+    of each variable that divides it and every term of ``num``; in one variable, Euclid
+    with each remainder made monic, which bounds coefficient growth; else ``Poly.gcd``."""
+    if den.is_monomial:
+        return from_terms({tuple(map(min, *den.monoms(), *num.monoms())): QQ_I.one}, den.gens)
+    if len(den.gens) > 1:
+        return num.gcd(den).monic()
+    f, g = dup_monic(den.rep.to_list(), QQ_I), dup_monic(num.rep.to_list(), QQ_I)
+    while g:
+        f, g = g, dup_monic(dup_rem(f, g, QQ_I), QQ_I)
+    return den.per(den.rep.per(f))
+
+
 class RationalFunction:
     """A normalized fraction of polynomials over QQ_I in shared chart variables."""
 
@@ -92,16 +114,14 @@ class RationalFunction:
         if den.is_zero:
             raise ZeroDivisionError("denominator is identically zero")
         if not _normalized:
-            dom = den.domain
             if num.is_zero:
-                den = sp.Poly(1, *den.gens, domain=dom)
+                den = den.one
             else:
-                if not den.is_ground:
-                    g = num.gcd(den)
-                    if not g.is_one:
-                        num, den = num.quo(g), den.quo(g)
-                inv = dom.quo(dom.one, den.rep.LC())
-                if inv != dom.one:
+                g = _gcd(num, den)
+                if not g.is_one:
+                    num, den = num.quo(g), den.quo(g)
+                inv = QQ_I.quo(QQ_I.one, den.rep.LC())
+                if inv != QQ_I.one:
                     num, den = num.mul_ground(inv), den.mul_ground(inv)
         self.num = num
         self.den = den
@@ -111,24 +131,11 @@ class RationalFunction:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def from_expr(cls, expr, gens, exact=None) -> "RationalFunction":
-        expr = sp.sympify(expr)
-        if exact is None:
-            exact = not expr.has(sp.Float)
-        expr = expr.replace(lambda e: e.is_Float, to_exact_scalar)
-        n, d = sp.fraction(sp.together(expr))
-        num = sp.Poly(n, *gens, domain=QQ_I)
-        den = sp.Poly(d, *gens, domain=QQ_I)
-        return cls(num, den, exact=exact)
-
-    @classmethod
     def constant(cls, value, gens, exact=None) -> "RationalFunction":
         if exact is None:
             exact = is_exact_input(value)
-        c = to_exact_scalar(value)
-        num = sp.Poly(c, *gens, domain=QQ_I)
-        den = sp.Poly(1, *gens, domain=QQ_I)
-        return cls(num, den, exact=exact, _normalized=True)
+        num = from_terms({(0,) * len(gens): QQ_I.from_sympy(to_exact_scalar(value))}, gens)
+        return cls(num, num.one, exact=exact, _normalized=True)
 
     @classmethod
     def zero(cls, gens) -> "RationalFunction":
@@ -180,8 +187,7 @@ class RationalFunction:
             raise ZeroDivisionError("division by the zero rational function")
         exact = self.exact and o.exact
         if o.num.is_ground and o.den.is_ground:  # a constant: scale the numerator only
-            dom = self.num.domain
-            inv = dom.quo(o.den.rep.LC(), o.num.rep.LC())
+            inv = QQ_I.quo(o.den.rep.LC(), o.num.rep.LC())
             return RationalFunction(self.num.mul_ground(inv), self.den, exact=exact,
                                     _normalized=True)
         return RationalFunction(self.num * o.den, self.den * o.num, exact=exact)
@@ -203,9 +209,8 @@ class RationalFunction:
         k = self.gens.index(var)
 
         def scaled(poly):
-            return sp.Poly.from_dict(
-                {e[:k] + (e[k] * nu,) + e[k + 1:]: c for e, c in poly.as_dict(native=True).items()},
-                *self.gens, domain=QQ_I)
+            return from_terms({e[:k] + (e[k] * nu,) + e[k + 1:]: c
+                               for e, c in poly.as_dict(native=True).items()}, self.gens)
 
         return RationalFunction(scaled(self.num), scaled(self.den), exact=self.exact)
 

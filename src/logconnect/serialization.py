@@ -139,10 +139,9 @@ def ratfunc_to_json(f):
 
 
 def parse_ratfunc(doc, gens, pointer):
-    import sympy as sp
     from sympy.polys.domains import QQ_I
 
-    from .ratfunc import RationalFunction, to_qqi
+    from .ratfunc import RationalFunction, from_terms, to_qqi
 
     if not isinstance(doc, dict) or "num" not in doc or "den" not in doc:
         raise SchemaViolation(pointer, "expected {num, den} coefficient maps")
@@ -165,7 +164,7 @@ def parse_ratfunc(doc, gens, pointer):
             re, im, ex = _parts(val, f"{ptr}/{key}")
             exact = exact and ex
             coeffs[exps] = coeffs.get(exps, QQ_I.zero) + to_qqi(re, im)
-        return sp.Poly.from_dict(coeffs, *gens, domain=QQ_I), exact
+        return from_terms(coeffs, gens), exact
 
     num, ex1 = build("num", pointer + "/num")
     den, ex2 = build("den", pointer + "/den")

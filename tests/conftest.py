@@ -4,8 +4,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy as sp
+from sympy.polys.domains import QQ_I
 
 from logconnect import FuchsianSystem, RationalFunction
+from logconnect.ratfunc import to_exact_scalar
 
 
 def gaussian_rational(rng, span=4, den=3):
@@ -28,6 +30,16 @@ def random_fuchsian(rng, m=None, max_poles=3):
     poles = random.Random(rng.random()).sample(pole_pool, k)
     residues = [rational_matrix(rng, m) for _ in range(k)]
     return FuchsianSystem(m, poles, residues)
+
+
+def from_expr(expr, gens):
+    """The reduced fraction of a sympy expression in ``gens``; a Float becomes its
+    exact dyadic value and marks the result inexact."""
+    expr = sp.sympify(expr)
+    exact = not expr.has(sp.Float)
+    n, d = sp.fraction(sp.together(expr.replace(lambda e: e.is_Float, to_exact_scalar)))
+    return RationalFunction(sp.Poly(n, *gens, domain=QQ_I), sp.Poly(d, *gens, domain=QQ_I),
+                            exact=exact)
 
 
 def trace_form(conn):

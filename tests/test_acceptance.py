@@ -23,7 +23,6 @@ from logconnect import (
     LogConnection,
     ProjectiveClass,
     ProjectivePresentation,
-    RationalFunction,
     circle_loop,
     flatness_check,
     lift_commuting,
@@ -48,7 +47,7 @@ from logconnect import (
 from logconnect.cli import main as cli_main
 from logconnect.errors import ResonantResidue
 
-from conftest import random_fuchsian, rational_matrix, trace_form
+from conftest import from_expr, random_fuchsian, rational_matrix, trace_form
 
 FIXTURES = pathlib.Path(__file__).parent.parent / "fixtures"
 
@@ -214,7 +213,7 @@ def _one_var_system(A, tau_coeffs):
             for j in range(m):
                 entries[i][j] += sp.sympify(T[i][j]) * x ** d
     comps = (tuple(
-        tuple(RationalFunction.from_expr(e, (x,)) for e in row)
+        tuple(from_expr(e, (x,)) for e in row)
         for row in entries
     ),)
     return LogConnection(m, (x,), ((0, sp.Integer(0)),), comps)

@@ -22,7 +22,7 @@ from logconnect.projective import projectivize, reconstruct
 from logconnect.ratfunc import RationalFunction
 from logconnect.serialization import validate_schema
 
-from conftest import random_fuchsian, rational_matrix, trace_form
+from conftest import from_expr, random_fuchsian, rational_matrix, trace_form
 
 
 def make_log_connection(entries, gens, divisor):
@@ -30,7 +30,7 @@ def make_log_connection(entries, gens, divisor):
     comps = []
     for comp in entries:
         comps.append(tuple(
-            tuple(RationalFunction.from_expr(e, gens) for e in row) for row in comp
+            tuple(from_expr(e, gens) for e in row) for row in comp
         ))
     return LogConnection(m, gens, divisor, tuple(comps))
 
@@ -293,9 +293,10 @@ class TestEmbedding:
         assert not entry.den.is_ground
 
         def gcd(*args):
-            raise AssertionError("Poly.gcd called")
+            raise AssertionError("a gcd ran")
 
         monkeypatch.setattr(sp.Poly, "gcd", gcd)
+        monkeypatch.setattr("logconnect.ratfunc._gcd", gcd)  # where fractions are reduced
         fresh = FuchsianSystem(3, poles, residues).to_log_connection()  # not the cached one
         assert all(fresh.entry(0, i, j).num == conn.entry(0, i, j).num
                    for i in range(3) for j in range(3))

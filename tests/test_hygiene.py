@@ -71,6 +71,28 @@ def test_no_coefficient_expression_round_trip(path):
     assert not calls, f"{path.name} builds sympy expressions from coefficients: {calls}"
 
 
+def gcd_calls(node):
+    return {call.lineno for call in ast.walk(node)
+            if isinstance(call, ast.Call) and called_name(call) == "gcd"}
+
+
+def test_fractions_are_reduced_in_one_place():
+    """Which gcd algorithm reduces a fraction is decided in one function: only
+    ``ratfunc._gcd`` calls a ``gcd``."""
+    stray, reducer = {}, set()
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = set()
+        if path.name == "ratfunc.py":
+            allowed = reducer = set().union(*(
+                gcd_calls(f) for f in ast.walk(tree)
+                if isinstance(f, ast.FunctionDef) and f.name == "_gcd"))
+        if gcd_calls(tree) - allowed:
+            stray[path.name] = sorted(gcd_calls(tree) - allowed)
+    assert reducer, "ratfunc._gcd calls no gcd"
+    assert not stray, f"gcd called outside ratfunc._gcd: {stray}"
+
+
 HEAVY = ("sympy", "scipy.linalg", "scipy.integrate")
 # module -> the heavy libraries importing it loads, directly or through the
 # package's own modules; every verb imports cli, serialization and lifting

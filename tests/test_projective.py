@@ -6,7 +6,6 @@ from logconnect import (
     FuchsianSystem,
     LocalModel,
     ProjectiveClass,
-    RationalFunction,
     mat_log_normalized,
     nonresonant,
     poincare_normalize,
@@ -19,7 +18,7 @@ from logconnect import (
 from logconnect.connections import flatness_check
 from logconnect.errors import DimensionMismatch, ResonantResidue, SingularMatrix
 
-from conftest import random_fuchsian, trace_form
+from conftest import from_expr, random_fuchsian, trace_form
 
 
 def reference_nonresonant(A, tol=1e-9):
@@ -51,7 +50,7 @@ class TestProjectivize:
         x = sp.Symbol("x")
         F = FuchsianSystem(2, [0], [[[0, 1], [0, 0]]])
         R = projectivize(F)
-        assert R.b[0][0] == RationalFunction.from_expr(1 / x, (x,))
+        assert R.b[0][0] == from_expr(1 / x, (x,))
         assert R.delta[0][0].is_zero
         assert R.c[0][0].is_zero
 
@@ -65,14 +64,14 @@ class TestProjectivize:
         F = FuchsianSystem(2, [0], [[[5, 7], [11, 13]]])
         R = projectivize(F)
         x = sp.Symbol("x")
-        assert R.b[0][0] == RationalFunction.from_expr(7 / x, (x,))
-        assert R.delta[0][0] == RationalFunction.from_expr((5 - 13) / x, (x,))
-        assert R.c[0][0] == RationalFunction.from_expr(11 / x, (x,))
+        assert R.b[0][0] == from_expr(7 / x, (x,))
+        assert R.delta[0][0] == from_expr((5 - 13) / x, (x,))
+        assert R.c[0][0] == from_expr(11 / x, (x,))
 
     def test_scalar_quotient_invariance(self, rng):
         F = random_fuchsian(rng, m=3, max_poles=2)
         conn = F.to_log_connection()
-        f = RationalFunction.from_expr(
+        f = from_expr(
             sp.Rational(2, 3) / (sp.Symbol("x") - 5), conn.gens
         )
         shifted = conn.map_entries(lambda g: g)  # copy
@@ -108,9 +107,9 @@ class TestReconstruct:
         x = sp.Symbol("x")
         F = FuchsianSystem(2, [0], [[[0, 0], [0, 0]]])
         R = projectivize(F)
-        trace = (RationalFunction.from_expr(2 / x, (x,)),)
+        trace = (from_expr(2 / x, (x,)),)
         conn = reconstruct(R, trace)
-        expected = RationalFunction.from_expr(1 / x, (x,))
+        expected = from_expr(1 / x, (x,))
         assert conn.entry(0, 0, 0) == expected
         assert conn.entry(0, 1, 1) == expected
         assert conn.entry(0, 0, 1).is_zero

@@ -2,12 +2,13 @@ from fractions import Fraction
 
 import pytest
 import sympy as sp
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 from sympy.polys.domains import QQ_I
 
 from logconnect import LocalModel, RationalFunction, projectivize, trace_free_lift
+from logconnect.ratfunc import _gcd, to_qqi
 
-from conftest import random_fuchsian, rational_matrix
+from conftest import from_expr, random_fuchsian, rational_matrix
 
 x, y = sp.symbols("x y")
 
@@ -49,37 +50,111 @@ def test_gcd_removed(f):
     assert f.num.gcd(f.den).is_one or f.num.is_zero
 
 
+# -- the fraction-reducing gcd, against sympy's ----------------------------
+
+z = sp.Symbol("z")
+rational_coeff = st.builds(to_qqi, small_rat, small_rat)
+# parts as a JSON float gives them: dyadic values with long denominators (0.1 ...)
+float_part = st.floats(-4, 4).map(lambda f: round(f, 2))
+dyadic_coeff = st.builds(to_qqi, float_part, float_part)
+
+
+@st.composite
+def polys(draw, gens, coeff, max_degree, max_terms=9):
+    """A nonzero polynomial in ``gens`` over QQ_I, built with sympy's own constructor."""
+    monomial = st.tuples(*[st.integers(0, max_degree)] * len(gens))
+    terms = draw(st.dictionaries(monomial, coeff, min_size=1, max_size=max_terms))
+    f = sp.Poly.from_dict(terms, *gens, domain=QQ_I)
+    return f if not f.is_zero else sp.Poly.from_dict({(0,) * len(gens): QQ_I.one},
+                                                      *gens, domain=QQ_I)
+
+
+@st.composite
+def pairs(draw, gens, coeff, degree, factor_degree=0):
+    """(num, den) of exponents up to ``degree``, both times one common factor of
+    exponents up to ``factor_degree`` when that is not 0."""
+    num, den = draw(polys(gens, coeff, degree)), draw(polys(gens, coeff, degree))
+    if not factor_degree:
+        return num, den
+    c = draw(polys(gens, coeff, factor_degree, max_terms=3).filter(lambda f: not f.is_ground))
+    return num * c, den * c
+
+
+gcd_settings = settings(derandomize=True, max_examples=80, deadline=None)
+
+
+@gcd_settings
+@given(st.sampled_from([rational_coeff, dyadic_coeff]).flatmap(lambda coeff: st.one_of(
+    pairs((x,), coeff, 8), pairs((x,), coeff, 5, factor_degree=3))))
+def test_gcd_in_one_variable_is_sympys(pair):
+    num, den = pair
+    assert _gcd(num, den) == num.gcd(den).monic()
+
+
+@gcd_settings
+@given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+    polys((x, y, z)[:n], rational_coeff, 4, max_terms=5),
+    polys((x, y, z)[:n], rational_coeff, 4, max_terms=1))))
+def test_gcd_with_a_monomial_denominator_is_sympys(pair):
+    num, den = pair
+    assert den.is_monomial
+    assert _gcd(num, den) == num.gcd(den).monic()
+
+
+@gcd_settings
+@given(st.one_of(pairs((x, y), rational_coeff, 2),
+                 pairs((x, y), rational_coeff, 2, factor_degree=1)))
+def test_gcd_in_several_variables_is_sympys(pair):
+    num, den = pair
+    assert _gcd(num, den) == num.gcd(den).monic()
+
+
+def test_a_monomial_denominator_runs_no_gcd_algorithm(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a gcd algorithm ran")
+
+    monkeypatch.setattr(sp.Poly, "gcd", refuse)
+    monkeypatch.setattr("logconnect.ratfunc.dup_rem", refuse)
+    for gens, num, den, want in [
+        ((x,), 3 * x ** 4 + x ** 2, x ** 3, (3 * x ** 2 + 1, x)),
+        ((x,), x + 1, x ** 2, (x + 1, x ** 2)),
+        ((x, y), x ** 2 * y + 2 * x ** 3, 5 * x ** 2 * y ** 2, (y / 5 + 2 * x / 5, y ** 2)),
+    ]:
+        f = RationalFunction(sp.Poly(num, *gens, domain=QQ_I), sp.Poly(den, *gens, domain=QQ_I))
+        assert (f.num, f.den) == tuple(sp.Poly(e, *gens, domain=QQ_I) for e in want)
+
+
 def test_float_inputs_degrade_to_inexact():
-    f = RationalFunction.from_expr(0.5 * x + 0.1, (x,))
+    f = from_expr(0.5 * x + 0.1, (x,))
     assert not f.exact
-    g = RationalFunction.from_expr(sp.Rational(1, 2) * x, (x,))
+    g = from_expr(sp.Rational(1, 2) * x, (x,))
     assert g.exact
     assert not (f * g).exact
 
 
 def test_diff_quotient_rule():
-    f = RationalFunction.from_expr(1 / (x - 2), (x,))
-    assert f.diff(x) == RationalFunction.from_expr(-1 / (x - 2) ** 2, (x,))
+    f = from_expr(1 / (x - 2), (x,))
+    assert f.diff(x) == from_expr(-1 / (x - 2) ** 2, (x,))
 
 
 def test_subst_power():
-    f = RationalFunction.from_expr(1 / x, (x,))
-    assert f.subst_power(x, 3) == RationalFunction.from_expr(1 / x ** 3, (x,))
+    f = from_expr(1 / x, (x,))
+    assert f.subst_power(x, 3) == from_expr(1 / x ** 3, (x,))
 
 
 def test_multivariate_exact():
-    f = RationalFunction.from_expr((x + y) / (x * y), (x, y))
-    g = RationalFunction.from_expr(1 / x + 1 / y, (x, y))
+    f = from_expr((x + y) / (x * y), (x, y))
+    g = from_expr(1 / x + 1 / y, (x, y))
     assert f == g
 
 
 def test_eval():
-    f = RationalFunction.from_expr((x + 1) / (x - 1), (x,))
+    f = from_expr((x + 1) / (x - 1), (x,))
     assert abs(f.eval({x: 3.0}) - 2.0) < 1e-15
 
 
 def test_eval_at_a_pole_raises():
-    f = RationalFunction.from_expr((x + 1) / (x - 1), (x,))
+    f = from_expr((x + 1) / (x - 1), (x,))
     with pytest.raises(ZeroDivisionError):
         f.eval({x: 1.0})
 
