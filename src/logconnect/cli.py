@@ -17,8 +17,8 @@ imports the rest itself.  ``predicates``, ``exponent`` and ``lift-rep`` need
 nothing more.  ``check-flat``, ``residues``, ``projectivize``,
 ``reconstruct``, ``lift-trace-free``, ``pullback`` and ``normalize`` read
 exact data and pay for sympy (``normalize`` also for ``scipy.linalg``).
-``monodromy``, ``realize-local`` and ``realize-fuchsian`` transport and pay
-for sympy and ``scipy.integrate`` as well.
+``monodromy``, ``realize-local`` and ``realize-fuchsian`` transport, which
+needs numpy alone, so they too pay only for sympy.
 """
 
 from __future__ import annotations

@@ -223,14 +223,15 @@ class LogConnection:
         return self.components[var][i][j]
 
     def component_callable(self, var: int):
-        """Numeric evaluator x -> Omega_var(x) (ndarray), built once per variable."""
+        """Numeric evaluator x -> Omega_var(x) (ndarray), built once per variable; for
+        coordinates of shape S, the values have shape S + (m, m)."""
         if var not in self._callables:
             entries = [self.entry(var, i, j) for i, j in np.ndindex(self.m, self.m)]
             values = evaluator([f.num for f in entries] + [f.den for f in entries])
             k, shape = len(entries), (self.m, self.m)
             def omega(*xs):
                 v = values(*xs)  # the numerators, then the denominators
-                return (v[:k] / v[k:]).reshape(shape)
+                return (v[..., :k] / v[..., k:]).reshape(v.shape[:-1] + shape)
             self._callables[var] = omega
         return self._callables[var]
 

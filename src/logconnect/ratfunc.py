@@ -74,7 +74,8 @@ def complex_terms(poly) -> dict:
 
 def evaluator(polys):
     """(x_1, ..., x_n) -> ndarray of the values of ``polys`` (not all zero), from tables
-    of their shared monomial exponents and complex coefficients, one variable at a time."""
+    of their shared monomial exponents and complex coefficients, one variable at a time.
+    Coordinates may be arrays of one shape S; the values then have shape S + (len(polys),)."""
     terms = [complex_terms(p) for p in polys]
     monoms = sorted(set().union(*terms))
     exponents = np.array(monoms).T
@@ -82,7 +83,8 @@ def evaluator(polys):
     def values(*point):
         if len(point) != len(exponents):
             raise TypeError(f"expected {len(exponents)} coordinates, got {len(point)}")
-        return reduce(np.multiply, map(np.power, point, exponents)) @ coefficients
+        powers = (np.power(np.asarray(x)[..., None], e) for x, e in zip(point, exponents))
+        return reduce(np.multiply, powers) @ coefficients
     return values
 
 

@@ -1,6 +1,7 @@
 """Command-line interface tests driven by the bundled fixture corpus."""
 
 import importlib.util
+import itertools
 import json
 import os
 import pathlib
@@ -13,7 +14,7 @@ import sympy as sp
 from click.testing import CliRunner
 
 import logconnect
-from logconnect import FuchsianSystem, RiccatiSystem, projective, realize_fuchsian
+from logconnect import FuchsianSystem, RiccatiSystem, mat_exp, projective, realize_fuchsian
 from logconnect.cli import main
 from logconnect.ratfunc import RationalFunction
 from logconnect.serialization import ratfunc_to_json, system_to_json, validate_schema
@@ -419,7 +420,7 @@ NOT_LOADED = {
     **dict.fromkeys(["predicates", "exponent", "lift-rep"], set(HEAVY)),
     **dict.fromkeys(["check-flat", "residues", "projectivize", "reconstruct",
                      "lift-trace-free", "pullback", "normalize"], {"scipy.integrate"}),
-    **dict.fromkeys(["monodromy", "realize-local", "realize-fuchsian"], set()),
+    **dict.fromkeys(["monodromy", "realize-local", "realize-fuchsian"], {"scipy.integrate"}),
 }
 
 
@@ -599,3 +600,30 @@ def test_double_pole_names_the_branch_as_written(tmp_path, value, named):
     assert code == 2, out
     message = json.loads(out)["payload"]["message"]
     assert f"along the branch {named};" in message
+
+
+# rank 3, poles -0.5i, 1 and -1: the default basepoint 2 is rotated off the line through
+# 1 and -1, and the spokes leave it in the order 2, 1, 0 counterclockwise from outward
+RANK3 = {"type": "fuchsian", "rank": 3, "poles": [[0, -0.5], [1, 0], [-1, 0]],
+         "residues": [[[0.1, 0.2, 0], [0, -0.1, 0.1], [0.2, 0, 0.05]],
+                      [[0.05, 0, 0.3], [0.1, 0.2, 0], [0, 0.1, -0.15]],
+                      [[-0.2, 0.1, 0], [0, 0.1, 0.2], [0.1, 0, 0]]]}
+
+
+def test_monodromy_infinity_is_the_loop_around_every_pole(tmp_path):
+    residues = [np.array(A, dtype=complex) for A in RANK3["residues"]]
+    doc = {**RANK3, "residues": [[[[a, 0] for a in row] for row in A]
+                                 for A in RANK3["residues"]]}
+    path = tmp_path / "rank3.json"
+    path.write_text(json.dumps(doc))
+    result = invoke(["monodromy", str(path)])
+    assert result.exit_code == 0, result.output
+    payload = json.loads(result.output)["payload"]
+    M = [np.array([[complex(*e) for e in row] for row in m]) for m in payload["matrices"]]
+    infinity = np.array([[complex(*e) for e in row] for row in payload["infinity"]])
+    want = np.poly(mat_exp(-2j * np.pi * sum(residues)))  # exp(2 pi i A_inf)
+    assert np.max(np.abs(np.poly(infinity) - want)) < 1e-8
+    inverted = [order for order in itertools.permutations(range(3))
+                if np.linalg.norm(infinity @ M[order[2]] @ M[order[1]] @ M[order[0]]
+                                  - np.eye(3)) < 1e-8]
+    assert inverted == [(2, 1, 0)]

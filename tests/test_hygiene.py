@@ -106,7 +106,7 @@ TIERS = {
     "ratfunc": {"sympy"},
     "connections": {"sympy"},
     "projective": {"sympy"},
-    "monodromy": {"sympy", "scipy.integrate"},
+    "monodromy": {"sympy"},
 }
 
 

@@ -1,4 +1,5 @@
 import random
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -22,7 +23,7 @@ from logconnect import (
     transport,
 )
 from logconnect import monodromy
-from logconnect.errors import DegenerateConfiguration, PoleProximity
+from logconnect.errors import DegenerateConfiguration, PoleProximity, ToleranceNotMet
 from logconnect.monodromy import ArcSegment, LineSegment
 
 from conftest import random_fuchsian, rational_matrix
@@ -248,15 +249,15 @@ STIFF_SPOKE = FuchsianSystem(2, [0, -2], [
 
 @pytest.fixture
 def solves(monkeypatch):
-    """The number of ``solve_ivp`` calls transport makes."""
+    """The segment integrations transport makes: one entry per ``_flow`` call."""
     calls = []
-    original = monodromy.solve_ivp
+    original = monodromy._flow
 
     def counting(*args, **kwargs):
         calls.append(1)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(monodromy, "solve_ivp", counting)
+    monkeypatch.setattr(monodromy, "_flow", counting)
     return calls
 
 
@@ -312,8 +313,141 @@ class TestSegmentReuse:
         assert len(solves) == 2  # out along the spoke, around the circle; back is solved
         solves.clear()
         monodromy_rep(F, loops)
-        assert len(solves) == 2 * len(loops)
+        assert len(solves) == 2 * len(loops) + 1  # and once around the circle at infinity
 
     def test_ill_conditioned_spoke_is_integrated_back(self, solves):
         transport(STIFF_SPOKE, standard_loops(STIFF_SPOKE)[1])
         assert len(solves) == 3
+
+
+def _noncommuting(seed):
+    """Rank 2 or 3 with 2-4 poles in the disk of radius 2, at least 0.4 apart, and
+    residues 0.3 (N + iN): non-commuting, and nonresonant with probability one."""
+    rng = np.random.default_rng(seed)
+    m, k = int(rng.integers(2, 4)), int(rng.integers(2, 5))
+    poles = []
+    while len(poles) < k:
+        p = complex(*np.round(rng.uniform(-2, 2, 2), 2))
+        if abs(p) <= 2 and all(abs(p - q) >= 0.4 for q in poles):
+            poles.append(p)
+    return FuchsianSystem(m, poles, [0.3 * (rng.standard_normal((m, m))
+                                            + 1j * rng.standard_normal((m, m)))
+                                     for _ in range(k)])
+
+
+def _same_spectrum(M, A):
+    """M has the eigenvalues of exp(2 pi i A): equal characteristic polynomials."""
+    want = np.poly(mat_exp(2j * np.pi * A))
+    return np.max(np.abs(np.poly(M) - want)) <= 1e-7 * np.max(np.abs(want))
+
+
+class TestLoopAtInfinity:
+    @pytest.mark.parametrize("seed", range(8))
+    def test_enclosing_circle_is_the_lasso_product_in_spoke_order(self, seed):
+        F = _noncommuting(seed)
+        loops = standard_loops(F)
+        b = loops[0].basepoint
+        rep = monodromy_rep(F, loops)
+        # the lassos compose to the ccw circle through b in the order their spokes
+        # leave b, counterclockwise from the outward direction b/|b|
+        spoke = [np.angle((lp.segments[0].end - b) / b) % (2 * np.pi) for lp in loops]
+        order = sorted(range(F.k), key=spoke.__getitem__)
+        product = np.eye(F.m)
+        for i in order:
+            product = rep.matrices[i] @ product
+        circle = transport(F, LoopPath([ArcSegment(0j, abs(b), np.angle(b),
+                                                   np.angle(b) + 2 * np.pi)]))
+        assert _relative(product, circle) < 1e-8
+        assert np.linalg.norm(rep.infinity @ circle - np.eye(F.m)) < 1e-8
+        assert rep.order == tuple(order)
+        assert relation_check(rep, 1e-8)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_each_loop_has_the_spectrum_of_its_residue(self, seed):
+        F = _noncommuting(seed)
+        rep = monodromy_rep(F, standard_loops(F))
+        for i, M in enumerate(rep.matrices):
+            assert _same_spectrum(M, F.residue_array(i))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_infinity_has_the_spectrum_of_the_residue_at_infinity(self, seed):
+        F = _noncommuting(seed)
+        rep = monodromy_rep(F, standard_loops(F))
+        assert _same_spectrum(rep.infinity, F.residue_at_infinity())
+
+    def test_relation_in_pole_order_fails_where_spoke_order_differs(self):
+        differing = 0
+        for seed in range(8):
+            F = _noncommuting(seed)
+            rep = monodromy_rep(F, standard_loops(F))
+            if rep.order != tuple(range(F.k)):
+                differing += 1
+                assert not relation_check(replace(rep, order=None))
+        assert differing >= 3
+
+    def test_user_basepoint_inside_the_poles_takes_a_lasso_out(self):
+        F = _noncommuting(0)
+        bp = 0.1 + 0.05j  # inside the circle |x| = 1 + max|p|
+        rep = monodromy_rep(F, standard_loops(F, basepoint=bp))
+        assert _same_spectrum(rep.infinity, F.residue_at_infinity())
+        assert relation_check(rep, 1e-8)
+
+
+class TestPanels:
+    @pytest.mark.parametrize("F", [NEAR_PM3, STIFF_SPOKE] + [_noncommuting(s) for s in range(8)],
+                             ids=["near_pm3", "stiff_spoke"] + [f"seed{s}" for s in range(8)])
+    def test_tol_1e_10_is_within_1e_9_of_tol_1e_13(self, F):
+        loops = standard_loops(F)
+        coarse, fine = monodromy_rep(F, loops, tol=1e-10), monodromy_rep(F, loops, tol=1e-13)
+        for a, b in zip(coarse.matrices + (coarse.infinity,), fine.matrices + (fine.infinity,)):
+            assert _relative(a, b) < 1e-9
+
+    def test_depth_cap_raises_after_a_bounded_number_of_panels(self):
+        calls = []
+
+        def nan_omega(x, dx):
+            calls.append(1)
+            return np.full(x.shape + (2, 2), np.nan)
+
+        with pytest.raises(ToleranceNotMet):
+            monodromy._flow(nan_omega, LineSegment(1.0, 2.0), np.eye(2, dtype=complex), 1e-10)
+        assert len(calls) == monodromy.MAX_DEPTH + 1  # bisected from the whole segment
+
+    def test_a_path_grazing_a_pole_raises_instead_of_looping(self, monkeypatch):
+        F = FuchsianSystem(2, [0], [[[0.3, 0.1], [0.2, -0.1]]])
+        omega, panels = monodromy._omega_callable(F), []
+
+        def counting(x, dx):
+            panels.append(1)
+            return omega(x, dx)
+
+        monkeypatch.setattr(monodromy, "_omega_callable", lambda C: counting)
+        # clears the pole by 1e-11: that passes the proximity check, but resolving it
+        # needs panels narrower than 2**-MAX_DEPTH of the segment
+        path = LoopPath([LineSegment(-1 + 1e-11j, 1 + 1e-11j), LineSegment(1 + 1e-11j, -1j),
+                         LineSegment(-1j, -1 + 1e-11j)])
+        with pytest.raises(ToleranceNotMet):
+            transport(F, path)
+        assert len(panels) < 20 * monodromy.MAX_DEPTH
+
+
+@pytest.mark.parametrize("kind", ["fuchsian", "local_model", "trace_free_lift"])
+def test_stacked_omega_is_the_per_point_omega(kind, nprng):
+    from logconnect import trace_free_lift
+
+    A = 0.5 * (nprng.normal(size=(2, 2)) + 1j * nprng.normal(size=(2, 2)))
+    F = FuchsianSystem(2, [0, 1, -0.5j], [A, A.T, np.diag([0.25, -0.5])])
+    C = {"fuchsian": F, "local_model": LocalModel(2, [A]),
+         "trace_free_lift": trace_free_lift(projectivize(F))}[kind]
+    x = 2.0 * np.exp(2j * np.pi * nprng.uniform(size=16)) + 0.3
+    dx = nprng.normal(size=16) + 1j * nprng.normal(size=16)
+    stacked = monodromy._omega_callable(C)(x, dx)
+    if kind == "fuchsian":
+        want = np.array([sum(F.residue_array(i) * d / (p - q) for i, q in
+                             enumerate(monodromy._poles_of(F))) for p, d in zip(x, dx)])
+    elif kind == "local_model":
+        want = np.array([A * d / p for p, d in zip(x, dx)])
+    else:
+        want = np.array([C.component_callable(0)(complex(p)) * d for p, d in zip(x, dx)])
+    assert stacked.shape == (16, 2, 2)
+    assert _relative(stacked, want) < 1e-14
