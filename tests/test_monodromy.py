@@ -402,6 +402,12 @@ class TestPanels:
         for a, b in zip(coarse.matrices + (coarse.infinity,), fine.matrices + (fine.infinity,)):
             assert _relative(a, b) < 1e-9
 
+    def test_a_stiff_panel_is_not_accepted_unresolved(self):
+        # around the unit circle dY = -1e12 Y dt, so Y(1) = exp(-1e12); on the whole
+        # circle 16- and 12-node collocation both give about 1 and agree to 2.3e-10
+        model = LocalModel(1, [np.array([[1e12j / (2 * np.pi)]])])
+        assert abs(transport(model, circle_loop(0, 1.0), tol=1e-6)[0, 0]) < 1e-6
+
     def test_depth_cap_raises_after_a_bounded_number_of_panels(self):
         calls = []
 
