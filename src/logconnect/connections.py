@@ -8,7 +8,7 @@ the general ``LogConnection``, whose entries are exact rational functions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import reduce
+from functools import cached_property, reduce
 from operator import add, mul
 
 import numpy as np
@@ -25,12 +25,12 @@ from .errors import (
 )
 from .ratfunc import (
     RationalFunction,
+    branch_line,
     complex_terms,
     evaluator,
     from_terms,
-    is_exact_input,
     to_complex,
-    to_exact_scalar,
+    to_scalar,
 )
 
 __all__ = [
@@ -47,24 +47,44 @@ __all__ = [
 ]
 
 
-def _residue_tuple(m, residues):
-    """Residues as nested tuples of exact sympy scalars, each checked m x m.
-
-    Also returns whether every input entry was exact.
-    """
-    mats = [np.asarray(A, dtype=object) for A in residues]
-    exact = all(is_exact_input(e) for A in mats for row in A for e in row)
-    res_t = tuple(tuple(tuple(to_exact_scalar(e) for e in row) for row in A)
-                  for A in mats)
-    for A in res_t:
-        if len(A) != m or any(len(row) != m for row in A):
-            raise ValueError(f"residues must be {m}x{m}")
-    return res_t, exact
+def _read_only(values) -> np.ndarray:
+    """A complex array of ``values`` that cannot be written: a cached view is shared."""
+    out = np.array(values, dtype=complex)
+    out.setflags(write=False)
+    return out
 
 
-def matrix_array(M) -> np.ndarray:
-    """Numeric complex ndarray view of a stored scalar matrix."""
-    return np.array([[to_complex(e) for e in row] for row in M], dtype=complex)
+class _Residues:
+    """What the two residue models share: ``residues`` hold ``QQ_I`` elements, and
+    ``residue_arrays`` are their complex values, built on first use."""
+
+    def _read_residues(self, m, residues) -> bool:
+        """Store the rank m and the residues as nested tuples of ``QQ_I`` elements, each
+        checked m x m, and return whether every entry was exact; an entry is any scalar
+        ``ratfunc.to_scalar`` reads (int, ``Fraction``, float, complex, sympy number or
+        ``QQ_I`` element)."""
+        read = [[[to_scalar(e) for e in row] for row in np.asarray(A, dtype=object)]
+                for A in residues]
+        for A in read:
+            if len(A) != m or any(len(row) != m for row in A):
+                raise ValueError(f"residues must be {m}x{m}")
+        object.__setattr__(self, "m", int(m))
+        object.__setattr__(self, "residues", tuple(tuple(tuple(v for v, _ in row) for row in A)
+                                                   for A in read))
+        return all(e for A in read for row in A for _, e in row)
+
+    @property
+    def k(self) -> int:
+        return len(self.residues)
+
+    @cached_property
+    def residue_arrays(self) -> np.ndarray:
+        """The residues as a read-only complex (k, m, m) array."""
+        return _read_only([[[to_complex(e) for e in row] for row in A]
+                           for A in self.residues]).reshape(self.k, self.m, self.m)
+
+    def residue_array(self, i: int) -> np.ndarray:
+        return self.residue_arrays[i]
 
 
 def _pole_sums(m, gens, lines, residues, exact):
@@ -75,12 +95,11 @@ def _pole_sums(m, gens, lines, residues, exact):
     den is prod_S l_k and its num sum_S A_k[i][j] prod_{S - k} l_l, which
     vanishes at no zero of den.  The products are formed once per support.
     """
-    coeffs = [[[QQ_I.from_sympy(a) for a in row] for row in A] for A in residues]
     one = from_terms({(0,) * len(gens): QQ_I.one}, gens)
     products = {}  # support -> (den, the cofactor of each of its lines)
 
     def entry(i, j):
-        support = tuple(k for k, A in enumerate(coeffs) if A[i][j])
+        support = tuple(k for k, A in enumerate(residues) if A[i][j])
         if not support:
             return RationalFunction.zero(gens)
         if support not in products:
@@ -88,16 +107,17 @@ def _pole_sums(m, gens, lines, residues, exact):
             products[support] = (reduce(mul, factors), [
                 reduce(mul, factors[:s] + factors[s + 1:], one) for s in range(len(factors))])
         den, cofactors = products[support]
-        num = reduce(add, (c.mul_ground(coeffs[k][i][j]) for k, c in zip(support, cofactors)))
+        num = reduce(add, (c.mul_ground(residues[k][i][j]) for k, c in zip(support, cofactors)))
         return RationalFunction(num, den, exact=exact, _normalized=True)
 
     return tuple(tuple(entry(i, j) for j in range(m)) for i in range(m))
 
 
 @dataclass(frozen=True)
-class FuchsianSystem:
+class FuchsianSystem(_Residues):
     """Global rank-m system on the sphere: omega = sum_i A_i dx/(x - p_i).
 
+    ``poles`` hold ``QQ_I`` elements too, and ``pole_array`` their complex values.
     The residue at infinity is always implied (-sum A_i), never stored.
     """
 
@@ -109,26 +129,22 @@ class FuchsianSystem:
     def __init__(self, m, poles, residues):
         if len(poles) != len(residues):
             raise ValueError("one residue matrix per pole required")
-        poles_t = tuple(to_exact_scalar(p) for p in poles)
-        pts = [to_complex(p) for p in poles_t]
+        read = [to_scalar(p) for p in poles]
+        object.__setattr__(self, "poles", tuple(p for p, _ in read))
+        pts = self.pole_array.tolist()
         for i, a in enumerate(pts):
             # the pointer names a field of the ``fuchsian`` JSON document
             if any(abs(a - b) <= 1e-9 for b in pts[:i]):
                 raise SchemaViolation(
                     f"/poles/{i}", "poles must be pairwise distinct (separation > 1e-9)"
                 )
-        res_t, exact = _residue_tuple(m, residues)
-        object.__setattr__(self, "m", int(m))
-        object.__setattr__(self, "poles", poles_t)
-        object.__setattr__(self, "residues", res_t)
-        object.__setattr__(self, "exact", exact and all(is_exact_input(p) for p in poles))
+        exact = self._read_residues(m, residues)
+        object.__setattr__(self, "exact", exact and all(e for _, e in read))
 
-    @property
-    def k(self) -> int:
-        return len(self.poles)
-
-    def residue_array(self, i: int) -> np.ndarray:
-        return matrix_array(self.residues[i])
+    @cached_property
+    def pole_array(self) -> np.ndarray:
+        """The poles as a read-only complex vector."""
+        return _read_only([to_complex(p) for p in self.poles])
 
     def residue_at_infinity(self) -> np.ndarray:
         return -sum(self.residue_array(i) for i in range(self.k))
@@ -142,8 +158,7 @@ class FuchsianSystem:
         if cached is not None:
             return cached
         x = sp.Symbol("x")
-        lines = [from_terms({(1,): QQ_I.one, (0,): -QQ_I.from_sympy(p)}, (x,))
-                 for p in self.poles]
+        lines = [branch_line((x,), 0, p) for p in self.poles]
         comp = _pole_sums(self.m, (x,), lines, self.residues, self.exact)
         divisor = tuple((0, p) for p in self.poles)
         conn = LogConnection(self.m, (x,), divisor, (comp,), exact=self.exact)
@@ -152,7 +167,7 @@ class FuchsianSystem:
 
 
 @dataclass(frozen=True)
-class LocalModel:
+class LocalModel(_Residues):
     """Local model D_A: omega = sum_i A_i dx_i / x_i on a polydisk chart.
 
     Flatness is exactly pairwise commutation of the residues; the model does
@@ -172,18 +187,8 @@ class LocalModel:
             n = k
         if k > n:
             raise ValueError("need at least as many chart variables as divisor branches")
-        res_t, exact = _residue_tuple(m, residues)
-        object.__setattr__(self, "m", int(m))
+        object.__setattr__(self, "exact", self._read_residues(m, residues))
         object.__setattr__(self, "n", int(n))
-        object.__setattr__(self, "residues", res_t)
-        object.__setattr__(self, "exact", exact)
-
-    @property
-    def k(self) -> int:
-        return len(self.residues)
-
-    def residue_array(self, i: int) -> np.ndarray:
-        return matrix_array(self.residues[i])
 
     def to_log_connection(self) -> "LogConnection":
         """The embedding: component j is A_j / x_j for a branch j, else zero.  Built
@@ -191,18 +196,18 @@ class LocalModel:
         reduced with a monic denominator, and each zero entry is
         ``RationalFunction.zero``."""
         gens = sp.symbols(f"x1:{self.n + 1}") if self.n > 1 else (sp.Symbol("x1"),)
-        lines = [sp.Poly(g, *gens, domain=QQ_I) for g in gens]
-        comps = tuple(_pole_sums(self.m, gens, lines[j:j + 1], self.residues[j:j + 1], self.exact)
+        comps = tuple(_pole_sums(self.m, gens, [branch_line(gens, j, QQ_I.zero)],
+                                 self.residues[j:j + 1], self.exact)
                       for j in range(self.n))
-        divisor = tuple((j, sp.Integer(0)) for j in range(self.k))
+        divisor = tuple((j, QQ_I.zero) for j in range(self.k))
         return LogConnection(self.m, gens, divisor, comps, exact=self.exact)
 
 
 class LogConnection:
     """omega = sum_j Omega_j dx_j with first-order poles along coordinate branches.
 
-    ``divisor`` is a tuple of (variable index, value) pairs, each standing for
-    the branch x_var = value.  ``components`` holds the n matrices Omega_j as
+    ``divisor`` is a tuple of (variable index, ``QQ_I`` value) pairs, each standing
+    for the branch x_var = value.  ``components`` holds the n matrices Omega_j as
     nested tuples of :class:`RationalFunction`.
     """
 
@@ -210,11 +215,12 @@ class LogConnection:
         self.m = int(m)
         self.gens = tuple(gens)
         self.n = len(self.gens)
-        self.divisor = tuple((int(v), to_exact_scalar(c)) for v, c in divisor)
+        read = [(int(v), to_scalar(c)) for v, c in divisor]
+        self.divisor = tuple((v, c) for v, (c, _) in read)
         self.components = tuple(
             tuple(tuple(row) for row in comp) for comp in components
         )
-        self.exact = bool(exact)
+        self.exact = bool(exact) and all(e for _, (_, e) in read)
         self._callables = {}  # var -> numeric evaluator of Omega_var
         if len(self.components) != self.n:
             raise ValueError("one matrix component per chart variable required")
@@ -314,15 +320,13 @@ def line_quotient(poly, line, exact: bool, tol: float = 1e-10):
 
 def residue(C, branch, tol: float = 1e-10) -> np.ndarray:
     """Residue matrix along a divisor branch; ``branch='inf'`` for Fuchsian infinity."""
-    if isinstance(C, FuchsianSystem):
-        if branch == "inf" or branch == C.k:
-            return C.residue_at_infinity()
-        return C.residue_array(branch)
-    if isinstance(C, LocalModel):
+    if isinstance(C, FuchsianSystem) and branch in ("inf", C.k):
+        return C.residue_at_infinity()
+    if isinstance(C, _Residues):
         return C.residue_array(branch)
     conn = _as_connection(C)
     var, value = conn.divisor[branch]
-    line = sp.Poly(conn.gens[var] - value, *conn.gens, domain=QQ_I)
+    line = branch_line(conn.gens, var, value)
     # an entry num/den has residue num/q at x = value when den = (x - value) q, else 0
     parts = {}
     for i, j in np.ndindex(conn.m, conn.m):
@@ -365,22 +369,21 @@ def pullback_power(C, var: int, nu: int):
         raise ValueError(f"var must index a chart variable, 0 <= var < {n}")
     if isinstance(C, LocalModel) and var >= C.k:
         return C
-    if isinstance(C, FuchsianSystem):
-        if C.k != 1:
-            conn = C.to_log_connection()
-            return pullback_power(conn, var, nu)
-        if C.poles[0] != 0:
-            raise UnsupportedBranch("pullback branch must pass through the origin")
-        scaled = [[sp.Integer(nu) * e for e in row] for row in C.residues[0]]
-        return FuchsianSystem(C.m, (0,), (scaled,))
-    if isinstance(C, LocalModel):
+    if isinstance(C, FuchsianSystem) and C.k != 1:
+        return pullback_power(C.to_log_connection(), var, nu)
+    if isinstance(C, FuchsianSystem) and C.poles[0]:
+        raise UnsupportedBranch("pullback branch must pass through the origin")
+    if isinstance(C, _Residues):
         scaled = list(C.residues)
-        A = [[sp.Integer(nu) * e for e in row] for row in C.residues[var]]
-        scaled[var] = A
-        return LocalModel(C.m, scaled, n=C.n)
+        scaled[var] = [[nu * e for e in row] for row in scaled[var]]
+        out = FuchsianSystem(C.m, C.poles, scaled) if isinstance(C, FuchsianSystem) \
+            else LocalModel(C.m, scaled, n=C.n)
+        # the constructor reads the stored values as exact, whatever they came from
+        object.__setattr__(out, "exact", C.exact)
+        return out
     conn = _as_connection(C)
     branches = [b for b in conn.divisor if b[0] == var]
-    if any(c != 0 for _, c in branches):
+    if any(c for _, c in branches):
         raise UnsupportedBranch(
             "pullback branch must be of the form x_var = 0 (translate first)"
         )
@@ -410,7 +413,7 @@ def _series_parts(conn: LogConnection):
     Entries are reduced with a monic denominator, so the form holds iff every
     denominator is 1 or x; the coefficients are then read off the numerators.
     """
-    if conn.n != 1 or len(conn.divisor) != 1 or conn.divisor[0][1] != 0:
+    if conn.n != 1 or len(conn.divisor) != 1 or conn.divisor[0][1]:
         raise ValueError("normalization needs a one-variable system with single branch x = 0")
     m = conn.m
     laurent = {}  # (k, i, j) -> coefficient of x^(k - 1) in entry (i, j)

@@ -57,6 +57,12 @@ class LineSegment:
     def point_and_velocity(self, t):
         return self.point(t), np.full(np.shape(t), self.end - self.start)
 
+    def distance(self, p) -> float:
+        """The distance from p to the segment: to the projection of p, clamped to it."""
+        d = self.end - self.start
+        t = ((p - self.start) * d.conjugate()).real / abs(d) ** 2 if d else 0.0
+        return abs(p - self.point(min(max(t, 0.0), 1.0)))
+
     def reversed(self) -> "LineSegment":
         return LineSegment(self.end, self.start)
 
@@ -75,6 +81,15 @@ class ArcSegment:
         sweep = self.to_angle - self.from_angle
         z = self.radius * np.exp(1j * (self.from_angle + t * sweep))
         return self.center + z, 1j * sweep * z
+
+    def distance(self, p) -> float:
+        """The distance from p to the arc: to the circle when the direction of p from
+        the center lies in the swept angles, else to the nearer endpoint."""
+        lo, hi = sorted((self.from_angle, self.to_angle))
+        v = p - self.center
+        if lo + (np.angle(v) - lo) % TWO_PI <= hi:
+            return abs(abs(v) - self.radius)
+        return min(abs(p - self.point(0.0)), abs(p - self.point(1.0)))
 
     def reversed(self) -> "ArcSegment":
         return ArcSegment(self.center, self.radius, self.to_angle, self.from_angle)
@@ -101,10 +116,8 @@ class LoopPath:
         return np.concatenate([s.point(ts) for s in self.segments])
 
     def clearance(self, poles) -> float:
-        pts = self.samples()
-        return min(
-            float(np.min(np.abs(pts - to_complex(p)))) for p in poles
-        ) if len(list(poles)) else np.inf
+        """The least distance from the path to any of the complex ``poles`` (inf for none)."""
+        return min((s.distance(p) for s in self.segments for p in poles), default=np.inf)
 
     def reversed(self) -> "LoopPath":
         return LoopPath([s.reversed() for s in self.segments[::-1]], basepoint=self.basepoint)
@@ -149,13 +162,13 @@ def circle_loop(center, radius, basepoint=None) -> LoopPath:
                     basepoint=basepoint)
 
 
-def standard_loops(F: FuchsianSystem, basepoint=None, clearance=None):
+def standard_loops(F: FuchsianSystem, basepoint=None):
     """One lasso per pole: spoke toward the pole, ccw circle, spoke back.
 
     Corridors are straight; a (near-)collinear pole/basepoint configuration is
     rejected rather than silently producing crossing corridors.
     """
-    poles = [to_complex(p) for p in F.poles]
+    poles = F.pole_array.tolist()
     defaulted = basepoint is None
     if defaulted:
         basepoint = 1.0 + max(abs(p) for p in poles)
@@ -196,8 +209,6 @@ def standard_loops(F: FuchsianSystem, basepoint=None, clearance=None):
             + [abs(p - basepoint)]
         )
         r = nearest / 3.0
-        if clearance is not None:
-            r = min(r, clearance)
         direction = (p - basepoint) / abs(p - basepoint)
         entry = p - r * direction
         ang = float(np.angle(entry - p))
@@ -216,7 +227,7 @@ def standard_loops(F: FuchsianSystem, basepoint=None, clearance=None):
 
 def _poles_of(C):
     if isinstance(C, FuchsianSystem):
-        return [to_complex(p) for p in C.poles]
+        return C.pole_array.tolist()
     if isinstance(C, LocalModel):
         return [0.0]
     conn = _as_connection(C)
@@ -231,8 +242,7 @@ def _omega_callable(C):
     if isinstance(C, FuchsianSystem):
         m = C.m
         # the k residues stacked as rows, so sum_i A_i dx / (x - p_i) is one product
-        stacked = np.array([C.residue_array(i) for i in range(C.k)]).reshape(C.k, m * m)
-        poles = np.array(_poles_of(C), dtype=complex)
+        stacked, poles = C.residue_arrays.reshape(C.k, m * m), C.pole_array
         return lambda x, dx: ((dx[..., None] / (x[..., None] - poles)) @ stacked).reshape(
             x.shape + (m, m))
     if isinstance(C, LocalModel):

@@ -1,10 +1,12 @@
 """Exact multivariate rational functions over the Gaussian rationals.
 
-Entries of logarithmic connection matrices live here.  Coefficients are
-always kept in sympy's ``QQ_I`` domain, and this is the one module where they
-cross to and from complex numbers; floating-point inputs are converted to
-their exact dyadic value and the fraction carries an ``exact`` flag so
-comparisons can fall back to a tolerance when the provenance was inexact.
+The library's one exact scalar is the ``QQ_I`` element.  Polynomial coefficients
+are such elements, and so are the poles, residues and branch values that systems
+store, each read once by ``to_scalar`` from an int, ``Fraction``, float, complex,
+sympy number or ``QQ_I`` element.  A float, or a sympy number that is not a
+Gaussian rational (``sqrt(2)``), becomes an exact dyadic value and marks the data
+inexact, so comparisons can fall back to a tolerance.  This is the one module
+where exact scalars cross to and from complex numbers and sympy numbers.
 """
 
 from __future__ import annotations
@@ -19,29 +21,8 @@ from sympy.polys.densetools import dup_monic
 from sympy.polys.domains import QQ, QQ_I
 from sympy.polys.polyclasses import DMP
 
-__all__ = ["RationalFunction", "evaluator", "complex_terms", "from_terms", "to_complex",
-           "to_qqi", "to_exact_scalar", "is_exact_input"]
-
-
-def is_exact_input(value) -> bool:
-    """True when ``value`` carries no floating-point contamination."""
-    if isinstance(value, sp.Basic):
-        return not value.has(sp.Float)
-    if isinstance(value, (float, complex)):
-        return float(value.real).is_integer() and float(value.imag).is_integer()
-    return isinstance(value, (int, Fraction))
-
-
-def to_exact_scalar(value) -> sp.Expr:
-    """Convert a scalar to an exact sympy number (floats become dyadic rationals)."""
-    if isinstance(value, sp.Basic) and not value.has(sp.Float):
-        return value
-    if isinstance(value, (int, Fraction)):
-        return sp.Rational(value)
-    if not isinstance(value, (float, complex, sp.Basic)):
-        raise TypeError(f"cannot interpret {value!r} as a complex scalar")
-    c = complex(value)
-    return QQ_I.to_sympy(to_qqi(c.real, c.imag))
+__all__ = ["RationalFunction", "evaluator", "complex_terms", "from_terms", "branch_line",
+           "to_complex", "to_qqi", "to_scalar"]
 
 
 def to_qqi(re, im=0):
@@ -50,21 +31,35 @@ def to_qqi(re, im=0):
     return QQ_I(QQ(re.numerator, re.denominator), QQ(im.numerator, im.denominator))
 
 
+def to_scalar(value):
+    """``value`` as a ``QQ_I`` element, and whether it is exact.  An int, ``Fraction``,
+    ``QQ_I`` element or sympy Gaussian rational is.  Any other value becomes the dyadic
+    value of its complex value, exact only for a float or complex with integer parts."""
+    if isinstance(value, QQ_I.dtype):
+        return value, True
+    if isinstance(value, (int, Fraction)):
+        return to_qqi(value), True
+    if isinstance(value, sp.Basic) and not value.has(sp.Float):
+        try:
+            return QQ_I.from_sympy(value), True
+        except sp.polys.CoercionFailed:
+            pass
+    if not isinstance(value, (float, complex, sp.Basic)):
+        raise TypeError(f"cannot interpret {value!r} as a complex scalar")
+    c = complex(value)
+    exact = not isinstance(value, sp.Basic) and c.real.is_integer() and c.imag.is_integer()
+    return to_qqi(c.real, c.imag), exact
+
+
 def _qqi_complex(z) -> complex:
     """A ``QQ_I`` element as a complex number, each part correctly rounded."""
     return complex(float(z.x), float(z.y))
 
 
 def to_complex(value) -> complex:
-    """A scalar as a complex number: a sympy number is read through ``QQ_I``, each
-    part correctly rounded and with no ``evalf``, unless it is not a Gaussian
-    rational (say ``sqrt(2)``); anything else goes through ``complex``."""
-    if isinstance(value, sp.Basic):
-        try:
-            return _qqi_complex(QQ_I.from_sympy(value))
-        except sp.polys.CoercionFailed:
-            pass
-    return complex(value)
+    """A scalar as a complex number, read by ``to_scalar``: each part correctly
+    rounded, and with no ``evalf`` for a Gaussian rational."""
+    return _qqi_complex(to_scalar(value)[0])
 
 
 def complex_terms(poly) -> dict:
@@ -91,6 +86,12 @@ def evaluator(polys):
 def from_terms(terms: dict, gens) -> sp.Poly:
     """The polynomial in ``gens`` with the terms monomial -> ``QQ_I`` coefficient."""
     return sp.Poly.new(DMP.from_dict(terms, len(gens) - 1, QQ_I), *gens)
+
+
+def branch_line(gens, var: int, c) -> sp.Poly:
+    """The line x_var - c in ``gens`` of the branch x_var = c, for a ``QQ_I`` element c."""
+    n = len(gens)
+    return from_terms({tuple(int(i == var) for i in range(n)): QQ_I.one, (0,) * n: -c}, gens)
 
 
 def _gcd(num: sp.Poly, den: sp.Poly) -> sp.Poly:
@@ -133,10 +134,10 @@ class RationalFunction:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def constant(cls, value, gens, exact=None) -> "RationalFunction":
-        if exact is None:
-            exact = is_exact_input(value)
-        num = from_terms({(0,) * len(gens): QQ_I.from_sympy(to_exact_scalar(value))}, gens)
+    def constant(cls, value, gens) -> "RationalFunction":
+        """The constant ``value``, read by ``to_scalar``."""
+        c, exact = to_scalar(value)
+        num = from_terms({(0,) * len(gens): c}, gens)
         return cls(num, num.one, exact=exact, _normalized=True)
 
     @classmethod

@@ -76,20 +76,18 @@ def _complex(value, pointer):
 
 
 def parse_scalar(value, pointer=""):
-    """[re, im] (or bare number) -> exact sympy scalar plus exactness flag."""
-    from sympy.polys.domains import QQ_I
-
+    """[re, im] (or bare number) -> its exact ``QQ_I`` element plus exactness flag."""
     from .ratfunc import to_qqi
 
     re, im, exact = _parts(value, pointer)
-    return QQ_I.to_sympy(to_qqi(re, im)), exact
+    return to_qqi(re, im), exact
 
 
 def _exact_or_complex(value, pointer):
-    """The exact sympy scalar, or its complex value when the input is inexact;
+    """The exact ``QQ_I`` element, or the complex value when the input is inexact;
     a complex entry marks the system built from it inexact."""
     v, exact = parse_scalar(value, pointer)
-    return v if exact else complex(v)
+    return v if exact else _complex(value, pointer)
 
 
 def scalar_to_json(z):
@@ -110,7 +108,7 @@ def _matrix(doc, m, pointer, read):
 
 
 def parse_matrix(doc, m, pointer):
-    """Exact entries as sympy scalars, inexact ones as complex numbers."""
+    """Exact entries as ``QQ_I`` elements, inexact ones as complex numbers."""
     return _matrix(doc, m, pointer, _exact_or_complex)
 
 
@@ -237,7 +235,7 @@ def _parse_gens_field(doc, pointer):
 
 
 def _parse_divisor(doc, nvars, pointer):
-    """The branches as (var, exact value) pairs, plus whether each value was exact."""
+    """The branches as (var, ``QQ_I`` value) pairs, plus whether each value was exact."""
     out, exacts = [], []
     for i, d in enumerate(_require(doc, "divisor", pointer, list)):
         if not isinstance(d, dict):
@@ -251,11 +249,8 @@ def _parse_divisor(doc, nvars, pointer):
 
 
 def _parse_log_connection(doc):
-    import sympy as sp
-    from sympy.polys.domains import QQ_I
-
     from .connections import LogConnection, line_quotient
-    from .ratfunc import to_complex
+    from .ratfunc import branch_line, to_complex
 
     m = _integer(doc, "rank")
     gens = _parse_gens_field(doc, "")
@@ -263,22 +258,11 @@ def _parse_log_connection(doc):
     comps_doc = _require(doc, "components", "", list)
     if len(comps_doc) != len(gens):
         raise SchemaViolation("/components", "one matrix component per variable required")
-    comps = []
-    for v, comp in enumerate(comps_doc):
-        if not isinstance(comp, list) or len(comp) != m:
-            raise SchemaViolation(f"/components/{v}", f"expected {m} rows")
-        rows = []
-        for i, row in enumerate(comp):
-            if not isinstance(row, list) or len(row) != m:
-                raise SchemaViolation(f"/components/{v}/{i}", f"expected {m} entries")
-            rows.append(tuple(
-                parse_ratfunc(e, gens, f"/components/{v}/{i}/{j}")
-                for j, e in enumerate(row)
-            ))
-        comps.append(tuple(rows))
+    comps = [_matrix(comp, m, f"/components/{v}", lambda e, ptr: parse_ratfunc(e, gens, ptr))
+             for v, comp in enumerate(comps_doc)]
     exact = all(exacts) and all(f.exact for comp in comps for row in comp for f in row)
     for (v, c), c_exact in zip(divisor, exacts):
-        line = sp.Poly(gens[v] - c, *gens, domain=QQ_I)
+        line = branch_line(gens, v, c)
         for i, row in enumerate(comps[v]):
             for j, f in enumerate(row):
                 # (x - c)^2 divides the denominator, within tolerance for inexact data
@@ -292,7 +276,7 @@ def _parse_log_connection(doc):
                         f"pole of order > 1 along the branch {gens[v]} = {value}; "
                         "entries must be logarithmic",
                     )
-    return LogConnection(m, gens, divisor, tuple(comps), exact=exact)
+    return LogConnection(m, gens, divisor, comps, exact=exact)
 
 
 def _parse_oneform(doc, gens, pointer):
@@ -441,20 +425,21 @@ def system_to_json(obj):
         return matrix_to_json(obj)
     from .connections import FuchsianSystem, GaugeSeries, LocalModel, LogConnection
     from .projective import RiccatiSystem
+    from .ratfunc import to_complex
 
     if isinstance(obj, FuchsianSystem):
         return {
             "type": "fuchsian",
             "rank": obj.m,
-            "poles": [scalar_to_json(p) for p in obj.poles],
-            "residues": [matrix_to_json(obj.residue_array(i)) for i in range(obj.k)],
+            "poles": [scalar_to_json(p) for p in obj.pole_array],
+            "residues": [matrix_to_json(R) for R in obj.residue_arrays],
         }
     if isinstance(obj, LocalModel):
         return {
             "type": "local_model",
             "rank": obj.m,
             "vars": obj.n,
-            "residues": [matrix_to_json(obj.residue_array(i)) for i in range(obj.k)],
+            "residues": [matrix_to_json(R) for R in obj.residue_arrays],
         }
     if isinstance(obj, LogConnection):
         return {
@@ -462,7 +447,7 @@ def system_to_json(obj):
             "rank": obj.m,
             "vars": [g.name for g in obj.gens],
             "divisor": [
-                {"var": v, "value": scalar_to_json(c)} for v, c in obj.divisor
+                {"var": v, "value": scalar_to_json(to_complex(c))} for v, c in obj.divisor
             ],
             "components": [
                 [[ratfunc_to_json(obj.entry(v, i, j)) for j in range(obj.m)]
@@ -476,7 +461,7 @@ def system_to_json(obj):
             "rank": obj.m,
             "vars": [g.name for g in obj.gens],
             "divisor": [
-                {"var": v, "value": scalar_to_json(c)} for v, c in obj.divisor
+                {"var": v, "value": scalar_to_json(to_complex(c))} for v, c in obj.divisor
             ],
             "b": [_oneform_to_json(f) for f in obj.b],
             "delta": [_oneform_to_json(f) for f in obj.delta],

@@ -7,7 +7,6 @@ import sympy as sp
 from sympy.polys.domains import QQ_I
 
 from logconnect import FuchsianSystem, RationalFunction
-from logconnect.ratfunc import to_exact_scalar
 
 
 def gaussian_rational(rng, span=4, den=3):
@@ -37,7 +36,8 @@ def from_expr(expr, gens):
     exact dyadic value and marks the result inexact."""
     expr = sp.sympify(expr)
     exact = not expr.has(sp.Float)
-    n, d = sp.fraction(sp.together(expr.replace(lambda e: e.is_Float, to_exact_scalar)))
+    n, d = sp.fraction(sp.together(expr.replace(lambda e: e.is_Float,
+                                                lambda e: sp.Rational(float(e)))))
     return RationalFunction(sp.Poly(n, *gens, domain=QQ_I), sp.Poly(d, *gens, domain=QQ_I),
                             exact=exact)
 

@@ -627,3 +627,20 @@ def test_monodromy_infinity_is_the_loop_around_every_pole(tmp_path):
                 if np.linalg.norm(infinity @ M[order[2]] @ M[order[1]] @ M[order[0]]
                                   - np.eye(3)) < 1e-8]
     assert inverted == [(2, 1, 0)]
+
+
+def test_loop_through_a_pole_is_pole_proximity(tmp_path):
+    # the line from -1 to 1 meets the pole 0 at its midpoint, which a sampled
+    # clearance misses; the collocation then fails and numpy warns on stderr
+    path = tmp_path / "loops.json"
+    path.write_text(json.dumps([{"basepoint": [-1, 0], "segments": [
+        {"kind": "line", "to": [1, 0]}, {"kind": "line", "to": [-1, 0]}]}]))
+    src = str(pathlib.Path(logconnect.__file__).parent.parent)
+    pythonpath = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    r = subprocess.run([sys.executable, "-c", "from logconnect.cli import main; main()",
+                        "monodromy", str(FIXTURES / "fuchsian_quarter.json"), "--loops", str(path)],
+                       capture_output=True, text=True, timeout=60,
+                       env={**os.environ, "PYTHONPATH": pythonpath})
+    assert r.returncode == 2, r.stdout
+    assert json.loads(r.stdout)["payload"]["error"] == "PoleProximity"
+    assert r.stderr == ""

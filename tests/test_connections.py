@@ -19,7 +19,7 @@ from logconnect import (
 from logconnect.connections import LogConnection
 from logconnect.errors import ResonantResidue, UnsupportedBranch
 from logconnect.projective import projectivize, reconstruct
-from logconnect.ratfunc import RationalFunction
+from logconnect.ratfunc import RationalFunction, to_qqi
 from logconnect.serialization import validate_schema
 
 from conftest import from_expr, random_fuchsian, rational_matrix, trace_form
@@ -132,6 +132,15 @@ class TestPullback:
         F = FuchsianSystem(2, [1], [[[1, 0], [0, 1]]])
         with pytest.raises(UnsupportedBranch):
             pullback_power(F.to_log_connection(), 0, 2)
+
+    @pytest.mark.parametrize("value, exact", [(0.3, False), (sp.Rational(3, 10), True)])
+    @pytest.mark.parametrize("kind", [FuchsianSystem, LocalModel])
+    def test_keeps_the_exact_flag(self, kind, value, exact):
+        C = FuchsianSystem(1, [0], [[[value]]]) if kind is FuchsianSystem else \
+            LocalModel(1, [[[value]]])
+        out = pullback_power(C, 0, 2)
+        assert (C.exact, out.exact) == (exact, exact)
+        assert out.residues == (((2 * to_qqi(value),),),)
 
     def test_local_model_other_branches_unchanged(self):
         model = LocalModel(2, [np.diag([1.0, 2.0]), np.diag([3.0, 4.0])])
@@ -303,3 +312,41 @@ class TestEmbedding:
         LocalModel(3, residues, n=4).to_log_connection()
         quotient = entry / c
         assert (quotient.num, quotient.den) == (expected.num, expected.den)
+
+
+class TestStoredScalars:
+    """Constructors read their scalars once into ``QQ_I`` elements, so a system
+    rebuilt from the stored values is the same system."""
+
+    def test_rebuilt_from_stored_values(self, rng):
+        for _ in range(20):
+            F = random_fuchsian(rng)
+            assert all(isinstance(v, QQ_I.dtype) for v in F.poles)
+            assert all(isinstance(e, QQ_I.dtype) for A in F.residues for row in A for e in row)
+            assert FuchsianSystem(F.m, F.poles, F.residues) == F  # the exact flag included
+            L = LocalModel(F.m, F.residues, n=F.k + 1)
+            assert LocalModel(L.m, L.residues, n=L.n) == L
+            conn = F.to_log_connection()
+            assert all(isinstance(c, QQ_I.dtype) for _, c in conn.divisor)
+            back = LogConnection(conn.m, conn.gens, conn.divisor, conn.components,
+                                 exact=conn.exact)
+            assert back.divisor == conn.divisor and back.equals(conn)
+            assert back.exact == conn.exact == F.exact
+
+    def test_a_non_gaussian_rational_is_stored_as_its_dyadic_value(self):
+        root2 = to_qqi(2 ** 0.5)
+        F = FuchsianSystem(1, [sp.sqrt(2)], [[[sp.sqrt(2)]]])
+        L = LocalModel(1, [[[sp.sqrt(2)]]])
+        assert (F.poles, F.residues, F.exact) == ((root2,), (((root2,),),), False)
+        assert (L.residues, L.exact) == ((((root2,),),), False)
+        # the dyadic value reads back unrounded: a rebuild holds the same values
+        back = FuchsianSystem(F.m, F.poles, F.residues)
+        assert (back.poles, back.residues) == (F.poles, F.residues)
+        assert LocalModel(L.m, L.residues, n=L.n).residues == L.residues
+        conn = F.to_log_connection()
+        rebuilt = LogConnection(conn.m, conn.gens, conn.divisor, conn.components,
+                                exact=conn.exact)
+        assert not conn.exact and not rebuilt.exact and rebuilt.equals(conn)
+        # an inexact branch value makes a connection inexact, whatever it is told
+        x = conn.gens[0]
+        assert not LogConnection(1, (x,), [(0, sp.sqrt(2))], conn.components).exact

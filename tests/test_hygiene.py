@@ -93,6 +93,25 @@ def test_fractions_are_reduced_in_one_place():
     assert not stray, f"gcd called outside ratfunc._gcd: {stray}"
 
 
+def test_sympy_numbers_are_read_in_one_place():
+    """The library's exact scalar is the ``QQ_I`` element: only ``ratfunc.to_scalar``
+    calls ``from_sympy``, and nothing turns an element back into a sympy number."""
+    stray = {}
+    for path in MODULES:
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = set()
+        if path.name == "ratfunc.py":
+            allowed = {call.lineno for f in ast.walk(tree)
+                       if isinstance(f, ast.FunctionDef) and f.name == "to_scalar"
+                       for call in ast.walk(f)
+                       if isinstance(call, ast.Call) and called_name(call) == "from_sympy"}
+        calls = {node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+                 and called_name(node) in ("from_sympy", "to_sympy")}
+        if calls - allowed:
+            stray[path.name] = sorted(calls - allowed)
+    assert not stray, f"sympy numbers converted outside ratfunc.to_scalar: {stray}"
+
+
 HEAVY = ("sympy", "scipy.linalg", "scipy.integrate")
 # module -> the heavy libraries importing it loads, directly or through the
 # package's own modules; every verb imports cli, serialization and lifting

@@ -62,6 +62,17 @@ class TestStandardLoops:
         assert abs(np.trace(prod) - np.trace(big)) < 1e-7
 
 
+@pytest.mark.parametrize("seg", [
+    LineSegment(-1 + 0j, 1 + 1j), LineSegment(2j, 2j), ArcSegment(0.5j, 1.5, 0.3, 2.5),
+    ArcSegment(0j, 1.0, 1.0, -4.0), ArcSegment(1 + 0j, 0.5, 0.0, 8.0)])
+def test_segment_distance_is_the_least_over_the_segment(seg, nprng):
+    pts = seg.point(np.linspace(0.0, 1.0, 40001))
+    center = seg.center if isinstance(seg, ArcSegment) else seg.start
+    for p in [center, *(2 * nprng.normal(size=30) + 2j * nprng.normal(size=30))]:
+        sampled = float(np.min(np.abs(pts - p)))
+        assert sampled - 1e-3 <= seg.distance(p) <= sampled + 1e-12
+
+
 class TestTransport:
     def test_trivial_connection(self):
         F = FuchsianSystem(2, [0], [[[0, 0], [0, 0]]])
