@@ -2,7 +2,9 @@
 monodromy and the projective lifting pipeline.
 
 The names below are resolved on first access (PEP 562), so importing the
-package, or one numpy-only submodule, loads neither sympy nor scipy.
+package loads nothing beyond numpy.  No submodule imports sympy or scipy at
+module level: exact arithmetic is the package's own (``ratfunc``), and
+``scipy.linalg`` is imported by the kernels that call it.
 """
 
 import importlib

@@ -11,14 +11,11 @@ be finite and positive.  ``--output -`` (the default) writes to standard
 output; when the output path cannot be written, the error verdict goes to
 standard output instead.
 
-Start-up cost.  This module imports only numpy and the numpy-only modules
-every verb runs (``serialization``, ``lifting``, ``algebra``); each verb
-imports the rest itself.  ``predicates``, ``exponent`` and ``lift-rep`` need
-nothing more.  ``check-flat``, ``residues``, ``projectivize``,
-``reconstruct``, ``lift-trace-free``, ``pullback`` and ``normalize`` read
-exact data and pay for sympy (``normalize`` also for ``scipy.linalg``).
-``monodromy``, ``realize-local`` and ``realize-fuchsian`` transport, which
-needs numpy alone, so they too pay only for sympy.
+Start-up cost.  This module imports only numpy and the modules every verb
+runs (``serialization``, ``lifting``, ``algebra``); each verb imports the
+rest itself.  No verb loads sympy: exact data is read into ``ratfunc``'s own
+Gaussian-rational types, and transport is numpy code.  Only ``normalize``
+loads a library beyond numpy and click, ``scipy.linalg``.
 """
 
 from __future__ import annotations

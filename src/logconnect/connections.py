@@ -12,8 +12,6 @@ from functools import cached_property, reduce
 from operator import add, mul
 
 import numpy as np
-import sympy as sp
-from sympy.polys.domains import QQ_I
 
 from . import algebra
 from .errors import (
@@ -24,11 +22,14 @@ from .errors import (
     UnsupportedBranch,
 )
 from .ratfunc import (
+    ONE,
+    ZERO,
     RationalFunction,
     branch_line,
     complex_terms,
     evaluator,
     from_terms,
+    gaussian,
     to_complex,
     to_scalar,
 )
@@ -55,14 +56,14 @@ def _read_only(values) -> np.ndarray:
 
 
 class _Residues:
-    """What the two residue models share: ``residues`` hold ``QQ_I`` elements, and
+    """What the two residue models share: ``residues`` hold ``GaussianRational``s, and
     ``residue_arrays`` are their complex values, built on first use."""
 
     def _read_residues(self, m, residues) -> bool:
-        """Store the rank m and the residues as nested tuples of ``QQ_I`` elements, each
+        """Store the rank m and the residues as nested tuples of ``GaussianRational``s, each
         checked m x m, and return whether every entry was exact; an entry is any scalar
         ``ratfunc.to_scalar`` reads (int, ``Fraction``, float, complex, sympy number or
-        ``QQ_I`` element)."""
+        ``GaussianRational``)."""
         read = [[[to_scalar(e) for e in row] for row in np.asarray(A, dtype=object)]
                 for A in residues]
         for A in read:
@@ -95,7 +96,7 @@ def _pole_sums(m, gens, lines, residues, exact):
     den is prod_S l_k and its num sum_S A_k[i][j] prod_{S - k} l_l, which
     vanishes at no zero of den.  The products are formed once per support.
     """
-    one = from_terms({(0,) * len(gens): QQ_I.one}, gens)
+    one = from_terms({(0,) * len(gens): ONE}, gens)
     products = {}  # support -> (den, the cofactor of each of its lines)
 
     def entry(i, j):
@@ -117,7 +118,7 @@ def _pole_sums(m, gens, lines, residues, exact):
 class FuchsianSystem(_Residues):
     """Global rank-m system on the sphere: omega = sum_i A_i dx/(x - p_i).
 
-    ``poles`` hold ``QQ_I`` elements too, and ``pole_array`` their complex values.
+    ``poles`` hold ``GaussianRational``s too, and ``pole_array`` their complex values.
     The residue at infinity is always implied (-sum A_i), never stored.
     """
 
@@ -157,11 +158,10 @@ class FuchsianSystem(_Residues):
         cached = getattr(self, "_log_connection", None)
         if cached is not None:
             return cached
-        x = sp.Symbol("x")
-        lines = [branch_line((x,), 0, p) for p in self.poles]
-        comp = _pole_sums(self.m, (x,), lines, self.residues, self.exact)
+        lines = [branch_line(("x",), 0, p) for p in self.poles]
+        comp = _pole_sums(self.m, ("x",), lines, self.residues, self.exact)
         divisor = tuple((0, p) for p in self.poles)
-        conn = LogConnection(self.m, (x,), divisor, (comp,), exact=self.exact)
+        conn = LogConnection(self.m, ("x",), divisor, (comp,), exact=self.exact)
         object.__setattr__(self, "_log_connection", conn)
         return conn
 
@@ -195,25 +195,25 @@ class LocalModel(_Residues):
         with no gcd (``_pole_sums`` with one line): each a / x_j with a != 0 is
         reduced with a monic denominator, and each zero entry is
         ``RationalFunction.zero``."""
-        gens = sp.symbols(f"x1:{self.n + 1}") if self.n > 1 else (sp.Symbol("x1"),)
-        comps = tuple(_pole_sums(self.m, gens, [branch_line(gens, j, QQ_I.zero)],
+        gens = tuple(f"x{j}" for j in range(1, self.n + 1))
+        comps = tuple(_pole_sums(self.m, gens, [branch_line(gens, j, ZERO)],
                                  self.residues[j:j + 1], self.exact)
                       for j in range(self.n))
-        divisor = tuple((j, QQ_I.zero) for j in range(self.k))
+        divisor = tuple((j, ZERO) for j in range(self.k))
         return LogConnection(self.m, gens, divisor, comps, exact=self.exact)
 
 
 class LogConnection:
     """omega = sum_j Omega_j dx_j with first-order poles along coordinate branches.
 
-    ``divisor`` is a tuple of (variable index, ``QQ_I`` value) pairs, each standing
+    ``divisor`` is a tuple of (variable index, ``GaussianRational``) pairs, each standing
     for the branch x_var = value.  ``components`` holds the n matrices Omega_j as
     nested tuples of :class:`RationalFunction`.
     """
 
     def __init__(self, m, gens, divisor, components, exact=True):
         self.m = int(m)
-        self.gens = tuple(gens)
+        self.gens = tuple(map(str, gens))
         self.n = len(self.gens)
         read = [(int(v), to_scalar(c)) for v, c in divisor]
         self.divisor = tuple((v, c) for v, (c, _) in read)
@@ -391,7 +391,7 @@ def pullback_power(C, var: int, nu: int):
         return conn
     x = conn.gens[var]
     power = tuple(nu - 1 if v == var else 0 for v in range(conn.n))
-    chain = from_terms({power: QQ_I.convert(nu)}, conn.gens)  # d(x^nu)/dx
+    chain = from_terms({power: gaussian(nu)}, conn.gens)  # d(x^nu)/dx
     comps = []
     for j in range(conn.n):
         rows = []

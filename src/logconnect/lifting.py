@@ -5,7 +5,7 @@ scalars (roots of unity); local models realizing them are built from
 branch-normalized logarithms; the lifting exponent is the lcm of the orders
 of finite-order eigenvalue ratios, and raising generators to that power
 kills the obstruction.  Only the two realizations transport, so only they
-import ``connections`` and ``monodromy`` (sympy).
+import ``connections`` and ``monodromy``.
 """
 
 from __future__ import annotations

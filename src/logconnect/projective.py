@@ -38,7 +38,7 @@ class RiccatiSystem:
 
     def __init__(self, m, gens, divisor, b, delta, offdiag, c, exact=True):
         self.m = int(m)
-        self.gens = tuple(gens)
+        self.gens = tuple(map(str, gens))
         self.n = len(self.gens)
         self.divisor = tuple(divisor)
         self.b = tuple(tuple(f) for f in b)

@@ -1,70 +1,394 @@
 """Exact multivariate rational functions over the Gaussian rationals.
 
-The library's one exact scalar is the ``QQ_I`` element.  Polynomial coefficients
-are such elements, and so are the poles, residues and branch values that systems
-store, each read once by ``to_scalar`` from an int, ``Fraction``, float, complex,
-sympy number or ``QQ_I`` element.  A float, or a sympy number that is not a
-Gaussian rational (``sqrt(2)``), becomes an exact dyadic value and marks the data
+The library's one exact scalar is the ``GaussianRational`` (re + im*i)/den.
+Polynomials follow the layout of FLINT's ``fmpq_poly`` (Hart, ICMS 2010): a
+``Polynomial`` is a sparse map from exponent tuple to Gaussian-integer
+numerator over one positive integer denominator, and every result has the
+content it shares with its denominator removed once.  Generators are plain
+names.  A ``RationalFunction`` is a reduced fraction of two polynomials with a
+monic denominator, so that equality is structural.
+
+Poles, residues and branch values are scalars too, each read once by
+``to_scalar`` from an int, ``Fraction``, float, complex, sympy number or
+``GaussianRational``.  A float, or a sympy number that is not a Gaussian
+rational (``sqrt(2)``), becomes an exact dyadic value and marks the data
 inexact, so comparisons can fall back to a tolerance.  This is the one module
-where exact scalars cross to and from complex numbers and sympy numbers.
+where exact scalars cross to and from complex numbers and sympy numbers.  It
+never imports sympy for the library's own work: ``to_scalar`` reads sympy
+numbers only when sympy is already loaded, and sympy is imported on call by the
+gcd of two polynomials in several variables whose denominator has more than one
+term, and by ``Polynomial.all_coeffs`` and ``Polynomial.terms``, which return
+sympy numbers.
 """
 
 from __future__ import annotations
 
+import math
+import sys
 from fractions import Fraction
 from functools import reduce
+from operator import add
 
 import numpy as np
-import sympy as sp
-from sympy.polys.densearith import dup_rem
-from sympy.polys.densetools import dup_monic
-from sympy.polys.domains import QQ, QQ_I
-from sympy.polys.polyclasses import DMP
 
-__all__ = ["RationalFunction", "evaluator", "complex_terms", "from_terms", "branch_line",
-           "to_complex", "to_qqi", "to_scalar"]
+__all__ = ["GaussianRational", "Polynomial", "RationalFunction", "evaluator", "complex_terms",
+           "from_terms", "branch_line", "gaussian", "to_complex", "to_scalar"]
 
 
-def to_qqi(re, im=0):
-    """The exact ``QQ_I`` element re + i*im; parts are ints, Fractions or floats."""
-    re, im = Fraction(re), Fraction(im)
-    return QQ_I(QQ(re.numerator, re.denominator), QQ(im.numerator, im.denominator))
+class GaussianRational:
+    """The exact scalar (re + im*i)/den, with integers re, im and den > 0 in lowest
+    terms.  Immutable and hashable; ``+ - * /`` with another one or an int are exact,
+    and ``complex()`` rounds each part correctly."""
+
+    __slots__ = ("re", "im", "den")
+
+    def __init__(self, re, im=0, den=1):
+        g = math.gcd(re, im, den)
+        if den < 0:
+            g = -g
+        if g != 1:
+            re, im, den = re // g, im // g, den // g
+        object.__setattr__(self, "re", re)
+        object.__setattr__(self, "im", im)
+        object.__setattr__(self, "den", den)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("GaussianRational is immutable")
+
+    @staticmethod
+    def _coerce(other):
+        if isinstance(other, GaussianRational):
+            return other
+        if isinstance(other, int):
+            return GaussianRational(other)
+        return None
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        if self.den == o.den:
+            return GaussianRational(self.re + o.re, self.im + o.im, self.den)
+        return GaussianRational(self.re * o.den + o.re * self.den,
+                                self.im * o.den + o.im * self.den, self.den * o.den)
+
+    __radd__ = __add__
+
+    def __neg__(self):
+        return GaussianRational(-self.re, -self.im, self.den)
+
+    def __sub__(self, other):
+        o = self._coerce(other)
+        return NotImplemented if o is None else self + -o
+
+    def __mul__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return GaussianRational(self.re * o.re - self.im * o.im,
+                                self.re * o.im + self.im * o.re, self.den * o.den)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        norm = o.re * o.re + o.im * o.im
+        if not norm:
+            raise ZeroDivisionError("division by the zero Gaussian rational")
+        # (a + bi)/d / ((c + ei)/f) = f (a + bi)(c - ei) / (d (c^2 + e^2))
+        return GaussianRational((self.re * o.re + self.im * o.im) * o.den,
+                                (self.im * o.re - self.re * o.im) * o.den, self.den * norm)
+
+    def __eq__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self.re == o.re and self.im == o.im and self.den == o.den
+
+    def __hash__(self):
+        # an integer value hashes as that int, which it equals
+        return hash(self.re) if self.den == 1 and not self.im else \
+            hash((self.re, self.im, self.den))
+
+    def __bool__(self):
+        return bool(self.re or self.im)
+
+    def __complex__(self):
+        # int / int is correctly rounded
+        return complex(self.re / self.den, self.im / self.den)
+
+    def __str__(self):
+        """As sympy prints the number: ``1/3 + 2*I``, ``-I/2``, ``5``."""
+        re, im = Fraction(self.re, self.den), Fraction(self.im, self.den)
+        if not im:
+            return str(re)
+        p, q = abs(im.numerator), im.denominator
+        imag = ("I" if p == 1 else f"{p}*I") + ("" if q == 1 else f"/{q}")
+        if not re:
+            return ("-" if im < 0 else "") + imag
+        return f"{re} {'-' if im < 0 else '+'} {imag}"
+
+    def __repr__(self):
+        return f"GaussianRational({self})"
+
+
+ZERO, ONE = GaussianRational(0), GaussianRational(1)
+
+
+def gaussian(re, im=0) -> GaussianRational:
+    """The exact scalar re + i*im; parts are ints, Fractions or floats (their dyadic values)."""
+    if type(re) is int and type(im) is int:
+        return GaussianRational(re, im)
+    (p1, q1), (p2, q2) = (Fraction(v).as_integer_ratio() for v in (re, im))
+    den = math.lcm(q1, q2)
+    return GaussianRational(p1 * (den // q1), p2 * (den // q2), den)
 
 
 def to_scalar(value):
-    """``value`` as a ``QQ_I`` element, and whether it is exact.  An int, ``Fraction``,
-    ``QQ_I`` element or sympy Gaussian rational is.  Any other value becomes the dyadic
-    value of its complex value, exact only for a float or complex with integer parts."""
-    if isinstance(value, QQ_I.dtype):
+    """``value`` as a ``GaussianRational``, and whether it is exact.  An int, ``Fraction``,
+    ``GaussianRational`` or sympy Gaussian rational is.  Any other value becomes the
+    dyadic value of its complex value, exact only for a float or complex with integer
+    parts.  A sympy number is recognised through an already loaded sympy."""
+    if isinstance(value, GaussianRational):
         return value, True
     if isinstance(value, (int, Fraction)):
-        return to_qqi(value), True
-    if isinstance(value, sp.Basic) and not value.has(sp.Float):
-        try:
-            return QQ_I.from_sympy(value), True
-        except sp.polys.CoercionFailed:
-            pass
-    if not isinstance(value, (float, complex, sp.Basic)):
+        return gaussian(value), True
+    sp = sys.modules.get("sympy")
+    is_sympy = sp is not None and isinstance(value, sp.Basic)
+    if is_sympy and isinstance(value, sp.Expr):
+        # a + b*I in the form sympy builds it, read as ``QQ_I.from_sympy`` reads it
+        re, rest = value.as_coeff_Add()
+        im, unit = rest.as_coeff_Mul() if rest else (sp.S.Zero, sp.I)
+        if unit is sp.I and re.is_Rational and im.is_Rational:
+            den = math.lcm(re.q, im.q)
+            return GaussianRational(re.p * (den // re.q), im.p * (den // im.q), den), True
+    elif not is_sympy and not isinstance(value, (float, complex)):
         raise TypeError(f"cannot interpret {value!r} as a complex scalar")
     c = complex(value)
-    exact = not isinstance(value, sp.Basic) and c.real.is_integer() and c.imag.is_integer()
-    return to_qqi(c.real, c.imag), exact
-
-
-def _qqi_complex(z) -> complex:
-    """A ``QQ_I`` element as a complex number, each part correctly rounded."""
-    return complex(float(z.x), float(z.y))
+    exact = not is_sympy and c.real.is_integer() and c.imag.is_integer()
+    return gaussian(c.real, c.imag), exact
 
 
 def to_complex(value) -> complex:
     """A scalar as a complex number, read by ``to_scalar``: each part correctly
     rounded, and with no ``evalf`` for a Gaussian rational."""
-    return _qqi_complex(to_scalar(value)[0])
+    return complex(to_scalar(value)[0])
 
 
-def complex_terms(poly) -> dict:
-    """Monomial -> coefficient of a polynomial over ``QQ_I``, each part correctly rounded."""
-    return {e: _qqi_complex(c) for e, c in poly.as_dict(native=True).items()}
+# -- polynomials --------------------------------------------------------
+
+
+class Polynomial:
+    """sum_e rep[e] x^e / den in the generators ``gens`` (names): ``rep`` maps each
+    exponent tuple to its nonzero Gaussian-integer numerator (re, im), over one
+    positive integer ``den`` that shares no factor with all the numerators.  The
+    zero polynomial has no terms and den 1.  Treated as immutable."""
+
+    __slots__ = ("rep", "den", "gens")
+
+    def __init__(self, rep: dict, den: int, gens: tuple):
+        self.rep, self.den, self.gens = rep, den, gens
+
+    def _new(self, rep, den):
+        """rep/den in the same generators, its content removed; ``rep`` has no zero terms."""
+        g = den
+        for a, b in rep.values():
+            if g == 1:
+                break
+            g = math.gcd(g, a, b)
+        if g != 1:
+            rep, den = {e: (a // g, b // g) for e, (a, b) in rep.items()}, den // g
+        return Polynomial(rep, den, self.gens)
+
+    # -- what perfbench's exact_layer checker reads, with sympy ``Poly``'s meaning --
+
+    @property
+    def is_zero(self) -> bool:
+        return not self.rep
+
+    def total_degree(self) -> int:
+        return max((sum(e) for e in self.rep), default=0)
+
+    def _sympy_numbers(self, exponents) -> list:
+        """The coefficients at ``exponents`` as sympy numbers."""
+        import sympy as sp
+
+        d = self.den
+        return [sp.Rational(a, d) + sp.Rational(b, d) * sp.I
+                for a, b in (self.rep.get(e, (0, 0)) for e in exponents)]
+
+    def terms(self) -> list:
+        """(exponents, sympy number) pairs in sympy's order, lex with the leading term
+        first; the zero polynomial has the one term 0."""
+        monoms = sorted(self.rep, reverse=True) or [(0,) * len(self.gens)]
+        return list(zip(monoms, self._sympy_numbers(monoms)))
+
+    def all_coeffs(self) -> list:
+        """The coefficients in one variable as sympy numbers, the leading one first."""
+        if len(self.gens) != 1:
+            raise ValueError("all_coeffs needs a polynomial in one variable")
+        return self._sympy_numbers([(k,) for k in range(max(self.degree(), 0), -1, -1)])
+
+    # -- structure --------------------------------------------------------
+
+    def to_dict(self) -> dict:
+        """exponents -> ``GaussianRational`` coefficient, for the nonzero terms."""
+        return {e: GaussianRational(a, b, self.den) for e, (a, b) in self.rep.items()}
+
+    @property
+    def is_ground(self) -> bool:
+        return not self.rep or len(self.rep) == 1 and not any(next(iter(self.rep)))
+
+    @property
+    def is_monomial(self) -> bool:
+        return len(self.rep) <= 1
+
+    @property
+    def is_one(self) -> bool:
+        return self.den == 1 and self.is_ground and (1, 0) in self.rep.values()
+
+    def degree(self) -> int:
+        """The degree in the first generator; -1 for the zero polynomial."""
+        return max((e[0] for e in self.rep), default=-1)
+
+    def LC(self) -> GaussianRational:
+        """The coefficient of the lexicographically leading term."""
+        if not self.rep:
+            return ZERO
+        return GaussianRational(*self.rep[max(self.rep)], self.den)
+
+    def __eq__(self, other):
+        if not isinstance(other, Polynomial):
+            return NotImplemented
+        return self.den == other.den and self.rep == other.rep and self.gens == other.gens
+
+    def __hash__(self):
+        return hash((self.den, self.gens, frozenset(self.rep.items())))
+
+    def __repr__(self):
+        return f"Polynomial({self.to_dict()!r}, gens={self.gens!r})"
+
+    # -- arithmetic -------------------------------------------------------
+
+    def _combine(self, other, sign):
+        """self + sign * other, over the least common denominator."""
+        d1, d2 = self.den, other.den
+        g = math.gcd(d1, d2)
+        s1, s2 = d2 // g, sign * (d1 // g)
+        rep = {e: (a * s1, b * s1) for e, (a, b) in self.rep.items()} if s1 != 1 \
+            else dict(self.rep)
+        for e, (a, b) in other.rep.items():
+            c = rep.get(e)
+            if c is None:
+                rep[e] = (a * s2, b * s2)
+            else:
+                re, im = c[0] + a * s2, c[1] + b * s2
+                if re or im:
+                    rep[e] = (re, im)
+                else:
+                    del rep[e]
+        return self._new(rep, d1 * s1)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
+
+    def __sub__(self, other):
+        return self._combine(other, -1)
+
+    def __neg__(self):
+        return Polynomial({e: (-a, -b) for e, (a, b) in self.rep.items()}, self.den, self.gens)
+
+    def __mul__(self, other):
+        rep = {}
+        one_var = len(self.gens) == 1
+        for e1, (a, b) in self.rep.items():
+            for e2, (c, d) in other.rep.items():
+                e = (e1[0] + e2[0],) if one_var else tuple(map(add, e1, e2))
+                re, im = a * c - b * d, a * d + b * c
+                old = rep.get(e)
+                rep[e] = (re, im) if old is None else (old[0] + re, old[1] + im)
+        rep = {e: c for e, c in rep.items() if c[0] or c[1]}
+        return self._new(rep, self.den * other.den)
+
+    def mul_ground(self, c: GaussianRational) -> "Polynomial":
+        """This polynomial times the scalar c."""
+        x, y = c.re, c.im
+        rep = {e: (a * x - b * y, a * y + b * x) for e, (a, b) in self.rep.items()} \
+            if x or y else {}
+        return self._new(rep, self.den * c.den)
+
+    def diff(self, var: int) -> "Polynomial":
+        """The partial derivative in the generator ``var``."""
+        rep = {}
+        for e, (a, b) in self.rep.items():
+            k = e[var]
+            if k:
+                rep[e[:var] + (k - 1,) + e[var + 1:]] = (k * a, k * b)
+        return self._new(rep, self.den)
+
+    def subst_power(self, var: int, nu: int) -> "Polynomial":
+        """The substitution x_var -> x_var**nu."""
+        rep = {e[:var] + (e[var] * nu,) + e[var + 1:]: c for e, c in self.rep.items()}
+        return Polynomial(rep, self.den, self.gens)
+
+    def div(self, other: "Polynomial"):
+        """(q, r) with self = q * other + r, where no term of r is divisible by the
+        lexicographically leading term of ``other``: long division in one variable,
+        and the remainder at x_var = c when ``other`` is a line x_var - c."""
+        divisor = other.to_dict()
+        lead = max(divisor)
+        inv = ONE / divisor.pop(lead)
+        rest, q, r = self.to_dict(), {}, {}
+        while rest:
+            e = max(rest)
+            c = rest.pop(e)
+            if any(a < b for a, b in zip(e, lead)):
+                r[e] = c
+                continue
+            shift = tuple(a - b for a, b in zip(e, lead))
+            t = q[shift] = c * inv
+            for e2, c2 in divisor.items():
+                k = tuple(a + b for a, b in zip(e2, shift))
+                v = rest.get(k, ZERO) - t * c2
+                if v:
+                    rest[k] = v
+                else:
+                    rest.pop(k, None)
+        return from_terms(q, self.gens), from_terms(r, self.gens)
+
+    def exquo(self, other: "Polynomial") -> "Polynomial":
+        """self / other, for an ``other`` known to divide this polynomial."""
+        if len(other.rep) == 1 and other.LC() == ONE:  # a monic monomial: shift exponents
+            (m,) = other.rep
+            rep = {tuple(a - b for a, b in zip(e, m)): c for e, c in self.rep.items()}
+            return Polynomial(rep, self.den, self.gens)
+        return self.div(other)[0]
+
+    def monic(self) -> "Polynomial":
+        return self.mul_ground(ONE / self.LC())
+
+
+def from_terms(terms: dict, gens) -> Polynomial:
+    """The polynomial in ``gens`` with the terms exponents -> ``GaussianRational``.
+    Over the least common denominator of reduced coefficients, no content is left."""
+    gens = tuple(map(str, gens))
+    den = math.lcm(*(c.den for c in terms.values()))
+    rep = {e: (c.re * (den // c.den), c.im * (den // c.den)) for e, c in terms.items() if c}
+    return Polynomial(rep, den if rep else 1, gens)
+
+
+def branch_line(gens, var: int, c: GaussianRational) -> Polynomial:
+    """The line x_var - c in ``gens`` of the branch x_var = c."""
+    n = len(gens)
+    return from_terms({tuple(int(i == var) for i in range(n)): ONE, (0,) * n: -c}, gens)
+
+
+def complex_terms(poly: Polynomial) -> dict:
+    """Monomial -> coefficient of a polynomial, each part correctly rounded."""
+    d = poly.den
+    return {e: complex(a / d, b / d) for e, (a, b) in poly.rep.items()}
 
 
 def evaluator(polys):
@@ -83,48 +407,96 @@ def evaluator(polys):
     return values
 
 
-def from_terms(terms: dict, gens) -> sp.Poly:
-    """The polynomial in ``gens`` with the terms monomial -> ``QQ_I`` coefficient."""
-    return sp.Poly.new(DMP.from_dict(terms, len(gens) - 1, QQ_I), *gens)
+# -- the fraction-reducing gcd ----------------------------------------------
+
+# A prime p = 1 (mod 4) and a square root of -1 modulo p: the image of i under a
+# ring map Z[i] -> GF(p).
+_P = 2**61 - 31
+_I_MOD_P = 583529827753931384
 
 
-def branch_line(gens, var: int, c) -> sp.Poly:
-    """The line x_var - c in ``gens`` of the branch x_var = c, for a ``QQ_I`` element c."""
-    n = len(gens)
-    return from_terms({tuple(int(i == var) for i in range(n)): QQ_I.one, (0,) * n: -c}, gens)
+def _coprime_mod_p(num: Polynomial, den: Polynomial) -> bool:
+    """Whether two polynomials in one variable are proved coprime by the images of their
+    Gaussian-integer numerators in GF(p)[x].  When the map keeps both leading
+    coefficients, it keeps the degree of every factor, so a common factor of positive
+    degree leaves an image gcd of positive degree: a constant image gcd proves a gcd of 1."""
+    f, g = ([(a + b * _I_MOD_P) % _P for a, b in (p.rep.get((k,), (0, 0))
+                                                  for k in range(p.degree(), -1, -1))]
+            for p in (den, num))
+    if not f[0] or not g[0]:
+        return False
+    if len(f) < len(g):
+        f, g = g, f
+    while len(g) > 1:
+        inv, r, shift = pow(g[0], -1, _P), f[:], len(f) - len(g) + 1
+        for i in range(shift):
+            c = r[i] * inv % _P
+            if c:
+                for j in range(1, len(g)):
+                    r[i + j] = (r[i + j] - c * g[j]) % _P
+        r = r[shift:]
+        while r and not r[0]:
+            del r[0]
+        if not r:  # g divides f in GF(p)[x]
+            return False
+        f, g = g, r
+    return True
 
 
-def _gcd(num: sp.Poly, den: sp.Poly) -> sp.Poly:
+def _gcd(num: Polynomial, den: Polynomial) -> Polynomial:
     """The monic gcd of a nonzero ``num`` and ``den``: for a one-term ``den``, the power
-    of each variable that divides it and every term of ``num``; in one variable, Euclid
-    with each remainder made monic, which bounds coefficient growth; else ``Poly.gcd``."""
+    of each variable that divides it and every term of ``num``; in one variable, 1 when
+    the images modulo a prime prove it, else Euclid with each remainder made monic,
+    which bounds coefficient growth; in several variables, sympy's ``Poly.gcd``."""
+    gens = den.gens
     if den.is_monomial:
-        return from_terms({tuple(map(min, *den.monoms(), *num.monoms())): QQ_I.one}, den.gens)
-    if len(den.gens) > 1:
-        return num.gcd(den).monic()
-    f, g = dup_monic(den.rep.to_list(), QQ_I), dup_monic(num.rep.to_list(), QQ_I)
-    while g:
-        f, g = g, dup_monic(dup_rem(f, g, QQ_I), QQ_I)
-    return den.per(den.rep.per(f))
+        return Polynomial({tuple(map(min, *den.rep, *num.rep)): (1, 0)}, 1, gens)
+    if len(gens) > 1:
+        import sympy as sp
+        from sympy.polys.domains import QQ, QQ_I
+
+        symbols = [sp.Symbol(name) for name in gens]
+
+        def sympy_poly(p):
+            return sp.Poly.from_dict({e: QQ_I(QQ(a, p.den), QQ(b, p.den))
+                                      for e, (a, b) in p.rep.items()}, *symbols, domain=QQ_I)
+
+        g = sympy_poly(num).gcd(sympy_poly(den)).monic()
+        return from_terms({e: gaussian(*(Fraction(int(q.numerator), int(q.denominator))
+                                         for q in (c.x, c.y)))
+                           for e, c in g.as_dict(native=True).items()}, gens)
+    if _coprime_mod_p(num, den):
+        return Polynomial({(0,): (1, 0)}, 1, gens)
+    f, g = den.monic(), num.monic()
+    while not g.is_zero:
+        r = f.div(g)[1]
+        f, g = g, r if r.is_zero else r.monic()
+    return f
+
+
+# -- rational functions ---------------------------------------------------
 
 
 class RationalFunction:
-    """A normalized fraction of polynomials over QQ_I in shared chart variables."""
+    """A normalized fraction of polynomials over the Gaussian rationals in shared chart
+    variables: the fraction is reduced, and the denominator is monic."""
 
     __slots__ = ("num", "den", "gens", "exact")
 
-    def __init__(self, num: sp.Poly, den: sp.Poly, exact: bool = True, _normalized: bool = False):
+    def __init__(self, num: Polynomial, den: Polynomial, exact: bool = True,
+                 _normalized: bool = False):
         if den.is_zero:
             raise ZeroDivisionError("denominator is identically zero")
         if not _normalized:
             if num.is_zero:
-                den = den.one
+                den = Polynomial({(0,) * len(den.gens): (1, 0)}, 1, den.gens)
             else:
                 g = _gcd(num, den)
                 if not g.is_one:
-                    num, den = num.quo(g), den.quo(g)
-                inv = QQ_I.quo(QQ_I.one, den.rep.LC())
-                if inv != QQ_I.one:
+                    num, den = num.exquo(g), den.exquo(g)
+                lc = den.LC()
+                if lc != ONE:
+                    inv = ONE / lc
                     num, den = num.mul_ground(inv), den.mul_ground(inv)
         self.num = num
         self.den = den
@@ -137,8 +509,9 @@ class RationalFunction:
     def constant(cls, value, gens) -> "RationalFunction":
         """The constant ``value``, read by ``to_scalar``."""
         c, exact = to_scalar(value)
-        num = from_terms({(0,) * len(gens): c}, gens)
-        return cls(num, num.one, exact=exact, _normalized=True)
+        zero = (0,) * len(gens)
+        num = from_terms({zero: c}, gens)
+        return cls(num, Polynomial({zero: (1, 0)}, 1, num.gens), exact=exact, _normalized=True)
 
     @classmethod
     def zero(cls, gens) -> "RationalFunction":
@@ -190,9 +563,8 @@ class RationalFunction:
             raise ZeroDivisionError("division by the zero rational function")
         exact = self.exact and o.exact
         if o.num.is_ground and o.den.is_ground:  # a constant: scale the numerator only
-            inv = QQ_I.quo(o.den.rep.LC(), o.num.rep.LC())
-            return RationalFunction(self.num.mul_ground(inv), self.den, exact=exact,
-                                    _normalized=True)
+            return RationalFunction(self.num.mul_ground(o.den.LC() / o.num.LC()), self.den,
+                                    exact=exact, _normalized=True)
         return RationalFunction(self.num * o.den, self.den * o.num, exact=exact)
 
     def __rtruediv__(self, other):
@@ -200,25 +572,27 @@ class RationalFunction:
 
     # -- calculus and substitution --------------------------------------
 
+    def _index(self, var) -> int:
+        """The position of a chart variable, given by its name (or a sympy symbol)."""
+        return self.gens.index(str(var))
+
     def diff(self, var) -> "RationalFunction":
         """Exact partial derivative with respect to one chart variable."""
-        dn = self.num.diff(var)
-        dd = self.den.diff(var)
+        k = self._index(var)
+        dn = self.num.diff(k)
+        dd = self.den.diff(k)
         return RationalFunction(dn * self.den - self.num * dd, self.den * self.den,
                                 exact=self.exact)
 
     def subst_power(self, var, nu: int) -> "RationalFunction":
         """Substitute ``var -> var**nu`` in numerator and denominator."""
-        k = self.gens.index(var)
-
-        def scaled(poly):
-            return from_terms({e[:k] + (e[k] * nu,) + e[k + 1:]: c
-                               for e, c in poly.as_dict(native=True).items()}, self.gens)
-
-        return RationalFunction(scaled(self.num), scaled(self.den), exact=self.exact)
+        k = self._index(var)
+        return RationalFunction(self.num.subst_power(k, nu), self.den.subst_power(k, nu),
+                                exact=self.exact)
 
     def eval(self, values: dict) -> complex:
-        """Numeric evaluation; ``values`` maps chart symbols to complex numbers."""
+        """Numeric evaluation; ``values`` maps chart variables to complex numbers."""
+        values = {str(g): v for g, v in values.items()}
         num, den = evaluator([self.num, self.den])(*(complex(values[g]) for g in self.gens))
         return complex(num) / complex(den)
 
@@ -242,9 +616,11 @@ class RationalFunction:
         return (self - o).is_zero_within(tol)
 
     def __eq__(self, other):
-        if not isinstance(other, (RationalFunction, int, float, complex, sp.Basic)):
+        try:
+            o = self._coerce(other)
+        except TypeError:
             return NotImplemented
-        return (self - self._coerce(other)).is_zero
+        return (self - o).is_zero
 
     def __hash__(self):
         return hash((self.num, self.den))

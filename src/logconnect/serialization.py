@@ -5,14 +5,15 @@ row-major nested arrays.  On input, each part of a scalar may also be a
 string fraction like "1/3" to request exact coefficients; output always
 emits numbers.  Numbers must be finite and ranks integers >= 1.  Rational
 functions are {num, den} maps from keys "e1,...,en" (exponents >= 0) to
-scalars, read directly into polynomials over QQ_I; each emitted coefficient
-part is the correctly rounded float of its exact value.
+scalars, read directly into ``ratfunc`` polynomials over the Gaussian
+rationals, whose generators are the names in ``"vars"``; each emitted
+coefficient part is the correctly rounded float of its exact value.
 
 ``matrix`` and ``presentation`` documents are numeric: their entries and
-poles are read straight to complex numbers, and this module imports
-nothing heavier than numpy.  The exact kinds import sympy (through
-``connections``, ``projective`` and ``ratfunc``) when one is first read or
-written, and loops import ``monodromy``.
+poles are read straight to complex numbers.  The exact kinds import
+``connections``, ``projective`` and ``ratfunc`` when one is first read or
+written, and loops import ``monodromy``; like this module, these import
+nothing heavier than numpy.
 """
 
 from __future__ import annotations
@@ -76,15 +77,15 @@ def _complex(value, pointer):
 
 
 def parse_scalar(value, pointer=""):
-    """[re, im] (or bare number) -> its exact ``QQ_I`` element plus exactness flag."""
-    from .ratfunc import to_qqi
+    """[re, im] (or bare number) -> its exact ``GaussianRational`` plus exactness flag."""
+    from .ratfunc import gaussian
 
     re, im, exact = _parts(value, pointer)
-    return to_qqi(re, im), exact
+    return gaussian(re, im), exact
 
 
 def _exact_or_complex(value, pointer):
-    """The exact ``QQ_I`` element, or the complex value when the input is inexact;
+    """The exact ``GaussianRational``, or the complex value when the input is inexact;
     a complex entry marks the system built from it inexact."""
     v, exact = parse_scalar(value, pointer)
     return v if exact else _complex(value, pointer)
@@ -108,7 +109,7 @@ def _matrix(doc, m, pointer, read):
 
 
 def parse_matrix(doc, m, pointer):
-    """Exact entries as ``QQ_I`` elements, inexact ones as complex numbers."""
+    """Exact entries as ``GaussianRational``s, inexact ones as complex numbers."""
     return _matrix(doc, m, pointer, _exact_or_complex)
 
 
@@ -137,9 +138,7 @@ def ratfunc_to_json(f):
 
 
 def parse_ratfunc(doc, gens, pointer):
-    from sympy.polys.domains import QQ_I
-
-    from .ratfunc import RationalFunction, from_terms, to_qqi
+    from .ratfunc import ZERO, RationalFunction, from_terms, gaussian
 
     if not isinstance(doc, dict) or "num" not in doc or "den" not in doc:
         raise SchemaViolation(pointer, "expected {num, den} coefficient maps")
@@ -161,7 +160,7 @@ def parse_ratfunc(doc, gens, pointer):
                 raise SchemaViolation(f"{ptr}/{key}", "negative exponent")
             re, im, ex = _parts(val, f"{ptr}/{key}")
             exact = exact and ex
-            coeffs[exps] = coeffs.get(exps, QQ_I.zero) + to_qqi(re, im)
+            coeffs[exps] = coeffs.get(exps, ZERO) + gaussian(re, im)
         return from_terms(coeffs, gens), exact
 
     num, ex1 = build("num", pointer + "/num")
@@ -226,16 +225,14 @@ def _parse_local_model(doc):
 
 
 def _parse_gens_field(doc, pointer):
-    import sympy as sp
-
     names = _require(doc, "vars", pointer, list)
     if not names or not all(isinstance(s, str) for s in names):
         raise SchemaViolation(pointer + "/vars", "expected a nonempty list of names")
-    return sp.symbols(names) if len(names) > 1 else (sp.Symbol(names[0]),)
+    return tuple(names)
 
 
 def _parse_divisor(doc, nvars, pointer):
-    """The branches as (var, ``QQ_I`` value) pairs, plus whether each value was exact."""
+    """The branches as (var, ``GaussianRational``) pairs, plus whether each value was exact."""
     out, exacts = [], []
     for i, d in enumerate(_require(doc, "divisor", pointer, list)):
         if not isinstance(d, dict):
@@ -445,7 +442,7 @@ def system_to_json(obj):
         return {
             "type": "log_connection",
             "rank": obj.m,
-            "vars": [g.name for g in obj.gens],
+            "vars": list(obj.gens),
             "divisor": [
                 {"var": v, "value": scalar_to_json(to_complex(c))} for v, c in obj.divisor
             ],
@@ -459,7 +456,7 @@ def system_to_json(obj):
         return {
             "type": "riccati",
             "rank": obj.m,
-            "vars": [g.name for g in obj.gens],
+            "vars": list(obj.gens),
             "divisor": [
                 {"var": v, "value": scalar_to_json(to_complex(c))} for v, c in obj.divisor
             ],

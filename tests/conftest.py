@@ -4,9 +4,10 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import sympy as sp
-from sympy.polys.domains import QQ_I
+from sympy.polys.domains import QQ, QQ_I
 
 from logconnect import FuchsianSystem, RationalFunction
+from logconnect.ratfunc import from_terms, gaussian
 
 
 def gaussian_rational(rng, span=4, den=3):
@@ -31,6 +32,29 @@ def random_fuchsian(rng, m=None, max_poles=3):
     return FuchsianSystem(m, poles, residues)
 
 
+def symbols(gens):
+    """sympy symbols for chart variables given by name or as symbols."""
+    return [sp.Symbol(str(g)) for g in gens]
+
+
+def from_qqi(c):
+    """The library's scalar of a ``QQ_I`` element, read part by part."""
+    return gaussian(*(Fraction(int(q.numerator), int(q.denominator)) for q in (c.x, c.y)))
+
+
+def from_sympy_poly(poly):
+    """The library's polynomial of a sympy ``Poly`` over ``QQ_I``."""
+    return from_terms({e: from_qqi(c) for e, c in poly.as_dict(native=True).items()},
+                      poly.gens)
+
+
+def to_sympy_poly(poly):
+    """The sympy ``Poly`` over ``QQ_I`` of one of the library's polynomials."""
+    return sp.Poly.from_dict({e: QQ_I(QQ(a, poly.den), QQ(b, poly.den))
+                              for e, (a, b) in poly.rep.items()},
+                             *symbols(poly.gens), domain=QQ_I)
+
+
 def from_expr(expr, gens):
     """The reduced fraction of a sympy expression in ``gens``; a Float becomes its
     exact dyadic value and marks the result inexact."""
@@ -38,8 +62,9 @@ def from_expr(expr, gens):
     exact = not expr.has(sp.Float)
     n, d = sp.fraction(sp.together(expr.replace(lambda e: e.is_Float,
                                                 lambda e: sp.Rational(float(e)))))
-    return RationalFunction(sp.Poly(n, *gens, domain=QQ_I), sp.Poly(d, *gens, domain=QQ_I),
-                            exact=exact)
+    gens = symbols(gens)
+    return RationalFunction(from_sympy_poly(sp.Poly(n, *gens, domain=QQ_I)),
+                            from_sympy_poly(sp.Poly(d, *gens, domain=QQ_I)), exact=exact)
 
 
 def trace_form(conn):

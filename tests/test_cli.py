@@ -419,8 +419,9 @@ def test_normalize_reads_the_exact_series(tmp_path, components, A, taus):
 NOT_LOADED = {
     **dict.fromkeys(["predicates", "exponent", "lift-rep"], set(HEAVY)),
     **dict.fromkeys(["check-flat", "residues", "projectivize", "reconstruct",
-                     "lift-trace-free", "pullback", "normalize"], {"scipy.integrate"}),
-    **dict.fromkeys(["monodromy", "realize-local", "realize-fuchsian"], {"scipy.integrate"}),
+                     "lift-trace-free", "pullback", "normalize"], {"sympy", "scipy.integrate"}),
+    **dict.fromkeys(["monodromy", "realize-local", "realize-fuchsian"],
+                    {"sympy", "scipy.integrate"}),
 }
 
 
@@ -435,6 +436,12 @@ def test_each_verb_loads_only_its_libraries(entry):
     code, _, loaded = run_process(entry["args"])
     assert code == entry["expect"]
     assert not loaded & NOT_LOADED[entry["args"][0]], loaded
+
+
+def test_a_double_pole_is_refused_without_sympy():
+    code, out, loaded = run_process(["residues", str(ROOT / "perfbench" / "double_pole.json")])
+    assert (code, json.loads(out)["status"]) == (2, "error")
+    assert "sympy" not in loaded, loaded
 
 
 # every name the package exported when it imported all its submodules eagerly

@@ -17,12 +17,15 @@ from logconnect import (
     transport,
 )
 from logconnect.connections import LogConnection
-from logconnect.errors import ResonantResidue, UnsupportedBranch
+from logconnect.errors import ResonantResidue, SchemaViolation, UnsupportedBranch
 from logconnect.projective import projectivize, reconstruct
-from logconnect.ratfunc import RationalFunction, to_qqi
+from logconnect.ratfunc import GaussianRational, RationalFunction, gaussian
 from logconnect.serialization import validate_schema
 
-from conftest import from_expr, random_fuchsian, rational_matrix, trace_form
+from conftest import (
+    from_expr, from_sympy_poly, random_fuchsian, rational_matrix, symbols, to_sympy_poly,
+    trace_form,
+)
 
 
 def make_log_connection(entries, gens, divisor):
@@ -97,6 +100,20 @@ class TestResidue:
         )
         assert np.allclose(residue(conn, 0), [[1.0, 2.0], [0.0, 0.5]])
 
+    def test_a_float_branch_in_a_later_variable_meets_the_exact_pole_it_rounds(self):
+        """y = 0.3 meets the pole at y = 3/10 as x = 0.3 would: the residue is read
+        off, and a double pole is refused."""
+        doc = {"type": "log_connection", "rank": 1, "vars": ["x", "y"],
+               "divisor": [{"var": 0, "value": [0, 0]}, {"var": 1, "value": [0.3, 0]}],
+               "components": [[[{"num": {"0,0": [1, 0]}, "den": {"1,0": [1, 0]}}]],
+                              [[{"num": {"0,0": [2, 0]},
+                                 "den": {"0,1": [1, 0], "0,0": ["-3/10", 0]}}]]]}
+        assert np.allclose(residue(validate_schema(doc), 1), [[2.0]])
+        doc["components"][1][0][0]["den"] = {"0,2": [1, 0], "0,1": ["-3/5", 0],
+                                             "0,0": ["9/100", 0]}
+        with pytest.raises(SchemaViolation, match="pole of order > 1"):
+            validate_schema(doc)
+
 
 class TestPullback:
     def test_single_branch_scales_residue(self):
@@ -140,7 +157,7 @@ class TestPullback:
             LocalModel(1, [[[value]]])
         out = pullback_power(C, 0, 2)
         assert (C.exact, out.exact) == (exact, exact)
-        assert out.residues == (((2 * to_qqi(value),),),)
+        assert out.residues == (((2 * gaussian(value),),),)
 
     def test_local_model_other_branches_unchanged(self):
         model = LocalModel(2, [np.diag([1.0, 2.0]), np.diag([3.0, 4.0])])
@@ -251,15 +268,16 @@ def generic_sum(gens, lines, residues, i, j):
     each partial sum by a gcd."""
     f = RationalFunction.zero(gens)
     for A, line in zip(residues, lines):
-        num = sp.Poly(A[i][j], *gens, domain=QQ_I)
-        f = f + RationalFunction(num, sp.Poly(line, *gens, domain=QQ_I))
+        num, den = (from_sympy_poly(sp.Poly(e, *symbols(gens), domain=QQ_I))
+                    for e in (A[i][j], sp.sympify(line)))
+        f = f + RationalFunction(num, den)
     return f
 
 
 def assert_canonical(f, ref):
     assert (f.num, f.den) == (ref.num, ref.den)
-    assert f.den.domain.convert(f.den.LC()) == QQ_I.one
-    assert f.num.gcd(f.den).is_one
+    assert f.den.LC() == 1
+    assert to_sympy_poly(f.num).gcd(to_sympy_poly(f.den)).is_one
 
 
 class TestEmbedding:
@@ -315,26 +333,26 @@ class TestEmbedding:
 
 
 class TestStoredScalars:
-    """Constructors read their scalars once into ``QQ_I`` elements, so a system
+    """Constructors read their scalars once into ``GaussianRational``s, so a system
     rebuilt from the stored values is the same system."""
 
     def test_rebuilt_from_stored_values(self, rng):
         for _ in range(20):
             F = random_fuchsian(rng)
-            assert all(isinstance(v, QQ_I.dtype) for v in F.poles)
-            assert all(isinstance(e, QQ_I.dtype) for A in F.residues for row in A for e in row)
+            assert all(isinstance(v, GaussianRational) for v in F.poles)
+            assert all(isinstance(e, GaussianRational) for A in F.residues for row in A for e in row)
             assert FuchsianSystem(F.m, F.poles, F.residues) == F  # the exact flag included
             L = LocalModel(F.m, F.residues, n=F.k + 1)
             assert LocalModel(L.m, L.residues, n=L.n) == L
             conn = F.to_log_connection()
-            assert all(isinstance(c, QQ_I.dtype) for _, c in conn.divisor)
+            assert all(isinstance(c, GaussianRational) for _, c in conn.divisor)
             back = LogConnection(conn.m, conn.gens, conn.divisor, conn.components,
                                  exact=conn.exact)
             assert back.divisor == conn.divisor and back.equals(conn)
             assert back.exact == conn.exact == F.exact
 
     def test_a_non_gaussian_rational_is_stored_as_its_dyadic_value(self):
-        root2 = to_qqi(2 ** 0.5)
+        root2 = gaussian(2 ** 0.5)
         F = FuchsianSystem(1, [sp.sqrt(2)], [[[sp.sqrt(2)]]])
         L = LocalModel(1, [[[sp.sqrt(2)]]])
         assert (F.poles, F.residues, F.exact) == ((root2,), (((root2,),),), False)

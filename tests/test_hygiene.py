@@ -72,8 +72,12 @@ def test_no_coefficient_expression_round_trip(path):
 
 
 def gcd_calls(node):
+    """Lines that call a polynomial ``gcd``; ``math.gcd`` of integers removes the
+    content a polynomial's numerators share with its denominator, and is not one."""
     return {call.lineno for call in ast.walk(node)
-            if isinstance(call, ast.Call) and called_name(call) == "gcd"}
+            if isinstance(call, ast.Call) and called_name(call) == "gcd"
+            and not (isinstance(call.func, ast.Attribute)
+                     and getattr(call.func.value, "id", None) == "math")}
 
 
 def test_fractions_are_reduced_in_one_place():
@@ -93,23 +97,48 @@ def test_fractions_are_reduced_in_one_place():
     assert not stray, f"gcd called outside ratfunc._gcd: {stray}"
 
 
+# the functions of ratfunc that may reach sympy, each on call: the reader of sympy
+# numbers (through an already loaded sympy), the gcd in several variables, and the
+# sympy numbers that ``Polynomial.all_coeffs`` and ``terms`` return
+SYMPY_SITES = {"to_scalar", "_gcd", "_sympy_numbers"}
+
+
+def sympy_lines(node):
+    """Lines that import sympy or name it as a module (``sys.modules.get("sympy")``)."""
+    lines = set()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Import):
+            names = [a.name for a in n.names]
+        elif isinstance(n, ast.ImportFrom):
+            names = [n.module or ""]
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            names = [n.value]
+        else:
+            continue
+        if any(name == "sympy" or name.startswith("sympy.") for name in names):
+            lines.add(n.lineno)
+    return lines
+
+
 def test_sympy_numbers_are_read_in_one_place():
-    """The library's exact scalar is the ``QQ_I`` element: only ``ratfunc.to_scalar``
-    calls ``from_sympy``, and nothing turns an element back into a sympy number."""
-    stray = {}
+    """The library's exact types are its own, and sympy is reached only lazily, only
+    in ratfunc, and only from ``to_scalar``, ``_gcd`` and ``_sympy_numbers``; no
+    module converts with ``from_sympy`` or ``to_sympy``."""
+    stray, used = {}, set()
     for path in MODULES:
         tree = ast.parse(path.read_text(), filename=str(path))
         allowed = set()
         if path.name == "ratfunc.py":
-            allowed = {call.lineno for f in ast.walk(tree)
-                       if isinstance(f, ast.FunctionDef) and f.name == "to_scalar"
-                       for call in ast.walk(f)
-                       if isinstance(call, ast.Call) and called_name(call) == "from_sympy"}
+            for f in ast.walk(tree):
+                if isinstance(f, ast.FunctionDef) and f.name in SYMPY_SITES and sympy_lines(f):
+                    used.add(f.name)
+                    allowed |= sympy_lines(f)
         calls = {node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
                  and called_name(node) in ("from_sympy", "to_sympy")}
-        if calls - allowed:
-            stray[path.name] = sorted(calls - allowed)
-    assert not stray, f"sympy numbers converted outside ratfunc.to_scalar: {stray}"
+        if (sympy_lines(tree) - allowed) | calls:
+            stray[path.name] = sorted((sympy_lines(tree) - allowed) | calls)
+    assert used == SYMPY_SITES, f"sympy sites that no longer reach sympy: {SYMPY_SITES - used}"
+    assert not stray, f"sympy reached outside ratfunc's lazy sites: {stray}"
 
 
 HEAVY = ("sympy", "scipy.linalg", "scipy.integrate")
@@ -122,10 +151,10 @@ TIERS = {
     "lifting": set(),
     "serialization": set(),
     "cli": set(),
-    "ratfunc": {"sympy"},
-    "connections": {"sympy"},
-    "projective": {"sympy"},
-    "monodromy": {"sympy"},
+    "ratfunc": set(),
+    "connections": set(),
+    "projective": set(),
+    "monodromy": set(),
 }
 
 

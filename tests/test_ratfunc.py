@@ -1,14 +1,27 @@
+import math
 from fractions import Fraction
 
 import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
-from sympy.polys.domains import QQ_I
+from sympy.polys.domains import QQ, QQ_I
 
-from logconnect import LocalModel, RationalFunction, projectivize, trace_free_lift
-from logconnect.ratfunc import _gcd, to_qqi
+from logconnect import LocalModel, RationalFunction, projectivize, reconstruct, trace_free_lift
+from logconnect.ratfunc import (
+    _I_MOD_P,
+    _P,
+    _coprime_mod_p,
+    _gcd,
+    branch_line,
+    from_terms,
+    gaussian,
+    to_scalar,
+)
 
-from conftest import from_expr, random_fuchsian, rational_matrix
+from conftest import (
+    from_expr, from_qqi, from_sympy_poly, random_fuchsian, rational_matrix, to_sympy_poly,
+    trace_form,
+)
 
 x, y = sp.symbols("x y")
 
@@ -18,8 +31,7 @@ small_rat = st.fractions(
 
 
 def poly(coeffs):
-    return sp.Poly(sum(sp.Rational(c) * x ** i for i, c in enumerate(coeffs)),
-                   x, domain=QQ_I)
+    return from_terms({(i,): gaussian(c) for i, c in enumerate(coeffs)}, ("x",))
 
 
 @st.composite
@@ -42,21 +54,35 @@ def test_mul_div_roundtrip_exact(f, g):
 
 @given(rational_functions())
 def test_denominator_monic(f):
-    assert f.den.domain.convert(f.den.LC()) == f.den.domain.one
+    assert f.den.LC() == 1
 
 
 @given(rational_functions())
 def test_gcd_removed(f):
-    assert f.num.gcd(f.den).is_one or f.num.is_zero
+    assert f.num.is_zero or to_sympy_poly(f.num).gcd(to_sympy_poly(f.den)).is_one
 
 
-# -- the fraction-reducing gcd, against sympy's ----------------------------
+# -- the native core against sympy's Poly over QQ_I ------------------------
+#
+# sympy is the oracle: inputs are built as sympy polynomials, read into the
+# library's type part by part, and every result must be the library's reading
+# of sympy's result.  Equality is structural, so a result that kept a content
+# its denominator shares would differ.
 
 z = sp.Symbol("z")
-rational_coeff = st.builds(to_qqi, small_rat, small_rat)
+GENS = (x, y, z)
+
+
+def qqi(re, im):
+    re, im = Fraction(re), Fraction(im)
+    return QQ_I(QQ(re.numerator, re.denominator), QQ(im.numerator, im.denominator))
+
+
+rational_coeff = st.builds(qqi, small_rat, small_rat)
 # parts as a JSON float gives them: dyadic values with long denominators (0.1 ...)
 float_part = st.floats(-4, 4).map(lambda f: round(f, 2))
-dyadic_coeff = st.builds(to_qqi, float_part, float_part)
+dyadic_coeff = st.builds(qqi, float_part, float_part)
+any_coeff = st.sampled_from([rational_coeff, dyadic_coeff])
 
 
 @st.composite
@@ -80,15 +106,205 @@ def pairs(draw, gens, coeff, degree, factor_degree=0):
     return num * c, den * c
 
 
+@st.composite
+def pairs_in_one_to_three_variables(draw, degree=3, max_terms=5):
+    gens, coeff = GENS[:draw(st.integers(1, 3))], draw(any_coeff)
+    return (draw(polys(gens, coeff, degree, max_terms)),
+            draw(polys(gens, coeff, degree, max_terms)))
+
+
+oracle_settings = settings(derandomize=True, max_examples=80, deadline=None)
+
+
+def native(f):
+    return from_sympy_poly(f)
+
+
+@oracle_settings
+@given(pairs_in_one_to_three_variables(), rational_coeff)
+def test_ring_operations_are_sympys(pair, c):
+    f, g = pair
+    F, G = native(f), native(g)
+    assert to_sympy_poly(F) == f
+    assert F + G == native(f + g)
+    assert F - G == native(f - g)
+    assert (F - F).is_zero and F - F == native(f - f)
+    assert -F == native(-f)
+    assert F * G == native(f * g)
+    assert F.mul_ground(from_qqi(c)) == native(f.mul_ground(c))
+    assert F.LC() == from_qqi(f.rep.LC())
+
+
+@oracle_settings
+@given(pairs_in_one_to_three_variables())
+def test_exact_quotient_is_sympys(pair):
+    f, g = pair
+    assert (native(f) * native(g)).exquo(native(g)) == native((f * g).exquo(g)) == native(f)
+
+
+@oracle_settings
+@given(pairs_in_one_to_three_variables(), st.integers(2, 4))
+def test_diff_and_subst_power_are_sympys(pair, nu):
+    f, _ = pair
+    for k, gen in enumerate(f.gens):
+        assert native(f).diff(k) == native(f.diff(gen))
+        substituted = sp.Poly(f.as_expr().subs(gen, gen ** nu), *f.gens, domain=QQ_I)
+        assert native(f).subst_power(k, nu) == native(substituted)
+
+
+@oracle_settings
+@given(any_coeff.flatmap(lambda c: st.tuples(polys((x,), c, 7), polys((x,), c, 3))))
+def test_division_in_one_variable_is_sympys(pair):
+    f, g = pair
+    assert native(f).div(native(g)) == tuple(map(native, f.div(g)))
+
+
+@oracle_settings
+@given(pairs_in_one_to_three_variables(), rational_coeff, st.integers(0, 2))
+def test_division_by_a_line_leaves_the_value_on_it(pair, c, var):
+    f, _ = pair
+    var = min(var, len(f.gens) - 1)
+    line = branch_line(native(f).gens, var, from_qqi(c))
+    q, r = native(f).div(line)
+    value = sp.Poly(f.as_expr().subs(f.gens[var], QQ_I.to_sympy(c)), *f.gens, domain=QQ_I)
+    assert r == native(value)
+    assert q * line + r == native(f)
+    if var == 0:
+        assert (q, r) == tuple(map(native, f.div(to_sympy_poly(line))))
+
+
+def test_the_prime_has_a_square_root_of_minus_one():
+    assert sp.isprime(_P) and _P % 4 == 1
+    assert _I_MOD_P * _I_MOD_P % _P == _P - 1
+
+
+def test_a_leading_coefficient_the_prime_divides_defers_to_euclid():
+    """The image of (x - 1)(p x + 1) mod p has degree 1, so the test proves nothing
+    and Euclid finds the common factor; with x + 2 it finds none."""
+    line = sp.Poly(x - 1, x, domain=QQ_I)
+    den = line * sp.Poly(_P * x + 1, x, domain=QQ_I)
+    for num, want in [(line, line), (sp.Poly(x + 2, x, domain=QQ_I), sp.Poly(1, x, domain=QQ_I))]:
+        assert not _coprime_mod_p(native(num), native(den))
+        assert _gcd(native(num), native(den)) == native(want)
+
+
+@oracle_settings
+@given(st.one_of(pairs_in_one_to_three_variables(degree=2, max_terms=4),
+                 st.integers(1, 3).flatmap(lambda n: pairs(GENS[:n], rational_coeff, 2,
+                                                           factor_degree=1))))
+def test_normal_form_is_sympys(pair):
+    num, den = pair
+    f = RationalFunction(native(num), native(den))
+    g = num.gcd(den)
+    n, d = num.exquo(g), den.exquo(g)
+    lc = d.LC()
+    assert (f.num, f.den) == (native(n.quo_ground(lc)), native(d.quo_ground(lc)))
+
+
+# -- scalars ---------------------------------------------------------------
+
+parts = st.one_of(small_rat, float_part.map(Fraction),
+                  st.fractions(max_denominator=10**12).filter(lambda q: abs(q) < 10**30))
+
+
+def fraction_pair(z):
+    return Fraction(z.re, z.den), Fraction(z.im, z.den)
+
+
+def sympy_number(z):
+    return sp.Rational(z.re, z.den) + sp.Rational(z.im, z.den) * sp.I
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(parts, parts, parts, parts)
+def test_scalar_arithmetic_is_exact(a, b, c, d):
+    u, v = gaussian(a, b), gaussian(c, d)
+    assert fraction_pair(u) == (a, b)
+    assert math.gcd(u.re, u.im, u.den) == 1 and u.den > 0
+    assert fraction_pair(u + v) == (a + c, b + d)
+    assert fraction_pair(u - v) == (a - c, b - d)
+    assert fraction_pair(u * v) == (a * c - b * d, a * d + b * c)
+    if c or d:
+        n = c * c + d * d
+        assert fraction_pair(u / v) == ((a * c + b * d) / n, (b * c - a * d) / n)
+    assert (u == v) == ((a, b) == (c, d)) and (u == gaussian(a, b)) and bool(u) == bool(a or b)
+    assert hash(u) == hash(gaussian(a, b))
+    assert complex(u) == complex(float(a), float(b))
+    assert str(u) == str(sp.Rational(a) + sp.Rational(b) * sp.I)
+
+
+def test_an_integer_scalar_equals_and_hashes_as_its_int():
+    assert gaussian(3) == 3 and hash(gaussian(3)) == hash(3) and 2 * gaussian(1, 1) == gaussian(2, 2)
+    with pytest.raises(AttributeError):
+        gaussian(1).re = 2
+
+
+def test_sympy_numbers_are_read_without_as_real_imag(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("as_real_imag called")
+
+    monkeypatch.setattr(sp.Expr, "as_real_imag", refuse)
+    for value, want in [(sp.Integer(-3), gaussian(-3)), (sp.Rational(1, 3), gaussian(Fraction(1, 3))),
+                        (sp.I, gaussian(0, 1)), (-sp.I / 2, gaussian(0, Fraction(-1, 2))),
+                        (sp.Rational(1, 3) - 2 * sp.I / 7, gaussian(Fraction(1, 3), Fraction(-2, 7)))]:
+        assert to_scalar(value) == (want, True)
+    monkeypatch.undo()  # an inexact value goes through complex(), which calls it
+    assert to_scalar(sp.Float(0.5)) == (gaussian(0.5), False)
+    assert to_scalar(sp.sqrt(2) * sp.I) == (gaussian(0, 2 ** 0.5), False)
+
+
+# -- what the benchmark's checker reads, against sympy's Poly ---------------
+
+
+def sympy_entry(F, i, j):
+    """Entry (i, j) of a Fuchsian system's connection, sum_k A_k[i][j] / (x - p_k), as
+    the reduced numerator and monic denominator sympy builds."""
+    xs = sp.Symbol("x")
+    expr = sum((sympy_number(A[i][j]) / (xs - sympy_number(p))
+                for A, p in zip(F.residues, F.poles)), sp.Integer(0))
+    n, d = (sp.Poly(e, xs, domain=QQ_I) for e in sp.fraction(sp.cancel(sp.together(expr))))
+    return n.quo_ground(d.LC()), d.monic()
+
+
+def test_reconstructed_entries_answer_the_checker_as_sympy_polys_do(rng):
+    """The exact_layer checker reads ``all_coeffs``, ``terms``, ``total_degree`` and
+    ``is_zero`` of a round trip's entries; each must read as on a sympy ``Poly``."""
+    seen_zero = False
+    for _ in range(12):
+        F = random_fuchsian(rng)
+        conn = F.to_log_connection()
+        back = reconstruct(projectivize(conn), trace_form(conn))
+        for i in range(F.m):
+            for j in range(F.m):
+                f = back.entry(0, i, j)
+                for got, want in zip((f.num, f.den), sympy_entry(F, i, j)):
+                    assert got.all_coeffs() == want.all_coeffs()
+                    assert got.terms() == want.terms()
+                    assert got.total_degree() == want.total_degree()
+                    assert got.is_zero == want.is_zero
+                    seen_zero |= got.is_zero
+    multi = LocalModel(2, [rational_matrix(rng, 2)] * 2, n=3).to_log_connection()
+    f = multi.entry(1, 0, 0) * multi.entry(0, 1, 1) + multi.entry(2, 0, 1)
+    for p in (f.num, f.den, multi.entry(2, 0, 0).num):
+        want = to_sympy_poly(p)
+        assert (p.terms(), p.total_degree(), p.is_zero) == \
+            (want.terms(), want.total_degree(), want.is_zero)
+
+
+# -- the fraction-reducing gcd, against sympy's ----------------------------
+
 gcd_settings = settings(derandomize=True, max_examples=80, deadline=None)
+
+
+def assert_gcd_is_sympys(num, den):
+    assert _gcd(native(num), native(den)) == native(num.gcd(den).monic())
 
 
 @gcd_settings
 @given(st.sampled_from([rational_coeff, dyadic_coeff]).flatmap(lambda coeff: st.one_of(
     pairs((x,), coeff, 8), pairs((x,), coeff, 5, factor_degree=3))))
 def test_gcd_in_one_variable_is_sympys(pair):
-    num, den = pair
-    assert _gcd(num, den) == num.gcd(den).monic()
+    assert_gcd_is_sympys(*pair)
 
 
 @gcd_settings
@@ -98,15 +314,14 @@ def test_gcd_in_one_variable_is_sympys(pair):
 def test_gcd_with_a_monomial_denominator_is_sympys(pair):
     num, den = pair
     assert den.is_monomial
-    assert _gcd(num, den) == num.gcd(den).monic()
+    assert_gcd_is_sympys(num, den)
 
 
 @gcd_settings
 @given(st.one_of(pairs((x, y), rational_coeff, 2),
                  pairs((x, y), rational_coeff, 2, factor_degree=1)))
 def test_gcd_in_several_variables_is_sympys(pair):
-    num, den = pair
-    assert _gcd(num, den) == num.gcd(den).monic()
+    assert_gcd_is_sympys(*pair)
 
 
 def test_a_monomial_denominator_runs_no_gcd_algorithm(monkeypatch):
@@ -114,14 +329,15 @@ def test_a_monomial_denominator_runs_no_gcd_algorithm(monkeypatch):
         raise AssertionError("a gcd algorithm ran")
 
     monkeypatch.setattr(sp.Poly, "gcd", refuse)
-    monkeypatch.setattr("logconnect.ratfunc.dup_rem", refuse)
+    monkeypatch.setattr("logconnect.ratfunc._coprime_mod_p", refuse)
+    monkeypatch.setattr("logconnect.ratfunc.Polynomial.div", refuse)
     for gens, num, den, want in [
         ((x,), 3 * x ** 4 + x ** 2, x ** 3, (3 * x ** 2 + 1, x)),
         ((x,), x + 1, x ** 2, (x + 1, x ** 2)),
         ((x, y), x ** 2 * y + 2 * x ** 3, 5 * x ** 2 * y ** 2, (y / 5 + 2 * x / 5, y ** 2)),
     ]:
-        f = RationalFunction(sp.Poly(num, *gens, domain=QQ_I), sp.Poly(den, *gens, domain=QQ_I))
-        assert (f.num, f.den) == tuple(sp.Poly(e, *gens, domain=QQ_I) for e in want)
+        f = RationalFunction(*(native(sp.Poly(e, *gens, domain=QQ_I)) for e in (num, den)))
+        assert (f.num, f.den) == tuple(native(sp.Poly(e, *gens, domain=QQ_I)) for e in want)
 
 
 def test_float_inputs_degrade_to_inexact():
@@ -170,7 +386,7 @@ def exact_value(f, point):
 
     def value(poly):
         total = (Fraction(0), Fraction(0))
-        for monom, c in poly.as_dict().items():
+        for monom, c in to_sympy_poly(poly).as_dict().items():
             re, im = c.as_real_imag()
             term = (Fraction(int(re.p), int(re.q)), Fraction(int(im.p), int(im.q)))
             for z, e in zip(point, monom):
