@@ -4,7 +4,9 @@ monodromy and the projective lifting pipeline.
 The names below are resolved on first access (PEP 562), so importing the
 package loads nothing beyond numpy.  No submodule imports sympy or scipy at
 module level: exact arithmetic is the package's own (``ratfunc``), and
-``scipy.linalg`` is imported by the kernels that call it.
+``scipy.linalg`` is imported on call by the three matrix functions of
+``algebra`` that use it (Schur form, exponential, logarithm), which no CLI
+verb runs.
 """
 
 import importlib

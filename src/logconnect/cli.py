@@ -13,9 +13,9 @@ standard output instead.
 
 Start-up cost.  This module imports only numpy and the modules every verb
 runs (``serialization``, ``lifting``, ``algebra``); each verb imports the
-rest itself.  No verb loads sympy: exact data is read into ``ratfunc``'s own
-Gaussian-rational types, and transport is numpy code.  Only ``normalize``
-loads a library beyond numpy and click, ``scipy.linalg``.
+rest itself.  No verb loads a library beyond numpy and click: exact data is
+read into ``ratfunc``'s own Gaussian-rational types, and transport and the
+Sylvester solves of ``normalize`` are numpy code.
 """
 
 from __future__ import annotations
@@ -86,7 +86,7 @@ def _run(fn, output):
                           "message": exc.message}, output)
     except LogConnectError as exc:
         _finish("error", {"error": type(exc).__name__, "message": str(exc)}, output)
-    except (ValueError, json.JSONDecodeError, OSError) as exc:
+    except (ValueError, OverflowError, json.JSONDecodeError, OSError) as exc:
         _finish("error", {"error": type(exc).__name__, "message": str(exc)}, output)
     else:
         _finish(status, payload, output, notes)
@@ -176,6 +176,8 @@ def monodromy_cmd(input, tol, basepoint, loops_path, output):
             if basepoint is not None:
                 re, im = (float(s) for s in basepoint.split(","))
                 bp = complex(re, im)
+                if not math.isfinite(abs(bp)):
+                    raise ValueError(f"--basepoint must be finite, got {basepoint!r}")
             loops = monodromy.standard_loops(conn, basepoint=bp)
         elif isinstance(conn, LocalModel) and conn.k == 1:
             loops = [monodromy.circle_loop(0.0, 1.0)]
@@ -218,7 +220,7 @@ def reconstruct_cmd(input, trace_json, output):
             doc = _load(trace_json)
             if not isinstance(doc, list) or len(doc) != ric.n:
                 raise SchemaViolation("/trace", "expected one entry per chart variable")
-            trace = tuple(parse_ratfunc(e, ric.gens, f"/trace/{i}")
+            trace = tuple(parse_ratfunc(e, ric.gens, f"/trace/{i}")[0]
                           for i, e in enumerate(doc))
         conn = reconstruct(ric, trace)
         return "ok", system_to_json(conn), ()

@@ -3,6 +3,9 @@
 Two concrete models — global one-variable Fuchsian systems on the sphere and
 polydisk local models with coordinate-hyperplane divisors — both embed into
 the general ``LogConnection``, whose entries are exact rational functions.
+Each system's ``exact`` flag (``exact=True`` ANDed with ``ratfunc.to_scalar``'s
+verdict on every scalar read) decides its predicates: exact data is compared
+structurally, inexact data within a tolerance.
 """
 
 from __future__ import annotations
@@ -88,7 +91,7 @@ class _Residues:
         return self.residue_arrays[i]
 
 
-def _pole_sums(m, gens, lines, residues, exact):
+def _pole_sums(m, gens, lines, residues):
     """The m x m matrix of entries sum_k A_k[i][j] / l_k, built reduced with no gcd.
 
     ``lines`` are monic, of degree one in ``gens`` and with pairwise distinct
@@ -109,7 +112,7 @@ def _pole_sums(m, gens, lines, residues, exact):
                 reduce(mul, factors[:s] + factors[s + 1:], one) for s in range(len(factors))])
         den, cofactors = products[support]
         num = reduce(add, (c.mul_ground(residues[k][i][j]) for k, c in zip(support, cofactors)))
-        return RationalFunction(num, den, exact=exact, _normalized=True)
+        return RationalFunction(num, den, _normalized=True)
 
     return tuple(tuple(entry(i, j) for j in range(m)) for i in range(m))
 
@@ -127,7 +130,7 @@ class FuchsianSystem(_Residues):
     residues: tuple
     exact: bool = field(default=True)
 
-    def __init__(self, m, poles, residues):
+    def __init__(self, m, poles, residues, exact=True):
         if len(poles) != len(residues):
             raise ValueError("one residue matrix per pole required")
         read = [to_scalar(p) for p in poles]
@@ -139,7 +142,7 @@ class FuchsianSystem(_Residues):
                 raise SchemaViolation(
                     f"/poles/{i}", "poles must be pairwise distinct (separation > 1e-9)"
                 )
-        exact = self._read_residues(m, residues)
+        exact = self._read_residues(m, residues) and bool(exact)
         object.__setattr__(self, "exact", exact and all(e for _, e in read))
 
     @cached_property
@@ -159,7 +162,7 @@ class FuchsianSystem(_Residues):
         if cached is not None:
             return cached
         lines = [branch_line(("x",), 0, p) for p in self.poles]
-        comp = _pole_sums(self.m, ("x",), lines, self.residues, self.exact)
+        comp = _pole_sums(self.m, ("x",), lines, self.residues)
         divisor = tuple((0, p) for p in self.poles)
         conn = LogConnection(self.m, ("x",), divisor, (comp,), exact=self.exact)
         object.__setattr__(self, "_log_connection", conn)
@@ -180,14 +183,14 @@ class LocalModel(_Residues):
     residues: tuple
     exact: bool = field(default=True)
 
-    def __init__(self, m, residues, n=None):
+    def __init__(self, m, residues, n=None, exact=True):
         residues = tuple(residues)
         k = len(residues)
         if n is None:
             n = k
         if k > n:
             raise ValueError("need at least as many chart variables as divisor branches")
-        object.__setattr__(self, "exact", self._read_residues(m, residues))
+        object.__setattr__(self, "exact", self._read_residues(m, residues) and bool(exact))
         object.__setattr__(self, "n", int(n))
 
     def to_log_connection(self) -> "LogConnection":
@@ -197,7 +200,7 @@ class LocalModel(_Residues):
         ``RationalFunction.zero``."""
         gens = tuple(f"x{j}" for j in range(1, self.n + 1))
         comps = tuple(_pole_sums(self.m, gens, [branch_line(gens, j, ZERO)],
-                                 self.residues[j:j + 1], self.exact)
+                                 self.residues[j:j + 1])
                       for j in range(self.n))
         divisor = tuple((j, ZERO) for j in range(self.k))
         return LogConnection(self.m, gens, divisor, comps, exact=self.exact)
@@ -241,23 +244,13 @@ class LogConnection:
             self._callables[var] = omega
         return self._callables[var]
 
-    def map_entries(self, func) -> "LogConnection":
-        comps = tuple(
-            tuple(tuple(func(f) for f in row) for row in comp)
-            for comp in self.components
-        )
-        exact = all(f.exact for comp in comps for row in comp for f in row)
-        return LogConnection(self.m, self.gens, self.divisor, comps, exact=exact)
-
     def equals(self, other: "LogConnection", tol: float = 1e-12) -> bool:
+        """Entrywise equality: structural when both are exact, else within ``tol``."""
         if self.m != other.m or self.n != other.n:
             return False
-        return all(
-            self.entry(v, i, j).equals(other.entry(v, i, j), tol)
-            for v in range(self.n)
-            for i in range(self.m)
-            for j in range(self.m)
-        )
+        return _entries_equal([f for comp in self.components for row in comp for f in row],
+                             [f for comp in other.components for row in comp for f in row],
+                             self.exact and other.exact, tol)
 
     def to_log_connection(self) -> "LogConnection":
         return self
@@ -283,6 +276,12 @@ def _as_connection(C) -> LogConnection:
     return C.to_log_connection()
 
 
+def _entries_equal(fs, gs, exact: bool, tol: float) -> bool:
+    """Whether two sequences of entries agree: structurally for exact data, whose
+    normalized form is canonical, else each difference within ``tol``."""
+    return all(f == g if exact else (f - g).is_zero_within(tol) for f, g in zip(fs, gs))
+
+
 def flatness_check(C, tol: float = 1e-12) -> bool:
     """Symbolic integrability test: the 2-form d(omega) - omega ^ omega vanishes."""
     conn = _as_connection(C)
@@ -298,8 +297,7 @@ def flatness_check(C, tol: float = 1e-12) -> bool:
                     term = Ob[i][j].diff(conn.gens[a]) - Oa[i][j].diff(conn.gens[b])
                     for l in range(m):
                         term = term - (Oa[i][l] * Ob[l][j] - Ob[i][l] * Oa[l][j])
-                    vanishes = term.is_zero if term.exact else term.is_zero_within(tol)
-                    if not vanishes:
+                    if not (term.is_zero if conn.exact else term.is_zero_within(tol)):
                         return False
     return True
 
@@ -376,11 +374,9 @@ def pullback_power(C, var: int, nu: int):
     if isinstance(C, _Residues):
         scaled = list(C.residues)
         scaled[var] = [[nu * e for e in row] for row in scaled[var]]
-        out = FuchsianSystem(C.m, C.poles, scaled) if isinstance(C, FuchsianSystem) \
-            else LocalModel(C.m, scaled, n=C.n)
-        # the constructor reads the stored values as exact, whatever they came from
-        object.__setattr__(out, "exact", C.exact)
-        return out
+        if isinstance(C, FuchsianSystem):
+            return FuchsianSystem(C.m, C.poles, scaled, exact=C.exact)
+        return LocalModel(C.m, scaled, n=C.n, exact=C.exact)
     conn = _as_connection(C)
     branches = [b for b in conn.divisor if b[0] == var]
     if any(c for _, c in branches):
@@ -400,7 +396,7 @@ def pullback_power(C, var: int, nu: int):
             for l in range(conn.m):
                 f = conn.entry(j, i, l).subst_power(x, nu)
                 if j == var:
-                    f = RationalFunction(f.num * chain, f.den, exact=f.exact)
+                    f = RationalFunction(f.num * chain, f.den)
                 row.append(f)
             rows.append(tuple(row))
         comps.append(tuple(rows))

@@ -200,7 +200,8 @@ def local_realize(tuple_of_classes, tol: float = 1e-7) -> LocalModel:
     residues = _realizing_residues(tuple_of_classes, NotProjectivelyCommuting)
     model = LocalModel(residues[0].shape[0], residues)
     for j, g in enumerate(tuple_of_classes):
-        Mj = transport(LocalModel(model.m, [model.residues[j]]), circle_loop(0.0, 1.0))
+        branch = LocalModel(model.m, [model.residues[j]], exact=model.exact)
+        Mj = transport(branch, circle_loop(0.0, 1.0))
         target = g if isinstance(g, ProjectiveClass) else ProjectiveClass(g)
         if not proj_equal(Mj, target.canonical, tol):
             raise NonDiagonalizableFamily(

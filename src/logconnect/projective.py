@@ -14,7 +14,7 @@ live in the numpy-only ``algebra`` module and are re-exported here.
 from __future__ import annotations
 
 from .algebra import ProjectiveClass, nonresonant, proj_equal, property_Pm
-from .connections import LogConnection, flatness_check, _as_connection
+from .connections import LogConnection, flatness_check, _as_connection, _entries_equal
 from .errors import DimensionMismatch, NonIntegrable
 from .ratfunc import RationalFunction
 
@@ -33,7 +33,7 @@ class RiccatiSystem:
     """Coefficient 1-forms of the projectivized system in the chart y_m != 0.
 
     Each coefficient is a tuple of n :class:`RationalFunction` components
-    (one per chart variable dx_j).
+    (one per chart variable dx_j).  ``exact`` records whether the data was exact.
     """
 
     def __init__(self, m, gens, divisor, b, delta, offdiag, c, exact=True):
@@ -49,18 +49,15 @@ class RiccatiSystem:
         if len(self.b) != m - 1 or len(self.delta) != m - 1 or len(self.c) != m - 1:
             raise DimensionMismatch("coefficient index ranges inconsistent with rank")
 
+    def _entries(self):
+        forms = [*self.b, *self.delta, *self.c, *(self.offdiag[k] for k in sorted(self.offdiag))]
+        return [f for form in forms for f in form]
+
     def equals(self, other: "RiccatiSystem", tol: float = 1e-12) -> bool:
-        if self.m != other.m or self.n != other.n:
+        """Entrywise equality: structural when both are exact, else within ``tol``."""
+        if self.m != other.m or self.n != other.n or set(self.offdiag) != set(other.offdiag):
             return False
-        def eq(fa, fb):
-            return all(a.equals(b, tol) for a, b in zip(fa, fb))
-        return (
-            all(eq(a, b) for a, b in zip(self.b, other.b))
-            and all(eq(a, b) for a, b in zip(self.delta, other.delta))
-            and all(eq(a, b) for a, b in zip(self.c, other.c))
-            and set(self.offdiag) == set(other.offdiag)
-            and all(eq(self.offdiag[k], other.offdiag[k]) for k in self.offdiag)
-        )
+        return _entries_equal(self._entries(), other._entries(), self.exact and other.exact, tol)
 
 
 def projectivize(C) -> RiccatiSystem:
@@ -94,7 +91,8 @@ def reconstruct(R: RiccatiSystem, trace=None) -> LogConnection:
     """The unique omega with the given Riccati data and trace.
 
     ``trace`` is a 1-form (tuple of components) or None for the zero form;
-    m * omega_{m,m} = trace - sum_i Delta_i.
+    m * omega_{m,m} = trace - sum_i Delta_i.  The trace is a value: the result is
+    exact when ``R`` is.
     """
     m, n, gens = R.m, R.n, R.gens
     if trace is None:
@@ -124,8 +122,7 @@ def reconstruct(R: RiccatiSystem, trace=None) -> LogConnection:
                     row.append(R.offdiag[(i, j)][v])
             rows.append(tuple(row))
         comps.append(tuple(rows))
-    exact = R.exact and all(f.exact for f in trace)
-    return LogConnection(m, gens, R.divisor, tuple(comps), exact=exact)
+    return LogConnection(m, gens, R.divisor, tuple(comps), exact=R.exact)
 
 
 def trace_free_lift(R: RiccatiSystem) -> LogConnection:

@@ -8,17 +8,18 @@ content it shares with its denominator removed once.  Generators are plain
 names.  A ``RationalFunction`` is a reduced fraction of two polynomials with a
 monic denominator, so that equality is structural.
 
-Poles, residues and branch values are scalars too, each read once by
+These are pure values; the system holding them records whether its input was
+exact.  Poles, residues and branch values are scalars too, each read once by
 ``to_scalar`` from an int, ``Fraction``, float, complex, sympy number or
-``GaussianRational``.  A float, or a sympy number that is not a Gaussian
-rational (``sqrt(2)``), becomes an exact dyadic value and marks the data
-inexact, so comparisons can fall back to a tolerance.  This is the one module
-where exact scalars cross to and from complex numbers and sympy numbers.  It
-never imports sympy for the library's own work: ``to_scalar`` reads sympy
-numbers only when sympy is already loaded, and sympy is imported on call by the
-gcd of two polynomials in several variables whose denominator has more than one
-term, and by ``Polynomial.all_coeffs`` and ``Polynomial.terms``, which return
-sympy numbers.
+``GaussianRational``.  A float that is not integer-valued, or a sympy number
+that is not a Gaussian rational (``sqrt(2)``), becomes an exact dyadic value
+and is reported inexact (``from_parts`` holds the rule for parts).  This is the
+one module where exact scalars cross to and from complex numbers and sympy
+numbers.  It never imports sympy for the library's own work: ``to_scalar`` reads
+sympy numbers only when sympy is already loaded, and sympy is imported on call
+by the gcd of two polynomials in several variables whose denominator has more
+than one term, and by ``Polynomial.all_coeffs`` and ``Polynomial.terms``, which
+return sympy numbers.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from operator import add
 import numpy as np
 
 __all__ = ["GaussianRational", "Polynomial", "RationalFunction", "evaluator", "complex_terms",
-           "from_terms", "branch_line", "gaussian", "to_complex", "to_scalar"]
+           "from_terms", "branch_line", "from_parts", "gaussian", "to_complex", "to_scalar"]
 
 
 class GaussianRational:
@@ -146,29 +147,36 @@ def gaussian(re, im=0) -> GaussianRational:
     return GaussianRational(p1 * (den // q1), p2 * (den // q2), den)
 
 
+def from_parts(re, im=0):
+    """re + i*im as a ``GaussianRational``, and whether it is exact.  Each part is an
+    int, ``Fraction`` or float; a float part is exact only when it is integer-valued."""
+    exact = not any(isinstance(p, float) and not p.is_integer() for p in (re, im))
+    return gaussian(re, im), exact
+
+
 def to_scalar(value):
-    """``value`` as a ``GaussianRational``, and whether it is exact.  An int, ``Fraction``,
-    ``GaussianRational`` or sympy Gaussian rational is.  Any other value becomes the
-    dyadic value of its complex value, exact only for a float or complex with integer
-    parts.  A sympy number is recognised through an already loaded sympy."""
+    """``value`` as a ``GaussianRational``, and whether it is exact.  A ``GaussianRational``
+    or sympy Gaussian rational is; an int, ``Fraction``, float or complex is read part by
+    part by ``from_parts``; any other sympy number becomes the dyadic value of its complex
+    value and is not.  A sympy number is recognised through an already loaded sympy."""
     if isinstance(value, GaussianRational):
         return value, True
-    if isinstance(value, (int, Fraction)):
-        return gaussian(value), True
+    if isinstance(value, (int, Fraction, float)):
+        return from_parts(value)
+    if isinstance(value, complex):
+        return from_parts(value.real, value.imag)
     sp = sys.modules.get("sympy")
-    is_sympy = sp is not None and isinstance(value, sp.Basic)
-    if is_sympy and isinstance(value, sp.Expr):
+    if sp is None or not isinstance(value, sp.Basic):
+        raise TypeError(f"cannot interpret {value!r} as a complex scalar")
+    if isinstance(value, sp.Expr):
         # a + b*I in the form sympy builds it, read as ``QQ_I.from_sympy`` reads it
         re, rest = value.as_coeff_Add()
         im, unit = rest.as_coeff_Mul() if rest else (sp.S.Zero, sp.I)
         if unit is sp.I and re.is_Rational and im.is_Rational:
             den = math.lcm(re.q, im.q)
             return GaussianRational(re.p * (den // re.q), im.p * (den // im.q), den), True
-    elif not is_sympy and not isinstance(value, (float, complex)):
-        raise TypeError(f"cannot interpret {value!r} as a complex scalar")
     c = complex(value)
-    exact = not is_sympy and c.real.is_integer() and c.imag.is_integer()
-    return gaussian(c.real, c.imag), exact
+    return gaussian(c.real, c.imag), False
 
 
 def to_complex(value) -> complex:
@@ -479,12 +487,12 @@ def _gcd(num: Polynomial, den: Polynomial) -> Polynomial:
 
 class RationalFunction:
     """A normalized fraction of polynomials over the Gaussian rationals in shared chart
-    variables: the fraction is reduced, and the denominator is monic."""
+    variables: the fraction is reduced, and the denominator is monic, so that two
+    fractions are equal exactly when their numerators and denominators are."""
 
-    __slots__ = ("num", "den", "gens", "exact")
+    __slots__ = ("num", "den", "gens")
 
-    def __init__(self, num: Polynomial, den: Polynomial, exact: bool = True,
-                 _normalized: bool = False):
+    def __init__(self, num: Polynomial, den: Polynomial, _normalized: bool = False):
         if den.is_zero:
             raise ZeroDivisionError("denominator is identically zero")
         if not _normalized:
@@ -501,17 +509,15 @@ class RationalFunction:
         self.num = num
         self.den = den
         self.gens = num.gens
-        self.exact = exact
 
     # -- constructors ---------------------------------------------------
 
     @classmethod
     def constant(cls, value, gens) -> "RationalFunction":
         """The constant ``value``, read by ``to_scalar``."""
-        c, exact = to_scalar(value)
         zero = (0,) * len(gens)
-        num = from_terms({zero: c}, gens)
-        return cls(num, Polynomial({zero: (1, 0)}, 1, num.gens), exact=exact, _normalized=True)
+        num = from_terms({zero: to_scalar(value)[0]}, gens)
+        return cls(num, Polynomial({zero: (1, 0)}, 1, num.gens), _normalized=True)
 
     @classmethod
     def zero(cls, gens) -> "RationalFunction":
@@ -526,23 +532,18 @@ class RationalFunction:
 
     def __add__(self, other):
         o = self._coerce(other)
-        exact = self.exact and o.exact
         if self.num.is_zero:
-            return o if o.exact == exact else \
-                RationalFunction(o.num, o.den, exact=exact, _normalized=True)
+            return o
         if o.num.is_zero:
-            return self if self.exact == exact else \
-                RationalFunction(self.num, self.den, exact=exact, _normalized=True)
+            return self
         if self.den == o.den:
-            return RationalFunction(self.num + o.num, self.den, exact=exact)
-        return RationalFunction(
-            self.num * o.den + o.num * self.den, self.den * o.den, exact=exact
-        )
+            return RationalFunction(self.num + o.num, self.den)
+        return RationalFunction(self.num * o.den + o.num * self.den, self.den * o.den)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return RationalFunction(-self.num, self.den, exact=self.exact, _normalized=True)
+        return RationalFunction(-self.num, self.den, _normalized=True)
 
     def __sub__(self, other):
         return self + (-self._coerce(other))
@@ -552,8 +553,7 @@ class RationalFunction:
 
     def __mul__(self, other):
         o = self._coerce(other)
-        return RationalFunction(self.num * o.num, self.den * o.den,
-                                exact=self.exact and o.exact)
+        return RationalFunction(self.num * o.num, self.den * o.den)
 
     __rmul__ = __mul__
 
@@ -561,11 +561,10 @@ class RationalFunction:
         o = self._coerce(other)
         if o.num.is_zero:
             raise ZeroDivisionError("division by the zero rational function")
-        exact = self.exact and o.exact
         if o.num.is_ground and o.den.is_ground:  # a constant: scale the numerator only
             return RationalFunction(self.num.mul_ground(o.den.LC() / o.num.LC()), self.den,
-                                    exact=exact, _normalized=True)
-        return RationalFunction(self.num * o.den, self.den * o.num, exact=exact)
+                                    _normalized=True)
+        return RationalFunction(self.num * o.den, self.den * o.num)
 
     def __rtruediv__(self, other):
         return self._coerce(other) / self
@@ -581,14 +580,12 @@ class RationalFunction:
         k = self._index(var)
         dn = self.num.diff(k)
         dd = self.den.diff(k)
-        return RationalFunction(dn * self.den - self.num * dd, self.den * self.den,
-                                exact=self.exact)
+        return RationalFunction(dn * self.den - self.num * dd, self.den * self.den)
 
     def subst_power(self, var, nu: int) -> "RationalFunction":
         """Substitute ``var -> var**nu`` in numerator and denominator."""
         k = self._index(var)
-        return RationalFunction(self.num.subst_power(k, nu), self.den.subst_power(k, nu),
-                                exact=self.exact)
+        return RationalFunction(self.num.subst_power(k, nu), self.den.subst_power(k, nu))
 
     def eval(self, values: dict) -> complex:
         """Numeric evaluation; ``values`` maps chart variables to complex numbers."""
@@ -603,24 +600,16 @@ class RationalFunction:
         return self.num.is_zero
 
     def is_zero_within(self, tol: float) -> bool:
-        """Zero test honoring inexact provenance: coefficient magnitudes below tol."""
-        if self.exact or self.num.is_zero:
-            return self.num.is_zero
-        return max(map(abs, complex_terms(self.num).values())) < tol
-
-    def equals(self, other, tol: float = 1e-12) -> bool:
-        o = self._coerce(other)
-        if self.exact and o.exact:
-            # normalized form is canonical, so compare structurally
-            return self.num == o.num and self.den == o.den
-        return (self - o).is_zero_within(tol)
+        """Whether every coefficient of the numerator is below tol in magnitude: the
+        zero test of a system whose data is inexact."""
+        return self.num.is_zero or max(map(abs, complex_terms(self.num).values())) < tol
 
     def __eq__(self, other):
         try:
             o = self._coerce(other)
         except TypeError:
             return NotImplemented
-        return (self - o).is_zero
+        return self.num == o.num and self.den == o.den
 
     def __hash__(self):
         return hash((self.num, self.den))

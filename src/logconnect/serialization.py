@@ -6,14 +6,17 @@ string fraction like "1/3" to request exact coefficients; output always
 emits numbers.  Numbers must be finite and ranks integers >= 1.  Rational
 functions are {num, den} maps from keys "e1,...,en" (exponents >= 0) to
 scalars, read directly into ``ratfunc`` polynomials over the Gaussian
-rationals, whose generators are the names in ``"vars"``; each emitted
-coefficient part is the correctly rounded float of its exact value.
+rationals, whose generators are the distinct names in ``"vars"``; each
+emitted coefficient part is the correctly rounded float of its exact value.
 
-``matrix`` and ``presentation`` documents are numeric: their entries and
-poles are read straight to complex numbers.  The exact kinds import
-``connections``, ``projective`` and ``ratfunc`` when one is first read or
-written, and loops import ``monodromy``; like this module, these import
-nothing heavier than numpy.
+In the exact kinds every scalar (pole, residue, branch value, coefficient) is
+read by ``parse_scalar`` to its ``GaussianRational`` as written, a float part
+as its dyadic value, and whether each was exact is ANDed into the parsed
+system's one ``exact`` flag.  ``matrix`` and ``presentation`` documents are
+numeric: their entries and poles are read straight to complex numbers.  The
+exact kinds import ``connections``, ``projective`` and ``ratfunc`` when one is
+first read or written, and loops import ``monodromy``; like this module, these
+import nothing heavier than numpy.
 """
 
 from __future__ import annotations
@@ -42,53 +45,48 @@ __all__ = [
 
 
 def _part(value, pointer):
-    """One part of a scalar as an int, float or Fraction, plus whether it is exact."""
+    """One part of a scalar as an int, a finite float or a Fraction."""
     if isinstance(value, float) and not math.isfinite(value):
         raise SchemaViolation(pointer, "expected a finite number")
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        return value, isinstance(value, int) or value.is_integer()
+        return value
     if isinstance(value, str):
         try:
-            return Fraction(value), True
+            return Fraction(value)
         except (ValueError, ZeroDivisionError) as exc:
             raise SchemaViolation(pointer, f"bad fraction literal {value!r}") from exc
     raise SchemaViolation(pointer, "expected a number or fraction string")
 
 
 def _parts(value, pointer):
-    """[re, im] (or bare number) -> (re, im, exact), the parts as in ``_part``."""
+    """[re, im] (or bare number) -> (re, im), each part as in ``_part``."""
     if isinstance(value, (int, float)) and not isinstance(value, bool):
-        re, exact = _part(value, pointer)
-        return re, 0, exact
+        return _part(value, pointer), 0
     if not isinstance(value, list) or len(value) != 2:
         raise SchemaViolation(pointer, "expected [re, im]")
-    re, ex1 = _part(value[0], pointer + "/0")
-    im, ex2 = _part(value[1], pointer + "/1")
-    return re, im, ex1 and ex2
+    return _part(value[0], pointer + "/0"), _part(value[1], pointer + "/1")
 
 
 def _complex(value, pointer):
     """[re, im] (or bare number) -> complex, each part correctly rounded."""
-    re, im, _ = _parts(value, pointer)
     try:
-        return complex(re, im)
+        return complex(*_parts(value, pointer))
     except OverflowError as exc:
         raise SchemaViolation(pointer, "expected a number within float range") from exc
 
 
 def parse_scalar(value, pointer=""):
-    """[re, im] (or bare number) -> its exact ``GaussianRational`` plus exactness flag."""
-    from .ratfunc import gaussian
+    """[re, im] (or bare number) -> its exact ``GaussianRational``, and whether it is
+    exact: the reader of every scalar in the exact kinds."""
+    from .ratfunc import from_parts
 
-    re, im, exact = _parts(value, pointer)
-    return gaussian(re, im), exact
+    return from_parts(*_parts(value, pointer))
 
 
-def _exact_or_complex(value, pointer):
-    """The exact ``GaussianRational``, or the complex value when the input is inexact;
-    a complex entry marks the system built from it inexact."""
-    v, exact = parse_scalar(value, pointer)
-    return v if exact else _complex(value, pointer)
+def _split(read):
+    """[(value, exact), ...] -> ([value, ...], whether every one was exact)."""
+    read = list(read)
+    return [v for v, _ in read], all(e for _, e in read)
 
 
 def scalar_to_json(z):
@@ -108,9 +106,10 @@ def _matrix(doc, m, pointer, read):
     return out
 
 
-def parse_matrix(doc, m, pointer):
-    """Exact entries as ``GaussianRational``s, inexact ones as complex numbers."""
-    return _matrix(doc, m, pointer, _exact_or_complex)
+def parse_matrix(doc, m, pointer, read=parse_scalar):
+    """An m x m matrix of what ``read`` gives for each entry (by default its
+    ``GaussianRational``), and whether every entry was exact."""
+    return _split(map(_split, _matrix(doc, m, pointer, read)))
 
 
 def _complex_matrix(doc, m, pointer):
@@ -138,7 +137,8 @@ def ratfunc_to_json(f):
 
 
 def parse_ratfunc(doc, gens, pointer):
-    from .ratfunc import ZERO, RationalFunction, from_terms, gaussian
+    """A {num, den} document -> its ``RationalFunction``, and whether it was exact."""
+    from .ratfunc import ZERO, RationalFunction, from_terms
 
     if not isinstance(doc, dict) or "num" not in doc or "den" not in doc:
         raise SchemaViolation(pointer, "expected {num, den} coefficient maps")
@@ -158,16 +158,16 @@ def parse_ratfunc(doc, gens, pointer):
                 raise SchemaViolation(f"{ptr}/{key}", "monomial arity mismatch")
             if min(exps) < 0:
                 raise SchemaViolation(f"{ptr}/{key}", "negative exponent")
-            re, im, ex = _parts(val, f"{ptr}/{key}")
+            c, ex = parse_scalar(val, f"{ptr}/{key}")
             exact = exact and ex
-            coeffs[exps] = coeffs.get(exps, ZERO) + gaussian(re, im)
+            coeffs[exps] = coeffs.get(exps, ZERO) + c
         return from_terms(coeffs, gens), exact
 
     num, ex1 = build("num", pointer + "/num")
     den, ex2 = build("den", pointer + "/den")
     if den.is_zero:
         raise SchemaViolation(pointer + "/den", "denominator is identically zero")
-    return RationalFunction(num, den, exact=ex1 and ex2)
+    return RationalFunction(num, den), ex1 and ex2
 
 
 # -- systems -----------------------------------------------------------
@@ -209,9 +209,9 @@ def _parse_fuchsian(doc):
     res_doc = _require(doc, "residues", "", list)
     if len(res_doc) != len(poles_doc):
         raise SchemaViolation("/residues", "one residue per pole required")
-    poles = [_exact_or_complex(p, f"/poles/{i}") for i, p in enumerate(poles_doc)]
-    residues = [parse_matrix(R, m, f"/residues/{i}") for i, R in enumerate(res_doc)]
-    return FuchsianSystem(m, poles, residues)
+    poles, ex1 = _split(parse_scalar(p, f"/poles/{i}") for i, p in enumerate(poles_doc))
+    residues, ex2 = _split(parse_matrix(R, m, f"/residues/{i}") for i, R in enumerate(res_doc))
+    return FuchsianSystem(m, poles, residues, exact=ex1 and ex2)
 
 
 def _parse_local_model(doc):
@@ -219,30 +219,30 @@ def _parse_local_model(doc):
 
     m = _integer(doc, "rank")
     res_doc = _require(doc, "residues", "", list)
-    residues = [parse_matrix(R, m, f"/residues/{i}") for i, R in enumerate(res_doc)]
+    residues, exact = _split(parse_matrix(R, m, f"/residues/{i}")
+                             for i, R in enumerate(res_doc))
     n = _integer(doc, "vars", low=len(residues)) if "vars" in doc else len(residues)
-    return LocalModel(m, residues, n=n)
+    return LocalModel(m, residues, n=n, exact=exact)
 
 
 def _parse_gens_field(doc, pointer):
     names = _require(doc, "vars", pointer, list)
-    if not names or not all(isinstance(s, str) for s in names):
-        raise SchemaViolation(pointer + "/vars", "expected a nonempty list of names")
+    if not names or not all(isinstance(s, str) for s in names) or len(set(names)) < len(names):
+        raise SchemaViolation(pointer + "/vars", "expected a nonempty list of distinct names")
     return tuple(names)
 
 
 def _parse_divisor(doc, nvars, pointer):
-    """The branches as (var, ``GaussianRational``) pairs, plus whether each value was exact."""
-    out, exacts = [], []
+    """The branches as ((var, ``GaussianRational``), whether the value was exact) pairs."""
+    out = []
     for i, d in enumerate(_require(doc, "divisor", pointer, list)):
         if not isinstance(d, dict):
             raise SchemaViolation(f"{pointer}/divisor/{i}", "expected {var, value}")
         v = _integer(d, "var", f"{pointer}/divisor/{i}", low=0, high=nvars)
         val, ex = parse_scalar(_require(d, "value", f"{pointer}/divisor/{i}"),
                                f"{pointer}/divisor/{i}/value")
-        out.append((v, val))
-        exacts.append(ex)
-    return tuple(out), exacts
+        out.append(((v, val), ex))
+    return out
 
 
 def _parse_log_connection(doc):
@@ -251,14 +251,16 @@ def _parse_log_connection(doc):
 
     m = _integer(doc, "rank")
     gens = _parse_gens_field(doc, "")
-    divisor, exacts = _parse_divisor(doc, len(gens), "")
+    branches = _parse_divisor(doc, len(gens), "")
     comps_doc = _require(doc, "components", "", list)
     if len(comps_doc) != len(gens):
         raise SchemaViolation("/components", "one matrix component per variable required")
-    comps = [_matrix(comp, m, f"/components/{v}", lambda e, ptr: parse_ratfunc(e, gens, ptr))
-             for v, comp in enumerate(comps_doc)]
-    exact = all(exacts) and all(f.exact for comp in comps for row in comp for f in row)
-    for (v, c), c_exact in zip(divisor, exacts):
+    comps, comps_exact = _split(
+        parse_matrix(comp, m, f"/components/{v}", lambda e, ptr: parse_ratfunc(e, gens, ptr))
+        for v, comp in enumerate(comps_doc))
+    divisor, divisor_exact = _split(branches)
+    exact = divisor_exact and comps_exact
+    for (v, c), c_exact in branches:
         line = branch_line(gens, v, c)
         for i, row in enumerate(comps[v]):
             for j, f in enumerate(row):
@@ -277,9 +279,10 @@ def _parse_log_connection(doc):
 
 
 def _parse_oneform(doc, gens, pointer):
+    """One rational function per variable, and whether all were exact."""
     if not isinstance(doc, list) or len(doc) != len(gens):
         raise SchemaViolation(pointer, "expected one rational function per variable")
-    return tuple(parse_ratfunc(e, gens, f"{pointer}/{i}") for i, e in enumerate(doc))
+    return _split(parse_ratfunc(e, gens, f"{pointer}/{i}") for i, e in enumerate(doc))
 
 
 def _parse_riccati(doc):
@@ -287,10 +290,12 @@ def _parse_riccati(doc):
 
     m = _integer(doc, "rank")
     gens = _parse_gens_field(doc, "")
-    divisor, exacts = _parse_divisor(doc, len(gens), "") if "divisor" in doc else ((), ())
-    b, delta, c = ([_parse_oneform(e, gens, f"/{key}/{i}")
-                    for i, e in enumerate(_require(doc, key, "", list))]
-                   for key in ("b", "delta", "c"))
+    divisor, exact = _split(_parse_divisor(doc, len(gens), "") if "divisor" in doc else ())
+    (b, ex_b), (delta, ex_delta), (c, ex_c) = (
+        _split(_parse_oneform(e, gens, f"/{key}/{i}")
+               for i, e in enumerate(_require(doc, key, "", list)))
+        for key in ("b", "delta", "c"))
+    exact = exact and ex_b and ex_delta and ex_c
     offdiag = {}
     for key, val in (_require(doc, "offdiag", "", dict) if "offdiag" in doc else {}).items():
         try:
@@ -299,13 +304,12 @@ def _parse_riccati(doc):
             raise SchemaViolation(f"/offdiag/{key}", "bad index pair") from exc
         if i == k or (i, k) in offdiag or not (0 <= i < m - 1 and 0 <= k < m - 1):
             raise SchemaViolation(f"/offdiag/{key}", f"expected i != k below {m - 1}, each once")
-        offdiag[(i, k)] = _parse_oneform(val, gens, f"/offdiag/{key}")
+        offdiag[(i, k)], ex = _parse_oneform(val, gens, f"/offdiag/{key}")
+        exact = exact and ex
     for i in range(m - 1):
         for k in range(m - 1):
             if i != k and (i, k) not in offdiag:
                 raise SchemaViolation("/offdiag", f"missing the pair {i},{k}")
-    forms = [*b, *delta, *c, *offdiag.values()]
-    exact = all(exacts) and all(f.exact for form in forms for f in form)
     return RiccatiSystem(m, gens, divisor, b, delta, offdiag, c, exact=exact)
 
 
@@ -327,7 +331,7 @@ def _parse_presentation(doc):
                 raise SchemaViolation(f"/relations/{i}", f"unknown generator {base!r}")
     poles = None
     if "poles" in doc:
-        poles = [_complex(p, f"/poles/{i}") for i, p in enumerate(doc["poles"])]
+        poles = [_complex(p, f"/poles/{i}") for i, p in enumerate(_require(doc, "poles", "", list))]
     try:
         return ProjectivePresentation(m, generators, relations, poles=poles)
     except ValueError as exc:

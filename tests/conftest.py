@@ -57,14 +57,12 @@ def to_sympy_poly(poly):
 
 def from_expr(expr, gens):
     """The reduced fraction of a sympy expression in ``gens``; a Float becomes its
-    exact dyadic value and marks the result inexact."""
-    expr = sp.sympify(expr)
-    exact = not expr.has(sp.Float)
-    n, d = sp.fraction(sp.together(expr.replace(lambda e: e.is_Float,
-                                                lambda e: sp.Rational(float(e)))))
+    exact dyadic value."""
+    n, d = sp.fraction(sp.together(sp.sympify(expr).replace(lambda e: e.is_Float,
+                                                             lambda e: sp.Rational(float(e)))))
     gens = symbols(gens)
     return RationalFunction(from_sympy_poly(sp.Poly(n, *gens, domain=QQ_I)),
-                            from_sympy_poly(sp.Poly(d, *gens, domain=QQ_I)), exact=exact)
+                            from_sympy_poly(sp.Poly(d, *gens, domain=QQ_I)))
 
 
 def trace_form(conn):

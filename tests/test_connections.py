@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import numpy as np
 import pytest
 import sympy as sp
@@ -368,3 +370,27 @@ class TestStoredScalars:
         # an inexact branch value makes a connection inexact, whatever it is told
         x = conn.gens[0]
         assert not LogConnection(1, (x,), [(0, sp.sqrt(2))], conn.components).exact
+
+    @pytest.mark.parametrize("value", [0.3, sp.sqrt(2)], ids=["float", "sqrt2"])
+    def test_rebuilt_inexact_system_keeps_its_flag(self, value):
+        F = FuchsianSystem(1, [0], [[[value]]])
+        L = LocalModel(1, [[[value]]], n=2)
+        assert not F.exact and not L.exact
+        assert FuchsianSystem(F.m, F.poles, F.residues, exact=F.exact) == F
+        assert LocalModel(L.m, L.residues, n=L.n, exact=L.exact) == L
+
+    def test_a_mixed_scalar_reads_the_same_everywhere(self):
+        # "1/3" exactly and 0.5 as its (exact) dyadic value, the data inexact
+        want = gaussian(Fraction(1, 3), 0.5)
+        third = ["1/3", 0.5]
+        one = [[[1, 0]]]
+        F = validate_schema({"type": "fuchsian", "rank": 1, "poles": [third],
+                             "residues": [one]})
+        L = validate_schema({"type": "local_model", "rank": 1, "residues": [[[third]]]})
+        conn = validate_schema({
+            "type": "log_connection", "rank": 1, "vars": ["x"],
+            "divisor": [{"var": 0, "value": third}],
+            "components": [[[{"num": {"0": third}, "den": {"1": [1, 0], "0": [-1, 0]}}]]]})
+        coefficient = conn.entry(0, 0, 0).num.to_dict()[(0,)]
+        assert F.poles[0] == L.residues[0][0][0] == conn.divisor[0][1] == coefficient == want
+        assert not (F.exact or L.exact or conn.exact)

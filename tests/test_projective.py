@@ -74,7 +74,6 @@ class TestProjectivize:
         f = from_expr(
             sp.Rational(2, 3) / (sp.Symbol("x") - 5), conn.gens
         )
-        shifted = conn.map_entries(lambda g: g)  # copy
         comps = [
             [[conn.entry(0, i, j) + (f if i == j else 0 * f) for j in range(3)]
              for i in range(3)]

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from sympy.polys.domains import QQ, QQ_I
 
 from logconnect import LocalModel, RationalFunction, projectivize, reconstruct, trace_free_lift
+from logconnect.connections import LogConnection
 from logconnect.ratfunc import (
     _I_MOD_P,
     _P,
@@ -17,6 +18,7 @@ from logconnect.ratfunc import (
     gaussian,
     to_scalar,
 )
+from logconnect.serialization import validate_schema
 
 from conftest import (
     from_expr, from_qqi, from_sympy_poly, random_fuchsian, rational_matrix, to_sympy_poly,
@@ -340,12 +342,19 @@ def test_a_monomial_denominator_runs_no_gcd_algorithm(monkeypatch):
         assert (f.num, f.den) == tuple(native(sp.Poly(e, *gens, domain=QQ_I)) for e in want)
 
 
-def test_float_inputs_degrade_to_inexact():
-    f = from_expr(0.5 * x + 0.1, (x,))
-    assert not f.exact
-    g = from_expr(sp.Rational(1, 2) * x, (x,))
-    assert g.exact
-    assert not (f * g).exact
+def test_float_data_makes_its_system_compare_within_tolerance():
+    # entries are pure values; the system holding them says whether the data was exact
+    f = from_expr(0.5 * x + 0.1, (x,))  # 0.1 is held as its dyadic value
+    g = from_expr(x / 2 + sp.Rational(1, 10), (x,))
+    assert not hasattr(f, "exact") and f != g and (f - g).is_zero_within(1e-12)
+    floats, exact = (LogConnection(1, ("x",), [], [[[h]]], exact=h is g) for h in (f, g))
+    assert (floats.exact, exact.exact) == (False, True)
+    assert floats.equals(exact) and exact.equals(floats)
+    assert not exact.equals(LogConnection(1, ("x",), [], [[[f]]]))
+    doc = {"type": "log_connection", "rank": 1, "vars": ["x"], "divisor": [],
+           "components": [[[{"num": {"1": [0.5, 0], "0": [0.1, 0]}, "den": {"0": [1, 0]}}]]]}
+    parsed = validate_schema(doc)
+    assert not parsed.exact and parsed.entry(0, 0, 0) == f and parsed.equals(exact)
 
 
 def test_diff_quotient_rule():
