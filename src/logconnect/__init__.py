@@ -2,10 +2,12 @@
 monodromy and the projective lifting pipeline.
 
 The names below are resolved on first access (PEP 562), so importing the
-package loads nothing beyond numpy.  No submodule imports sympy or scipy at
-module level: exact arithmetic is the package's own (``ratfunc``), and
-``scipy.linalg`` is imported on call by the three matrix functions of
-``algebra`` that use it (Schur form, exponential, logarithm), which no CLI
+package loads no submodule and no library.  No submodule imports sympy or
+scipy at module level, and only the numeric ones (``algebra``, ``lifting``,
+``monodromy``) import numpy: exact arithmetic is the package's own
+(``ratfunc``), the exact modules import numpy on call where they compute with
+floats, and ``scipy.linalg`` is imported on call by the three matrix functions
+of ``algebra`` that use it (Schur form, exponential, logarithm), which no CLI
 verb runs.
 """
 

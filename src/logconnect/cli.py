@@ -11,11 +11,14 @@ be finite and positive.  ``--output -`` (the default) writes to standard
 output; when the output path cannot be written, the error verdict goes to
 standard output instead.
 
-Start-up cost.  This module imports only numpy and the modules every verb
-runs (``serialization``, ``lifting``, ``algebra``); each verb imports the
-rest itself.  No verb loads a library beyond numpy and click: exact data is
-read into ``ratfunc``'s own Gaussian-rational types, and transport and the
-Sylvester solves of ``normalize`` are numpy code.
+Start-up cost.  This module imports only click and ``serialization``; each
+verb imports the rest itself.  The exact verbs (``check-flat``, ``residues``,
+``projectivize``, ``reconstruct``, ``lift-trace-free``, ``pullback``) load no
+library beyond click: exact data is read into ``ratfunc``'s own
+Gaussian-rational types and written from them.  The numeric verbs add numpy
+alone: transport, the Sylvester solves of ``normalize``, the predicates and
+lifting are numpy code.  ``residues`` of a ``log_connection`` samples its
+residues numerically, and loads numpy too.
 """
 
 from __future__ import annotations
@@ -26,11 +29,8 @@ import os
 import sys
 
 import click
-import numpy as np
 
-from . import algebra, lifting
 from .errors import LogConnectError, SchemaViolation
-from .lifting import ProjectivePresentation
 from .serialization import (
     parse_loops,
     parse_ratfunc,
@@ -142,13 +142,12 @@ def residues_cmd(input, output):
 
         conn = _parse_connection(input)
         if isinstance(conn, (FuchsianSystem, LocalModel)):
-            count = conn.k
+            mats = conn.residues  # exact, each entry written correctly rounded
         else:
-            count = len(conn.divisor)
-        payload = {"residues": [matrix_to_json(residue(conn, i))
-                                for i in range(count)]}
+            mats = [residue(conn, i) for i in range(len(conn.divisor))]
+        payload = {"residues": [matrix_to_json(R) for R in mats]}
         if isinstance(conn, FuchsianSystem):
-            payload["infinity"] = matrix_to_json(conn.residue_at_infinity())
+            payload["infinity"] = matrix_to_json(conn.infinity_residue)
         return "ok", payload, ()
     _run(op, output)
 
@@ -247,6 +246,10 @@ def lift_trace_free(input, output):
 def predicates_cmd(input, tol, output):
     """Eigenvalue-separation and nonresonance predicates for a matrix file."""
     def op():
+        import numpy as np
+
+        from . import algebra
+
         t = _tolerance(tol, 1e-9)
         M = validate_schema(_load(input))
         if not isinstance(M, np.ndarray):
@@ -293,7 +296,9 @@ def normalize_cmd(input, order, output):
 def realize_local(input, output):
     """Local model realizing a commuting presentation's generators."""
     def op():
-        pres = _parse_as(input, ProjectivePresentation)
+        from . import lifting
+
+        pres = _parse_as(input, lifting.ProjectivePresentation)
         model = lifting.local_realize(pres.generator_list())
         return "ok", system_to_json(model), ()
     _run(op, output)
@@ -305,7 +310,9 @@ def realize_local(input, output):
 def realize_fuchsian_cmd(input, output):
     """Fuchsian system on the sphere realizing an abelian presentation."""
     def op():
-        pres = _parse_as(input, ProjectivePresentation)
+        from . import lifting
+
+        pres = _parse_as(input, lifting.ProjectivePresentation)
         system = lifting.realize_fuchsian(pres)
         return "ok", system_to_json(system), ()
     _run(op, output)
@@ -318,7 +325,9 @@ def realize_fuchsian_cmd(input, output):
 def lift_rep(input, nu, output):
     """Lift a presentation to SL and report obstruction scalars."""
     def op():
-        pres = _parse_as(input, ProjectivePresentation)
+        from . import lifting
+
+        pres = _parse_as(input, lifting.ProjectivePresentation)
         if pres.relations:
             report = lifting.verify_lift_after_power(pres, nu)
         else:
@@ -335,7 +344,9 @@ def lift_rep(input, nu, output):
 def exponent_cmd(input, output):
     """Lifting exponent: lcm of orders of finite-order eigenvalue ratios."""
     def op():
-        pres = _parse_as(input, ProjectivePresentation)
+        from . import lifting
+
+        pres = _parse_as(input, lifting.ProjectivePresentation)
         nu = lifting.lifting_exponent([g.canonical for g in pres.generator_list()])
         return "ok", {"nu": nu}, ()
     _run(op, output)

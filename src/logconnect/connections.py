@@ -5,18 +5,19 @@ polydisk local models with coordinate-hyperplane divisors — both embed into
 the general ``LogConnection``, whose entries are exact rational functions.
 Each system's ``exact`` flag (``exact=True`` ANDed with ``ratfunc.to_scalar``'s
 verdict on every scalar read) decides its predicates: exact data is compared
-structurally, inexact data within a tolerance.
+structurally, inexact data within a tolerance.  The exact path runs on these
+types alone: numpy and ``algebra`` are imported on call by the functions that
+compute with floats (the residue arrays, ``residue``, ``GaugeSeries`` and the
+normalization).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, reduce
+from itertools import product
 from operator import add, mul
 
-import numpy as np
-
-from . import algebra
 from .errors import (
     NonConstantResidue,
     ResonantResidue,
@@ -51,8 +52,10 @@ __all__ = [
 ]
 
 
-def _read_only(values) -> np.ndarray:
-    """A complex array of ``values`` that cannot be written: a cached view is shared."""
+def _read_only(values):
+    """A complex ndarray of ``values`` that cannot be written: a cached view is shared."""
+    import numpy as np
+
     out = np.array(values, dtype=complex)
     out.setflags(write=False)
     return out
@@ -65,10 +68,9 @@ class _Residues:
     def _read_residues(self, m, residues) -> bool:
         """Store the rank m and the residues as nested tuples of ``GaussianRational``s, each
         checked m x m, and return whether every entry was exact; an entry is any scalar
-        ``ratfunc.to_scalar`` reads (int, ``Fraction``, float, complex, sympy number or
-        ``GaussianRational``)."""
-        read = [[[to_scalar(e) for e in row] for row in np.asarray(A, dtype=object)]
-                for A in residues]
+        ``ratfunc.to_scalar`` reads (a ``GaussianRational``, a sympy number or a number of
+        the ``numbers`` ABCs), and a matrix any sequence of rows, an ndarray among them."""
+        read = [[[to_scalar(e) for e in row] for row in A] for A in residues]
         for A in read:
             if len(A) != m or any(len(row) != m for row in A):
                 raise ValueError(f"residues must be {m}x{m}")
@@ -82,12 +84,12 @@ class _Residues:
         return len(self.residues)
 
     @cached_property
-    def residue_arrays(self) -> np.ndarray:
-        """The residues as a read-only complex (k, m, m) array."""
+    def residue_arrays(self):
+        """The residues as a read-only complex (k, m, m) ndarray."""
         return _read_only([[[to_complex(e) for e in row] for row in A]
                            for A in self.residues]).reshape(self.k, self.m, self.m)
 
-    def residue_array(self, i: int) -> np.ndarray:
+    def residue_array(self, i: int):
         return self.residue_arrays[i]
 
 
@@ -122,7 +124,8 @@ class FuchsianSystem(_Residues):
     """Global rank-m system on the sphere: omega = sum_i A_i dx/(x - p_i).
 
     ``poles`` hold ``GaussianRational``s too, and ``pole_array`` their complex values.
-    The residue at infinity is always implied (-sum A_i), never stored.
+    The residue at infinity is implied, never stored: ``infinity_residue`` is the
+    exact -sum A_i.
     """
 
     m: int
@@ -135,23 +138,36 @@ class FuchsianSystem(_Residues):
             raise ValueError("one residue matrix per pole required")
         read = [to_scalar(p) for p in poles]
         object.__setattr__(self, "poles", tuple(p for p, _ in read))
-        pts = self.pole_array.tolist()
-        for i, a in enumerate(pts):
-            # the pointer names a field of the ``fuchsian`` JSON document
-            if any(abs(a - b) <= 1e-9 for b in pts[:i]):
+        pts = []
+        for i, p in enumerate(self.poles):
+            # the pointers name fields of the ``fuchsian`` JSON document
+            try:
+                a = complex(p)
+            except OverflowError as exc:
+                raise SchemaViolation(f"/poles/{i}",
+                                      "expected a number within float range") from exc
+            if any(abs(a - b) <= 1e-9 for b in pts):
                 raise SchemaViolation(
                     f"/poles/{i}", "poles must be pairwise distinct (separation > 1e-9)"
                 )
+            pts.append(a)
         exact = self._read_residues(m, residues) and bool(exact)
         object.__setattr__(self, "exact", exact and all(e for _, e in read))
 
     @cached_property
-    def pole_array(self) -> np.ndarray:
-        """The poles as a read-only complex vector."""
+    def pole_array(self):
+        """The poles as a read-only complex ndarray."""
         return _read_only([to_complex(p) for p in self.poles])
 
-    def residue_at_infinity(self) -> np.ndarray:
-        return -sum(self.residue_array(i) for i in range(self.k))
+    @cached_property
+    def infinity_residue(self) -> tuple:
+        """The residue at infinity, -sum A_i, summed exactly: rows of ``GaussianRational``s."""
+        return tuple(tuple(-sum((A[i][j] for A in self.residues), ZERO) for j in range(self.m))
+                     for i in range(self.m))
+
+    def residue_at_infinity(self):
+        """``infinity_residue`` as a read-only complex ndarray, each entry correctly rounded."""
+        return _read_only([[to_complex(e) for e in row] for row in self.infinity_residue])
 
     def to_log_connection(self) -> "LogConnection":
         """The embedding: entry (i, j) is sum_k A_k[i][j] / (x - p_k), summed over
@@ -235,7 +251,7 @@ class LogConnection:
         """Numeric evaluator x -> Omega_var(x) (ndarray), built once per variable; for
         coordinates of shape S, the values have shape S + (m, m)."""
         if var not in self._callables:
-            entries = [self.entry(var, i, j) for i, j in np.ndindex(self.m, self.m)]
+            entries = [self.entry(var, i, j) for i, j in product(range(self.m), repeat=2)]
             values = evaluator([f.num for f in entries] + [f.den for f in entries])
             k, shape = len(entries), (self.m, self.m)
             def omega(*xs):
@@ -264,6 +280,8 @@ class GaugeSeries:
     order: int
 
     def __init__(self, coefficients):
+        import numpy as np
+
         coeffs = tuple(np.asarray(G, dtype=complex) for G in coefficients)
         m = coeffs[0].shape[0]
         if np.linalg.norm(coeffs[0] - np.eye(m)) > 1e-12:
@@ -316,8 +334,11 @@ def line_quotient(poly, line, exact: bool, tol: float = 1e-10):
     return None
 
 
-def residue(C, branch, tol: float = 1e-10) -> np.ndarray:
-    """Residue matrix along a divisor branch; ``branch='inf'`` for Fuchsian infinity."""
+def residue(C, branch, tol: float = 1e-10):
+    """Residue matrix (ndarray) along a divisor branch; ``branch='inf'`` for Fuchsian
+    infinity."""
+    import numpy as np
+
     if isinstance(C, FuchsianSystem) and branch in ("inf", C.k):
         return C.residue_at_infinity()
     if isinstance(C, _Residues):
@@ -327,7 +348,7 @@ def residue(C, branch, tol: float = 1e-10) -> np.ndarray:
     line = branch_line(conn.gens, var, value)
     # an entry num/den has residue num/q at x = value when den = (x - value) q, else 0
     parts = {}
-    for i, j in np.ndindex(conn.m, conn.m):
+    for i, j in product(range(conn.m), repeat=2):
         f = conn.entry(var, i, j)
         q = line_quotient(f.den, line, conn.exact, tol)
         if q is not None:
@@ -409,11 +430,13 @@ def _series_parts(conn: LogConnection):
     Entries are reduced with a monic denominator, so the form holds iff every
     denominator is 1 or x; the coefficients are then read off the numerators.
     """
+    import numpy as np
+
     if conn.n != 1 or len(conn.divisor) != 1 or conn.divisor[0][1]:
         raise ValueError("normalization needs a one-variable system with single branch x = 0")
     m = conn.m
     laurent = {}  # (k, i, j) -> coefficient of x^(k - 1) in entry (i, j)
-    for i, j in np.ndindex(m, m):
+    for i, j in product(range(m), repeat=2):
         f = conn.entry(0, i, j)
         if not f.den.is_monomial or f.den.degree() > 1:
             raise ValueError(
@@ -434,6 +457,10 @@ def poincare_normalize(C, order: int = 10, tol: float = 1e-8) -> GaugeSeries:
     recursion A G_k - G_k (A + k I) = -[x^{k-1}](tau(x) G(x)) for k = 1..order,
     so that the gauge transform of the connection is A dx/x + O(x^order).
     """
+    import numpy as np
+
+    from . import algebra
+
     A, taus = _series_parts(_as_connection(C))
     if not algebra.nonresonant(A):
         raise ResonantResidue(
@@ -465,6 +492,8 @@ def poincare_defect(C, gauge: GaugeSeries) -> float:
 
 
 def _defect(A, taus, gauge: GaugeSeries) -> float:
+    import numpy as np
+
     m, N = A.shape[0], gauge.order
     G = list(gauge.coefficients)
     # series inverse H = G^{-1}: H_0 = I, H_k = -sum_{j<k} H_j G_{k-j}

@@ -8,12 +8,12 @@ the quadratic system
 
 whose coefficients determine omega up to a scalar form; fixing the trace
 recovers omega uniquely.  The spectral predicates and projective classes
-live in the numpy-only ``algebra`` module and are re-exported here.
+live in the numeric ``algebra`` module and are re-exported here on first
+access (PEP 562), so that projectivizing loads no numpy.
 """
 
 from __future__ import annotations
 
-from .algebra import ProjectiveClass, nonresonant, proj_equal, property_Pm
 from .connections import LogConnection, flatness_check, _as_connection, _entries_equal
 from .errors import DimensionMismatch, NonIntegrable
 from .ratfunc import RationalFunction
@@ -28,6 +28,19 @@ __all__ = [
     "nonresonant",
     "proj_equal",
 ]
+
+_FROM_ALGEBRA = ("ProjectiveClass", "nonresonant", "proj_equal", "property_Pm")
+
+
+def __getattr__(name):
+    if name not in _FROM_ALGEBRA:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from . import algebra
+
+    value = getattr(algebra, name)
+    globals()[name] = value
+    return value
+
 
 class RiccatiSystem:
     """Coefficient 1-forms of the projectivized system in the chart y_m != 0.

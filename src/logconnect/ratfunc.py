@@ -10,27 +10,27 @@ monic denominator, so that equality is structural.
 
 These are pure values; the system holding them records whether its input was
 exact.  Poles, residues and branch values are scalars too, each read once by
-``to_scalar`` from an int, ``Fraction``, float, complex, sympy number or
-``GaussianRational``.  A float that is not integer-valued, or a sympy number
-that is not a Gaussian rational (``sqrt(2)``), becomes an exact dyadic value
-and is reported inexact (``from_parts`` holds the rule for parts).  This is the
-one module where exact scalars cross to and from complex numbers and sympy
-numbers.  It never imports sympy for the library's own work: ``to_scalar`` reads
-sympy numbers only when sympy is already loaded, and sympy is imported on call
-by the gcd of two polynomials in several variables whose denominator has more
-than one term, and by ``Polynomial.all_coeffs`` and ``Polynomial.terms``, which
-return sympy numbers.
+``to_scalar`` from a ``GaussianRational``, a sympy number or any number of the
+stdlib ``numbers`` ABCs (numpy scalars among them).  A float that is not
+integer-valued, or a sympy number that is not a Gaussian rational
+(``sqrt(2)``), becomes an exact dyadic value and is reported inexact
+(``from_parts`` holds the rule for parts).  This is the one module where exact
+scalars cross to and from complex numbers and sympy numbers.  It never imports
+sympy for the library's own work: ``to_scalar`` reads sympy numbers only when
+sympy is already loaded, and sympy is imported on call by the gcd of two
+polynomials in several variables whose denominator has more than one term, and
+by ``Polynomial.all_coeffs`` and ``Polynomial.terms``, which return sympy
+numbers.  numpy is imported on call, by ``evaluator`` alone.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import sys
 from fractions import Fraction
 from functools import reduce
 from operator import add
-
-import numpy as np
 
 __all__ = ["GaussianRational", "Polynomial", "RationalFunction", "evaluator", "complex_terms",
            "from_terms", "branch_line", "from_parts", "gaussian", "to_complex", "to_scalar"]
@@ -156,27 +156,33 @@ def from_parts(re, im=0):
 
 def to_scalar(value):
     """``value`` as a ``GaussianRational``, and whether it is exact.  A ``GaussianRational``
-    or sympy Gaussian rational is; an int, ``Fraction``, float or complex is read part by
-    part by ``from_parts``; any other sympy number becomes the dyadic value of its complex
-    value and is not.  A sympy number is recognised through an already loaded sympy."""
+    or sympy Gaussian rational is; any other sympy number becomes the dyadic value of its
+    complex value and is not.  Other numbers, numpy scalars among them, are read through
+    the ``numbers`` ABCs (integral, rational, real, complex), part by part by
+    ``from_parts``.  A sympy number is recognised through an already loaded sympy."""
     if isinstance(value, GaussianRational):
         return value, True
-    if isinstance(value, (int, Fraction, float)):
-        return from_parts(value)
-    if isinstance(value, complex):
-        return from_parts(value.real, value.imag)
     sp = sys.modules.get("sympy")
-    if sp is None or not isinstance(value, sp.Basic):
-        raise TypeError(f"cannot interpret {value!r} as a complex scalar")
-    if isinstance(value, sp.Expr):
-        # a + b*I in the form sympy builds it, read as ``QQ_I.from_sympy`` reads it
-        re, rest = value.as_coeff_Add()
-        im, unit = rest.as_coeff_Mul() if rest else (sp.S.Zero, sp.I)
-        if unit is sp.I and re.is_Rational and im.is_Rational:
-            den = math.lcm(re.q, im.q)
-            return GaussianRational(re.p * (den // re.q), im.p * (den // im.q), den), True
-    c = complex(value)
-    return gaussian(c.real, c.imag), False
+    if sp is not None and isinstance(value, sp.Basic):
+        if isinstance(value, sp.Expr):
+            # a + b*I in the form sympy builds it, read as ``QQ_I.from_sympy`` reads it
+            re, rest = value.as_coeff_Add()
+            im, unit = rest.as_coeff_Mul() if rest else (sp.S.Zero, sp.I)
+            if unit is sp.I and re.is_Rational and im.is_Rational:
+                den = math.lcm(re.q, im.q)
+                return GaussianRational(re.p * (den // re.q), im.p * (den // im.q), den), True
+        c = complex(value)
+        return gaussian(c.real, c.imag), False
+    if isinstance(value, numbers.Integral):
+        return from_parts(int(value))
+    if isinstance(value, numbers.Rational):
+        return from_parts(Fraction(value.numerator, value.denominator))
+    if isinstance(value, numbers.Real):
+        return from_parts(float(value))
+    if isinstance(value, numbers.Complex):
+        c = complex(value)
+        return from_parts(c.real, c.imag)
+    raise TypeError(f"cannot interpret {value!r} as a complex scalar")
 
 
 def to_complex(value) -> complex:
@@ -403,6 +409,8 @@ def evaluator(polys):
     """(x_1, ..., x_n) -> ndarray of the values of ``polys`` (not all zero), from tables
     of their shared monomial exponents and complex coefficients, one variable at a time.
     Coordinates may be arrays of one shape S; the values then have shape S + (len(polys),)."""
+    import numpy as np
+
     terms = [complex_terms(p) for p in polys]
     monoms = sorted(set().union(*terms))
     exponents = np.array(monoms).T

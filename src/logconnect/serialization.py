@@ -12,11 +12,13 @@ emitted coefficient part is the correctly rounded float of its exact value.
 In the exact kinds every scalar (pole, residue, branch value, coefficient) is
 read by ``parse_scalar`` to its ``GaussianRational`` as written, a float part
 as its dyadic value, and whether each was exact is ANDed into the parsed
-system's one ``exact`` flag.  ``matrix`` and ``presentation`` documents are
-numeric: their entries and poles are read straight to complex numbers.  The
-exact kinds import ``connections``, ``projective`` and ``ratfunc`` when one is
-first read or written, and loops import ``monodromy``; like this module, these
-import nothing heavier than numpy.
+system's one ``exact`` flag, and each is written from that value through
+``complex()``.  ``matrix`` and ``presentation`` documents are numeric: their
+entries and poles are read straight to complex numbers.  The exact kinds
+import ``connections``, ``projective`` and ``ratfunc`` when one is first read
+or written, which load no numpy.  numpy and ``lifting`` are imported only where
+a numeric document is read, a numeric result is recognised through its already
+loaded module, and loops import ``monodromy``.
 """
 
 from __future__ import annotations
@@ -25,11 +27,7 @@ import math
 import sys
 from fractions import Fraction
 
-import numpy as np
-
-from .algebra import ProjectiveClass
 from .errors import SchemaViolation
-from .lifting import LiftReport, ProjectivePresentation
 
 __all__ = [
     "parse_scalar",
@@ -113,11 +111,14 @@ def parse_matrix(doc, m, pointer, read=parse_scalar):
 
 
 def _complex_matrix(doc, m, pointer):
+    import numpy as np
+
     return np.array(_matrix(doc, m, pointer, _complex), dtype=complex)
 
 
 def matrix_to_json(M):
-    return [[scalar_to_json(e) for e in row] for row in np.asarray(M, dtype=complex)]
+    """Rows of scalars (an ndarray, or ``GaussianRational``s) as rows of [re, im]."""
+    return [[scalar_to_json(e) for e in row] for row in M]
 
 
 # -- rational functions ------------------------------------------------
@@ -314,6 +315,8 @@ def _parse_riccati(doc):
 
 
 def _parse_presentation(doc):
+    from .lifting import ProjectivePresentation
+
     m = _integer(doc, "rank")
     gens_doc = _require(doc, "generators", "", dict)
     generators = {}
@@ -413,16 +416,20 @@ def _oneform_to_json(form):
 
 def system_to_json(obj):
     """Serialize any library object to its JSON document."""
-    if isinstance(obj, LiftReport):
+    # an object of a numeric type exists only once its module is loaded, so these
+    # checks import nothing: no exact verb loads numpy, and lift-rep no exact type
+    np, algebra, lifting = (sys.modules.get(name) for name in
+                            ("numpy", f"{__package__}.algebra", f"{__package__}.lifting"))
+    if lifting is not None and isinstance(obj, lifting.LiftReport):
         return {
             "type": "lift_report",
             "lifts": [matrix_to_json(M) for M in obj.lifts],
             "obstruction_scalars": [scalar_to_json(s) for s in obj.obstruction_scalars],
             "success": obj.success,
         }
-    if isinstance(obj, ProjectiveClass):
+    if algebra is not None and isinstance(obj, algebra.ProjectiveClass):
         return matrix_to_json(obj.canonical)
-    if isinstance(obj, np.ndarray):
+    if np is not None and isinstance(obj, np.ndarray):
         return matrix_to_json(obj)
     from .connections import FuchsianSystem, GaugeSeries, LocalModel, LogConnection
     from .projective import RiccatiSystem
@@ -432,15 +439,15 @@ def system_to_json(obj):
         return {
             "type": "fuchsian",
             "rank": obj.m,
-            "poles": [scalar_to_json(p) for p in obj.pole_array],
-            "residues": [matrix_to_json(R) for R in obj.residue_arrays],
+            "poles": [scalar_to_json(p) for p in obj.poles],
+            "residues": [matrix_to_json(R) for R in obj.residues],
         }
     if isinstance(obj, LocalModel):
         return {
             "type": "local_model",
             "rank": obj.m,
             "vars": obj.n,
-            "residues": [matrix_to_json(R) for R in obj.residue_arrays],
+            "residues": [matrix_to_json(R) for R in obj.residues],
         }
     if isinstance(obj, LogConnection):
         return {

@@ -379,6 +379,26 @@ class TestStoredScalars:
         assert FuchsianSystem(F.m, F.poles, F.residues, exact=F.exact) == F
         assert LocalModel(L.m, L.residues, n=L.n, exact=L.exact) == L
 
+    @pytest.mark.parametrize("dtype", [np.int64, np.int32])
+    def test_integer_arrays_read_as_exact(self, dtype):
+        poles, residues = [0, 1], [[[1, 2], [0, -3]], [[4, 0], [5, 6]]]
+        F = FuchsianSystem(2, np.array(poles, dtype=dtype), np.array(residues, dtype=dtype))
+        L = LocalModel(2, [np.eye(2, dtype=dtype), np.array(residues[1], dtype=dtype)])
+        assert F.exact and L.exact
+        assert F == FuchsianSystem(2, poles, residues)
+        assert L == LocalModel(2, [[[1, 0], [0, 1]], residues[1]])
+        assert FuchsianSystem(1, np.arange(2, dtype=dtype), [[[1]], [[2]]]).poles == (0, 1)
+
+    def test_numpy_floats_read_as_their_dyadic_values(self):
+        F = FuchsianSystem(1, [np.float64(0.5)], [[[np.float32(0.1) + np.complex64(2j)]]])
+        assert F.poles == (gaussian(0.5),) and F.exact is False
+        assert F.residues[0][0][0] == gaussian(float(np.float32(0.1)), 2.0)
+
+    def test_a_pole_beyond_float_range_is_named(self):
+        with pytest.raises(SchemaViolation) as info:
+            FuchsianSystem(1, [0, 10 ** 400], [[[1]], [[1]]])
+        assert info.value.pointer == "/poles/1"
+
     def test_a_mixed_scalar_reads_the_same_everywhere(self):
         # "1/3" exactly and 0.5 as its (exact) dyadic value, the data inexact
         want = gaussian(Fraction(1, 3), 0.5)

@@ -141,20 +141,21 @@ def test_sympy_numbers_are_read_in_one_place():
     assert not stray, f"sympy reached outside ratfunc's lazy sites: {stray}"
 
 
-HEAVY = ("sympy", "scipy.linalg", "scipy.integrate")
+HEAVY = ("sympy", "scipy.linalg", "scipy.integrate", "numpy")
 # module -> the heavy libraries importing it loads, directly or through the
-# package's own modules; every verb imports cli, serialization and lifting
+# package's own modules; every verb imports cli and serialization, and only the
+# numeric modules load numpy, so the exact verbs never do
 TIERS = {
     "__init__": set(),
     "errors": set(),
-    "algebra": set(),
-    "lifting": set(),
+    "algebra": {"numpy"},
+    "lifting": {"numpy"},
     "serialization": set(),
     "cli": set(),
     "ratfunc": set(),
     "connections": set(),
     "projective": set(),
-    "monodromy": set(),
+    "monodromy": {"numpy"},
 }
 
 
@@ -179,8 +180,8 @@ def module_level_imports(tree):
 
 def test_heavy_libraries_load_only_where_pinned():
     """sympy, scipy.linalg and scipy.integrate each cost hundreds of
-    milliseconds per process, so a module may load one at import time only
-    if the table above says so."""
+    milliseconds per process, and numpy over a hundred, so a module may load one
+    at import time only if the table above says so."""
     graph = {p.stem: module_level_imports(ast.parse(p.read_text(), filename=str(p)))
              for p in PACKAGE.glob("*.py")}
 
