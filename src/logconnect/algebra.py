@@ -3,11 +3,11 @@
 Thin, contract-enforcing wrappers over LAPACK via numpy/scipy: Schur-based
 eigendecomposition, matrix exponential, the branch-normalized matrix
 logarithm (eigenvalue real parts in [0, 1)), a spectrum-guarded Sylvester
-solver, the two spectral predicates (nonresonance, eigenvalue separation), a
-commutation test and projective classes of matrices.  ``scipy.linalg`` is
-imported by the three kernels that call it (Schur, exponential, logarithm), on
-first use, so the Sylvester solver, the predicates and projective classes cost
-numpy alone.
+solver (general, and shifted for a recursion over orders k), the two spectral
+predicates (nonresonance, eigenvalue separation), a commutation test and
+projective classes of matrices.  ``scipy.linalg`` is imported by the three
+kernels that call it (Schur, exponential, logarithm), on first use, so the
+Sylvester solvers, the predicates and projective classes cost numpy alone.
 """
 
 from __future__ import annotations
@@ -30,6 +30,7 @@ __all__ = [
     "mat_exp",
     "mat_log_normalized",
     "sylvester_solve",
+    "shifted_sylvester_solver",
     "nonresonant",
     "property_Pm",
     "commuting",
@@ -121,13 +122,35 @@ def mat_log_normalized(M, tol: float = 1e-12) -> np.ndarray:
     return L / (2j * np.pi)
 
 
-def _spectra_disjoint(ea, eb, tol: float) -> bool:
-    scale = max(np.max(np.abs(ea)), np.max(np.abs(eb)), 1.0)
-    gap = np.min(np.abs(ea[:, None] - eb[None, :]))
-    return gap > tol * scale
+_DISJOINT_TOL = 1e-9  # relative separation of two spectra for a Sylvester solve
 
 
-def sylvester_solve(A, B, C, tol: float = 1e-9) -> np.ndarray:
+def _require_disjoint(ea, eb, tol: float) -> None:
+    """Raise ``ResonantSpectrum`` unless the spectra ea and eb (lists of complex numbers)
+    are disjoint within tol, relative to the largest eigenvalue magnitude (at least 1).
+    Plain Python: for the few eigenvalues of a small matrix, numpy's per-call cost would
+    dominate."""
+    scale = max(1.0, *map(abs, ea), *map(abs, eb))
+    if not min(abs(a - b) for a in ea for b in eb) > tol * scale:
+        raise ResonantSpectrum("spec(A) and spec(B) intersect within tolerance")
+
+
+def _sylvester_operator(A, B) -> np.ndarray:
+    """The matrix of X -> A X - X B on column-major vec X, I (x) A - B^T (x) I: its
+    entry ((j, a), (l, b)) is [j = l] A_ab - B_lj [a = b], built by broadcasting (a
+    quarter of the time of two ``np.kron`` calls at m = 3)."""
+    m = A.shape[0]
+    eye = np.eye(m)
+    K = eye[:, None, :, None] * A[None, :, None, :] - B.T[:, None, :, None] * eye[None, :, None, :]
+    return K.reshape(m * m, m * m)
+
+
+def _vec_solve(K, C) -> np.ndarray:
+    """X with K vec X = vec C, vec column-major."""
+    return np.linalg.solve(K, C.ravel(order="F")).reshape(C.shape, order="F")
+
+
+def sylvester_solve(A, B, C, tol: float = _DISJOINT_TOL) -> np.ndarray:
     """Solve A X - X B = C; requires spec(A) and spec(B) disjoint within tol.
 
     Solved in Kronecker form, (I (x) A - B^T (x) I) vec X = vec C with column-major
@@ -141,11 +164,28 @@ def sylvester_solve(A, B, C, tol: float = 1e-9) -> np.ndarray:
         raise DimensionMismatch("Sylvester operands must have equal size")
     if C.shape != A.shape:
         raise DimensionMismatch("right-hand side shape mismatch")
-    if not _spectra_disjoint(np.linalg.eigvals(A), np.linalg.eigvals(B), tol):
-        raise ResonantSpectrum("spec(A) and spec(B) intersect within tolerance")
-    eye = np.eye(A.shape[0])
-    K = np.kron(eye, A) - np.kron(B.T, eye)
-    return np.linalg.solve(K, C.ravel(order="F")).reshape(A.shape, order="F")
+    _require_disjoint(np.linalg.eigvals(A).tolist(), np.linalg.eigvals(B).tolist(), tol)
+    return _vec_solve(_sylvester_operator(A, B), C)
+
+
+def shifted_sylvester_solver(A):
+    """(k, C) -> X with A X - X (A + k I) = C: ``sylvester_solve`` for the Poincare
+    recursion, which solves one such equation per order k.
+
+    spec(A) and the operator K_0 of X -> A X - X A are computed once, since
+    spec(A + k I) = spec(A) + k and the operator at order k is K_0 - k I.  Each
+    call checks the disjointness ``sylvester_solve`` checks at its default
+    tol, with the same ``ResonantSpectrum`` when it fails.
+    """
+    A = as_matrix(A)
+    spec = np.linalg.eigvals(A).tolist()
+    K0 = _sylvester_operator(A, A)
+    eye = np.eye(K0.shape[0])
+
+    def solve(k, C):
+        _require_disjoint(spec, [e + k for e in spec], _DISJOINT_TOL)
+        return _vec_solve(K0 - k * eye, np.asarray(C, dtype=complex))
+    return solve
 
 
 def nonresonant(A, tol: float = 1e-9) -> bool:

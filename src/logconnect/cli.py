@@ -17,8 +17,7 @@ verb imports the rest itself.  The exact verbs (``check-flat``, ``residues``,
 library beyond click: exact data is read into ``ratfunc``'s own
 Gaussian-rational types and written from them.  The numeric verbs add numpy
 alone: transport, the Sylvester solves of ``normalize``, the predicates and
-lifting are numpy code.  ``residues`` of a ``log_connection`` samples its
-residues numerically, and loads numpy too.
+lifting are numpy code.
 """
 
 from __future__ import annotations
@@ -138,13 +137,14 @@ def check_flat(input, tol, output):
 def residues_cmd(input, output):
     """All residue matrices (plus infinity for Fuchsian systems)."""
     def op():
-        from .connections import FuchsianSystem, LocalModel, residue
+        from .connections import FuchsianSystem, LocalModel, exact_residue
 
         conn = _parse_connection(input)
+        # exact, each entry written correctly rounded
         if isinstance(conn, (FuchsianSystem, LocalModel)):
-            mats = conn.residues  # exact, each entry written correctly rounded
+            mats = conn.residues
         else:
-            mats = [residue(conn, i) for i in range(len(conn.divisor))]
+            mats = [exact_residue(conn, i) for i in range(len(conn.divisor))]
         payload = {"residues": [matrix_to_json(R) for R in mats]}
         if isinstance(conn, FuchsianSystem):
             payload["infinity"] = matrix_to_json(conn.infinity_residue)

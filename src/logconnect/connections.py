@@ -6,9 +6,9 @@ the general ``LogConnection``, whose entries are exact rational functions.
 Each system's ``exact`` flag (``exact=True`` ANDed with ``ratfunc.to_scalar``'s
 verdict on every scalar read) decides its predicates: exact data is compared
 structurally, inexact data within a tolerance.  The exact path runs on these
-types alone: numpy and ``algebra`` are imported on call by the functions that
-compute with floats (the residue arrays, ``residue``, ``GaugeSeries`` and the
-normalization).
+types alone (``exact_residue`` among them): numpy and ``algebra`` are imported
+on call by the functions that compute with floats (the residue arrays,
+``residue``, ``GaugeSeries`` and the normalization).
 """
 
 from __future__ import annotations
@@ -45,6 +45,7 @@ __all__ = [
     "GaugeSeries",
     "flatness_check",
     "residue",
+    "exact_residue",
     "line_quotient",
     "pullback_power",
     "poincare_normalize",
@@ -334,43 +335,57 @@ def line_quotient(poly, line, exact: bool, tol: float = 1e-10):
     return None
 
 
-def residue(C, branch, tol: float = 1e-10):
-    """Residue matrix (ndarray) along a divisor branch; ``branch='inf'`` for Fuchsian
-    infinity."""
-    import numpy as np
+def exact_residue(C, branch, tol: float = 1e-10) -> tuple:
+    """Residue matrix along a divisor branch, as rows of ``GaussianRational``s;
+    ``branch='inf'`` for Fuchsian infinity.
 
+    Along x_var = c, an entry num/den has residue num/q restricted to the branch when
+    den = (x_var - c) q, else 0 (Deligne 1970).  Each restriction is the remainder of
+    the division by the line, so it is exact, and the residue must be constant on the
+    branch: exactly for exact data, within ``tol`` for inexact data, else
+    ``NonConstantResidue``.
+    """
     if isinstance(C, FuchsianSystem) and branch in ("inf", C.k):
-        return C.residue_at_infinity()
+        return C.infinity_residue
     if isinstance(C, _Residues):
-        return C.residue_array(branch)
+        return C.residues[branch]
     conn = _as_connection(C)
     var, value = conn.divisor[branch]
     line = branch_line(conn.gens, var, value)
-    # an entry num/den has residue num/q at x = value when den = (x - value) q, else 0
-    parts = {}
-    for i, j in product(range(conn.m), repeat=2):
-        f = conn.entry(var, i, j)
+
+    def entry(f):
         q = line_quotient(f.den, line, conn.exact, tol)
-        if q is not None:
-            parts[i, j] = evaluator([f.num, q])
-    # three sample points along the branch guard against non-constant residues
-    samples = [0.37 + 0.21j, -0.52 + 0.8j, 1.13 - 0.44j]
-    results = []
-    for s in samples if conn.n > 1 else samples[:1]:
-        point = [s + 0.1 * idx for idx in range(conn.n - 1)]
-        point.insert(var, to_complex(value))  # on the branch x_var = value
-        R = np.zeros((conn.m, conn.m), dtype=complex)
-        for (i, j), values in parts.items():
-            num, den = values(*point)
-            if den == 0:  # num/q has a pole on the branch, at this sample
-                raise NonConstantResidue("residue has a pole on the branch at a sample point")
-            R[i, j] = complex(num) / complex(den)
-        results.append(R)
-    scale = max(np.linalg.norm(results[0]), 1.0)
-    for R in results[1:]:
-        if np.linalg.norm(R - results[0]) > tol * scale:
-            raise NonConstantResidue("residue varies along the branch beyond tolerance")
-    return results[0]
+        if q is None:
+            return ZERO
+        return _constant_quotient(f.num.div(line)[1], q.div(line)[1], conn.exact, tol)
+
+    return tuple(tuple(entry(conn.entry(var, i, j)) for j in range(conn.m))
+                 for i in range(conn.m))
+
+
+def _constant_quotient(num, den, exact: bool, tol: float):
+    """num/den as a ``GaussianRational`` when it is constant, else ``NonConstantResidue``.
+
+    Both are scaled so that den's coefficient of largest magnitude, at monomial e,
+    is 1; the constant is then r = num_e, and num - r den must vanish: exactly for
+    exact data, else each coefficient within tol * max(1, |r|).
+    """
+    if den.is_zero:
+        raise NonConstantResidue("residue has a pole along the whole branch")
+    e = max(den.rep, key=lambda e: den.rep[e][0] ** 2 + den.rep[e][1] ** 2)
+    inv = ONE / den.to_dict()[e]
+    num, den = num.mul_ground(inv), den.mul_ground(inv)
+    r = num.to_dict().get(e, ZERO)
+    rest = num - den.mul_ground(r)
+    if rest.is_zero or not exact and (max(map(abs, complex_terms(rest).values()))
+                                      <= tol * max(1.0, abs(complex(r)))):
+        return r
+    raise NonConstantResidue("residue varies along the branch beyond tolerance")
+
+
+def residue(C, branch, tol: float = 1e-10):
+    """``exact_residue`` as a read-only complex ndarray, each entry correctly rounded."""
+    return _read_only([[to_complex(e) for e in row] for row in exact_residue(C, branch, tol)])
 
 
 def pullback_power(C, var: int, nu: int):
@@ -408,7 +423,7 @@ def pullback_power(C, var: int, nu: int):
         return conn
     x = conn.gens[var]
     power = tuple(nu - 1 if v == var else 0 for v in range(conn.n))
-    chain = from_terms({power: gaussian(nu)}, conn.gens)  # d(x^nu)/dx
+    chain = from_terms({power: gaussian(int(nu))}, conn.gens)  # d(x^nu)/dx
     comps = []
     for j in range(conn.n):
         rows = []
@@ -425,7 +440,8 @@ def pullback_power(C, var: int, nu: int):
 
 
 def _series_parts(conn: LogConnection):
-    """A and tau_0, tau_1, ... of a one-variable system A dx/x + tau(x) dx.
+    """A and the stacked (D, m, m) coefficients tau_0, tau_1, ... of a one-variable
+    system A dx/x + tau(x) dx.
 
     Entries are reduced with a monic denominator, so the form holds iff every
     denominator is 1 or x; the coefficients are then read off the numerators.
@@ -447,7 +463,7 @@ def _series_parts(conn: LogConnection):
     L = np.zeros((max([1, *(k for k, _, _ in laurent)]) + 1, m, m), dtype=complex)
     for index, c in laurent.items():
         L[index] = c
-    return L[0], list(L[1:])
+    return L[0], L[1:]
 
 
 def poincare_normalize(C, order: int = 10, tol: float = 1e-8) -> GaugeSeries:
@@ -455,7 +471,10 @@ def poincare_normalize(C, order: int = 10, tol: float = 1e-8) -> GaugeSeries:
 
     For omega = A dx/x + tau(x) dx with nonresonant A, solves the Sylvester
     recursion A G_k - G_k (A + k I) = -[x^{k-1}](tau(x) G(x)) for k = 1..order,
-    so that the gauge transform of the connection is A dx/x + O(x^order).
+    so that the gauge transform of the connection is A dx/x + O(x^order).  The
+    spectrum of A and the Kronecker operator are formed once
+    (``algebra.shifted_sylvester_solver``), and each order's right-hand side is
+    one contraction of the stacked tau_d with G_{k-1}, ..., G_0.
     """
     import numpy as np
 
@@ -467,16 +486,15 @@ def poincare_normalize(C, order: int = 10, tol: float = 1e-8) -> GaugeSeries:
             "residue has an eigenvalue pair differing by a positive integer"
         )
     m = A.shape[0]
-    G = [np.eye(m, dtype=complex)]
+    solve = algebra.shifted_sylvester_solver(A)
+    G = np.zeros((order + 1, m, m), dtype=complex)
+    G[0] = np.eye(m)
     for k in range(1, order + 1):
-        # coefficient of x^{k-1} in tau(x) G(x)
-        rhs = np.zeros((m, m), dtype=complex)
-        for d, T in enumerate(taus):
-            if k - 1 - d >= 0 and k - 1 - d < len(G):
-                rhs += T @ G[k - 1 - d]
-        G.append(algebra.sylvester_solve(A, A + k * np.eye(m), -rhs))
+        d = min(len(taus), k)  # [x^{k-1}](tau G) = sum_{j<d} tau_j G_{k-1-j}
+        rhs = np.einsum("jab,jbc->ac", taus[:d], G[k - 1::-1][:d])
+        G[k] = solve(k, -rhs)
     gauge = GaugeSeries(G)
-    defect = _defect(A, taus, gauge)
+    defect = _defect(A, taus, G)
     if defect > tol:
         raise ToleranceNotMet(f"normalization defect {defect:.3e} above {tol:.1e}")
     return gauge
@@ -488,43 +506,43 @@ def poincare_defect(C, gauge: GaugeSeries) -> float:
     Zero (to rounding) certifies the gauge reduces the system to its local
     model through the truncation order.
     """
-    return _defect(*_series_parts(_as_connection(C)), gauge)
-
-
-def _defect(A, taus, gauge: GaugeSeries) -> float:
     import numpy as np
 
-    m, N = A.shape[0], gauge.order
-    G = list(gauge.coefficients)
-    # series inverse H = G^{-1}: H_0 = I, H_k = -sum_{j<k} H_j G_{k-j}
-    H = [np.eye(m, dtype=complex)]
-    for k in range(1, N + 1):
-        acc = np.zeros((m, m), dtype=complex)
-        for j in range(k):
-            if k - j <= N:
-                acc += H[j] @ G[k - j]
-        H.append(-acc)
-    # Laurent coefficients of P = (A/x + tau) G - G': p_{-1} = A, then
-    # p_k = A G_{k+1} + [x^k](tau G) - (k+1) G_{k+1}
-    top = N + len(taus)
-    P = {-1: A @ G[0]}
-    for k in range(0, top):
-        acc = np.zeros((m, m), dtype=complex)
-        if k + 1 <= N:
-            acc += A @ G[k + 1] - (k + 1) * G[k + 1]
-        for d, T in enumerate(taus):
-            if 0 <= k - d <= N:
-                acc += T @ G[k - d]
-        P[k] = acc
-    # W~ = H P ; its x^{-1} coefficient must be A, x^0..x^{N-1} must vanish
-    defect = 0.0
-    for k in range(-1, N):
-        acc = np.zeros((m, m), dtype=complex)
-        for j in range(0, N + 1):
-            if -1 <= k - j <= top - 1:
-                acc += H[j] @ P[k - j]
-        if k == -1:
-            defect = max(defect, float(np.linalg.norm(acc - A)))
-        else:
-            defect = max(defect, float(np.linalg.norm(acc)))
-    return defect
+    return _defect(*_series_parts(_as_connection(C)), np.array(gauge.coefficients))
+
+
+def _toeplitz(Y, rows: int, cols: int):
+    """The (rows, cols, m, m) blocks B[k, j] = Y_{k-j} of the stacked series Y, zero
+    where k - j falls outside 0..len(Y)-1."""
+    import numpy as np
+
+    shift = np.arange(rows)[:, None] - np.arange(cols)[None, :]
+    shift[(shift < 0) | (shift >= len(Y))] = len(Y)  # the index of an appended zero block
+    return np.concatenate([Y, np.zeros_like(Y[:1])])[shift]
+
+
+def _series_product(X, Y, n: int):
+    """The first n coefficients of the product of the stacked series X and Y:
+    Z_k = sum_j X_j Y_{k-j}."""
+    import numpy as np
+
+    return np.einsum("jab,kjbc->kac", X, _toeplitz(Y, n, len(X)))
+
+
+def _defect(A, taus, G) -> float:
+    """``poincare_defect`` of the stacked gauge coefficients G_0..G_N."""
+    import numpy as np
+
+    N, m = len(G) - 1, A.shape[0]
+    # the series inverse H = G^{-1} from G H = I: one block lower-triangular solve
+    L = _toeplitz(G, N + 1, N + 1).transpose(0, 2, 1, 3).reshape((N + 1) * m, (N + 1) * m)
+    H = np.linalg.solve(L, np.eye((N + 1) * m, m)).reshape(N + 1, m, m)
+    # Laurent coefficients of P = (A/x + tau) G - G', shifted by one: P[0] = A G_0 and
+    # P[k + 1] = (A - (k + 1)) G_{k+1} + [x^k](tau G), for k = 0..N-1, which is all
+    # that W~ = H P needs through x^{N-1}
+    k = np.arange(1, N + 1)[:, None, None]
+    P = np.concatenate([A @ G[:1], A @ G[1:] - k * G[1:] + _series_product(taus, G, N)])
+    # W~ = H P: its x^{-1} coefficient must be A, x^0..x^{N-1} must vanish
+    W = _series_product(H, P, N + 1)
+    W[0] -= A
+    return float(np.max(np.linalg.norm(W, axis=(1, 2))))

@@ -268,7 +268,7 @@ def realize_fuchsian(P: ProjectivePresentation, poles=None,
     become residues (branch-normalized logs in a common basis) at the given poles.
     """
     from .connections import FuchsianSystem
-    from .monodromy import projective_monodromy, standard_loops
+    from .monodromy import standard_loops, transport
 
     if poles is None:
         poles = P.poles
@@ -277,10 +277,11 @@ def realize_fuchsian(P: ProjectivePresentation, poles=None,
     classes = P.generator_list()
     residues = _realizing_residues(classes, NonAbelianUnsupported)
     system = FuchsianSystem(P.m, poles, residues)
-    loops = standard_loops(system)
-    rep = projective_monodromy(system, loops, tol=1e-10)
-    for cls, target in zip(rep.matrices, classes):
-        if not proj_equal(cls.canonical, target.canonical, tol):
+    # the standard loops only: the loop at infinity that ``projective_monodromy``
+    # would add is not compared
+    for lp, target in zip(standard_loops(system), classes):
+        if not proj_equal(ProjectiveClass(transport(system, lp, tol=1e-10)).canonical,
+                          target.canonical, tol):
             raise NonAbelianUnsupported(
                 "realized monodromy does not reproduce the input classes"
             )

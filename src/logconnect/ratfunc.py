@@ -139,10 +139,11 @@ ZERO, ONE = GaussianRational(0), GaussianRational(1)
 
 
 def gaussian(re, im=0) -> GaussianRational:
-    """The exact scalar re + i*im; parts are ints, Fractions or floats (their dyadic values)."""
+    """The exact scalar re + i*im; parts are ints, Fractions or floats (their dyadic values),
+    each read by its ``as_integer_ratio``."""
     if type(re) is int and type(im) is int:
         return GaussianRational(re, im)
-    (p1, q1), (p2, q2) = (Fraction(v).as_integer_ratio() for v in (re, im))
+    (p1, q1), (p2, q2) = re.as_integer_ratio(), im.as_integer_ratio()
     den = math.lcm(q1, q2)
     return GaussianRational(p1 * (den // q1), p2 * (den // q2), den)
 

@@ -3,7 +3,9 @@
 Complex scalars serialize as two-element arrays [re, im]; matrices as
 row-major nested arrays.  On input, each part of a scalar may also be a
 string fraction like "1/3" to request exact coefficients; output always
-emits numbers.  Numbers must be finite and ranks integers >= 1.  Rational
+emits numbers.  Numbers must be finite and ranks integers >= 1; a pole,
+residue or branch value, which verbs also read as a float, must be within
+float range.  Rational
 functions are {num, den} maps from keys "e1,...,en" (exponents >= 0) to
 scalars, read directly into ``ratfunc`` polynomials over the Gaussian
 rationals, whose generators are the distinct names in ``"vars"``; each
@@ -79,6 +81,13 @@ def parse_scalar(value, pointer=""):
     from .ratfunc import from_parts
 
     return from_parts(*_parts(value, pointer))
+
+
+def _parse_value(value, pointer):
+    """``parse_scalar`` of a residue or branch value, which verbs also read as a float:
+    one beyond float range is refused here, as a ``fuchsian`` pole is by its system."""
+    _complex(value, pointer)
+    return parse_scalar(value, pointer)
 
 
 def _split(read):
@@ -211,7 +220,8 @@ def _parse_fuchsian(doc):
     if len(res_doc) != len(poles_doc):
         raise SchemaViolation("/residues", "one residue per pole required")
     poles, ex1 = _split(parse_scalar(p, f"/poles/{i}") for i, p in enumerate(poles_doc))
-    residues, ex2 = _split(parse_matrix(R, m, f"/residues/{i}") for i, R in enumerate(res_doc))
+    residues, ex2 = _split(parse_matrix(R, m, f"/residues/{i}", _parse_value)
+                           for i, R in enumerate(res_doc))
     return FuchsianSystem(m, poles, residues, exact=ex1 and ex2)
 
 
@@ -220,7 +230,7 @@ def _parse_local_model(doc):
 
     m = _integer(doc, "rank")
     res_doc = _require(doc, "residues", "", list)
-    residues, exact = _split(parse_matrix(R, m, f"/residues/{i}")
+    residues, exact = _split(parse_matrix(R, m, f"/residues/{i}", _parse_value)
                              for i, R in enumerate(res_doc))
     n = _integer(doc, "vars", low=len(residues)) if "vars" in doc else len(residues)
     return LocalModel(m, residues, n=n, exact=exact)
@@ -240,7 +250,7 @@ def _parse_divisor(doc, nvars, pointer):
         if not isinstance(d, dict):
             raise SchemaViolation(f"{pointer}/divisor/{i}", "expected {var, value}")
         v = _integer(d, "var", f"{pointer}/divisor/{i}", low=0, high=nvars)
-        val, ex = parse_scalar(_require(d, "value", f"{pointer}/divisor/{i}"),
+        val, ex = _parse_value(_require(d, "value", f"{pointer}/divisor/{i}"),
                                f"{pointer}/divisor/{i}/value")
         out.append(((v, val), ex))
     return out

@@ -504,7 +504,7 @@ def test_unwritable_output_prints_an_error_verdict(tmp_path, fixture):
 
 def test_residue_with_a_pole_at_a_sample_point_is_error(tmp_path):
     # along x = 0 the residue of 1/(x (y - c)) is 1/(y - c), which has a pole at
-    # y = c; c is the first point at which residue() samples the branch
+    # y = c, a point where a sampled check would divide by zero
     den = {"1,1": [1, 0], "1,0": [-0.37, -0.21]}
     doc = {"type": "log_connection", "rank": 1, "vars": ["x", "y"],
            "divisor": [{"var": 0, "value": [0, 0]}],
@@ -515,6 +515,52 @@ def test_residue_with_a_pole_at_a_sample_point_is_error(tmp_path):
     result = invoke(["residues", str(path)])
     assert result.exit_code == 2, result.output
     assert json.loads(result.output)["payload"]["error"] == "NonConstantResidue"
+
+
+def _gaussian_json(z):
+    """A ``GaussianRational`` as an exact [re, im] pair of fraction strings."""
+    return [str(Fraction(z.re, z.den)), str(Fraction(z.im, z.den))]
+
+
+def test_residue_that_vanishes_at_sample_points_is_not_constant(tmp_path):
+    # along x = 0 the residue of (1 + (y - a)(y - b)(y - c))/x is the cubic itself; it
+    # is 1 at the dyadic a, b, c of 0.37+0.21i, -0.52+0.8i and 1.13-0.44i, so a check
+    # that samples the branch at those points sees the constant [[1]]
+    from logconnect.ratfunc import gaussian
+
+    a, b, c = (gaussian(Fraction(re), Fraction(im))
+               for re, im in ((0.37, 0.21), (-0.52, 0.8), (1.13, -0.44)))
+    num = {"0,3": [1, 0], "0,2": _gaussian_json(-(a + b + c)),
+           "0,1": _gaussian_json(a * b + a * c + b * c), "0,0": _gaussian_json(-(a * b * c) + 1)}
+    doc = {"type": "log_connection", "rank": 1, "vars": ["x", "y"],
+           "divisor": [{"var": 0, "value": [0, 0]}],
+           "components": [[[_entry(num, {"1,0": [1, 0]})]],
+                          [[_entry({"0,0": [0, 0]}, {"0,0": [1, 0]})]]]}
+    path = tmp_path / "vanishing_at_samples.json"
+    path.write_text(json.dumps(doc))
+    code, out, loaded = run_process(["residues", str(path)])
+    assert code == 2, out
+    assert json.loads(out)["payload"]["error"] == "NonConstantResidue"
+    assert loaded == set(), loaded
+
+
+@pytest.mark.parametrize("doc, pointer", [
+    ({"type": "log_connection", "rank": 1, "vars": ["x"],
+      "divisor": [{"var": 0, "value": [10 ** 400, 0]}],
+      "components": [[[_entry({"0": [1, 0]}, {"1": [1, 0], "0": [-10 ** 400, 0]})]]]},
+     "/divisor/0/value"),
+    ({"type": "local_model", "rank": 1, "residues": [[[[10 ** 400, 0]]]]}, "/residues/0/0/0"),
+    ({"type": "fuchsian", "rank": 1, "poles": [[0, 0]], "residues": [[[[0, f"{10 ** 400}/3"]]]]},
+     "/residues/0/0/0"),
+], ids=["branch-value", "local-model-residue", "fuchsian-residue"])
+@pytest.mark.parametrize("verb", ["residues", "projectivize"])
+def test_value_beyond_float_range_is_refused_at_its_pointer(tmp_path, doc, pointer, verb):
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    result = invoke([verb, str(path)])
+    assert result.exit_code == 2, result.output
+    payload = json.loads(result.output)["payload"]
+    assert (payload["error"], payload["pointer"]) == ("SchemaViolation", pointer)
 
 
 @pytest.mark.parametrize("pole, exact, realized_exact", [

@@ -7,10 +7,12 @@ from sympy.polys.domains import QQ_I
 
 from logconnect import (
     FuchsianSystem,
+    GaugeSeries,
     LocalModel,
     circle_loop,
     flatness_check,
     mat_exp,
+    nonresonant,
     poincare_defect,
     poincare_normalize,
     pullback_power,
@@ -18,10 +20,12 @@ from logconnect import (
     sylvester_solve,
     transport,
 )
-from logconnect.connections import LogConnection
-from logconnect.errors import ResonantResidue, SchemaViolation, UnsupportedBranch
+from logconnect.connections import LogConnection, exact_residue
+from logconnect.errors import (
+    ResonantResidue, ResonantSpectrum, SchemaViolation, UnsupportedBranch,
+)
 from logconnect.projective import projectivize, reconstruct
-from logconnect.ratfunc import GaussianRational, RationalFunction, gaussian
+from logconnect.ratfunc import GaussianRational, RationalFunction, gaussian, to_scalar
 from logconnect.serialization import validate_schema
 
 from conftest import (
@@ -159,7 +163,7 @@ class TestPullback:
             LocalModel(1, [[[value]]])
         out = pullback_power(C, 0, 2)
         assert (C.exact, out.exact) == (exact, exact)
-        assert out.residues == (((2 * gaussian(value),),),)
+        assert out.residues == (((2 * to_scalar(value)[0],),),)
 
     def test_local_model_other_branches_unchanged(self):
         model = LocalModel(2, [np.diag([1.0, 2.0]), np.diag([3.0, 4.0])])
@@ -234,6 +238,146 @@ class TestPoincareNormalize:
             assert poincare_defect(conn, gauge) < 1e-9
 
 
+def series_document(A, taus):
+    """The ``log_connection`` (A + sum_d T_d x^(d+1)) / x, parsed from float parts, so
+    that the system holds exactly the floats of A and the T_d."""
+    m = A.shape[0]
+
+    def entry(i, j):
+        num = {"0": [A[i, j].real, A[i, j].imag]}
+        num.update({str(d + 1): [T[i, j].real, T[i, j].imag] for d, T in enumerate(taus)})
+        return {"num": num, "den": {"1": [1, 0]}}
+
+    return validate_schema({"type": "log_connection", "rank": m, "vars": ["x"],
+                            "divisor": [{"var": 0, "value": [0, 0]}],
+                            "components": [[[entry(i, j) for j in range(m)]
+                                            for i in range(m)]]})
+
+
+def sylvester_gauge(A, taus, order):
+    """G_0..G_order by one general ``sylvester_solve`` per order: the reference for the
+    recursion, which forms spec(A) and the Kronecker operator once per call."""
+    m = A.shape[0]
+    G = [np.eye(m, dtype=complex)]
+    for k in range(1, order + 1):
+        rhs = np.zeros((m, m), dtype=complex)
+        for d, T in enumerate(taus):
+            if k - 1 - d >= 0:
+                rhs += T @ G[k - 1 - d]
+        G.append(sylvester_solve(A, A + k * np.eye(m), -rhs))
+    return G
+
+
+def loop_defect(A, taus, G):
+    """The defect as a loop of m x m products: the reference for ``poincare_defect``,
+    which forms the series products as stacked arrays."""
+    m, N = A.shape[0], len(G) - 1
+    H = [np.eye(m, dtype=complex)]
+    for k in range(1, N + 1):
+        H.append(-sum(H[j] @ G[k - j] for j in range(k)))
+    top = N + len(taus)
+    P = {-1: A @ G[0]}
+    for k in range(top):
+        acc = np.zeros((m, m), dtype=complex)
+        if k + 1 <= N:
+            acc += A @ G[k + 1] - (k + 1) * G[k + 1]
+        for d, T in enumerate(taus):
+            if 0 <= k - d <= N:
+                acc += T @ G[k - d]
+        P[k] = acc
+    defect = 0.0
+    for k in range(-1, N):
+        acc = sum((H[j] @ P[k - j] for j in range(N + 1) if -1 <= k - j <= top - 1),
+                  np.zeros((m, m), dtype=complex))
+        defect = max(defect, float(np.linalg.norm(acc - A if k == -1 else acc)))
+    return defect
+
+
+def seeded_series(nprng, m, degree=3):
+    """A nonresonant A (diagonal spread below 1, small complex noise) and degree + 1
+    complex tau coefficients."""
+    A = np.diag(nprng.uniform(0.05, 0.85, size=m)) + 0.05j * nprng.normal(size=(m, m))
+    taus = [0.5 * (nprng.normal(size=(m, m)) + 1j * nprng.normal(size=(m, m)))
+            for _ in range(degree + 1)]
+    return A, taus
+
+
+JORDAN = np.array([[0.3, 1.0], [0.0, 0.3]], dtype=complex)
+
+
+class TestNormalizationRecursion:
+    """One spectrum and one Kronecker operator per call give the gauges of one general
+    Sylvester solve per order."""
+
+    def cases(self, nprng):
+        for m in (1, 2, 3, 4):
+            A, taus = seeded_series(nprng, m)
+            yield A, taus, 10
+        yield JORDAN, seeded_series(nprng, 2)[1], 10
+        yield JORDAN, [], 6  # no tau: the gauge is the identity
+        A, taus = seeded_series(nprng, 3)
+        yield A, taus, 0
+        yield A, taus, 1
+        yield A, taus[:1], 12  # more orders than tau coefficients
+
+    def test_gauges_match_one_sylvester_solve_per_order(self, nprng):
+        for A, taus, order in self.cases(nprng):
+            got = poincare_normalize(series_document(A, taus), order=order).coefficients
+            want = sylvester_gauge(A, taus, order)
+            assert len(got) == order + 1
+            for G, W in zip(got, want):
+                assert np.max(np.abs(G - W)) <= 1e-12 * max(1.0, np.max(np.abs(W)))
+
+    def test_defect_matches_the_loop_form(self, nprng):
+        for A, taus, order in self.cases(nprng):
+            conn = series_document(A, taus)
+            gauge = poincare_normalize(conn, order=order)
+            # a normalizing gauge: both at rounding level
+            assert poincare_defect(conn, gauge) <= 1e-12
+            assert loop_defect(A, taus, gauge.coefficients) <= 1e-12
+            # a perturbed gauge: a defect of order one, the same to rounding
+            G = [gauge.coefficients[0]] + [
+                Gk + 0.1 * nprng.normal(size=Gk.shape) for Gk in gauge.coefficients[1:]]
+            want = loop_defect(A, taus or [np.zeros_like(A)], G)
+            assert abs(poincare_defect(conn, GaugeSeries(G)) - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("order, raises", [(2, False), (3, True), (5, True)])
+    def test_resonance_at_one_order_is_refused_there(self, nprng, order, raises):
+        # eigenvalues 0 and 3 + 4e-9 pass the nonresonance test (4e-9 above 1e-9 * 3)
+        # but not the disjointness of spec(A) and spec(A) + 3 (4e-9 below 1e-9 * 6)
+        A = np.diag([0.0, 3 + 4e-9]).astype(complex)
+        taus = seeded_series(nprng, 2, degree=1)[1]
+        assert nonresonant(A)
+        conn = series_document(A, taus)
+        if raises:
+            for solve in (lambda: poincare_normalize(conn, order=order),
+                          lambda: sylvester_gauge(A, taus, order)):
+                with pytest.raises(ResonantSpectrum):
+                    solve()
+        else:
+            poincare_normalize(conn, order=order)
+
+    def test_eigensolves_per_normalization_do_not_grow_with_the_order(self, nprng,
+                                                                      monkeypatch):
+        A, taus = seeded_series(nprng, 3)
+        conn = series_document(A, taus)
+        calls = []
+        eigvals = np.linalg.eigvals
+
+        def counting(M):
+            calls.append(1)
+            return eigvals(M)
+
+        monkeypatch.setattr(np.linalg, "eigvals", counting)
+        counts = []
+        for order in (1, 4, 16):
+            calls.clear()
+            poincare_normalize(conn, order=order)
+            counts.append(len(calls))
+        # one for the nonresonance test, one for the recursion
+        assert counts == [2, 2, 2]
+
+
 class TestInvariants:
     def test_residue_sum_zero_after_pullback(self, rng):
         F = FuchsianSystem(2, [0], [rational_matrix(rng, 2)])
@@ -246,6 +390,14 @@ class TestInvariants:
         conn = F.to_log_connection()
         for i in range(F.k):
             assert np.allclose(residue(conn, i), F.residue_array(i))
+
+    def test_embedded_residues_are_exact(self, rng):
+        # the residue along each pole of an embedding is the stored residue itself
+        for _ in range(10):
+            F = random_fuchsian(rng, m=3, max_poles=3)
+            conn = F.to_log_connection()
+            for i in range(F.k):
+                assert exact_residue(conn, i) == F.residues[i]
 
 
 # Gaussian-rational poles, pairwise distinct

@@ -1,8 +1,13 @@
-"""Static checks on the library's source, with the standard library's ``ast``, and
-checks that exact scalars reach numbers through ratfunc's reader."""
+"""Static checks on the library's source, with the standard library's ``ast``, a
+fresh-interpreter check that exact residues need no numpy, and checks that exact
+scalars reach numbers through ratfunc's reader."""
 
 import ast
+import json
+import os
 import pathlib
+import subprocess
+import sys
 
 import pytest
 import sympy as sp
@@ -194,6 +199,31 @@ def test_heavy_libraries_load_only_where_pinned():
         return out
 
     assert {module: loads(module, set()) for module in graph} == TIERS
+
+
+@pytest.mark.parametrize("c", [0.3, "3/10"], ids=["float", "exact"])
+def test_residues_of_a_log_connection_load_no_numpy(tmp_path, c):
+    """``connections.exact_residue`` restricts each entry to its branch by exact
+    division, so ``residues`` of a ``log_connection`` runs without numpy, for float data
+    as for exact data."""
+    neg = -c if isinstance(c, float) else "-" + c
+    doc = {"type": "log_connection", "rank": 1, "vars": ["x", "y"],
+           "divisor": [{"var": 0, "value": [c, 0]}],
+           "components": [[[{"num": {"0,0": [0.5, "1/4"]},
+                             "den": {"1,0": [1, 0], "0,0": [neg, 0]}}]],
+                          [[{"num": {"0,0": [0, 0]}, "den": {"0,0": [1, 0]}}]]]}
+    path = tmp_path / "branch.json"
+    path.write_text(json.dumps(doc))
+    code = ("import sys\nfrom logconnect.cli import main\ntry:\n    main(sys.argv[1:])\n"
+            "except SystemExit as exc:\n    print('numpy' in sys.modules, file=sys.stderr)\n"
+            "    sys.exit(exc.code)\n")
+    pythonpath = os.pathsep.join(
+        p for p in (str(PACKAGE.parent), os.environ.get("PYTHONPATH")) if p)
+    r = subprocess.run([sys.executable, "-c", code, "residues", str(path)], capture_output=True,
+                       text=True, timeout=60, env={**os.environ, "PYTHONPATH": pythonpath})
+    assert r.returncode == 0, r.stdout + r.stderr
+    assert json.loads(r.stdout)["payload"]["residues"] == [[[[0.5, 0.25]]]]
+    assert r.stderr.split()[-1] == "False", "residues loaded numpy"
 
 
 READER_CASES = [sp.Integer(7), sp.Integer(-3), sp.Rational(1, 3),
