@@ -5,18 +5,15 @@ The names below are resolved on first access (PEP 562), so importing the
 package loads no submodule and no library.  No submodule imports sympy or
 scipy at module level, and only the numeric ones (``algebra``, ``lifting``,
 ``monodromy``) import numpy: exact arithmetic is the package's own
-(``ratfunc``), the exact modules import numpy on call where they compute with
-floats, and ``scipy.linalg`` is imported on call by the three matrix functions
-of ``algebra`` that use it (Schur form, exponential, logarithm), which no CLI
-verb runs.
+(``ratfunc``), and the exact modules import numpy on call where they compute
+with floats.
 """
 
 import importlib
 
 # exported name -> the submodule that defines it
 _EXPORTS = {name: module for module, names in {
-    "algebra": "Spectrum commuting eigen_decompose mat_exp mat_log_normalized "
-               "sylvester_solve nonresonant ProjectiveClass proj_equal property_Pm",
+    "algebra": "commuting sylvester_solve nonresonant ProjectiveClass proj_equal property_Pm",
     "connections": "FuchsianSystem GaugeSeries LocalModel LogConnection flatness_check "
                    "poincare_defect poincare_normalize pullback_power residue",
     "lifting": "LiftReport ProjectivePresentation lift_commuting lifting_exponent "

@@ -1,34 +1,19 @@
 """Dense complex linear algebra kernels.
 
-Thin, contract-enforcing wrappers over LAPACK via numpy/scipy: Schur-based
-eigendecomposition, matrix exponential, the branch-normalized matrix
-logarithm (eigenvalue real parts in [0, 1)), a spectrum-guarded Sylvester
-solver (general, and shifted for a recursion over orders k), the two spectral
-predicates (nonresonance, eigenvalue separation), a commutation test and
-projective classes of matrices.  ``scipy.linalg`` is imported by the three
-kernels that call it (Schur, exponential, logarithm), on first use, so the
-Sylvester solvers, the predicates and projective classes cost numpy alone.
+Thin, contract-enforcing wrappers over LAPACK via numpy: a spectrum-guarded
+Sylvester solver (general, and shifted for a recursion over orders k), the two
+spectral predicates (nonresonance, eigenvalue separation), a commutation test
+and projective classes of matrices.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    NonConvergence,
-    ResonantSpectrum,
-    SingularMatrix,
-)
+from .errors import DimensionMismatch, ResonantSpectrum, SingularMatrix
 
 __all__ = [
-    "Spectrum",
     "as_matrix",
-    "eigen_decompose",
-    "mat_exp",
-    "mat_log_normalized",
     "sylvester_solve",
     "shifted_sylvester_solver",
     "nonresonant",
@@ -49,77 +34,6 @@ def as_matrix(M) -> np.ndarray:
     if not np.all(np.isfinite(A)):
         raise ValueError("matrix has non-finite entries")
     return A
-
-
-@dataclass(frozen=True)
-class Spectrum:
-    """Eigenvalues with multiplicity plus a basis conjugating to triangular form.
-
-    ``basis @ triangular @ basis^{-1}`` reconstructs the input matrix.
-    """
-
-    eigenvalues: np.ndarray
-    basis: np.ndarray
-    triangular: np.ndarray
-
-    @property
-    def m(self) -> int:
-        return len(self.eigenvalues)
-
-    def reconstruct(self) -> np.ndarray:
-        return self.basis @ self.triangular @ np.linalg.inv(self.basis)
-
-
-def eigen_decompose(M, tol: float = 1e-10) -> Spectrum:
-    """Schur decomposition with a reconstruction-residual guarantee."""
-    import scipy.linalg
-
-    A = as_matrix(M)
-    try:
-        T, Q = scipy.linalg.schur(A, output="complex")
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK rarely fails here
-        raise NonConvergence(str(exc)) from exc
-    spec = Spectrum(eigenvalues=np.diag(T).copy(), basis=Q, triangular=T)
-    scale = max(np.linalg.norm(A), 1.0)
-    if np.linalg.norm(spec.reconstruct() - A) > tol * scale:
-        raise NonConvergence("Schur reconstruction residual above tolerance")
-    return spec
-
-
-def mat_exp(A) -> np.ndarray:
-    """Matrix exponential (scaling and squaring, via scipy)."""
-    import scipy.linalg
-
-    E = scipy.linalg.expm(as_matrix(A))
-    if not np.all(np.isfinite(E)):
-        raise OverflowError("matrix exponential overflowed")
-    return E
-
-
-def mat_log_normalized(M, tol: float = 1e-12) -> np.ndarray:
-    """Return A with exp(2*pi*i*A) = M and eigenvalues of A in the strip 0 <= Re < 1.
-
-    The branch is chosen by rotating the plane so that a single logarithm cut
-    sits in the argument gap between max(arg(lambda)) and 2*pi; every
-    eigenvalue lambda then maps to log(lambda)/(2*pi*i) with arg taken
-    in [0, 2*pi), i.e. Re(mu) = arg(lambda)/(2*pi) in [0, 1).  Works for
-    non-diagonalizable M since it is a single analytic matrix function.
-    """
-    import scipy.linalg
-
-    A = as_matrix(M)
-    m = A.shape[0]
-    det = np.linalg.det(A)
-    scale = max(np.linalg.norm(A), 1.0)
-    if abs(det) < tol * scale ** m:
-        raise SingularMatrix("matrix is singular; no logarithm exists")
-    eig = np.linalg.eigvals(A)
-    args = np.mod(np.angle(eig), TWO_PI)
-    # cut direction: midway between the largest eigenvalue argument and 2*pi
-    cut = (np.max(args) + TWO_PI) / 2.0
-    psi = cut - np.pi
-    L = scipy.linalg.logm(A * np.exp(-1j * psi)) + 1j * psi * np.eye(m)
-    return L / (2j * np.pi)
 
 
 _DISJOINT_TOL = 1e-9  # relative separation of two spectra for a Sylvester solve

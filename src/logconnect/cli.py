@@ -331,8 +331,7 @@ def lift_rep(input, nu, output):
         if pres.relations:
             report = lifting.verify_lift_after_power(pres, nu)
         else:
-            tuple_src = pres.powered(nu) if nu > 1 else pres
-            report = lifting.lift_commuting(tuple_src.generator_list())
+            report = lifting.lift_commuting(pres.powered(nu).generator_list())
         status = "ok" if report.success else "fail"
         return status, system_to_json(report), ()
     _run(op, output)

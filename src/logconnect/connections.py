@@ -166,10 +166,6 @@ class FuchsianSystem(_Residues):
         return tuple(tuple(-sum((A[i][j] for A in self.residues), ZERO) for j in range(self.m))
                      for i in range(self.m))
 
-    def residue_at_infinity(self):
-        """``infinity_residue`` as a read-only complex ndarray, each entry correctly rounded."""
-        return _read_only([[to_complex(e) for e in row] for row in self.infinity_residue])
-
     def to_log_connection(self) -> "LogConnection":
         """The embedding: entry (i, j) is sum_k A_k[i][j] / (x - p_k), summed over
         the poles where A_k[i][j] != 0.  Built with no gcd (``_pole_sums``): the
@@ -480,6 +476,8 @@ def poincare_normalize(C, order: int = 10, tol: float = 1e-8) -> GaugeSeries:
 
     from . import algebra
 
+    if order < 0:
+        raise ValueError("order must be >= 0")
     A, taus = _series_parts(_as_connection(C))
     if not algebra.nonresonant(A):
         raise ResonantResidue(

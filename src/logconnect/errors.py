@@ -5,10 +5,6 @@ class LogConnectError(Exception):
     """Base class for all library errors."""
 
 
-class NonConvergence(LogConnectError):
-    """Iterative eigensolver failed within its iteration budget."""
-
-
 class SingularMatrix(LogConnectError):
     """Matrix is singular (or numerically indistinguishable from singular)."""
 

@@ -83,6 +83,11 @@ class ProjectivePresentation:
         return [self.generators[n] for n in self.names]
 
     def powered(self, nu: int) -> "ProjectivePresentation":
+        """The presentation with every generator raised to its nu-th power, nu >= 1."""
+        if nu < 1:
+            raise ValueError("nu must be >= 1")
+        if nu == 1:
+            return self
         gens = {n: g.power(nu) for n, g in self.generators.items()}
         return ProjectivePresentation(self.m, gens, self.relations, poles=self.poles)
 
@@ -165,7 +170,10 @@ def _simultaneous_eigenbasis(mats, tol: float = 1e-8, attempts: int = 8):
 
 
 def _log_in_basis(N, V, Vinv):
-    """Branch-normalized log computed eigenvalue-wise in the common basis."""
+    """Branch-normalized log computed eigenvalue-wise in the common basis.
+
+    N must be diagonal in V, so a non-diagonalizable class has no logarithm
+    here; that would need the general one, through the Jordan structure."""
     D = np.diag(Vinv @ N @ V)
     mus = np.log(np.abs(D)) / (2j * np.pi) + (np.mod(np.angle(D), TWO_PI)) / TWO_PI
     return V @ np.diag(mus) @ Vinv
@@ -242,9 +250,7 @@ def verify_lift_after_power(P: ProjectivePresentation, nu: int,
     Models the ramified-cover pullback group-theoretically: simple loops of the
     cover map to nu-th powers of the original simple loops.
     """
-    if nu < 1:
-        raise ValueError("nu must be >= 1")
-    powered = P.powered(nu) if nu > 1 else P
+    powered = P.powered(nu)
     lifts = {name: g.canonical for name, g in powered.generators.items()}
     scalars = []
     for word in powered.relations:

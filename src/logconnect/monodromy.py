@@ -361,9 +361,9 @@ def transport(C, path: LoopPath, tol: float = 1e-10) -> np.ndarray:
 
 
 def __getattr__(name):
-    # scipy's solve_ivp, imported only when something looks the name up here (the
-    # benchmark's tracer wraps it); the library never calls it, so importing this
-    # module does not load scipy.integrate
+    # scipy's solve_ivp, kept only for the benchmark's tracer, which wraps this name
+    # (perfbench/tracing.py); the library never calls it, and scipy is imported only
+    # when something looks the name up here
     if name == "solve_ivp":
         from scipy.integrate import solve_ivp
         return solve_ivp

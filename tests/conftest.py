@@ -3,10 +3,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import scipy.linalg
 import sympy as sp
 from sympy.polys.domains import QQ, QQ_I
 
 from logconnect import FuchsianSystem, RationalFunction
+from logconnect.algebra import TWO_PI, as_matrix
+from logconnect.errors import SingularMatrix
 from logconnect.ratfunc import from_terms, gaussian
 
 
@@ -63,6 +66,30 @@ def from_expr(expr, gens):
     gens = symbols(gens)
     return RationalFunction(from_sympy_poly(sp.Poly(n, *gens, domain=QQ_I)),
                             from_sympy_poly(sp.Poly(d, *gens, domain=QQ_I)))
+
+
+def mat_log_normalized(M, tol: float = 1e-12) -> np.ndarray:
+    """Return A with exp(2*pi*i*A) = M and eigenvalues of A in the strip 0 <= Re < 1.
+
+    The branch is chosen by rotating the plane so that a single logarithm cut
+    sits in the argument gap between max(arg(lambda)) and 2*pi; every
+    eigenvalue lambda then maps to log(lambda)/(2*pi*i) with arg taken
+    in [0, 2*pi), i.e. Re(mu) = arg(lambda)/(2*pi) in [0, 1).  Works for
+    non-diagonalizable M since it is a single analytic matrix function.
+    """
+    A = as_matrix(M)
+    m = A.shape[0]
+    det = np.linalg.det(A)
+    scale = max(np.linalg.norm(A), 1.0)
+    if abs(det) < tol * scale ** m:
+        raise SingularMatrix("matrix is singular; no logarithm exists")
+    eig = np.linalg.eigvals(A)
+    args = np.mod(np.angle(eig), TWO_PI)
+    # cut direction: midway between the largest eigenvalue argument and 2*pi
+    cut = (np.max(args) + TWO_PI) / 2.0
+    psi = cut - np.pi
+    L = scipy.linalg.logm(A * np.exp(-1j * psi)) + 1j * psi * np.eye(m)
+    return L / (2j * np.pi)
 
 
 def trace_form(conn):

@@ -27,7 +27,6 @@ from logconnect import (
     flatness_check,
     lift_commuting,
     lifting_exponent,
-    mat_log_normalized,
     nonresonant,
     poincare_defect,
     poincare_normalize,
@@ -47,7 +46,7 @@ from logconnect import (
 from logconnect.cli import main as cli_main
 from logconnect.errors import ResonantResidue
 
-from conftest import from_expr, random_fuchsian, rational_matrix, trace_form
+from conftest import from_expr, mat_log_normalized, random_fuchsian, rational_matrix, trace_form
 
 FIXTURES = pathlib.Path(__file__).parent.parent / "fixtures"
 

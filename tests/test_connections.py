@@ -11,7 +11,6 @@ from logconnect import (
     LocalModel,
     circle_loop,
     flatness_check,
-    mat_exp,
     nonresonant,
     poincare_defect,
     poincare_normalize,

@@ -108,8 +108,8 @@ def test_fractions_are_reduced_in_one_place():
 SYMPY_SITES = {"to_scalar", "_gcd", "_sympy_numbers"}
 
 
-def sympy_lines(node):
-    """Lines that import sympy or name it as a module (``sys.modules.get("sympy")``)."""
+def library_lines(node, library):
+    """Lines that import ``library`` or name it as a module (``sys.modules.get("sympy")``)."""
     lines = set()
     for n in ast.walk(node):
         if isinstance(n, ast.Import):
@@ -120,7 +120,7 @@ def sympy_lines(node):
             names = [n.value]
         else:
             continue
-        if any(name == "sympy" or name.startswith("sympy.") for name in names):
+        if any(name == library or name.startswith(library + ".") for name in names):
             lines.add(n.lineno)
     return lines
 
@@ -135,15 +135,38 @@ def test_sympy_numbers_are_read_in_one_place():
         allowed = set()
         if path.name == "ratfunc.py":
             for f in ast.walk(tree):
-                if isinstance(f, ast.FunctionDef) and f.name in SYMPY_SITES and sympy_lines(f):
+                if (isinstance(f, ast.FunctionDef) and f.name in SYMPY_SITES
+                        and library_lines(f, "sympy")):
                     used.add(f.name)
-                    allowed |= sympy_lines(f)
+                    allowed |= library_lines(f, "sympy")
         calls = {node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
                  and called_name(node) in ("from_sympy", "to_sympy")}
-        if (sympy_lines(tree) - allowed) | calls:
-            stray[path.name] = sorted((sympy_lines(tree) - allowed) | calls)
+        if (library_lines(tree, "sympy") - allowed) | calls:
+            stray[path.name] = sorted((library_lines(tree, "sympy") - allowed) | calls)
     assert used == SYMPY_SITES, f"sympy sites that no longer reach sympy: {SYMPY_SITES - used}"
     assert not stray, f"sympy reached outside ratfunc's lazy sites: {stray}"
+
+
+# the one function of the library that may reach scipy: the module ``__getattr__`` of
+# monodromy, which imports ``solve_ivp`` when the benchmark's tracer looks it up
+SCIPY_SITES = {("monodromy.py", "__getattr__")}
+
+
+def test_scipy_is_named_in_one_place():
+    """No verb needs scipy: the library names it only inside ``SCIPY_SITES``."""
+    stray, used = {}, set()
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        allowed = set()
+        for f in ast.walk(tree):
+            if (isinstance(f, ast.FunctionDef) and (path.name, f.name) in SCIPY_SITES
+                    and library_lines(f, "scipy")):
+                used.add((path.name, f.name))
+                allowed |= library_lines(f, "scipy")
+        if library_lines(tree, "scipy") - allowed:
+            stray[path.name] = sorted(library_lines(tree, "scipy") - allowed)
+    assert used == SCIPY_SITES, f"scipy sites that no longer reach scipy: {SCIPY_SITES - used}"
+    assert not stray, f"scipy named outside {SCIPY_SITES}: {stray}"
 
 
 HEAVY = ("sympy", "scipy.linalg", "scipy.integrate", "numpy")

@@ -8,7 +8,6 @@ from logconnect import (
     lift_commuting,
     lifting_exponent,
     local_realize,
-    mat_exp,
     proj_equal,
     projective_monodromy,
     realize_fuchsian,

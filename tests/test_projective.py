@@ -6,7 +6,6 @@ from logconnect import (
     FuchsianSystem,
     LocalModel,
     ProjectiveClass,
-    mat_log_normalized,
     nonresonant,
     poincare_normalize,
     proj_equal,
@@ -18,7 +17,7 @@ from logconnect import (
 from logconnect.connections import flatness_check
 from logconnect.errors import DimensionMismatch, ResonantResidue, SingularMatrix
 
-from conftest import from_expr, random_fuchsian, trace_form
+from conftest import from_expr, mat_log_normalized, random_fuchsian, trace_form
 
 
 def reference_nonresonant(A, tol=1e-9):
