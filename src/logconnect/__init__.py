@@ -3,8 +3,9 @@ monodromy and the projective lifting pipeline.
 
 The names below are resolved on first access (PEP 562), so importing the
 package loads no submodule and no library.  No submodule imports sympy or
-scipy at module level, and only the numeric ones (``algebra``, ``lifting``,
-``monodromy``) import numpy: exact arithmetic is the package's own
+scipy at module level, no verb imports sympy on any input, and only the
+numeric submodules (``algebra``, ``lifting``, ``monodromy``) import numpy:
+exact arithmetic, the gcd in several variables included, is the package's own
 (``ratfunc``), and the exact modules import numpy on call where they compute
 with floats.
 """

@@ -17,7 +17,7 @@ verb imports the rest itself.  The exact verbs (``check-flat``, ``residues``,
 library beyond click: exact data is read into ``ratfunc``'s own
 Gaussian-rational types and written from them.  The numeric verbs add numpy
 alone: transport, the Sylvester solves of ``normalize``, the predicates and
-lifting are numpy code.
+lifting are numpy code.  No verb imports sympy, on any input.
 """
 
 from __future__ import annotations

@@ -16,15 +16,18 @@ integer-valued, or a sympy number that is not a Gaussian rational
 (``sqrt(2)``), becomes an exact dyadic value and is reported inexact
 (``from_parts`` holds the rule for parts).  This is the one module where exact
 scalars cross to and from complex numbers and sympy numbers.  It never imports
-sympy for the library's own work: ``to_scalar`` reads sympy numbers only when
-sympy is already loaded, and sympy is imported on call by the gcd of two
-polynomials in several variables whose denominator has more than one term, and
-by ``Polynomial.all_coeffs`` and ``Polynomial.terms``, which return sympy
-numbers.  numpy is imported on call, by ``evaluator`` alone.
+sympy for the library's own work, so no verb imports it, on any input:
+``to_scalar`` reads sympy numbers only when sympy is already loaded, and only
+``Polynomial.all_coeffs`` and ``Polynomial.terms``, which return sympy numbers,
+import it on call.  Fractions are reduced by one native gcd in any number of
+variables: a proof of coprimality modulo a prime, else Euclid in one variable and
+a primitive remainder sequence in several.  numpy is imported on call, by
+``evaluator`` alone.
 """
 
 from __future__ import annotations
 
+import heapq
 import math
 import numbers
 import sys
@@ -356,9 +359,13 @@ class Polynomial:
         lead = max(divisor)
         inv = ONE / divisor.pop(lead)
         rest, q, r = self.to_dict(), {}, {}
-        while rest:
-            e = max(rest)
-            c = rest.pop(e)
+        heap = [tuple(-a for a in e) for e in rest]  # the exponents, the largest first
+        heapq.heapify(heap)
+        while heap:
+            e = tuple(-a for a in heapq.heappop(heap))
+            c = rest.pop(e, None)
+            if c is None:  # cancelled, or pushed again after a cancellation
+                continue
             if any(a < b for a, b in zip(e, lead)):
                 r[e] = c
                 continue
@@ -366,6 +373,8 @@ class Polynomial:
             t = q[shift] = c * inv
             for e2, c2 in divisor.items():
                 k = tuple(a + b for a, b in zip(e2, shift))
+                if k not in rest:
+                    heapq.heappush(heap, tuple(-a for a in k))
                 v = rest.get(k, ZERO) - t * c2
                 if v:
                     rest[k] = v
@@ -430,65 +439,103 @@ def evaluator(polys):
 # ring map Z[i] -> GF(p).
 _P = 2**61 - 31
 _I_MOD_P = 583529827753931384
+# ``_image`` maps each variable x_k it does not keep to the fixed point _POINT**(k+1)
+_POINT = 1_234_567_890_123_456_789
+
+
+def _image(p: Polynomial, var: int) -> list:
+    """The image of the Gaussian-integer numerators of p in GF(p)[x_var], the leading
+    coefficient first, with i -> ``_I_MOD_P`` and each other variable x_k -> ``_POINT``**(k+1)."""
+    image = [0] * (1 + max(e[var] for e in p.rep))
+    for e, (a, b) in p.rep.items():
+        image[-1 - e[var]] += (a + b * _I_MOD_P) * math.prod(
+            pow(_POINT, (k + 1) * d, _P) for k, d in enumerate(e) if d and k != var)
+    return [c % _P for c in image]
 
 
 def _coprime_mod_p(num: Polynomial, den: Polynomial) -> bool:
-    """Whether two polynomials in one variable are proved coprime by the images of their
-    Gaussian-integer numerators in GF(p)[x].  When the map keeps both leading
-    coefficients, it keeps the degree of every factor, so a common factor of positive
-    degree leaves an image gcd of positive degree: a constant image gcd proves a gcd of 1."""
-    f, g = ([(a + b * _I_MOD_P) % _P for a, b in (p.rep.get((k,), (0, 0))
-                                                  for k in range(p.degree(), -1, -1))]
-            for p in (den, num))
-    if not f[0] or not g[0]:
-        return False
-    if len(f) < len(g):
-        f, g = g, f
-    while len(g) > 1:
-        inv, r, shift = pow(g[0], -1, _P), f[:], len(f) - len(g) + 1
-        for i in range(shift):
-            c = r[i] * inv % _P
-            if c:
-                for j in range(1, len(g)):
-                    r[i + j] = (r[i + j] - c * g[j]) % _P
-        r = r[shift:]
-        while r and not r[0]:
-            del r[0]
-        if not r:  # g divides f in GF(p)[x]
+    """Whether two polynomials are proved coprime by the images of their Gaussian-integer
+    numerators in GF(p)[x_j], for each variable x_j that occurs in either.  When the map
+    keeps both leading coefficients in x_j, it keeps the degree in x_j of every factor, so
+    a common factor of positive degree in x_j leaves an image gcd of positive degree:
+    constant image gcds in every such variable prove a gcd of 1."""
+    for var in range(len(den.gens)):
+        f, g = _image(den, var), _image(num, var)
+        if len(f) == len(g) == 1:  # x_var occurs in neither
+            continue
+        if not f[0] or not g[0]:
             return False
-        f, g = g, r
+        if len(f) < len(g):
+            f, g = g, f
+        while len(g) > 1:
+            inv, r, shift = pow(g[0], -1, _P), f[:], len(f) - len(g) + 1
+            for i in range(shift):
+                c = r[i] * inv % _P
+                if c:
+                    for j in range(1, len(g)):
+                        r[i + j] = (r[i + j] - c * g[j]) % _P
+            r = r[shift:]
+            while r and not r[0]:
+                del r[0]
+            if not r:  # g divides f in GF(p)[x_var]
+                return False
+            f, g = g, r
     return True
+
+
+def _lead(p: Polynomial, var: int) -> tuple:
+    """(degree of a nonzero p in x_var, the coefficient of that power of x_var)."""
+    d = max(e[var] for e in p.rep)
+    return d, p._new({e[:var] + (0,) + e[var + 1:]: c for e, c in p.rep.items()
+                      if e[var] == d}, p.den)
+
+
+def _primitive_part(p: Polynomial, var: int) -> tuple:
+    """(content, primitive part) of p in x_var, both monic; the content is the gcd of
+    p's coefficients in x_var, in the variables after x_var."""
+    parts = {}
+    for e, c in p.rep.items():
+        parts.setdefault(e[var], {})[e[:var] + (0,) + e[var + 1:]] = c
+    content = reduce(_prs_gcd, (p._new(rep, p.den) for rep in parts.values())).monic()
+    return content, p.exquo(content).monic()
+
+
+def _prs_gcd(f: Polynomial, g: Polynomial) -> Polynomial:
+    """The monic gcd of nonzero f and g: in one variable, Euclid with each remainder made
+    monic, which bounds coefficient growth; in several, the primitive remainder sequence
+    in the first variable that occurs (Brown, J. ACM 18, 1971; Knuth, TAOCP 4.6.1), with
+    the gcd of the contents taken recursively in the variables after it."""
+    occurring = sorted({k for e in (*f.rep, *g.rep) for k, d in enumerate(e) if d})
+    if len(occurring) <= 1:
+        f, g = f.monic(), g.monic()
+        while not g.is_zero:
+            r = f.div(g)[1]
+            f, g = g, r if r.is_zero else r.monic()
+        return f
+    var = occurring[0]
+    (cf, f), (cg, g) = _primitive_part(f, var), _primitive_part(g, var)
+    if _lead(f, var)[0] < _lead(g, var)[0]:
+        f, g = g, f
+    while (lg := _lead(g, var))[0] > 0:
+        # f becomes its pseudo-remainder lc(g)^k f - q g, of degree in x_var below g's
+        while not f.is_zero and (lf := _lead(f, var))[0] >= lg[0]:
+            shift = tuple((lf[0] - lg[0]) * (k == var) for k in range(len(f.gens)))
+            f = f * lg[1] - lf[1] * Polynomial({shift: (1, 0)}, 1, f.gens) * g
+        if f.is_zero:
+            break
+        f, g = g, _primitive_part(f, var)[1]
+    return (_prs_gcd(cf, cg) * g).monic()
 
 
 def _gcd(num: Polynomial, den: Polynomial) -> Polynomial:
     """The monic gcd of a nonzero ``num`` and ``den``: for a one-term ``den``, the power
-    of each variable that divides it and every term of ``num``; in one variable, 1 when
-    the images modulo a prime prove it, else Euclid with each remainder made monic,
-    which bounds coefficient growth; in several variables, sympy's ``Poly.gcd``."""
-    gens = den.gens
+    of each variable that divides it and every term of ``num``; 1 when the images modulo
+    a prime prove it; else the native remainder sequence ``_prs_gcd``."""
     if den.is_monomial:
-        return Polynomial({tuple(map(min, *den.rep, *num.rep)): (1, 0)}, 1, gens)
-    if len(gens) > 1:
-        import sympy as sp
-        from sympy.polys.domains import QQ, QQ_I
-
-        symbols = [sp.Symbol(name) for name in gens]
-
-        def sympy_poly(p):
-            return sp.Poly.from_dict({e: QQ_I(QQ(a, p.den), QQ(b, p.den))
-                                      for e, (a, b) in p.rep.items()}, *symbols, domain=QQ_I)
-
-        g = sympy_poly(num).gcd(sympy_poly(den)).monic()
-        return from_terms({e: gaussian(*(Fraction(int(q.numerator), int(q.denominator))
-                                         for q in (c.x, c.y)))
-                           for e, c in g.as_dict(native=True).items()}, gens)
+        return Polynomial({tuple(map(min, *den.rep, *num.rep)): (1, 0)}, 1, den.gens)
     if _coprime_mod_p(num, den):
-        return Polynomial({(0,): (1, 0)}, 1, gens)
-    f, g = den.monic(), num.monic()
-    while not g.is_zero:
-        r = f.div(g)[1]
-        f, g = g, r if r.is_zero else r.monic()
-    return f
+        return Polynomial({(0,) * len(den.gens): (1, 0)}, 1, den.gens)
+    return _prs_gcd(den, num)
 
 
 # -- rational functions ---------------------------------------------------

@@ -454,13 +454,93 @@ def test_every_verb_runs_without_scipy(args, expect):
 
 
 def test_scipy_is_not_a_runtime_dependency():
+    # nor sympy: the runtime dependencies are exactly numpy and click
     if sys.version_info >= (3, 11):
         import tomllib
     else:
         tomllib = pytest.importorskip("tomli")
     project = tomllib.loads((ROOT / "pyproject.toml").read_text())["project"]
     names = {re.match(r"[A-Za-z0-9_.-]+", d).group().lower() for d in project["dependencies"]}
-    assert "scipy" not in names, names
+    assert names == {"numpy", "click"}, names
+
+
+def _line(var, c):
+    """The denominator x_var - c of an entry in the chart variables x, y."""
+    return {"1,0" if var == 0 else "0,1": [1, 0], "0,0": [-c, 0]}
+
+
+_ZERO = _entry({"0,0": [0, 0]}, {"0,0": [1, 0]})
+# two-variable log_connection documents with branches away from the origin, where the
+# gcds that reduce fractions run in several variables; they are kept out of the
+# manifest, whose commands are the CLI benchmark's workload
+TWO_VARIABLE_DOCS = {
+    # rank 1, entries (1/3)/(x - 1) and (1/5)/(y - 2): flat, with constant residues
+    "two_branches.json": {
+        "type": "log_connection", "rank": 1, "vars": ["x", "y"],
+        "divisor": [{"var": 0, "value": [1, 0]}, {"var": 1, "value": [2, 0]}],
+        "components": [[[_entry({"0,0": ["1/3", 0]}, _line(0, 1))]],
+                       [[_entry({"0,0": ["1/5", 0]}, _line(1, 2))]]]},
+    # rank 2, branches x = 0, 1 and y = 0, 2, and the cross term 1/((x - 1)(y - 2)),
+    # whose residue along x = 1 is 1/(y - 2): neither flat nor of constant residue
+    "cross_term.json": {
+        "type": "log_connection", "rank": 2, "vars": ["x", "y"],
+        "divisor": [{"var": 0, "value": [0, 0]}, {"var": 0, "value": [1, 0]},
+                    {"var": 1, "value": [0, 0]}, {"var": 1, "value": [2, 0]}],
+        "components": [
+            [[_entry({"0,0": ["1/3", 0]}, _line(0, 0)),
+              _entry({"0,0": [1, 0]}, {"1,1": [1, 0], "1,0": [-2, 0], "0,1": [-1, 0],
+                                       "0,0": [2, 0]})],
+             [_ZERO, _entry({"0,0": ["1/7", 0]}, _line(0, 1))]],
+            [[_entry({"0,0": ["1/7", 0]}, _line(1, 0)), _ZERO],
+             [_ZERO, _entry({"0,0": ["1/3", 0]}, _line(1, 2))]]]},
+}
+
+
+def two_variable_args(tmp_path, args):
+    """``args`` with each name of ``TWO_VARIABLE_DOCS`` replaced by the path of its
+    document, written under ``tmp_path``."""
+    for name, doc in TWO_VARIABLE_DOCS.items():
+        (tmp_path / name).write_text(json.dumps(doc))
+    return [str(tmp_path / a) if a in TWO_VARIABLE_DOCS else a for a in args]
+
+
+@pytest.mark.parametrize("args, expect", [
+    *(pytest.param(e["args"], e["expect"], id=" ".join(e["args"])) for e in MANIFEST),
+    pytest.param(["residues", str(ROOT / "perfbench" / "double_pole.json")], 2,
+                 id="residues perfbench/double_pole.json"),
+    *(pytest.param([verb, doc], expect, id=f"{verb} {doc}")
+      for doc, codes in [("two_branches.json", (0, 0, 0)), ("cross_term.json", (1, 0, 2))]
+      for verb, expect in zip(["check-flat", "projectivize", "residues"], codes)),
+])
+def test_every_verb_runs_without_sympy(tmp_path, args, expect):
+    # with sympy unimportable, each command answers as it does with sympy at hand
+    args = two_variable_args(tmp_path, args)
+    code, out, _ = run_process(args, code="import sys\nsys.modules['sympy'] = None\n" + PROBE)
+    assert code == expect, out
+    assert out == invoke(args).output
+
+
+def test_a_flat_two_variable_connection_loads_neither_sympy_nor_numpy(tmp_path):
+    (path,) = two_variable_args(tmp_path, ["two_branches.json"])
+    code, out, loaded = run_process(["check-flat", path])
+    assert (code, json.loads(out)["payload"]) == (0, {"flat": True})
+    assert loaded == set(), loaded
+    code, out, loaded = run_process(["residues", path])
+    assert code == 0, out
+    assert json.loads(out)["payload"]["residues"] == [[[[1 / 3, 0]]], [[[1 / 5, 0]]]]
+    assert loaded == set(), loaded
+
+
+def test_a_cross_term_is_not_flat_and_its_residue_not_constant(tmp_path):
+    # check-flat reaches the remainder sequence here, and still loads no library
+    (path,) = two_variable_args(tmp_path, ["cross_term.json"])
+    code, out, loaded = run_process(["check-flat", path])
+    assert (code, json.loads(out)["payload"]) == (1, {"flat": False})
+    assert loaded == set(), loaded
+    code, out, loaded = run_process(["residues", path])
+    assert code == 2, out
+    assert json.loads(out)["payload"]["error"] == "NonConstantResidue"
+    assert loaded == set(), loaded
 
 
 def test_a_double_pole_is_refused_without_sympy():

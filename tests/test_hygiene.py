@@ -77,7 +77,7 @@ def test_no_coefficient_expression_round_trip(path):
 
 
 def gcd_calls(node):
-    """Lines that call a polynomial ``gcd``; ``math.gcd`` of integers removes the
+    """Lines that call a polynomial ``gcd`` method; ``math.gcd`` of integers removes the
     content a polynomial's numerators share with its denominator, and is not one."""
     return {call.lineno for call in ast.walk(node)
             if isinstance(call, ast.Call) and called_name(call) == "gcd"
@@ -85,27 +85,39 @@ def gcd_calls(node):
                      and getattr(call.func.value, "id", None) == "math")}
 
 
+def functions_naming(path, names):
+    """(module, class or None, function) of each module function and method that names
+    one of ``names``, so that passing a function to ``reduce`` counts as calling it."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    return {(path.name, getattr(scope, "name", None), f.name)
+            for scope in [tree, *(c for c in ast.walk(tree) if isinstance(c, ast.ClassDef))]
+            for f in scope.body if isinstance(f, ast.FunctionDef) and any(
+                getattr(n, "id", getattr(n, "attr", None)) in names
+                for n in ast.walk(f) if isinstance(n, (ast.Name, ast.Attribute)))}
+
+
 def test_fractions_are_reduced_in_one_place():
-    """Which gcd algorithm reduces a fraction is decided in one function: only
-    ``ratfunc._gcd`` calls a ``gcd``."""
-    stray, reducer = {}, set()
+    """Which gcd algorithm reduces a fraction is decided in one function: no module calls
+    a polynomial ``.gcd(`` method, only ``RationalFunction.__init__`` calls
+    ``ratfunc._gcd``, and the algorithms ``_gcd`` chooses from are reached only from
+    ``_gcd`` and from the remainder sequence itself."""
+    stray = {}
     for path in MODULES:
-        tree = ast.parse(path.read_text(), filename=str(path))
-        allowed = set()
-        if path.name == "ratfunc.py":
-            allowed = reducer = set().union(*(
-                gcd_calls(f) for f in ast.walk(tree)
-                if isinstance(f, ast.FunctionDef) and f.name == "_gcd"))
-        if gcd_calls(tree) - allowed:
-            stray[path.name] = sorted(gcd_calls(tree) - allowed)
-    assert reducer, "ratfunc._gcd calls no gcd"
-    assert not stray, f"gcd called outside ratfunc._gcd: {stray}"
+        if calls := gcd_calls(ast.parse(path.read_text())):
+            stray[path.name] = sorted(calls)
+    assert not stray, f"a polynomial gcd method called: {stray}"
+    callers = set().union(*(functions_naming(path, {"_gcd"}) for path in MODULES))
+    assert callers == {("ratfunc.py", "RationalFunction", "__init__")}, callers
+    algorithms = set().union(*(functions_naming(path, {"_prs_gcd", "_coprime_mod_p"})
+                               for path in MODULES))
+    assert algorithms == {("ratfunc.py", None, "_gcd"), ("ratfunc.py", None, "_primitive_part"),
+                          ("ratfunc.py", None, "_prs_gcd")}, algorithms
 
 
 # the functions of ratfunc that may reach sympy, each on call: the reader of sympy
-# numbers (through an already loaded sympy), the gcd in several variables, and the
-# sympy numbers that ``Polynomial.all_coeffs`` and ``terms`` return
-SYMPY_SITES = {"to_scalar", "_gcd", "_sympy_numbers"}
+# numbers (through an already loaded sympy), and the sympy numbers that
+# ``Polynomial.all_coeffs`` and ``terms`` return, which the benchmark's checker reads
+SYMPY_SITES = {"to_scalar", "_sympy_numbers"}
 
 
 def library_lines(node, library):
@@ -127,7 +139,7 @@ def library_lines(node, library):
 
 def test_sympy_numbers_are_read_in_one_place():
     """The library's exact types are its own, and sympy is reached only lazily, only
-    in ratfunc, and only from ``to_scalar``, ``_gcd`` and ``_sympy_numbers``; no
+    in ratfunc, and only from ``to_scalar`` and ``_sympy_numbers``; no
     module converts with ``from_sympy`` or ``to_sympy``."""
     stray, used = {}, set()
     for path in MODULES:

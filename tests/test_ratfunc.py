@@ -6,9 +6,13 @@ import sympy as sp
 from hypothesis import given, settings, strategies as st
 from sympy.polys.domains import QQ, QQ_I
 
-from logconnect import LocalModel, RationalFunction, projectivize, reconstruct, trace_free_lift
+from logconnect import (
+    LocalModel, RationalFunction, flatness_check, projectivize, reconstruct, residue,
+    trace_free_lift,
+)
 from logconnect.connections import LogConnection
 from logconnect.ratfunc import (
+    ONE,
     _I_MOD_P,
     _P,
     _coprime_mod_p,
@@ -98,10 +102,10 @@ def polys(draw, gens, coeff, max_degree, max_terms=9):
 
 
 @st.composite
-def pairs(draw, gens, coeff, degree, factor_degree=0):
-    """(num, den) of exponents up to ``degree``, both times one common factor of
-    exponents up to ``factor_degree`` when that is not 0."""
-    num, den = draw(polys(gens, coeff, degree)), draw(polys(gens, coeff, degree))
+def pairs(draw, gens, coeff, degree, factor_degree=0, max_terms=9):
+    """(num, den) of exponents up to ``degree`` and at most ``max_terms`` terms, both
+    times one common factor of exponents up to ``factor_degree`` when that is not 0."""
+    num, den = (draw(polys(gens, coeff, degree, max_terms)) for _ in range(2))
     if not factor_degree:
         return num, den
     c = draw(polys(gens, coeff, factor_degree, max_terms=3).filter(lambda f: not f.is_ground))
@@ -326,11 +330,67 @@ def test_gcd_in_several_variables_is_sympys(pair):
     assert_gcd_is_sympys(*pair)
 
 
-def test_a_monomial_denominator_runs_no_gcd_algorithm(monkeypatch):
-    def refuse(*args):
-        raise AssertionError("a gcd algorithm ran")
+@gcd_settings
+@given(st.one_of(pairs((x, y), dyadic_coeff, 2), pairs((x, y), dyadic_coeff, 2, factor_degree=1),
+                 any_coeff.flatmap(lambda coeff: st.one_of(
+                     pairs((x, y, z), coeff, 2, max_terms=5),
+                     pairs((x, y, z), coeff, 2, factor_degree=1, max_terms=5)))))
+def test_gcd_in_three_variables_or_of_dyadic_coefficients_is_sympys(pair):
+    # three-variable pairs have at most 5 terms, which keeps sympy's oracle quick
+    assert_gcd_is_sympys(*pair)
 
-    monkeypatch.setattr(sp.Poly, "gcd", refuse)
+
+@st.composite
+def factors_in_one_variable(draw, gens, coeff):
+    """A polynomial of degree 1 or 2 in one of ``gens``, or a product of two branch lines."""
+    k = draw(st.integers(0, len(gens) - 1))
+    terms = draw(st.dictionaries(st.integers(0, 2), coeff, min_size=1, max_size=3))
+    f = sp.Poly.from_dict({tuple(d * (i == k) for i in range(len(gens))): c
+                           for d, c in terms.items()}, *gens, domain=QQ_I)
+    lines = sp.Poly((x - 1) * (y - 2), *gens, domain=QQ_I)
+    return draw(st.sampled_from([lines, f])) if not f.is_ground else lines
+
+
+@gcd_settings
+@given(st.integers(2, 3).flatmap(lambda n: st.tuples(
+    pairs(GENS[:n], rational_coeff, 2), factors_in_one_variable(GENS[:n], rational_coeff))))
+def test_gcd_with_a_factor_in_one_variable_is_sympys(pair_factor):
+    (num, den), factor = pair_factor
+    assert_gcd_is_sympys(num * factor, den * factor)
+
+
+@gcd_settings
+@given(st.sampled_from([rational_coeff, dyadic_coeff]).flatmap(lambda coeff: st.integers(
+    1, 3).flatmap(lambda n: st.one_of(pairs(GENS[:n], coeff, 2, factor_degree=1),
+                                      pairs(GENS[:n], coeff, 2, factor_degree=2)))))
+def test_a_common_factor_is_never_proved_coprime(pair):
+    assert not _coprime_mod_p(*map(native, pair))
+
+
+def refuse(*args):
+    raise AssertionError("a gcd algorithm ran")
+
+
+def test_coprime_entries_in_two_variables_run_no_remainder_sequence(monkeypatch):
+    """The entries (1/3)/(x - 1) and (1/5)/(y - 2) of a rank-1 connection with branches
+    away from the origin are proved coprime modulo p, under every exact verb's work."""
+    monkeypatch.setattr("logconnect.ratfunc._prs_gcd", refuse)
+    doc = {"type": "log_connection", "rank": 1, "vars": ["x", "y"],
+           "divisor": [{"var": 0, "value": [1, 0]}, {"var": 1, "value": [2, 0]}],
+           "components": [[[{"num": {"0,0": ["1/3", 0]}, "den": {"1,0": [1, 0], "0,0": [-1, 0]}}]],
+                          [[{"num": {"0,0": ["1/5", 0]}, "den": {"0,1": [1, 0], "0,0": [-2, 0]}}]]]}
+    C = validate_schema(doc)
+    assert flatness_check(C)
+    projectivize(C)
+    assert [residue(C, b).tolist() for b in range(2)] == [[[1 / 3]], [[0.2]]]
+    for num, den in [(1, x * y - 2 * x - y + 2), (x + y, (x - 1) * (y - 2)),
+                     (x * y * z + 1, (x - 1) * (y - 2) * (z + sp.I))]:
+        num, den = (native(sp.Poly(e, *GENS, domain=QQ_I)) for e in (num, den))
+        assert _gcd(num, den).is_one
+
+
+def test_a_monomial_denominator_runs_no_gcd_algorithm(monkeypatch):
+    monkeypatch.setattr("logconnect.ratfunc._prs_gcd", refuse)
     monkeypatch.setattr("logconnect.ratfunc._coprime_mod_p", refuse)
     monkeypatch.setattr("logconnect.ratfunc.Polynomial.div", refuse)
     for gens, num, den, want in [
@@ -340,6 +400,15 @@ def test_a_monomial_denominator_runs_no_gcd_algorithm(monkeypatch):
     ]:
         f = RationalFunction(*(native(sp.Poly(e, *gens, domain=QQ_I)) for e in (num, den)))
         assert (f.num, f.den) == tuple(native(sp.Poly(e, *gens, domain=QQ_I)) for e in want)
+
+
+def test_division_of_a_long_sum_by_a_line():
+    """1 + x + ... + x^(n-1) = (x - 1) (sum_j (n - 1 - j) x^j) + n, for an n at which
+    rescanning the remainder for its leading term at every step would take seconds."""
+    n = 20000
+    q, r = from_terms({(k,): ONE for k in range(n)}, ("x",)).div(poly([-1, 1]))
+    assert q == from_terms({(j,): gaussian(n - 1 - j) for j in range(n - 1)}, ("x",))
+    assert r == poly([n])
 
 
 def test_float_data_makes_its_system_compare_within_tolerance():
