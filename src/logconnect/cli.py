@@ -173,7 +173,11 @@ def monodromy_cmd(input, tol, basepoint, loops_path, output):
         elif isinstance(conn, FuchsianSystem):
             bp = None
             if basepoint is not None:
-                re, im = (float(s) for s in basepoint.split(","))
+                try:
+                    re, im = (float(s) for s in basepoint.split(","))
+                except ValueError:
+                    raise ValueError(
+                        f"--basepoint must be two numbers 're,im', got {basepoint!r}") from None
                 bp = complex(re, im)
                 if not math.isfinite(abs(bp)):
                     raise ValueError(f"--basepoint must be finite, got {basepoint!r}")

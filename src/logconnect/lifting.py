@@ -4,8 +4,10 @@ Commuting PGL tuples are lifted to SL with their commutator obstruction
 scalars (roots of unity); local models realizing them are built from
 branch-normalized logarithms; the lifting exponent is the lcm of the orders
 of finite-order eigenvalue ratios, and raising generators to that power
-kills the obstruction.  Only the two realizations transport, so only they
-import ``connections`` and ``monodromy``.
+kills the obstruction.  The realizations check themselves in closed form:
+their residues commute, so the loop around a branch has monodromy
+exp(2 pi i A_j), and nothing here transports.  Only the two realizations
+build systems, so only they import ``connections``.
 """
 
 from __future__ import annotations
@@ -180,11 +182,12 @@ def _log_in_basis(N, V, Vinv):
 
 
 def _realizing_residues(classes, error):
-    """Residues whose exponentials are commuting SL lifts of the classes.
+    """Residues whose exponentials are commuting SL lifts of the classes, with the
+    common eigenbasis V and its inverse.
 
-    Lifts the classes, then takes branch-normalized logs in a common
-    eigenbasis.  A nontrivial obstruction scalar, or a pair of classes that
-    does not commute projectively, raises ``error``.
+    Lifts the classes, then takes branch-normalized logs in V.  A nontrivial
+    obstruction scalar, or a pair of classes that does not commute projectively,
+    raises ``error``.
     """
     try:
         report = lift_commuting(classes)
@@ -195,26 +198,48 @@ def _realizing_residues(classes, error):
     lifts = [np.asarray(M) for M in report.lifts]
     V = _simultaneous_eigenbasis(lifts)
     Vinv = np.linalg.inv(V)
-    return [_log_in_basis(N, V, Vinv) for N in lifts]
+    return [_log_in_basis(N, V, Vinv) for N in lifts], V, Vinv
+
+
+def _closed_form_monodromy(system, V, Vinv, classes, tol: float, error):
+    """The loop matrices exp(2 pi i A_j) of the residues A_j read back from ``system``,
+    each checked against class j of ``classes``.
+
+    Every V^-1 A_j V must be diagonal within ``tol`` relative to its norm, so the A_j
+    commute.  Then Y(x) = prod_i (x - p_i)^{A_i} (prod_i x_i^{A_i} for a local model) is
+    a fundamental solution, and the loop once around the j-th branch multiplies it by
+    exp(2 pi i A_j) = V diag(exp(2 pi i d_j)) V^-1, exactly (Deligne, Equations
+    differentielles a points singuliers reguliers, LNM 163).  A residue off the common
+    basis, or an exponential off its class within ``tol``, raises ``error``.
+    """
+    mats = []
+    for j, g in enumerate(classes):
+        D = Vinv @ system.residue_array(j) @ V
+        d = np.diag(D)
+        if np.linalg.norm(D - np.diag(d)) > tol * max(np.linalg.norm(D), 1.0):
+            raise error(f"residue {j} is not diagonal in the common eigenbasis")
+        M = V @ np.diag(np.exp(TWO_PI * 1j * d)) @ Vinv
+        target = g if isinstance(g, ProjectiveClass) else ProjectiveClass(g)
+        if not proj_equal(M, target.canonical, tol):
+            raise error(f"monodromy {j} of the realization does not reproduce its class")
+        mats.append(M)
+    return mats
 
 
 def local_realize(tuple_of_classes, tol: float = 1e-7) -> LocalModel:
-    """Local model whose coordinate-circle monodromies are the given classes."""
+    """Local model whose coordinate-circle monodromies are the given classes.
+
+    Its residues commute, so circle j has monodromy exp(2 pi i A_j), which is
+    compared with class j in closed form (``_closed_form_monodromy``); a mismatch
+    raises ``NonDiagonalizableFamily``.
+    """
     from .connections import LocalModel
-    from .monodromy import circle_loop, transport
 
     if len(tuple_of_classes) == 0:
         raise ValueError("a local model needs at least one generator")
-    residues = _realizing_residues(tuple_of_classes, NotProjectivelyCommuting)
+    residues, V, Vinv = _realizing_residues(tuple_of_classes, NotProjectivelyCommuting)
     model = LocalModel(residues[0].shape[0], residues)
-    for j, g in enumerate(tuple_of_classes):
-        branch = LocalModel(model.m, [model.residues[j]], exact=model.exact)
-        Mj = transport(branch, circle_loop(0.0, 1.0))
-        target = g if isinstance(g, ProjectiveClass) else ProjectiveClass(g)
-        if not proj_equal(Mj, target.canonical, tol):
-            raise NonDiagonalizableFamily(
-                f"coordinate-circle monodromy {j} does not reproduce its class"
-            )
+    _closed_form_monodromy(model, V, Vinv, tuple_of_classes, tol, NonDiagonalizableFamily)
     return model
 
 
@@ -272,23 +297,19 @@ def realize_fuchsian(P: ProjectivePresentation, poles=None,
                      tol: float = 1e-7) -> FuchsianSystem:
     """Abelian desk-scale Riemann-Hilbert: commuting diagonalizable generators
     become residues (branch-normalized logs in a common basis) at the given poles.
+
+    The residues commute, so the standard loop around pole j has monodromy
+    exp(2 pi i A_j), which is compared with generator j in closed form
+    (``_closed_form_monodromy``); a mismatch raises ``NonAbelianUnsupported``.
     """
     from .connections import FuchsianSystem
-    from .monodromy import standard_loops, transport
 
     if poles is None:
         poles = P.poles
     if poles is None or len(poles) != len(P.names):
         raise ValueError("one pole per generator required")
     classes = P.generator_list()
-    residues = _realizing_residues(classes, NonAbelianUnsupported)
+    residues, V, Vinv = _realizing_residues(classes, NonAbelianUnsupported)
     system = FuchsianSystem(P.m, poles, residues)
-    # the standard loops only: the loop at infinity that ``projective_monodromy``
-    # would add is not compared
-    for lp, target in zip(standard_loops(system), classes):
-        if not proj_equal(ProjectiveClass(transport(system, lp, tol=1e-10)).canonical,
-                          target.canonical, tol):
-            raise NonAbelianUnsupported(
-                "realized monodromy does not reproduce the input classes"
-            )
+    _closed_form_monodromy(system, V, Vinv, classes, tol, NonAbelianUnsupported)
     return system

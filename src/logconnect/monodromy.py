@@ -52,7 +52,8 @@ class LineSegment:
     end: complex
 
     def point(self, t):
-        return self.start + t * (self.end - self.start)
+        """(1 - t) start + t end, so that t = 0 and t = 1 give the endpoints exactly."""
+        return (1 - t) * self.start + t * self.end
 
     def point_and_velocity(self, t):
         return self.point(t), np.full(np.shape(t), self.end - self.start)
@@ -96,18 +97,23 @@ class ArcSegment:
 
 
 class LoopPath:
-    """Closed piecewise path in one chart variable, avoiding the polar divisor."""
+    """Closed piecewise path in one chart variable, avoiding the polar divisor.
+
+    Closure and joins are checked to 1e-12 relative to the path's scale, the largest
+    |x| at a segment's end (at least 1): an arc's end is computed through its angle,
+    so it lands within rounding of |x|, not of 0."""
 
     def __init__(self, segments, basepoint=None):
         self.segments = tuple(segments)
         if not self.segments:
             raise ValueError("a loop needs at least one segment")
-        start = self.segments[0].point(0.0)
-        end = self.segments[-1].point(1.0)
-        if abs(start - end) > 1e-12:
+        ends = [(s.point(0.0), s.point(1.0)) for s in self.segments]
+        gap = 1e-12 * max(1.0, max(abs(x) for pair in ends for x in pair))
+        start, end = ends[0][0], ends[-1][1]
+        if abs(start - end) > gap:
             raise ValueError("path is not closed")
-        for a, b in zip(self.segments, self.segments[1:]):
-            if abs(a.point(1.0) - b.point(0.0)) > 1e-12:
+        for (_, a), (b, _) in zip(ends, ends[1:]):
+            if abs(a - b) > gap:
                 raise ValueError("consecutive segments do not join")
         self.basepoint = complex(basepoint) if basepoint is not None else complex(start)
 

@@ -175,6 +175,27 @@ def test_monodromy_matches_residue_exponential():
     assert np.linalg.norm(M - expected) < 1e-8
 
 
+def test_monodromy_from_a_far_basepoint():
+    result = invoke(["monodromy", "fuchsian_two_poles.json", "--basepoint", "1e5,1"])
+    assert result.exit_code == 0, result.output
+    payload = json.loads(result.output)["payload"]
+    F = validate_schema(json.loads((FIXTURES / "fuchsian_two_poles.json").read_text()))
+    got = [np.array([[complex(*e) for e in row] for row in M])
+           for M in [*payload["matrices"], payload["infinity"]]]
+    want = [mat_exp(2j * np.pi * A) for A in [*F.residue_arrays, -sum(F.residue_arrays)]]
+    for M, E in zip(got, want, strict=True):
+        assert np.linalg.norm(M - E) < 1e-12 * np.linalg.norm(E)
+
+
+@pytest.mark.parametrize("basepoint", ["1", "1,2,3", "a,b", ""])
+def test_a_malformed_basepoint_is_named(basepoint):
+    result = invoke(["monodromy", "fuchsian_two_poles.json", "--basepoint", basepoint])
+    assert result.exit_code == 2, result.output
+    payload = json.loads(result.output)["payload"]
+    assert payload["error"] == "ValueError"
+    assert "--basepoint" in payload["message"] and "'re,im'" in payload["message"]
+
+
 def test_tolerance_env_var_respected():
     # eigenvalues 1 and 5/2 sit 0.5 away from an integer gap, so a sloppy
     # global tolerance flips the nonresonance verdict
@@ -837,12 +858,13 @@ FORM_IN_X2 = {"type": "log_connection", "rank": 1, "vars": ["x", "x"],  # dx/x +
                                  "residues": [[[[1e308, 0]]]]}, "OverflowError", None),
     (["monodromy", "--basepoint", "nan,0"], None, "ValueError", None),
     (["monodromy", "--basepoint", "inf,0"], None, "ValueError", None),
+    (["monodromy", "--basepoint", "1"], None, "ValueError", None),
     (["normalize", "--order", "-1"], json.loads((FIXTURES / "normalize_tau.json").read_text()),
      "ValueError", None),
     (["lift-rep", "--nu", "0"], json.loads((FIXTURES / "presentation_diagonal.json").read_text()),
      "ValueError", None),
 ], ids=["repeated-vars", "poles-not-a-list", "pole-beyond-float", "residue-beyond-float",
-        "basepoint-nan", "basepoint-inf", "order-negative", "nu-zero"])
+        "basepoint-nan", "basepoint-inf", "basepoint-one-part", "order-negative", "nu-zero"])
 def test_bad_input_keeps_the_cli_contract(tmp_path, args, doc, error, pointer):
     if doc is None:
         path = str(FIXTURES / "fuchsian_quarter.json")

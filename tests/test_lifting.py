@@ -1,7 +1,11 @@
+import itertools
+
 import numpy as np
 import pytest
 
+from logconnect import lifting, monodromy
 from logconnect import (
+    LocalModel,
     ProjectiveClass,
     ProjectivePresentation,
     circle_loop,
@@ -226,3 +230,85 @@ class TestRealizeFuchsian:
             model = local_realize([ProjectiveClass(M)])
             assert nonresonant(2 * model.residue_array(0))
         assert count > 5
+
+
+def commuting_classes(rng, m, k):
+    """k commuting diagonalizable classes of rank m: one eigenbasis, eigenvalues off the
+    unit circle, with separated angles."""
+    Q = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+    Qinv = np.linalg.inv(Q)
+    out = []
+    for _ in range(k):
+        angles = np.sort(rng.uniform(0.05, 0.9, size=m)) + 1.1 * np.arange(m)
+        out.append(Q @ np.diag(np.exp(0.3 * rng.normal(size=m) + 1j * angles)) @ Qinv)
+    return out
+
+
+def realize_both(rng, m, k):
+    """realize_fuchsian and local_realize of the same k classes, poles drawn from a pool."""
+    classes = commuting_classes(rng, m, k)
+    poles = [[0, 1, -1, 2, 0.5, 1j][i] for i in rng.permutation(6)[:k]]
+    P = ProjectivePresentation(m, {f"g{j}": g for j, g in enumerate(classes)}, poles=poles)
+    return realize_fuchsian(P), local_realize(classes)
+
+
+STRATA = list(itertools.product((2, 3, 4), (1, 2, 3)))
+
+
+class TestClosedFormCheck:
+    @pytest.mark.parametrize("m, k", STRATA)
+    def test_closed_form_is_the_transport(self, m, k, monkeypatch):
+        # the realizations compare exp(2 pi i A_j) with their classes; here it is
+        # compared with the transport of each standard loop or coordinate circle
+        seen = []
+        check = lifting._closed_form_monodromy
+
+        def spy(*args):
+            seen.append(check(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(lifting, "_closed_form_monodromy", spy)
+        F, model = realize_both(np.random.default_rng(10 * m + k), m, k)
+        fuchsian, local = seen
+        for lp, E in zip(standard_loops(F), fuchsian, strict=True):
+            M = transport(F, lp, tol=1e-12)
+            assert np.linalg.norm(M - E) < 1e-9 * np.linalg.norm(M)
+        for j, E in enumerate(local):
+            branch = LocalModel(m, [model.residues[j]])
+            M = transport(branch, circle_loop(0.0, 1.0), tol=1e-12)
+            assert np.linalg.norm(M - E) < 1e-9 * np.linalg.norm(M)
+
+    @pytest.fixture
+    def no_transport(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a realization transported")
+
+        monkeypatch.setattr(monodromy, "transport", refuse)
+
+    @pytest.mark.parametrize("m, k", STRATA)
+    def test_realizations_do_not_transport(self, m, k, no_transport):
+        F, model = realize_both(np.random.default_rng(10 * m + k), m, k)
+        assert F.k == model.k == k
+
+    @pytest.mark.parametrize("mutant", [
+        # exp(-2 pi i A): the inverse class
+        lambda A, V, Vinv: -A,
+        # the first eigenvalue's log off by 1/2, a wrong branch of its square root
+        lambda A, V, Vinv: A + 0.5 * np.outer(V[:, 0], Vinv[0]),
+        # a small residue error off the diagonal of the common eigenbasis: the
+        # eigenvalues, and so V diag(exp(2 pi i d)) V^-1, stay as they were
+        lambda A, V, Vinv: A + 1e-4 * V @ np.eye(len(A), k=1) @ Vinv,
+    ], ids=["inverse", "half-branch", "off-basis"])
+    @pytest.mark.parametrize("m, k", [(2, 1), (3, 2), (4, 3)])
+    def test_a_wrong_residue_is_refused(self, m, k, mutant, no_transport, monkeypatch):
+        log = lifting._log_in_basis
+        monkeypatch.setattr(lifting, "_log_in_basis",
+                            lambda N, V, Vinv: mutant(log(N, V, Vinv), V, Vinv))
+        rng = np.random.default_rng(10 * m + k)
+        classes = commuting_classes(rng, m, k)
+        P = ProjectivePresentation(m, {f"g{j}": g for j, g in enumerate(classes)},
+                                   poles=list(range(k)))
+        with pytest.raises(NonAbelianUnsupported):
+            realize_fuchsian(P)
+        with pytest.raises(NonDiagonalizableFamily):
+            local_realize(classes)

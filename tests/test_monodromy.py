@@ -62,6 +62,25 @@ class TestStandardLoops:
         # both are the total monodromy at their own basepoints; compare traces
         assert abs(np.trace(prod) - np.trace(big)) < 1e-7
 
+    @pytest.mark.parametrize("b", [1e5 + 1j, 3e4 + 0.5j])
+    def test_a_far_basepoint_gives_the_residue_exponentials(self, b):
+        # the lassos' joins and the infinity circle's closure are checked relative to
+        # |b|: rounding at |b| exceeds any absolute 1e-12
+        A = [np.diag([0.3, -0.2]), np.diag([0.1, 0.25])]
+        F = FuchsianSystem(2, [0, 1], A)
+        rep = monodromy_rep(F, standard_loops(F, basepoint=b))
+        for M, Aj in zip(rep.matrices, A):
+            assert _relative(M, mat_exp(2j * np.pi * Aj)) < 1e-12
+        assert _relative(rep.infinity, mat_exp(-2j * np.pi * sum(A))) < 1e-12
+
+
+@pytest.mark.parametrize("start, end", [(1e5 + 1j, 0.0 - 0.5j), (3e4 + 0.5j, 1 / 3 + 0j),
+                                        (-0.1 + 0.7j, 123.456 - 9.87j)])
+def test_a_line_ends_exactly_at_its_endpoints(start, end):
+    seg = LineSegment(start, end)
+    assert seg.point(0.0) == start and seg.point(1.0) == end
+    assert seg.reversed().point(1.0) == start
+
 
 @pytest.mark.parametrize("seg", [
     LineSegment(-1 + 0j, 1 + 1j), LineSegment(2j, 2j), ArcSegment(0.5j, 1.5, 0.3, 2.5),
