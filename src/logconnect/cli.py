@@ -317,6 +317,9 @@ def realize_fuchsian_cmd(input, output):
         from . import lifting
 
         pres = _parse_as(input, lifting.ProjectivePresentation)
+        if pres.names and (pres.poles is None or len(pres.poles) != len(pres.names)):
+            raise SchemaViolation("/poles", f"expected one pole per generator, "
+                                            f"{len(pres.names)} in all")
         system = lifting.realize_fuchsian(pres)
         return "ok", system_to_json(system), ()
     _run(op, output)

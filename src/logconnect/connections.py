@@ -258,12 +258,14 @@ class LogConnection:
         return self._callables[var]
 
     def equals(self, other: "LogConnection", tol: float = 1e-12) -> bool:
-        """Entrywise equality: structural when both are exact, else within ``tol``."""
+        """Entrywise equality: structural when both are exact, whose normalized form is
+        canonical, else each difference within ``tol``."""
         if self.m != other.m or self.n != other.n:
             return False
-        return _entries_equal([f for comp in self.components for row in comp for f in row],
-                             [f for comp in other.components for row in comp for f in row],
-                             self.exact and other.exact, tol)
+        exact = self.exact and other.exact
+        return all(f == g if exact else (f - g).is_zero_within(tol)
+                   for A, B in zip(self.components, other.components)
+                   for row_a, row_b in zip(A, B) for f, g in zip(row_a, row_b))
 
     def to_log_connection(self) -> "LogConnection":
         return self
@@ -289,12 +291,6 @@ class GaugeSeries:
 
 def _as_connection(C) -> LogConnection:
     return C.to_log_connection()
-
-
-def _entries_equal(fs, gs, exact: bool, tol: float) -> bool:
-    """Whether two sequences of entries agree: structurally for exact data, whose
-    normalized form is canonical, else each difference within ``tol``."""
-    return all(f == g if exact else (f - g).is_zero_within(tol) for f, g in zip(fs, gs))
 
 
 def flatness_check(C, tol: float = 1e-12) -> bool:

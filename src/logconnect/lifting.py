@@ -304,6 +304,8 @@ def realize_fuchsian(P: ProjectivePresentation, poles=None,
     """
     from .connections import FuchsianSystem
 
+    if not P.names:
+        raise ValueError("a Fuchsian realization needs at least one generator")
     if poles is None:
         poles = P.poles
     if poles is None or len(poles) != len(P.names):

@@ -296,32 +296,46 @@ def _parse_oneform(doc, gens, pointer):
     return _split(parse_ratfunc(e, gens, f"{pointer}/{i}") for i, e in enumerate(doc))
 
 
+def _chart_entries(m):
+    """Where the Riccati fields sit in omega - omega_mm I: b_i at (i, m-1), Delta_i at
+    (i, i) and c_k at (m-1, k), as lists of m-1 positions, and offdiag "i,k" at (i, k)."""
+    r = range(m - 1)
+    return ({"b": [(i, m - 1) for i in r], "delta": [(i, i) for i in r],
+             "c": [(m - 1, k) for k in r]},
+            [(i, k) for i in r for k in r if i != k])
+
+
 def _parse_riccati(doc):
     from .projective import RiccatiSystem
+    from .ratfunc import RationalFunction
 
     m = _integer(doc, "rank")
     gens = _parse_gens_field(doc, "")
     divisor, exact = _split(_parse_divisor(doc, len(gens), "") if "divisor" in doc else ())
-    (b, ex_b), (delta, ex_delta), (c, ex_c) = (
-        _split(_parse_oneform(e, gens, f"/{key}/{i}")
-               for i, e in enumerate(_require(doc, key, "", list)))
-        for key in ("b", "delta", "c"))
-    exact = exact and ex_b and ex_delta and ex_c
-    offdiag = {}
+    lists, pairs = _chart_entries(m)
+    forms = {(m - 1, m - 1): [RationalFunction.zero(gens)] * len(gens)}
+    for key, at in lists.items():
+        doc_forms = _require(doc, key, "", list)
+        if len(doc_forms) != m - 1:
+            raise SchemaViolation(f"/{key}", f"expected rank - 1 = {m - 1} 1-forms")
+        for i, e in enumerate(doc_forms):
+            forms[at[i]], ex = _parse_oneform(e, gens, f"/{key}/{i}")
+            exact = exact and ex
     for key, val in (_require(doc, "offdiag", "", dict) if "offdiag" in doc else {}).items():
         try:
             i, k = (int(t) for t in key.split(","))
         except ValueError as exc:
             raise SchemaViolation(f"/offdiag/{key}", "bad index pair") from exc
-        if i == k or (i, k) in offdiag or not (0 <= i < m - 1 and 0 <= k < m - 1):
+        if i == k or (i, k) in forms or not (0 <= i < m - 1 and 0 <= k < m - 1):
             raise SchemaViolation(f"/offdiag/{key}", f"expected i != k below {m - 1}, each once")
-        offdiag[(i, k)], ex = _parse_oneform(val, gens, f"/offdiag/{key}")
+        forms[i, k], ex = _parse_oneform(val, gens, f"/offdiag/{key}")
         exact = exact and ex
-    for i in range(m - 1):
-        for k in range(m - 1):
-            if i != k and (i, k) not in offdiag:
-                raise SchemaViolation("/offdiag", f"missing the pair {i},{k}")
-    return RiccatiSystem(m, gens, divisor, b, delta, offdiag, c, exact=exact)
+    for i, k in pairs:
+        if (i, k) not in forms:
+            raise SchemaViolation("/offdiag", f"missing the pair {i},{k}")
+    components = [[[forms[i, j][v] for j in range(m)] for i in range(m)]
+                  for v in range(len(gens))]
+    return RiccatiSystem(m, gens, divisor, components, exact=exact)
 
 
 def _parse_presentation(doc):
@@ -420,10 +434,6 @@ def parse_loops(doc, pointer="/loops"):
 # -- emission ----------------------------------------------------------
 
 
-def _oneform_to_json(form):
-    return [ratfunc_to_json(f) for f in form]
-
-
 def system_to_json(obj):
     """Serialize any library object to its JSON document."""
     # an object of a numeric type exists only once its module is loaded, so these
@@ -474,6 +484,11 @@ def system_to_json(obj):
             ],
         }
     if isinstance(obj, RiccatiSystem):
+        lists, pairs = _chart_entries(obj.m)
+
+        def form(i, k):
+            return [ratfunc_to_json(comp[i][k]) for comp in obj.components]
+
         return {
             "type": "riccati",
             "rank": obj.m,
@@ -481,13 +496,8 @@ def system_to_json(obj):
             "divisor": [
                 {"var": v, "value": scalar_to_json(to_complex(c))} for v, c in obj.divisor
             ],
-            "b": [_oneform_to_json(f) for f in obj.b],
-            "delta": [_oneform_to_json(f) for f in obj.delta],
-            "offdiag": {
-                f"{i},{k}": _oneform_to_json(f)
-                for (i, k), f in sorted(obj.offdiag.items())
-            },
-            "c": [_oneform_to_json(f) for f in obj.c],
+            **{key: [form(*ik) for ik in at] for key, at in lists.items()},
+            "offdiag": {f"{i},{k}": form(i, k) for i, k in pairs},
         }
     if isinstance(obj, GaugeSeries):
         return {

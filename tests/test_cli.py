@@ -361,6 +361,48 @@ def test_riccati_missing_offdiag_is_schema_error(tmp_path):
     assert "0,1" in payload["message"]
 
 
+@pytest.mark.parametrize("verb, key, forms", [
+    ("reconstruct", "b", lambda forms: forms * 2),
+    ("reconstruct", "c", lambda forms: []),
+    ("lift-trace-free", "delta", lambda forms: forms * 2),
+], ids=["b-doubled", "c-empty", "two-delta"])
+def test_riccati_list_of_the_wrong_length_is_schema_error(tmp_path, verb, key, forms):
+    # rank 2: b, delta and c each hold one 1-form
+    doc = json.loads((FIXTURES / "riccati_from_fuchsian.json").read_text())
+    assert doc["rank"] == 2 and len(doc[key]) == 1
+    doc[key] = forms(doc[key])
+    path = tmp_path / "wrong_length.json"
+    path.write_text(json.dumps(doc))
+    result = invoke([verb, str(path)])
+    assert result.exit_code == 2, result.output
+    payload = json.loads(result.output)["payload"]
+    assert payload["error"] == "SchemaViolation"
+    assert payload["pointer"] == f"/{key}"
+    assert "1 1-forms" in payload["message"]
+
+
+@pytest.mark.parametrize("poles", [[[0, 0]], None, [[0, 0], [1, 0], [2, 0]]],
+                         ids=["one-pole", "no-poles", "three-poles"])
+def test_realize_fuchsian_needs_one_pole_per_generator(tmp_path, poles):
+    # two generators; the verbs that do not realize on the sphere ignore the poles
+    doc = json.loads((FIXTURES / "presentation_diagonal.json").read_text())
+    assert len(doc["generators"]) == 2
+    if poles is None:
+        del doc["poles"]
+    else:
+        doc["poles"] = poles
+    path = tmp_path / "poles.json"
+    path.write_text(json.dumps(doc))
+    result = invoke(["realize-fuchsian", str(path)])
+    assert result.exit_code == 2, result.output
+    payload = json.loads(result.output)["payload"]
+    assert payload["error"] == "SchemaViolation"
+    assert payload["pointer"] == "/poles"
+    for verb in ("realize-local", "lift-rep", "exponent"):
+        expected = invoke([verb, "presentation_diagonal.json"])
+        assert invoke([verb, str(path)]).output == expected.output, verb
+
+
 @pytest.mark.parametrize("key", ["5,7", "1,1", "0,2", "-1,0"])
 def test_riccati_offdiag_pair_outside_the_rank_is_schema_error(tmp_path, key):
     # rank 3: the off-diagonal pairs are i != k with i, k in {0, 1}
@@ -572,7 +614,8 @@ def test_a_double_pole_is_refused_without_sympy():
 
 # every name the package exported when it imported all its submodules eagerly
 EXPORTED = {
-    "algebra": ["commuting", "sylvester_solve"],
+    "algebra": ["ProjectiveClass", "commuting", "nonresonant", "proj_equal", "property_Pm",
+                "sylvester_solve"],
     "connections": ["FuchsianSystem", "GaugeSeries", "LocalModel", "LogConnection",
                     "flatness_check", "poincare_defect", "poincare_normalize",
                     "pullback_power", "residue"],
@@ -581,8 +624,7 @@ EXPORTED = {
     "monodromy": ["ArcSegment", "LineSegment", "LoopPath", "MonodromyRep", "circle_loop",
                   "monodromy_rep", "projective_monodromy", "relation_check", "standard_loops",
                   "transport"],
-    "projective": ["ProjectiveClass", "RiccatiSystem", "nonresonant", "proj_equal",
-                   "projectivize", "property_Pm", "reconstruct", "trace_free_lift"],
+    "projective": ["RiccatiSystem", "projectivize", "reconstruct", "trace_free_lift"],
     "ratfunc": ["RationalFunction"],
 }
 
@@ -863,8 +905,11 @@ FORM_IN_X2 = {"type": "log_connection", "rank": 1, "vars": ["x", "x"],  # dx/x +
      "ValueError", None),
     (["lift-rep", "--nu", "0"], json.loads((FIXTURES / "presentation_diagonal.json").read_text()),
      "ValueError", None),
+    (["realize-fuchsian"], {"type": "presentation", "rank": 2, "generators": {}, "poles": []},
+     "ValueError", None),
 ], ids=["repeated-vars", "poles-not-a-list", "pole-beyond-float", "residue-beyond-float",
-        "basepoint-nan", "basepoint-inf", "basepoint-one-part", "order-negative", "nu-zero"])
+        "basepoint-nan", "basepoint-inf", "basepoint-one-part", "order-negative", "nu-zero",
+        "no-generators-no-poles"])
 def test_bad_input_keeps_the_cli_contract(tmp_path, args, doc, error, pointer):
     if doc is None:
         path = str(FIXTURES / "fuchsian_quarter.json")

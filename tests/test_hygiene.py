@@ -114,6 +114,23 @@ def test_fractions_are_reduced_in_one_place():
                           ("ratfunc.py", None, "_prs_gcd")}, algorithms
 
 
+RICCATI_FIELDS = {"b", "delta", "c", "offdiag"}
+
+
+def test_riccati_fields_are_named_in_one_place():
+    """A ``RiccatiSystem`` holds omega - omega_mm I as a matrix of 1-forms, and which
+    entry of it the ``riccati`` document's b, delta, c and offdiag name is written only
+    in serialization: no other module names them as an attribute or a string."""
+    named = {}
+    for path in PACKAGE.glob("*.py"):
+        lines = sorted({n.lineno for n in ast.walk(ast.parse(path.read_text()))
+                        if (n.attr if isinstance(n, ast.Attribute) else n.value
+                            if isinstance(n, ast.Constant) else None) in RICCATI_FIELDS})
+        if lines:
+            named[path.name] = lines
+    assert set(named) == {"serialization.py"}, named
+
+
 # the functions of ratfunc that may reach sympy, each on call: the reader of sympy
 # numbers (through an already loaded sympy), and the sympy numbers that
 # ``Polynomial.all_coeffs`` and ``terms`` return, which the benchmark's checker reads

@@ -1,3 +1,6 @@
+import json
+import pathlib
+
 import numpy as np
 import pytest
 import sympy as sp
@@ -16,8 +19,11 @@ from logconnect import (
 )
 from logconnect.connections import flatness_check
 from logconnect.errors import DimensionMismatch, ResonantResidue, SingularMatrix
+from logconnect.serialization import ratfunc_to_json, system_to_json, validate_schema
 
 from conftest import from_expr, mat_log_normalized, random_fuchsian, trace_form
+
+FIXTURES = pathlib.Path(__file__).parent.parent / "fixtures"
 
 
 def reference_nonresonant(A, tol=1e-9):
@@ -49,23 +55,26 @@ class TestProjectivize:
         x = sp.Symbol("x")
         F = FuchsianSystem(2, [0], [[[0, 1], [0, 0]]])
         R = projectivize(F)
-        assert R.b[0][0] == from_expr(1 / x, (x,))
-        assert R.delta[0][0].is_zero
-        assert R.c[0][0].is_zero
+        (delta, b), (c, _) = R.components[0]
+        assert b == from_expr(1 / x, (x,))
+        assert delta.is_zero
+        assert c.is_zero
 
     def test_scalar_connection_trivial(self):
         F = FuchsianSystem(2, [0], [[[3, 0], [0, 3]]])
         R = projectivize(F)
-        assert R.b[0][0].is_zero and R.delta[0][0].is_zero and R.c[0][0].is_zero
+        assert all(f.is_zero for row in R.components[0] for f in row)
 
     def test_generic_two_by_two(self):
         # dz = (b + (a - d) z - c z^2) dx for omega = [[a, b], [c, d]] dx/x
         F = FuchsianSystem(2, [0], [[[5, 7], [11, 13]]])
         R = projectivize(F)
         x = sp.Symbol("x")
-        assert R.b[0][0] == from_expr(7 / x, (x,))
-        assert R.delta[0][0] == from_expr((5 - 13) / x, (x,))
-        assert R.c[0][0] == from_expr(11 / x, (x,))
+        (delta, b), (c, last) = R.components[0]
+        assert b == from_expr(7 / x, (x,))
+        assert delta == from_expr((5 - 13) / x, (x,))
+        assert c == from_expr(11 / x, (x,))
+        assert last.is_zero
 
     def test_scalar_quotient_invariance(self, rng):
         F = random_fuchsian(rng, m=3, max_poles=2)
@@ -137,6 +146,37 @@ class TestTraceFreeLift:
         for i in range(3):
             diff = conn.entry(0, i, i) - lifted.entry(0, i, i)
             assert diff == t / 3
+
+
+class TestRiccatiJson:
+    """The ``riccati`` document names the entries of omega - omega_mm I: b_i at
+    (i, m-1), delta_i at (i, i), c_k at (m-1, k) and offdiag "i,k" at (i, k)."""
+
+    def test_fixture_round_trips(self):
+        doc = json.loads((FIXTURES / "riccati_from_fuchsian.json").read_text())
+        assert system_to_json(validate_schema(doc)) == doc
+
+    @pytest.mark.parametrize("m", [2, 3, 4])
+    def test_projectivized_system_round_trips(self, rng, m):
+        for _ in range(3):
+            conn = random_fuchsian(rng, m=m).to_log_connection()
+            R = projectivize(conn)
+            doc = system_to_json(R)
+            last = m - 1
+            entries = {"b": [(i, last) for i in range(last)],
+                       "c": [(last, k) for k in range(last)]}
+            for key, at in entries.items():
+                assert doc[key] == [[ratfunc_to_json(conn.entry(0, i, k))] for i, k in at]
+            assert doc["delta"] == [[ratfunc_to_json(conn.entry(0, i, i) - conn.entry(0, last, last))]
+                                    for i in range(last)]
+            assert doc["offdiag"] == {f"{i},{k}": [ratfunc_to_json(conn.entry(0, i, k))]
+                                      for i in range(last) for k in range(last) if i != k}
+            assert len(doc["offdiag"]) == last * (last - 1)
+            assert system_to_json(validate_schema(doc)) == doc
+            back = validate_schema(doc)
+            assert back.equals(R) and R.equals(back)
+            assert reconstruct(back, trace_form(conn)).equals(conn)
+            assert reconstruct(R, trace_form(conn)).equals(conn)
 
 
 class TestPropertyPm:
