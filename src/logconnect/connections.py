@@ -21,6 +21,7 @@ from operator import add, mul
 from .errors import (
     NonConstantResidue,
     ResonantResidue,
+    ResonantSpectrum,
     SchemaViolation,
     ToleranceNotMet,
     UnsupportedBranch,
@@ -486,7 +487,11 @@ def poincare_normalize(C, order: int = 10, tol: float = 1e-8) -> GaugeSeries:
     for k in range(1, order + 1):
         d = min(len(taus), k)  # [x^{k-1}](tau G) = sum_{j<d} tau_j G_{k-1-j}
         rhs = np.einsum("jab,jbc->ac", taus[:d], G[k - 1::-1][:d])
-        G[k] = solve(k, -rhs)
+        try:  # the order-k test scales by spec(A) + k: it may refuse what nonresonant passed
+            G[k] = solve(k, -rhs)
+        except ResonantSpectrum as exc:
+            raise ResonantResidue(f"order {k}: residue has an eigenvalue pair differing "
+                                  f"by {k} within tolerance") from exc
     gauge = GaugeSeries(G)
     defect = _defect(A, taus, G)
     if defect > tol:

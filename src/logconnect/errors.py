@@ -25,7 +25,7 @@ class UnsupportedBranch(LogConnectError):
     """Pullback requested along a branch not of the form x = 0."""
 
 
-class ResonantResidue(LogConnectError):
+class ResonantResidue(ResonantSpectrum):
     """Normalization residue has an eigenvalue pair differing by a positive integer."""
 
 
@@ -38,7 +38,8 @@ class PoleProximity(LogConnectError):
 
 
 class ToleranceNotMet(LogConnectError):
-    """Adaptive integration could not reach the requested accuracy."""
+    """Adaptive integration could not reach the requested accuracy, or two tolerances
+    disagree on one input."""
 
 
 class DegenerateConfiguration(LogConnectError):

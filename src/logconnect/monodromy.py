@@ -117,30 +117,12 @@ class LoopPath:
                 raise ValueError("consecutive segments do not join")
         self.basepoint = complex(basepoint) if basepoint is not None else complex(start)
 
-    def samples(self, per_segment: int = 64):
-        ts = np.linspace(0.0, 1.0, per_segment)
-        return np.concatenate([s.point(ts) for s in self.segments])
-
     def clearance(self, poles) -> float:
         """The least distance from the path to any of the complex ``poles`` (inf for none)."""
         return min((s.distance(p) for s in self.segments for p in poles), default=np.inf)
 
     def reversed(self) -> "LoopPath":
         return LoopPath([s.reversed() for s in self.segments[::-1]], basepoint=self.basepoint)
-
-    def refined(self, parts: int = 2) -> "LoopPath":
-        """Split every segment into ``parts`` pieces (same trace, new discretization)."""
-        out = []
-        for s in self.segments:
-            cuts = np.linspace(0.0, 1.0, parts + 1)
-            for a, b in zip(cuts, cuts[1:]):
-                if isinstance(s, LineSegment):
-                    out.append(LineSegment(s.point(a), s.point(b)))
-                else:
-                    a0 = s.from_angle + a * (s.to_angle - s.from_angle)
-                    a1 = s.from_angle + b * (s.to_angle - s.from_angle)
-                    out.append(ArcSegment(s.center, s.radius, a0, a1))
-        return LoopPath(out, basepoint=self.basepoint)
 
 
 @dataclass(frozen=True)

@@ -643,12 +643,6 @@ class RationalFunction:
         k = self._index(var)
         return RationalFunction(self.num.subst_power(k, nu), self.den.subst_power(k, nu))
 
-    def eval(self, values: dict) -> complex:
-        """Numeric evaluation; ``values`` maps chart variables to complex numbers."""
-        values = {str(g): v for g, v in values.items()}
-        num, den = evaluator([self.num, self.den])(*(complex(values[g]) for g in self.gens))
-        return complex(num) / complex(den)
-
     # -- predicates -----------------------------------------------------
 
     @property

@@ -68,6 +68,24 @@ def from_expr(expr, gens):
                             from_sympy_poly(sp.Poly(d, *gens, domain=QQ_I)))
 
 
+def refined(loop, parts=2):
+    """The loop with every segment split into ``parts`` pieces: the same trace, a new
+    discretization."""
+    from logconnect.monodromy import ArcSegment, LineSegment, LoopPath
+
+    out = []
+    cuts = np.linspace(0.0, 1.0, parts + 1)
+    for s in loop.segments:
+        for a, b in zip(cuts, cuts[1:]):
+            if isinstance(s, LineSegment):
+                out.append(LineSegment(s.point(a), s.point(b)))
+            else:
+                a0 = s.from_angle + a * (s.to_angle - s.from_angle)
+                a1 = s.from_angle + b * (s.to_angle - s.from_angle)
+                out.append(ArcSegment(s.center, s.radius, a0, a1))
+    return LoopPath(out, basepoint=loop.basepoint)
+
+
 def mat_log_normalized(M, tol: float = 1e-12) -> np.ndarray:
     """Return A with exp(2*pi*i*A) = M and eigenvalues of A in the strip 0 <= Re < 1.
 

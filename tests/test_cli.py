@@ -926,3 +926,69 @@ def test_bad_input_keeps_the_cli_contract(tmp_path, args, doc, error, pointer):
     assert (result.exit_code, verdict["status"]) == (2, "error"), result.output
     assert verdict["payload"]["error"] == error
     assert verdict["payload"].get("pointer") == pointer
+
+
+def _matrix_json(M):
+    return [[[float(z.real), float(z.imag)] for z in row] for row in np.asarray(M, dtype=complex)]
+
+
+def _presentation_json(a, b):
+    return {"type": "presentation", "rank": 2, "poles": [[0, 0], [1, 0]],
+            "generators": {"a": _matrix_json(a), "b": _matrix_json(b)}}
+
+
+def _keeps_the_contract(result):
+    """Exit 0, 1 or 2 with a JSON verdict on stdout, exit 1 only for a ``fail``."""
+    assert result.exception is None or isinstance(result.exception, SystemExit), result.exception
+    assert result.exit_code in (0, 1, 2), result.output
+    verdict = json.loads(result.output)
+    assert set(verdict) == {"status", "payload", "diagnostics"}
+    assert verdict["status"] == {0: "ok", 1: "fail", 2: "error"}[result.exit_code]
+    return verdict
+
+
+LIFTING_VERBS = [["lift-rep"], ["lift-rep", "--nu", "2"], ["realize-local"],
+                 ["realize-fuchsian"], ["exponent"]]
+
+
+@pytest.mark.parametrize("verb", LIFTING_VERBS, ids=" ".join)
+def test_near_flip_pairs_keep_the_cli_contract(tmp_path, verb):
+    # V diag(1, -1 + eps) V^-1 and V [[eta, 1], [1, 0]] V^-1 commute projectively up to
+    # about -1, and pass or fail eigenvalue separation with eps and eta; near the
+    # tolerances the lifting verbs must still give a verdict
+    rng = np.random.default_rng(2026)
+    path = tmp_path / "pair.json"
+    for _ in range(60):
+        eps, eta = 10.0 ** rng.uniform(-10, -7, size=2)
+        V = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        Vinv = np.linalg.inv(V)
+        a = V @ np.diag([1.0, -1.0 + eps]) @ Vinv
+        b = V @ np.array([[eta, 1.0], [1.0, 0.0]]) @ Vinv
+        path.write_text(json.dumps(_presentation_json(a, b)))
+        _keeps_the_contract(CliRunner().invoke(main, [verb[0], str(path), *verb[1:]]))
+
+
+@pytest.mark.parametrize("verb", ["lift-rep", "realize-local", "realize-fuchsian"])
+def test_separated_pair_with_a_nontrivial_scalar_is_an_error_verdict(tmp_path, verb):
+    # both classes pass eigenvalue separation at 1e-9, and their commutator is -I
+    # within 1e-8: the two tolerances disagree, which is an error, not a lift
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(_presentation_json(np.diag([1.0, -0.999999997]),
+                                                  [[3e-9, 1.0], [1.0, 0.0]])))
+    verdict = _keeps_the_contract(CliRunner().invoke(main, [verb, str(path)]))
+    assert verdict["payload"]["error"] == "ToleranceNotMet", verdict
+
+
+@pytest.mark.parametrize("top", ["1.0000000015", "1.000000000001"])
+def test_resonance_of_a_normalization_is_one_error(tmp_path, top):
+    # diag(0, 1 + 1.5e-9)/x passes the nonresonance test but not the order-1 Sylvester
+    # check, diag(0, 1 + 1e-12)/x fails both: each is the same refusal
+    diagonal = [_entry({"0": [0, 0]}, DEN_X), _entry({"0": [0, 0]}, DEN_ONE)]
+    doc = {"type": "log_connection", "rank": 2, "vars": ["x"],
+           "divisor": [{"var": 0, "value": [0, 0]}],
+           "components": [[diagonal, [_entry({"0": [0, 0]}, DEN_ONE),
+                                      _entry({"0": [float(top), 0]}, DEN_X)]]]}
+    path = tmp_path / "resonant.json"
+    path.write_text(json.dumps(doc))
+    verdict = _keeps_the_contract(invoke(["normalize", str(path), "--order", "3"]))
+    assert verdict["payload"]["error"] == "ResonantResidue", verdict

@@ -114,6 +114,25 @@ def test_fractions_are_reduced_in_one_place():
                           ("ratfunc.py", None, "_prs_gcd")}, algorithms
 
 
+LIFTING = PACKAGE / "lifting.py"
+KNOBS = {"tol", "k_max", "attempts"}
+
+
+def test_obstruction_scalars_are_read_in_one_place():
+    """Every obstruction scalar comes from ``lifting._lift``: only it and the relation
+    check of ``ProjectivePresentation.__init__`` evaluate words, the two older scalar
+    readers are gone, and the tolerances and search bounds are module constants: no
+    function of lifting takes one except ``realize_fuchsian`` and the two checks it
+    hands its ``tol`` to (the diagonal test and the closed-form monodromy)."""
+    assert functions_naming(LIFTING, {"_evaluate"}) == {
+        ("lifting.py", None, "_lift"), ("lifting.py", "ProjectivePresentation", "__init__")}
+    assert functions_naming(LIFTING, {"_scalar_of", "_commutator_scalar"}) == set()
+    knobs = {f.name for f in ast.walk(ast.parse(LIFTING.read_text()))
+             if isinstance(f, ast.FunctionDef)
+             and KNOBS & {a.arg for a in f.args.args + f.args.kwonlyargs}}
+    assert knobs == {"realize_fuchsian", "_diagonal", "_closed_form_monodromy"}, knobs
+
+
 RICCATI_FIELDS = {"b", "delta", "c", "offdiag"}
 
 

@@ -84,6 +84,35 @@ class TestLiftCommuting:
                 assert lift_commuting(pair).success
 
 
+def clock_and_shift(rng, m):
+    """The clock diag(zeta^k) and the shift of rank m, conjugated by one seeded matrix:
+    they commute up to zeta = exp(2 pi i / m)."""
+    Q = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+    Qinv = np.linalg.inv(Q)
+    clock = np.diag(np.exp(2j * np.pi * np.arange(m) / m))
+    shift = np.roll(np.eye(m), 1, axis=0)
+    return Q @ clock @ Qinv, Q @ shift @ Qinv
+
+
+@pytest.mark.parametrize("m, seed", [(2, None)] + [(m, s) for m in (2, 3, 4) for s in range(3)],
+                         ids=["heisenberg"] + [f"clock-shift-{m}-{s}" for m in (2, 3, 4)
+                                               for s in range(3)])
+def test_commuting_tuple_and_commutator_relation_give_one_scalar(m, seed):
+    # lift_commuting reads the scalar of g_0 g_1 g_0^-1 g_1^-1, verify_lift_after_power
+    # that of the presentation's relation a b a^-1 b^-1: the same word, so the same
+    # scalar, an m-th root of unity
+    a, b = (SWAP, FLIP) if seed is None else clock_and_shift(np.random.default_rng(seed), m)
+    P = ProjectivePresentation(m, {"a": a, "b": b}, relations=[["a", "b", "a^-1", "b^-1"]])
+    commuting = lift_commuting(P.generator_list())
+    related = verify_lift_after_power(P, 1)
+    assert commuting.obstruction_scalars == related.obstruction_scalars
+    assert commuting.success is related.success is False
+    (lam,) = related.obstruction_scalars
+    assert abs(lam ** m - 1.0) < 1e-8 and abs(lam - 1.0) > 0.5
+    for x, y in zip(commuting.lifts, related.lifts, strict=True):
+        assert np.array_equal(x, y)
+
+
 class TestLocalRealize:
     def test_single_flip(self):
         # canonical SL_2 lift of diag(1,-1) is diag(i,-i), so the residue is

@@ -442,17 +442,6 @@ def test_multivariate_exact():
     assert f == g
 
 
-def test_eval():
-    f = from_expr((x + 1) / (x - 1), (x,))
-    assert abs(f.eval({x: 3.0}) - 2.0) < 1e-15
-
-
-def test_eval_at_a_pole_raises():
-    f = from_expr((x + 1) / (x - 1), (x,))
-    with pytest.raises(ZeroDivisionError):
-        f.eval({x: 1.0})
-
-
 def exact_value(f, point):
     """f at a Gaussian-rational point, as (re, im) Fractions, in exact arithmetic.
 
