@@ -2,19 +2,28 @@
 
 Paths are piecewise lines and circular arcs in one chart variable; transport
 solves dY = Omega(x) dx Y segment by segment and multiplies the segment
-matrices in path order.  A segment is cut into panels, each solved by
-Gauss-Legendre collocation: Omega is known in closed form, so one vectorized
-call gives Omega dx at every node of a panel, and the linear system makes the
-panel one small linear solve (Hairer, Norsett and Wanner, Solving ODEs I,
-II.7).  A segment that the path later retraces (a lasso's outgoing spoke) is
-integrated once from the identity, and within that transport call the
-retrace (the return spoke) solves with its matrix S when S is well
-conditioned.  Every other segment is integrated from the product so far, so
-its error stays relative to the solution it carries.
+matrices in path order.  An arc of a Fuchsian system (or of a one-residue local
+model) about a pole with no other pole near it, or about infinity, is taken in
+closed form from the Frobenius gauge G = I + sum_k G_k z^k that turns the
+system into A dz/z there: its matrix is G(end) exp(i sweep A) G(start)^-1, with
+the series summed in A's eigenbasis to an order that a majorant certifies a
+priori (van der Hoeven, Fast evaluation of holonomic functions, TCS 1999;
+Mezzarobba and Salvy, Effective bounds for P-recursive sequences, JSC 2010).
+An arc the rule refuses (an ill-conditioned or defective eigenbasis, a
+near-resonance, another pole too near, or no certified order by the cap) and
+every line is cut into panels, each solved by Gauss-Legendre collocation: Omega
+is known in closed form, so one vectorized call gives Omega dx at every node of
+a panel, and the linear system makes the panel one small linear solve (Hairer,
+Norsett and Wanner, Solving ODEs I, II.7).  A segment that the path later
+retraces (a lasso's outgoing spoke) is integrated once from the identity, and
+within that transport call the retrace (the return spoke) solves with its
+matrix S when S is well conditioned.  Every other segment is integrated from
+the product so far, so its error stays relative to the solution it carries.
 Under path concatenation the loop -> matrix map is an antirepresentation:
-T(alpha then beta) = T(beta) @ T(alpha).  For a Fuchsian system the loop at
-infinity is transported too, so the sphere relation compares two measured
-numbers.
+T(alpha then beta) = T(beta) @ T(alpha).  For a Fuchsian system the matrix of
+the loop at infinity is computed on its own (its circle in closed form from
+the residue at infinity), not as the inverse of the loops' product, so the
+sphere relation compares two computed numbers.
 """
 
 from __future__ import annotations
@@ -153,8 +162,9 @@ def circle_loop(center, radius, basepoint=None) -> LoopPath:
 def standard_loops(F: FuchsianSystem, basepoint=None):
     """One lasso per pole: spoke toward the pole, ccw circle, spoke back.
 
-    Corridors are straight; a (near-)collinear pole/basepoint configuration is
-    rejected rather than silently producing crossing corridors.
+    Corridors are straight; a pole within ``CORRIDOR_CLEARANCE`` times a corridor's
+    length of it (collinear poles among them) is rejected rather than silently
+    producing crossing corridors or a spoke that no panel can resolve.
     """
     poles = F.pole_array.tolist()
     defaulted = basepoint is None
@@ -164,28 +174,28 @@ def standard_loops(F: FuchsianSystem, basepoint=None):
     if any(abs(basepoint - p) < 1e-9 for p in poles):
         raise ValueError("basepoint must be distinct from all poles")
 
-    def corridor_degenerate(bp):
+    def crowded_corridor(bp):
+        """(i, j, distance) for a pole j too near the corridor from bp to pole i."""
         for i, p in enumerate(poles):
+            d = p - bp
             for j, q in enumerate(poles):
-                if i == j:
-                    continue
-                d = p - bp
                 t = np.real(np.conj(d) * (q - bp)) / abs(d) ** 2
-                if 0.0 < t < 1.0 and abs((q - bp) - t * d) < 1e-12:
-                    return True
-        return False
+                gap = abs((q - bp) - t * d)
+                if i != j and 0.0 < t < 1.0 and gap < CORRIDOR_CLEARANCE * abs(d):
+                    return i, j, gap
+        return None
 
-    if corridor_degenerate(basepoint):
+    crowded = crowded_corridor(basepoint)
+    if crowded:
         if not defaulted:
+            i, j, gap = crowded
             raise DegenerateConfiguration(
-                "pole lies on another corridor; move the basepoint"
-            )
+                f"pole {j} at {poles[j]} lies within {gap:.3g} of the corridor from the "
+                f"basepoint to pole {i} at {poles[i]}; move the basepoint")
         # deterministic perturbation of the default basepoint off the axis
         for k in range(1, 32):
             cand = basepoint * np.exp(0.07j * k)
-            if not corridor_degenerate(cand) and all(
-                abs(cand - p) > 1e-9 for p in poles
-            ):
+            if not crowded_corridor(cand) and all(abs(cand - p) > 1e-9 for p in poles):
                 basepoint = cand
                 break
         else:  # pragma: no cover - 31 rotations always suffice for finitely many poles
@@ -274,6 +284,10 @@ _HIGH, _LOW = _gauss_collocation(16), _gauss_collocation(11)
 _NODES = np.concatenate([_HIGH[0], _LOW[0]])
 # a panel narrower than 2**-MAX_DEPTH of its segment is a tolerance failure
 MAX_DEPTH = 40
+# standard_loops keeps every other pole this far from a corridor, relative to its
+# length: 16 of the narrowest panels.  A spoke that passes closer than about 3e-12 of
+# its length from a pole misses tol=1e-10 at any length (seen from 1e2 to 1e8).
+CORRIDOR_CLEARANCE = 2.0 ** (4 - MAX_DEPTH)
 
 
 def _collocate(B, h, Y0, rule):
@@ -315,16 +329,125 @@ def _flow(omega, seg, Y0: np.ndarray, tol: float) -> np.ndarray:
     return Y
 
 
+# an arc is taken in closed form only when the gauge series falls at least like
+# MAX_RATIO**k (every other pole at least radius / MAX_RATIO from the centre, or,
+# about infinity, every pole within MAX_RATIO * radius of it), its order is certified
+# by MAX_ORDER, the residue's eigenbasis has cond(V) <= EIGENBASIS_COND (so rounding
+# in V costs about that many ulps) and no lambda_a - lambda_b - k with k <= the order
+# is smaller than RESONANCE_GAP (so no coefficient is amplified past 1 / RESONANCE_GAP);
+# past MAX_RATIO the order nears MAX_ORDER and the closed form costs what panels do
+MAX_RATIO = 0.75
+MAX_ORDER = 160
+EIGENBASIS_COND = 1e4
+RESONANCE_GAP = 1e-2
+# the series is summed until its certified tail times cond(V) is tol / INVERSE_ALLOWANCE,
+# so the arc is accepted when its ||G(theta_0)^-1|| is at most this
+INVERSE_ALLOWANCE = 16.0
+
+
+def _certified_order(g, c, gaps, top, m, need):
+    """The least order N, and the bound on the series' tail there, at which the gauge
+    series' coefficients K_k are certified to sum to at most ``need`` in Frobenius
+    norm beyond N; None when none up to ``MAX_ORDER`` is, below a gap under
+    ``RESONANCE_GAP``.
+
+    ``g`` is max |gamma_i| and ``c`` is sum_i |gamma_i| ||A~_i||_F over the other poles,
+    ``gaps[k - 1]`` is delta_k = min |lambda_a - lambda_b - k| and ``top`` is
+    max Re(lambda_a - lambda_b).  By induction ||K_k|| <= mu_k and ||U_i|| <= nu_k for
+    the majorant mu_k = c nu_(k-1) / delta_k, nu_k = mu_k + g nu_(k-1), nu_0 = ||I||_F,
+    so nu_N = ||I||_F prod_(k <= N) (g + c / delta_k).  With r = (1 + g) / 2 the
+    induction goes on to mu_k <= M r^k for M = nu_N (1 - g/r) / r^N at every k > N
+    with delta_k >= c / (r - g), so at all k > N once N + 1 >= top + 2c / (1 - g),
+    and the tail is then at most M r^(N+1) / (1 - r) = nu_N.
+    """
+    if not c:
+        return 0, 0.0
+    allowed = np.logical_and.accumulate(gaps >= RESONANCE_GAP)
+    nu = np.sqrt(m) * np.cumprod(np.append(1.0, g + c / np.maximum(gaps, RESONANCE_GAP)))
+    orders = np.arange(MAX_ORDER + 1)
+    ok = (orders + 1 >= top + 2 * c / (1 - g)) & (nu <= need) & np.append(True, allowed)
+    if not ok.any():
+        return None
+    N = int(np.argmax(ok))
+    return N, float(nu[N])
+
+
+def _closed_form_arc(C, arc, tol: float):
+    """The transport matrix of ``arc`` for a Fuchsian system or a one-residue local
+    model from its Frobenius gauge, or None where the rule refuses it.
+
+    Inside a disk about the centre c that holds no pole but c, the system is
+    A/z + tau(z) in z = x - c, with A the residue at c (0 at a regular point) and
+    tau_d = -sum_i A_i c_i^(d+1), c_i = 1/(p_i - c) over the other poles.  About
+    infinity, w = 1/(x - c) gives the same form with A = -sum_i A_i, c_i = p_i - c
+    and the angles negated.  In A's eigenbasis V, with z scaled by the radius rho
+    (gamma_i = rho c_i), the gauge G = I + sum_k K_k e^(ik theta) that turns the
+    system into A/z has K_k = (sum_i gamma_i A~_i U_i) / (Delta - k) elementwise,
+    U_i <- K_(k-1) + gamma_i U_i and Delta_ab = lambda_a - lambda_b, and the arc's
+    matrix is V G(theta_1) diag(e^(i(theta_1 - theta_0) lambda)) G(theta_0)^-1 V^-1.
+    It is accepted when the certified tail times cond(V) ||G(theta_0)^-1|| is
+    within ``tol``, and so is cond(V) times the rounding of the phases.
+    """
+    if not (isinstance(C, FuchsianSystem) or isinstance(C, LocalModel) and C.k == 1):
+        return None
+    poles, residues = np.array(_poles_of(C), dtype=complex), C.residue_arrays
+    d = poles - arc.center
+    at = d == 0
+    angles = np.array([arc.from_angle, arc.to_angle])
+    if np.all(MAX_RATIO * np.abs(d[~at]) >= arc.radius):
+        A, gamma, others = residues[at].sum(axis=0), arc.radius / d[~at], residues[~at]
+    elif np.all(np.abs(d) <= MAX_RATIO * arc.radius):
+        A, gamma, others, angles = -residues.sum(axis=0), d / arc.radius, residues, -angles
+    else:
+        return None
+    lam, V = np.linalg.eig(A)
+    kappa = np.linalg.cond(V)
+    # the phases (theta_1 - theta_0) lambda are rounded by about eps |(theta_1 - theta_0) lambda|
+    rounding = np.finfo(float).eps * abs(angles[1] - angles[0]) * np.abs(lam).max()
+    if not (kappa <= EIGENBASIS_COND and kappa * rounding <= tol):
+        return None
+    Vinv = np.linalg.inv(V)
+    At = Vinv @ others @ V
+    m, p = len(lam), len(gamma)
+    diff = lam[:, None] - lam
+    shifted = diff - np.arange(1, MAX_ORDER + 1)[:, None, None]  # Delta - k
+    g = np.abs(gamma)
+    certified = _certified_order(np.max(g, initial=0.0), g @ np.linalg.norm(At, axis=(1, 2)),
+                                 np.abs(shifted).min(axis=(1, 2)), diff.real.max(), m,
+                                 tol / (kappa * INVERSE_ALLOWANCE))
+    if certified is None:
+        return None
+    N, tail = certified
+    K = np.zeros((N + 1, m, m), dtype=complex)
+    K[0] = np.eye(m)
+    weighted = (gamma[:, None, None] * At).transpose(1, 0, 2).reshape(m, p * m)
+    U, scale, inverse = np.zeros((p, m, m), dtype=complex), gamma[:, None, None], 1 / shifted[:N]
+    for k in range(N):
+        U *= scale
+        U += K[k]
+        np.matmul(weighted, U.reshape(p * m, m), out=K[k + 1])
+        K[k + 1] *= inverse[k]
+    G0, G1 = (np.exp(1j * np.outer(angles, np.arange(N + 1)))
+              @ K.reshape(N + 1, m * m)).reshape(2, m, m)
+    G0inv = np.linalg.inv(G0)
+    if tail * kappa * np.linalg.norm(G0inv) > tol:
+        return None
+    return V @ (G1 * np.exp(1j * (angles[1] - angles[0]) * lam)) @ G0inv @ Vinv
+
+
 def transport(C, path: LoopPath, tol: float = 1e-10) -> np.ndarray:
     """Fundamental-solution transport matrix along a path: Y(end) = T Y(start).
 
-    Segments are integrated in path order by Gauss-Legendre panel collocation
-    (``_flow``), each from the product so far, except one that the path retraces
-    later: its matrix S is integrated from the identity and multiplies the
-    product (T = S @ T), and the retrace solves with S when cond(S) <=
-    ``WELL_CONDITIONED`` and is integrated otherwise.  A solved retrace carries
-    S's error times cond(S), so a path with one can miss ``tol`` by up to a factor
-    ``WELL_CONDITIONED`` in relative error.  Nothing outlives the call.
+    An arc of a Fuchsian system or one-residue local model about a pole (or a
+    regular point) with no other pole near it, or about infinity, is taken in
+    closed form from the Frobenius gauge (``_closed_form_arc``) when its truncation
+    is certified.  Other segments are integrated in path order by Gauss-Legendre
+    panel collocation (``_flow``), each from the product so far, except one that
+    the path retraces later: its matrix S is integrated from the identity and
+    multiplies the product (T = S @ T), and the retrace solves with S when
+    cond(S) <= ``WELL_CONDITIONED`` and is integrated otherwise.  A solved retrace
+    carries S's error times cond(S), so a path with one can miss ``tol`` by up to a
+    factor ``WELL_CONDITIONED`` in relative error.  Nothing outlives the call.
     """
     conn_poles = _poles_of(C)
     if conn_poles:
@@ -340,6 +463,8 @@ def transport(C, path: LoopPath, tol: float = 1e-10) -> np.ndarray:
         S = kept.pop(rev, None)
         if S is not None and np.linalg.cond(S) <= WELL_CONDITIONED:
             T = np.linalg.solve(S, T)
+        elif isinstance(seg, ArcSegment) and (A := _closed_form_arc(C, seg, tol)) is not None:
+            T = A @ T
         elif S is None and last.get(rev, -1) > i:
             kept[seg] = _flow(omega, seg, identity, tol)
             T = kept[seg] @ T

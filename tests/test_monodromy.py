@@ -49,6 +49,22 @@ class TestStandardLoops:
         with pytest.raises(DegenerateConfiguration):
             standard_loops(F, basepoint=2.0)
 
+    def test_a_corridor_grazing_a_pole_names_it(self):
+        # the spoke from 1e6 + 3j to the pole 0 passes 3e-6 from the pole 1, 3e-12 of
+        # its length: closer than the narrowest panel of that spoke resolves
+        F = FuchsianSystem(2, [0, 1], [np.diag([0.3, -0.2]), np.diag([0.1, 0.25])])
+        with pytest.raises(DegenerateConfiguration, match=r"pole 1 at \(1\+0j\).* pole 0 at"):
+            standard_loops(F, basepoint=1e6 + 3j)
+
+    def test_collinear_poles_rotate_the_default_basepoint(self):
+        A = [np.diag([0.3, -0.2]), np.diag([0.1, 0.25]), np.diag([-0.15, 0.05])]
+        F = FuchsianSystem(2, [0, 1, 2], A)
+        loops = standard_loops(F)
+        assert loops[0].basepoint.imag != 0  # 3 + 0j sees the three poles in a line
+        rep = monodromy_rep(F, loops)
+        for M, Aj in zip(rep.matrices, A):
+            assert _relative(M, mat_exp(2j * np.pi * Aj)) < 1e-9
+
     def test_three_pole_concatenation_contractible(self):
         # product of transported lassos ~ transport around a giant circle
         A = [[[0.2, 0.1], [0.0, -0.1]]] * 3
@@ -279,13 +295,13 @@ STIFF_SPOKE = FuchsianSystem(2, [0, -2], [
 
 @pytest.fixture
 def solves(monkeypatch):
-    """The segment integrations transport makes: one entry per ``_flow`` call."""
+    """The segment integrations transport makes: the segment of each ``_flow`` call."""
     calls = []
     original = monodromy._flow
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+    def counting(omega, seg, *args, **kwargs):
+        calls.append(seg)
+        return original(omega, seg, *args, **kwargs)
 
     monkeypatch.setattr(monodromy, "_flow", counting)
     return calls
@@ -326,7 +342,8 @@ class TestSegmentReuse:
         fine = transport(F, refined(lasso, 2))
         solves.clear()
         assert _relative(transport(F, lasso), fine) < 1e-8
-        assert len(solves) == 3  # the return spoke is solved; the repeated circle is not reused
+        # the circles are closed form and the return spoke is solved with the outgoing one
+        assert solves == [spoke]
 
     @pytest.mark.parametrize("seed", range(4))
     def test_reversed_loop_is_the_inverse(self, seed):
@@ -335,19 +352,22 @@ class TestSegmentReuse:
             back_and_forth = transport(F, lp.reversed(), tol=1e-12) @ transport(F, lp, tol=1e-12)
             assert np.linalg.norm(back_and_forth - np.eye(F.m)) < 1e-9
 
-    def test_standard_loop_takes_two_solves(self, solves):
+    def test_standard_loop_integrates_only_its_spoke(self, solves):
         F = FuchsianSystem(2, [0, 1, -1], [np.diag([0.3, -0.2]), np.diag([0.1, 0.25]),
                                            [[0.2, 0.1], [0.0, -0.1]]])
         loops = standard_loops(F, basepoint=0.5 + 2.0j)
         transport(F, loops[0])
-        assert len(solves) == 2  # out along the spoke, around the circle; back is solved
+        # out along the spoke; the circle is closed form and the way back is solved
+        assert solves == [loops[0].segments[0]]
         solves.clear()
         monodromy_rep(F, loops)
-        assert len(solves) == 2 * len(loops) + 1  # and once around the circle at infinity
+        assert solves == [lp.segments[0] for lp in loops]  # none for the circle at infinity
 
     def test_ill_conditioned_spoke_is_integrated_back(self, solves):
-        transport(STIFF_SPOKE, standard_loops(STIFF_SPOKE)[1])
-        assert len(solves) == 3
+        loop = standard_loops(STIFF_SPOKE)[1]
+        transport(STIFF_SPOKE, loop)
+        spoke = loop.segments[0]
+        assert solves == [spoke, spoke.reversed()]
 
 
 def _noncommuting(seed):
@@ -421,6 +441,83 @@ class TestLoopAtInfinity:
         rep = monodromy_rep(F, standard_loops(F, basepoint=bp))
         assert _same_spectrum(rep.infinity, residue(F, "inf"))
         assert relation_check(rep, 1e-8)
+
+
+def _arc_loops(F):
+    """Loops whose arcs the closed form takes: the standard loops, the loop at infinity
+    in both shapes (the circle through the default basepoint, and a lasso out from a
+    basepoint among the poles), and for each pole an arc of 1.3 radians of its circle,
+    counterclockwise and clockwise, closed by its chord."""
+    loops = standard_loops(F)
+    poles = F.pole_array.tolist()
+    out = loops + [monodromy._infinity_loop(poles, b)[0]
+                   for b in (loops[0].basepoint, 0.013 + 0.007j)]
+    for lp in loops:
+        circle = lp.segments[1]
+        part = ArcSegment(circle.center, circle.radius, circle.from_angle,
+                          circle.from_angle + 1.3)
+        out += [LoopPath([a, LineSegment(a.point(1.0), a.point(0.0))])
+                for a in (part, part.reversed())]
+    return out
+
+
+JORDAN = FuchsianSystem(2, [0], [np.array([[0.3, 1.0], [0.0, 0.3]])
+                                 + 0.1j * np.triu(np.ones((2, 2)))])
+# eigenvalues 0.2 and 1.2 - 1e-3 at 0: lambda_a - lambda_b - 1 = -1e-3, and a weak
+# residue at 1, so the gap alone refuses the circle about 0 (its bound would certify it)
+NEAR_RESONANT = FuchsianSystem(2, [0, 1], [[[0.2, 0.3], [0.0, 1.2 - 1e-3]],
+                                           [[0.01, 0.0], [0.04, -0.03]]])
+# the same with a strong residue at 1: on the circle of radius 0.5 about 0 the gauge
+# has ||G^-1|| about 31, past INVERSE_ALLOWANCE, so its certified tail misses tol
+STRONG_GAUGE = FuchsianSystem(2, [0, 1], [[[0.2, 0.3], [0.0, 1.18]], [[0.3, 0.0], [1.2, -0.9]]])
+TWO_POLES = FuchsianSystem(2, [0, 1], [[[0.2, 0.3], [0.1, -0.1]], [[0.1, 0.0], [0.4, -0.3]]])
+
+
+class TestClosedFormArcs:
+    @pytest.mark.parametrize("seed", range(40))
+    def test_arcs_match_the_log_connection_transport(self, seed, solves):
+        F = _noncommuting(seed)
+        loops = _arc_loops(F)
+        got = [transport(F, lp) for lp in loops]
+        assert solves and not any(isinstance(seg, ArcSegment) for seg in solves)
+        conn = F.to_log_connection()  # transported by collocation at every segment
+        for T, lp in zip(got, loops):
+            assert _relative(T, transport(conn, lp, tol=1e-13)) < 1e-9
+
+    @pytest.mark.parametrize("F, arc", [
+        (JORDAN, ArcSegment(0j, 1.0, 0.0, 2 * np.pi)),
+        (NEAR_RESONANT, ArcSegment(0j, 0.3, 0.0, 2 * np.pi)),
+        (STRONG_GAUGE, ArcSegment(0j, 0.5, 0.0, 2 * np.pi)),
+        # pole 1 at 1.25 radii, and about infinity at 0.8 radii: the series would be
+        # certified by MAX_ORDER, but MAX_RATIO = 0.75 refuses them
+        (TWO_POLES, ArcSegment(0j, 0.8, 0.0, 2 * np.pi)),
+        (TWO_POLES, ArcSegment(0j, 1.25, 0.0, 2 * np.pi)),
+    ], ids=["jordan", "near_resonant", "strong_gauge", "oversized", "oversized_at_infinity"])
+    def test_a_refused_arc_is_integrated(self, F, arc, solves):
+        assert monodromy._closed_form_arc(F, arc, 1e-10) is None
+        loop = LoopPath([arc])
+        T = transport(F, loop)
+        assert solves == [arc]
+        assert _relative(T, transport(F.to_log_connection(), loop, tol=1e-13)) < 1e-9
+
+    def test_a_phase_lost_to_rounding_is_refused(self):
+        # 2 pi 1e8 is rounded by about 1.4e-7 radians, so the closed form would give
+        # exp(2 pi i 1e8) = 1 only to 7.8e-8
+        F = FuchsianSystem(1, [0], [[[1e8]]])
+        circle = ArcSegment(0j, 1.0, 0.0, 2 * np.pi)
+        assert monodromy._closed_form_arc(F, circle, 1e-10) is None
+        assert abs(monodromy._closed_form_arc(F, circle, 1e-6)[0, 0] - 1) < 1e-6
+
+    def test_a_local_model_circle_is_closed_form(self, nprng, solves):
+        A = 0.5 * (nprng.normal(size=(3, 3)) + 1j * nprng.normal(size=(3, 3)))
+        T = transport(LocalModel(3, [A]), circle_loop(0, 1.0))
+        assert solves == []
+        assert _relative(T, mat_exp(2j * np.pi * A)) < 1e-12
+        # the eigenbasis is checked with no other pole too: a Jordan residue is integrated
+        J = JORDAN.residue_array(0)
+        T = transport(LocalModel(2, [J]), circle_loop(0, 1.0))
+        assert [type(seg) for seg in solves] == [ArcSegment]
+        assert _relative(T, mat_exp(2j * np.pi * J)) < 1e-9
 
 
 class TestPanels:
