@@ -156,7 +156,9 @@ def residues_cmd(input, output):
 @click.argument("input", type=str)
 @tol_opt
 @click.option("--basepoint", default=None, type=str,
-              help="basepoint as 're,im' (default 1 + max|p|)")
+              help="basepoint as 're,im' (default: of the 8 points (1 + max|p|) "
+                   "exp(i k pi/4), the one whose corridors pass farthest from the other "
+                   "poles)")
 @click.option("--loops", "loops_path", default=None, type=str,
               help="loop override file (JSON list of loops)")
 @out_opt
@@ -187,10 +189,12 @@ def monodromy_cmd(input, tol, basepoint, loops_path, output):
         else:
             raise SchemaViolation("", "supply --loops for this system kind")
         rep = monodromy.monodromy_rep(conn, loops, tol=t)
-        payload = {"matrices": [matrix_to_json(M) for M in rep.matrices]}
+        payload = {"matrices": [matrix_to_json(M) for M in rep.matrices],
+                   "basepoint": [rep.basepoint.real, rep.basepoint.imag]}
         if rep.infinity is not None:
             payload["infinity"] = matrix_to_json(rep.infinity)
             payload["composition_convention"] = rep.composition_convention
+            payload["order"] = list(rep.order)
         return "ok", payload, ()
     _run(op, output)
 

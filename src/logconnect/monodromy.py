@@ -159,47 +159,52 @@ def circle_loop(center, radius, basepoint=None) -> LoopPath:
                     basepoint=basepoint)
 
 
+def _corridor_gaps(basepoints, poles) -> np.ndarray:
+    """gaps[c, i, j]: the distance from pole j to the corridor from ``basepoints[c]`` to
+    pole i, relative to the corridor's length, where j projects strictly inside the
+    corridor; inf where it does not, and for j = i."""
+    b = np.asarray(basepoints, dtype=complex)[:, None, None]
+    poles = np.asarray(poles, dtype=complex)
+    d, q = poles[:, None] - b, poles - b  # corridor c -> i, and c -> j
+    t = np.real(np.conj(d) * q) / np.abs(d) ** 2
+    inside = (0.0 < t) & (t < 1.0) & ~np.eye(len(poles), dtype=bool)
+    return np.where(inside, np.abs(q - t * d) / np.abs(d), np.inf)
+
+
 def standard_loops(F: FuchsianSystem, basepoint=None):
     """One lasso per pole: spoke toward the pole, ccw circle, spoke back.
 
     Corridors are straight; a pole within ``CORRIDOR_CLEARANCE`` times a corridor's
     length of it (collinear poles among them) is rejected rather than silently
-    producing crossing corridors or a spoke that no panel can resolve.
+    producing crossing corridors or a spoke that no panel can resolve.  The default
+    basepoint is, of the 8 points R exp(i k pi/4) with R = 1 + max|p|, the one whose
+    least relative corridor gap (``_corridor_gaps``) is largest, the first on a tie:
+    collocation on a panel converges at a rate set by the nearest pole, so a corridor
+    that grazes a pole needs narrow panels there.  Every candidate lies on the circle
+    |x| = R, so the loop at infinity is that circle; one pole keeps R itself.
     """
     poles = F.pole_array.tolist()
     defaulted = basepoint is None
     if defaulted:
-        basepoint = 1.0 + max(abs(p) for p in poles)
-    basepoint = complex(basepoint)
-    if any(abs(basepoint - p) < 1e-9 for p in poles):
-        raise ValueError("basepoint must be distinct from all poles")
-
-    def crowded_corridor(bp):
-        """(i, j, distance) for a pole j too near the corridor from bp to pole i."""
-        for i, p in enumerate(poles):
-            d = p - bp
-            for j, q in enumerate(poles):
-                t = np.real(np.conj(d) * (q - bp)) / abs(d) ** 2
-                gap = abs((q - bp) - t * d)
-                if i != j and 0.0 < t < 1.0 and gap < CORRIDOR_CLEARANCE * abs(d):
-                    return i, j, gap
-        return None
-
-    crowded = crowded_corridor(basepoint)
-    if crowded:
-        if not defaulted:
-            i, j, gap = crowded
-            raise DegenerateConfiguration(
-                f"pole {j} at {poles[j]} lies within {gap:.3g} of the corridor from the "
-                f"basepoint to pole {i} at {poles[i]}; move the basepoint")
-        # deterministic perturbation of the default basepoint off the axis
-        for k in range(1, 32):
-            cand = basepoint * np.exp(0.07j * k)
-            if not crowded_corridor(cand) and all(abs(cand - p) > 1e-9 for p in poles):
-                basepoint = cand
-                break
-        else:  # pragma: no cover - 31 rotations always suffice for finitely many poles
-            raise DegenerateConfiguration("could not find a non-degenerate basepoint")
+        # rounded, so that the four on the axes are exact
+        turns = np.exp(0.25j * np.pi * np.arange(8)).round(15)
+        candidates = (1.0 + max(abs(p) for p in poles)) * turns
+        gaps = _corridor_gaps(candidates, poles)
+        # rounded, so that mirror-image candidates tie and the first of them is kept
+        best = int(np.argmax(gaps.min(axis=(1, 2)).round(12)))
+        basepoint, gaps = complex(candidates[best]), gaps[best]
+    else:
+        basepoint = complex(basepoint)
+        if any(abs(basepoint - p) < 1e-9 for p in poles):
+            raise ValueError("basepoint must be distinct from all poles")
+        gaps = _corridor_gaps([basepoint], poles)[0]
+    crowded = np.argwhere(gaps < CORRIDOR_CLEARANCE)
+    if len(crowded):
+        i, j = crowded[0]
+        advice = "pass a basepoint" if defaulted else "move the basepoint"
+        raise DegenerateConfiguration(
+            f"pole {j} at {poles[j]} lies within {gaps[i, j] * abs(poles[i] - basepoint):.3g} "
+            f"of the corridor from the basepoint to pole {i} at {poles[i]}; {advice}")
     loops = []
     for i, p in enumerate(poles):
         nearest = min(
@@ -284,6 +289,10 @@ _HIGH, _LOW = _gauss_collocation(16), _gauss_collocation(11)
 _NODES = np.concatenate([_HIGH[0], _LOW[0]])
 # a panel narrower than 2**-MAX_DEPTH of its segment is a tolerance failure
 MAX_DEPTH = 40
+# a segment is a tolerance failure past MAX_PANELS panel attempts (MAX_DEPTH bounds
+# how narrow a panel gets, not how many a segment takes): about 20 times the most
+# that any segment of the test suite takes (201), and at 50 us an attempt, 0.2 s
+MAX_PANELS = 4096
 # standard_loops keeps every other pole this far from a corridor, relative to its
 # length: 16 of the narrowest panels.  A spoke that passes closer than about 3e-12 of
 # its length from a pole misses tol=1e-10 at any length (seen from 1e2 to 1e8).
@@ -308,11 +317,12 @@ def _flow(omega, seg, Y0: np.ndarray, tol: float) -> np.ndarray:
     Panels run from t = 0 to 1, the first one the whole segment.  On each, Omega dx
     comes from one call at all the nodes, and the 16-node solution is accepted when
     the 11-node one agrees with it within ``tol`` times max(1, its largest entry);
-    then the next panel is twice as wide, and otherwise this one is bisected.
+    then the next panel is twice as wide, and otherwise this one is bisected.  A
+    segment still short of t = 1 after ``MAX_PANELS`` attempts misses ``tol``.
     """
     t, h, Y = 0.0, 1.0, Y0
     s = len(_HIGH[0])
-    while t < 1.0:
+    for _ in range(MAX_PANELS):
         end = min(t + h, 1.0)
         h = end - t
         B = omega(*seg.point_and_velocity(t + h * _NODES))
@@ -321,12 +331,15 @@ def _flow(omega, seg, Y0: np.ndarray, tol: float) -> np.ndarray:
         bound = tol * max(1.0, np.max(np.abs(high)))
         if err <= bound:
             t, Y, h = end, high, 2 * h
+            if t == 1.0:
+                return Y
         else:
             h /= 2
             if h < 2.0 ** -MAX_DEPTH:
                 raise ToleranceNotMet(
                     f"a segment panel narrower than 2**-{MAX_DEPTH} still misses tol={tol:g}")
-    return Y
+    raise ToleranceNotMet(
+        f"a segment took {MAX_PANELS} panel attempts and still misses tol={tol:g}")
 
 
 # an arc is taken in closed form only when the gauge series falls at least like
@@ -497,13 +510,14 @@ def _infinity_loop(poles, basepoint):
     basepoint toward infinity.
 
     It is the circle about 0 through the basepoint when that circle keeps 1 clear of
-    every pole (so always for the default basepoint of ``standard_loops``); otherwise a
-    spoke out to the circle of radius 1 + max|p|, around it and back, with the spoke in
-    the middle of the widest angle between the directions to the poles.
+    every pole, to rounding (so always for the default basepoints of ``standard_loops``,
+    which lie on |x| = 1 + max|p|); otherwise a spoke out to the circle of radius
+    1 + max|p|, around it and back, with the spoke in the middle of the widest angle
+    between the directions to the poles.
     """
     b = complex(basepoint)
     R = 1.0 + max(abs(p) for p in poles)
-    if abs(b) >= R:
+    if abs(b) >= R * (1 - 1e-15):
         a = float(np.angle(b))
         return LoopPath([ArcSegment(0j, abs(b), a, a - TWO_PI)], basepoint=b), b / abs(b)
     angles = np.sort([np.angle(p - b) for p in poles])

@@ -187,6 +187,59 @@ def test_monodromy_from_a_far_basepoint():
         assert np.linalg.norm(M - E) < 1e-12 * np.linalg.norm(E)
 
 
+# payloads from basepoints that the choice among rotations of 1 + max|p| leaves where
+# they were: the default 1 + |p| of one pole, and a given basepoint
+UNMOVED = {
+    ("fuchsian_quarter.json",): {
+        "composition_convention": "antirepresentation",
+        "infinity": [[[6.123233995736766e-17, -1.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+        "matrices": [[[[6.123233995736765e-17, 0.9999999999999999], [0.0, 0.0]],
+                      [[0.0, 0.0], [1.0, 0.0]]]]},
+    ("fuchsian_two_poles.json", "--basepoint", "0.5,2"): {
+        "composition_convention": "antirepresentation",
+        "infinity": [[[-0.8090169943749471, -0.5877852522924731], [0.0, 0.0]],
+                     [[0.0, 0.0], [0.9510565162951536, -0.30901699437494734]]],
+        "matrices": [[[[-0.30901699437494723, 0.9510565162951534], [0.0, 0.0]],
+                      [[0.0, 0.0], [0.30901699437494745, -0.9510565162951534]]],
+                     [[[0.8090169943749476, 0.5877852522924732], [0.0, 0.0]],
+                      [[0.0, 0.0], [3.244325033751234e-16, 0.9999999999999996]]]]},
+}
+
+
+@pytest.mark.parametrize("args, basepoint, order", [
+    (("fuchsian_quarter.json",), [1.0, 0.0], [0]),
+    (("fuchsian_two_poles.json", "--basepoint", "0.5,2"), [0.5, 2.0], [0, 1])])
+def test_an_unmoved_basepoint_prints_the_same_matrices(args, basepoint, order):
+    result = invoke(["monodromy", *args])
+    assert result.exit_code == 0, result.output
+    payload = json.loads(result.output)["payload"]
+    assert (payload.pop("basepoint"), payload.pop("order")) == (basepoint, order)
+    assert json.dumps(payload, sort_keys=True) == json.dumps(UNMOVED[args], sort_keys=True)
+
+
+def test_monodromy_names_the_basepoint_of_a_local_model(tmp_path):
+    path = tmp_path / "local.json"
+    path.write_text(json.dumps({"type": "local_model", "rank": 1, "vars": 1,
+                                "residues": [[[["1/4", 0]]]]}))
+    result = invoke(["monodromy", str(path)])
+    assert result.exit_code == 0, result.output
+    payload = json.loads(result.output)["payload"]
+    assert payload["basepoint"] == [1.0, 0.0] and "order" not in payload
+
+
+def test_a_segment_past_the_panel_budget_is_an_error(tmp_path):
+    # exp(2 pi i 1e8) in closed form loses more than the tolerance to rounding, and
+    # the circle oscillates too fast for any affordable number of panels
+    path = tmp_path / "stiff.json"
+    path.write_text(json.dumps({"type": "fuchsian", "rank": 1, "poles": [[0, 0]],
+                                "residues": [[[[100000000, 0]]]]}))
+    code, out, _ = run_process(["monodromy", str(path)])
+    verdict = json.loads(out)
+    assert (code, verdict["status"]) == (2, "error"), out
+    assert verdict["payload"]["error"] == "ToleranceNotMet"
+    assert "panel attempts" in verdict["payload"]["message"]
+
+
 @pytest.mark.parametrize("basepoint", ["1", "1,2,3", "a,b", ""])
 def test_a_malformed_basepoint_is_named(basepoint):
     result = invoke(["monodromy", "fuchsian_two_poles.json", "--basepoint", basepoint])
@@ -822,8 +875,7 @@ def test_double_pole_names_the_branch_as_written(tmp_path, value, named):
     assert f"along the branch {named};" in message
 
 
-# rank 3, poles -0.5i, 1 and -1: the default basepoint 2 is rotated off the line through
-# 1 and -1, and the spokes leave it in the order 2, 1, 0 counterclockwise from outward
+# rank 3, poles -0.5i, 1 and -1, two of them collinear with the point 2 on the real axis
 RANK3 = {"type": "fuchsian", "rank": 3, "poles": [[0, -0.5], [1, 0], [-1, 0]],
          "residues": [[[0.1, 0.2, 0], [0, -0.1, 0.1], [0.2, 0, 0.05]],
                       [[0.05, 0, 0.3], [0.1, 0.2, 0], [0, 0.1, -0.15]],
@@ -863,7 +915,7 @@ def test_monodromy_infinity_is_the_loop_around_every_pole(tmp_path):
     inverted = [order for order in itertools.permutations(range(3))
                 if np.linalg.norm(infinity @ M[order[2]] @ M[order[1]] @ M[order[0]]
                                   - np.eye(3)) < 1e-8]
-    assert inverted == [(2, 1, 0)]
+    assert inverted == [tuple(payload["order"])]
 
 
 def test_loop_through_a_pole_is_pole_proximity(tmp_path):

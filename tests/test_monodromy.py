@@ -1,4 +1,5 @@
 import random
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -30,6 +31,17 @@ from logconnect.monodromy import ArcSegment, LineSegment
 from conftest import random_fuchsian, rational_matrix, refined
 
 
+def _near_real(seed):
+    """2-5 poles in [-2, 2] at least 0.5 apart, each within 1e-3 of the real axis."""
+    rng = np.random.default_rng(seed)
+    k, xs = int(rng.integers(2, 6)), []
+    while len(xs) < k:
+        x = round(float(rng.uniform(-2, 2)), 2)
+        if all(abs(x - y) >= 0.5 for y in xs):
+            xs.append(x)
+    return [complex(x, rng.uniform(-1e-3, 1e-3)) for x in xs]
+
+
 class TestStandardLoops:
     def test_single_pole(self):
         F = FuchsianSystem(2, [0], [[[1, 0], [0, 1]]])
@@ -55,6 +67,42 @@ class TestStandardLoops:
         F = FuchsianSystem(2, [0, 1], [np.diag([0.3, -0.2]), np.diag([0.1, 0.25])])
         with pytest.raises(DegenerateConfiguration, match=r"pole 1 at \(1\+0j\).* pole 0 at"):
             standard_loops(F, basepoint=1e6 + 3j)
+
+    @pytest.mark.parametrize("poles", [[0, 1], [0, 1, -1], [0, 1, 2], [-1, 0, 0.5, 1, 2]]
+                             + [_near_real(seed) for seed in range(12)])
+    def test_the_default_basepoint_keeps_every_corridor_clear(self, poles):
+        # 3 exp(0.07i), the first turn of 3 by 0.07 that passes 2**-36 on the five poles,
+        # keeps 0.012; from 1 + max|p| itself the near-real sets keep about 1e-4
+        F = FuchsianSystem(1, poles, [[[0.1]]] * len(poles))
+        b = standard_loops(F)[0].basepoint
+        assert abs(b) == pytest.approx(1 + max(abs(p) for p in poles), rel=1e-14)
+        least = min(LineSegment(b, p).distance(q) / abs(p - b)
+                    for p in poles for q in poles if q != p)
+        assert least >= 0.1
+
+    def test_poles_on_every_candidate_corridor_refuse_the_default(self):
+        poles = [0] + [0.5 * np.exp(0.25j * np.pi * k) for k in range(8)]
+        F = FuchsianSystem(1, poles, [[[0.1]]] * len(poles))
+        with pytest.raises(DegenerateConfiguration, match="pass a basepoint"):
+            standard_loops(F)
+
+    def test_collinear_poles_take_few_panels(self, monkeypatch):
+        calls = []
+        original = monodromy._collocate
+
+        def counting(*args):
+            calls.append(None)
+            return original(*args)
+
+        monkeypatch.setattr(monodromy, "_collocate", counting)
+        A = [np.diag([0.3, -0.2]), np.diag([0.1, 0.25]), np.diag([-0.15, 0.05]),
+             np.diag([0.2, 0.1]), np.diag([-0.1, 0.3])]
+        F = FuchsianSystem(2, [-1, 0, 0.5, 1, 2], A)
+        rep = monodromy_rep(F, standard_loops(F))
+        # 210 from 3 exp(0.07i), whose corridor to 0 passes the pole 0.5 at 0.012 of its length
+        assert len(calls) <= 100
+        for M, Aj in zip(rep.matrices, A):
+            assert _relative(M, mat_exp(2j * np.pi * Aj)) < 1e-9
 
     def test_collinear_poles_rotate_the_default_basepoint(self):
         A = [np.diag([0.3, -0.2]), np.diag([0.1, 0.25]), np.diag([-0.15, 0.05])]
@@ -109,6 +157,15 @@ def test_segment_distance_is_the_least_over_the_segment(seg, nprng):
 
 
 class TestTransport:
+    def test_a_segment_past_the_panel_budget_misses_tol(self):
+        # exp(2 pi i 1e8) in closed form loses more than tol to rounding, and the circle
+        # turns 1e8 radians of phase: far more panels than MAX_PANELS
+        F = FuchsianSystem(1, [0], [[[1e8]]])
+        start = time.perf_counter()
+        with pytest.raises(ToleranceNotMet, match="panel attempts"):
+            transport(F, circle_loop(0, 1))
+        assert time.perf_counter() - start < 5.0
+
     def test_trivial_connection(self):
         F = FuchsianSystem(2, [0], [[[0, 0], [0, 0]]])
         T = transport(F, circle_loop(0, 1.0))
@@ -364,7 +421,9 @@ class TestSegmentReuse:
         assert solves == [lp.segments[0] for lp in loops]  # none for the circle at infinity
 
     def test_ill_conditioned_spoke_is_integrated_back(self, solves):
-        loop = standard_loops(STIFF_SPOKE)[1]
+        # from 3 exp(0.07i) the spoke to the pole -2 passes the pole 0 at 0.017 of its
+        # length, and its matrix is too ill conditioned to solve with
+        loop = standard_loops(STIFF_SPOKE, basepoint=3 * np.exp(0.07j))[1]
         transport(STIFF_SPOKE, loop)
         spoke = loop.segments[0]
         assert solves == [spoke, spoke.reversed()]
