@@ -11,6 +11,14 @@ be finite and positive.  ``--output -`` (the default) writes to standard
 output; when the output path cannot be written, the error verdict goes to
 standard output instead.
 
+One runner.  Each verb is a plain function of its parsed document and its
+options that returns ``(status, payload)``, registered by ``_verb(name, reads,
+tol)``.  The decorator gives it the INPUT argument, ``--output`` and, where the
+verb has a default tolerance ``tol``, ``--tol``; ``_run`` then resolves the
+tolerance, loads INPUT, refuses at ``/type`` a document of a known kind that is
+not in ``reads``, parses it with ``validate_schema``, calls the verb and prints
+the verdict, turning every expected exception into an error verdict.
+
 Start-up cost.  This module imports only click and ``serialization``; each
 verb imports the rest itself.  The exact verbs (``check-flat``, ``residues``,
 ``projectivize``, ``reconstruct``, ``lift-trace-free``, ``pullback``) load no
@@ -22,6 +30,7 @@ lifting are numpy code.  No verb imports sympy, on any input.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -31,6 +40,7 @@ import click
 
 from .errors import LogConnectError, SchemaViolation
 from .serialization import (
+    PARSERS,
     parse_loops,
     parse_ratfunc,
     matrix_to_json,
@@ -38,10 +48,10 @@ from .serialization import (
     validate_schema,
 )
 
-DEFAULT_TOL = 1e-10
+CONNECTIONS = ("fuchsian", "local_model", "log_connection")
 
 
-def _tolerance(opt, default=DEFAULT_TOL):
+def _tolerance(opt, default):
     """``--tol``, else LOGCONNECT_TOL, else the verb's default; finite and positive."""
     env = os.environ.get("LOGCONNECT_TOL")
     if opt is not None:
@@ -62,9 +72,9 @@ def _load(path):
         return json.load(fh)
 
 
-def _finish(status, payload, output, diagnostics=()):
-    text = json.dumps({"status": status, "payload": payload,
-                       "diagnostics": list(diagnostics)}, indent=2, sort_keys=True)
+def _finish(status, payload, output):
+    text = json.dumps({"status": status, "payload": payload, "diagnostics": []},
+                      indent=2, sort_keys=True)
     if output == "-":
         click.echo(text)
     else:
@@ -76,39 +86,24 @@ def _finish(status, payload, output, diagnostics=()):
     sys.exit({"ok": 0, "fail": 1}.get(status, 2))
 
 
-def _run(fn, output):
-    """Run an operation returning (status, payload); map errors to verdicts."""
+def _run(verb, reads, default_tol, path, output, options):
+    """Run ``verb`` on the document at ``path``, which must be one of the kinds
+    ``reads``, and print its verdict; expected exceptions become error verdicts."""
     try:
-        status, payload, notes = fn()
+        if default_tol is not None:
+            options["tol"] = _tolerance(options["tol"], default_tol)
+        doc = _load(path)
+        kind = doc.get("type") if isinstance(doc, dict) else None
+        if isinstance(kind, str) and kind in PARSERS and kind not in reads:
+            raise SchemaViolation("/type", f"expected one of: {', '.join(reads)}; got {kind!r}")
+        status, payload = verb(validate_schema(doc), **options)
     except SchemaViolation as exc:
         _finish("error", {"error": "SchemaViolation", "pointer": exc.pointer,
                           "message": exc.message}, output)
-    except LogConnectError as exc:
-        _finish("error", {"error": type(exc).__name__, "message": str(exc)}, output)
-    except (ValueError, OverflowError, json.JSONDecodeError, OSError) as exc:
+    except (LogConnectError, ValueError, OverflowError, OSError) as exc:
         _finish("error", {"error": type(exc).__name__, "message": str(exc)}, output)
     else:
-        _finish(status, payload, output, notes)
-
-
-def _parse_as(path, *types):
-    obj = validate_schema(_load(path))
-    if types and not isinstance(obj, types):
-        names = ", ".join(t.__name__ for t in types)
-        raise SchemaViolation("/type", f"expected one of: {names}")
-    return obj
-
-
-def _parse_connection(path):
-    """A ``fuchsian``, ``local_model`` or ``log_connection`` document."""
-    from .connections import FuchsianSystem, LocalModel, LogConnection
-
-    return _parse_as(path, FuchsianSystem, LocalModel, LogConnection)
-
-
-out_opt = click.option("--output", default="-", help="output path, '-' for stdout")
-tol_opt = click.option("--tol", default=None, type=float,
-                       help="tolerance (default from LOGCONNECT_TOL or 1e-10)")
+        _finish(status, payload, output)
 
 
 @click.group()
@@ -116,250 +111,194 @@ def main():
     """Flat logarithmic connections, monodromy and projective lifting."""
 
 
-@main.command("check-flat")
-@click.argument("input", type=str)
-@tol_opt
-@out_opt
-def check_flat(input, tol, output):
+def _verb(name, reads, tol=None):
+    """Register ``verb(document, **options) -> (status, payload)`` as the command
+    ``name``: INPUT, ``--tol`` when the verb has a default ``tol``, the options the
+    verb is decorated with, and ``--output``, all run through ``_run``."""
+    def register(verb):
+        @functools.wraps(verb)  # the docstring, and the verb's own click options
+        def command(input, output, **options):
+            _run(verb, reads, tol, input, output, options)
+
+        params = [click.Argument(["input"], type=str)]
+        if tol is not None:
+            params.append(click.Option(["--tol"], default=None, type=float,
+                                       help="tolerance (default from LOGCONNECT_TOL or 1e-10)"))
+        cmd = main.command(name, params=params)(command)
+        return click.option("--output", default="-", help="output path, '-' for stdout")(cmd)
+    return register
+
+
+@_verb("check-flat", CONNECTIONS, tol=1e-12)
+def check_flat(conn, tol):
     """Symbolic flatness verdict for a connection file."""
-    def op():
-        from .connections import flatness_check
+    from .connections import flatness_check
 
-        t = _tolerance(tol, 1e-12)
-        flat = flatness_check(_parse_connection(input), tol=t)
-        return ("ok" if flat else "fail"), {"flat": flat}, ()
-    _run(op, output)
+    flat = flatness_check(conn, tol=tol)
+    return ("ok" if flat else "fail"), {"flat": flat}
 
 
-@main.command("residues")
-@click.argument("input", type=str)
-@out_opt
-def residues_cmd(input, output):
+@_verb("residues", CONNECTIONS)
+def residues_cmd(conn):
     """All residue matrices (plus infinity for Fuchsian systems)."""
-    def op():
-        from .connections import FuchsianSystem, LocalModel, exact_residue
+    from .connections import FuchsianSystem, LocalModel, exact_residue
 
-        conn = _parse_connection(input)
-        # exact, each entry written correctly rounded
-        if isinstance(conn, (FuchsianSystem, LocalModel)):
-            mats = conn.residues
-        else:
-            mats = [exact_residue(conn, i) for i in range(len(conn.divisor))]
-        payload = {"residues": [matrix_to_json(R) for R in mats]}
-        if isinstance(conn, FuchsianSystem):
-            payload["infinity"] = matrix_to_json(conn.infinity_residue)
-        return "ok", payload, ()
-    _run(op, output)
+    # exact, each entry written correctly rounded
+    if isinstance(conn, (FuchsianSystem, LocalModel)):
+        mats = conn.residues
+    else:
+        mats = [exact_residue(conn, i) for i in range(len(conn.divisor))]
+    payload = {"residues": [matrix_to_json(R) for R in mats]}
+    if isinstance(conn, FuchsianSystem):
+        payload["infinity"] = matrix_to_json(conn.infinity_residue)
+    return "ok", payload
 
 
-@main.command("monodromy")
-@click.argument("input", type=str)
-@tol_opt
+@_verb("monodromy", CONNECTIONS, tol=1e-10)
 @click.option("--basepoint", default=None, type=str,
               help="basepoint as 're,im' (default: of the 8 points (1 + max|p|) "
                    "exp(i k pi/4), the one whose corridors pass farthest from the other "
                    "poles)")
 @click.option("--loops", "loops_path", default=None, type=str,
               help="loop override file (JSON list of loops)")
-@out_opt
-def monodromy_cmd(input, tol, basepoint, loops_path, output):
+def monodromy_cmd(conn, tol, basepoint, loops_path):
     """Numerical monodromy matrices over standard (or supplied) loops."""
-    def op():
-        from . import monodromy
-        from .connections import FuchsianSystem, LocalModel
+    from . import monodromy
+    from .connections import FuchsianSystem, LocalModel
 
-        t = _tolerance(tol)
-        conn = _parse_connection(input)
-        if loops_path is not None:
-            loops = parse_loops(_load(loops_path))
-        elif isinstance(conn, FuchsianSystem):
-            bp = None
-            if basepoint is not None:
-                try:
-                    re, im = (float(s) for s in basepoint.split(","))
-                except ValueError:
-                    raise ValueError(
-                        f"--basepoint must be two numbers 're,im', got {basepoint!r}") from None
-                bp = complex(re, im)
-                if not math.isfinite(abs(bp)):
-                    raise ValueError(f"--basepoint must be finite, got {basepoint!r}")
-            loops = monodromy.standard_loops(conn, basepoint=bp)
-        elif isinstance(conn, LocalModel) and conn.k == 1:
-            loops = [monodromy.circle_loop(0.0, 1.0)]
-        else:
-            raise SchemaViolation("", "supply --loops for this system kind")
-        rep = monodromy.monodromy_rep(conn, loops, tol=t)
-        payload = {"matrices": [matrix_to_json(M) for M in rep.matrices],
-                   "basepoint": [rep.basepoint.real, rep.basepoint.imag]}
-        if rep.infinity is not None:
-            payload["infinity"] = matrix_to_json(rep.infinity)
-            payload["composition_convention"] = rep.composition_convention
-            payload["order"] = list(rep.order)
-        return "ok", payload, ()
-    _run(op, output)
+    fuchsian = isinstance(conn, FuchsianSystem)
+    if basepoint is not None and (loops_path is not None or not fuchsian):
+        raise ValueError("--basepoint places the standard loops of a 'fuchsian' document; "
+                         + ("--loops gives its own" if loops_path is not None
+                            else "this document has none"))
+    if loops_path is not None:
+        loops = parse_loops(_load(loops_path))
+    elif fuchsian:
+        bp = None
+        if basepoint is not None:
+            try:
+                re, im = (float(s) for s in basepoint.split(","))
+            except ValueError:
+                raise ValueError(
+                    f"--basepoint must be two numbers 're,im', got {basepoint!r}") from None
+            bp = complex(re, im)
+            if not math.isfinite(abs(bp)):
+                raise ValueError(f"--basepoint must be finite, got {basepoint!r}")
+        loops = monodromy.standard_loops(conn, basepoint=bp)
+    elif isinstance(conn, LocalModel) and conn.k == 1:
+        loops = [monodromy.circle_loop(0.0, 1.0)]
+    else:
+        raise SchemaViolation("", "supply --loops for this system kind")
+    rep = monodromy.monodromy_rep(conn, loops, tol=tol)
+    payload = {"matrices": [matrix_to_json(M) for M in rep.matrices],
+               "basepoint": [rep.basepoint.real, rep.basepoint.imag]}
+    if rep.infinity is not None:
+        payload["infinity"] = matrix_to_json(rep.infinity)
+        payload["composition_convention"] = rep.composition_convention
+        payload["order"] = list(rep.order)
+    return "ok", payload
 
 
-@main.command("projectivize")
-@click.argument("input", type=str)
-@out_opt
-def projectivize_cmd(input, output):
+@_verb("projectivize", CONNECTIONS)
+def projectivize_cmd(conn):
     """Riccati coefficient extraction."""
-    def op():
-        from .projective import projectivize
+    from .projective import projectivize
 
-        return "ok", system_to_json(projectivize(_parse_connection(input))), ()
-    _run(op, output)
+    return "ok", system_to_json(projectivize(conn))
 
 
-@main.command("reconstruct")
-@click.argument("input", type=str)
+@_verb("reconstruct", ("riccati",))
 @click.option("--trace", "trace_json", default=None, type=str,
               help="trace 1-form file (JSON list of rational functions per variable)")
-@out_opt
-def reconstruct_cmd(input, trace_json, output):
+def reconstruct_cmd(ric, trace_json):
     """Unique linear system with given Riccati data and trace (default 0)."""
-    def op():
-        from .projective import RiccatiSystem, reconstruct
+    from .projective import reconstruct
 
-        ric = _parse_as(input, RiccatiSystem)
-        trace = None
-        if trace_json is not None:
-            doc = _load(trace_json)
-            if not isinstance(doc, list) or len(doc) != ric.n:
-                raise SchemaViolation("/trace", "expected one entry per chart variable")
-            trace = tuple(parse_ratfunc(e, ric.gens, f"/trace/{i}")[0]
-                          for i, e in enumerate(doc))
-        conn = reconstruct(ric, trace)
-        return "ok", system_to_json(conn), ()
-    _run(op, output)
+    trace = None
+    if trace_json is not None:
+        doc = _load(trace_json)
+        if not isinstance(doc, list) or len(doc) != ric.n:
+            raise SchemaViolation("/trace", "expected one entry per chart variable")
+        trace = tuple(parse_ratfunc(e, ric.gens, f"/trace/{i}")[0]
+                      for i, e in enumerate(doc))
+    return "ok", system_to_json(reconstruct(ric, trace))
 
 
-@main.command("lift-trace-free")
-@click.argument("input", type=str)
-@out_opt
-def lift_trace_free(input, output):
+@_verb("lift-trace-free", ("riccati",))
+def lift_trace_free(ric):
     """Trace-free linear lift of a Riccati system (verified flat)."""
-    def op():
-        from .projective import RiccatiSystem, trace_free_lift
+    from .projective import trace_free_lift
 
-        conn = trace_free_lift(_parse_as(input, RiccatiSystem))
-        return "ok", system_to_json(conn), ()
-    _run(op, output)
+    return "ok", system_to_json(trace_free_lift(ric))
 
 
-@main.command("predicates")
-@click.argument("input", type=str)
-@tol_opt
-@out_opt
-def predicates_cmd(input, tol, output):
+@_verb("predicates", ("matrix",), tol=1e-9)
+def predicates_cmd(M, tol):
     """Eigenvalue-separation and nonresonance predicates for a matrix file."""
-    def op():
-        import numpy as np
+    from . import algebra
 
-        from . import algebra
-
-        t = _tolerance(tol, 1e-9)
-        M = validate_schema(_load(input))
-        if not isinstance(M, np.ndarray):
-            raise SchemaViolation("/type", "expected a 'matrix' document")
-        pm = algebra.property_Pm(M, tol=t)
-        nr = algebra.nonresonant(M, tol=t)
-        status = "ok" if (pm and nr) else "fail"
-        return status, {"property_Pm": pm, "nonresonant": nr}, ()
-    _run(op, output)
+    pm = algebra.property_Pm(M, tol=tol)
+    nr = algebra.nonresonant(M, tol=tol)
+    return ("ok" if (pm and nr) else "fail"), {"property_Pm": pm, "nonresonant": nr}
 
 
-@main.command("pullback")
-@click.argument("input", type=str)
+@_verb("pullback", CONNECTIONS)
 @click.option("--var", default=0, type=int, help="chart variable index")
 @click.option("--nu", required=True, type=int, help="covering degree")
-@out_opt
-def pullback_cmd(input, var, nu, output):
+def pullback_cmd(conn, var, nu):
     """Pull back along x_var -> x_var^nu."""
-    def op():
-        from .connections import pullback_power
+    from .connections import pullback_power
 
-        out = pullback_power(_parse_connection(input), var, nu)
-        return "ok", system_to_json(out), ()
-    _run(op, output)
+    return "ok", system_to_json(pullback_power(conn, var, nu))
 
 
-@main.command("normalize")
-@click.argument("input", type=str)
+@_verb("normalize", CONNECTIONS)
 @click.option("--order", default=10, type=int, help="truncation order")
-@out_opt
-def normalize_cmd(input, order, output):
+def normalize_cmd(conn, order):
     """Poincare gauge series reducing A dx/x + tau(x) dx to its local model."""
-    def op():
-        from .connections import poincare_normalize
+    from .connections import poincare_normalize
 
-        gauge = poincare_normalize(_parse_connection(input), order=order)
-        return "ok", system_to_json(gauge), ()
-    _run(op, output)
+    return "ok", system_to_json(poincare_normalize(conn, order=order))
 
 
-@main.command("realize-local")
-@click.argument("input", type=str)
-@out_opt
-def realize_local(input, output):
+@_verb("realize-local", ("presentation",))
+def realize_local(pres):
     """Local model realizing a commuting presentation's generators."""
-    def op():
-        from . import lifting
+    from . import lifting
 
-        pres = _parse_as(input, lifting.ProjectivePresentation)
-        model = lifting.local_realize(pres.generator_list())
-        return "ok", system_to_json(model), ()
-    _run(op, output)
+    return "ok", system_to_json(lifting.local_realize(pres.generator_list()))
 
 
-@main.command("realize-fuchsian")
-@click.argument("input", type=str)
-@out_opt
-def realize_fuchsian_cmd(input, output):
+@_verb("realize-fuchsian", ("presentation",))
+def realize_fuchsian_cmd(pres):
     """Fuchsian system on the sphere realizing an abelian presentation."""
-    def op():
-        from . import lifting
+    from . import lifting
 
-        pres = _parse_as(input, lifting.ProjectivePresentation)
-        if pres.names and (pres.poles is None or len(pres.poles) != len(pres.names)):
-            raise SchemaViolation("/poles", f"expected one pole per generator, "
-                                            f"{len(pres.names)} in all")
-        system = lifting.realize_fuchsian(pres)
-        return "ok", system_to_json(system), ()
-    _run(op, output)
+    if pres.names and (pres.poles is None or len(pres.poles) != len(pres.names)):
+        raise SchemaViolation("/poles", f"expected one pole per generator, "
+                                        f"{len(pres.names)} in all")
+    return "ok", system_to_json(lifting.realize_fuchsian(pres))
 
 
-@main.command("lift-rep")
-@click.argument("input", type=str)
+@_verb("lift-rep", ("presentation",))
 @click.option("--nu", default=1, type=int, help="raise generators to this power first")
-@out_opt
-def lift_rep(input, nu, output):
+def lift_rep(pres, nu):
     """Lift a presentation to SL and report obstruction scalars."""
-    def op():
-        from . import lifting
+    from . import lifting
 
-        pres = _parse_as(input, lifting.ProjectivePresentation)
-        if pres.relations:
-            report = lifting.verify_lift_after_power(pres, nu)
-        else:
-            report = lifting.lift_commuting(pres.powered(nu).generator_list())
-        status = "ok" if report.success else "fail"
-        return status, system_to_json(report), ()
-    _run(op, output)
+    if pres.relations:
+        report = lifting.verify_lift_after_power(pres, nu)
+    else:
+        report = lifting.lift_commuting(pres.powered(nu).generator_list())
+    return ("ok" if report.success else "fail"), system_to_json(report)
 
 
-@main.command("exponent")
-@click.argument("input", type=str)
-@out_opt
-def exponent_cmd(input, output):
+@_verb("exponent", ("presentation",))
+def exponent_cmd(pres):
     """Lifting exponent: lcm of orders of finite-order eigenvalue ratios."""
-    def op():
-        from . import lifting
+    from . import lifting
 
-        pres = _parse_as(input, lifting.ProjectivePresentation)
-        nu = lifting.lifting_exponent([g.canonical for g in pres.generator_list()])
-        return "ok", {"nu": nu}, ()
-    _run(op, output)
+    return "ok", {"nu": lifting.lifting_exponent([g.canonical for g in pres.generator_list()])}
 
 
 if __name__ == "__main__":

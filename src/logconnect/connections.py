@@ -290,13 +290,9 @@ class GaugeSeries:
         object.__setattr__(self, "order", len(coeffs) - 1)
 
 
-def _as_connection(C) -> LogConnection:
-    return C.to_log_connection()
-
-
 def flatness_check(C, tol: float = 1e-12) -> bool:
     """Symbolic integrability test: the 2-form d(omega) - omega ^ omega vanishes."""
-    conn = _as_connection(C)
+    conn = C.to_log_connection()
     if conn.n == 1:
         return True
     m = conn.m
@@ -342,7 +338,7 @@ def exact_residue(C, branch, tol: float = 1e-10) -> tuple:
         return C.infinity_residue
     if isinstance(C, _Residues):
         return C.residues[branch]
-    conn = _as_connection(C)
+    conn = C.to_log_connection()
     var, value = conn.divisor[branch]
     line = branch_line(conn.gens, var, value)
 
@@ -406,7 +402,7 @@ def pullback_power(C, var: int, nu: int):
         if isinstance(C, FuchsianSystem):
             return FuchsianSystem(C.m, C.poles, scaled, exact=C.exact)
         return LocalModel(C.m, scaled, n=C.n, exact=C.exact)
-    conn = _as_connection(C)
+    conn = C.to_log_connection()
     branches = [b for b in conn.divisor if b[0] == var]
     if any(c for _, c in branches):
         raise UnsupportedBranch(
@@ -475,7 +471,7 @@ def poincare_normalize(C, order: int = 10, tol: float = 1e-8) -> GaugeSeries:
 
     if order < 0:
         raise ValueError("order must be >= 0")
-    A, taus = _series_parts(_as_connection(C))
+    A, taus = _series_parts(C.to_log_connection())
     if not algebra.nonresonant(A):
         raise ResonantResidue(
             "residue has an eigenvalue pair differing by a positive integer"
@@ -507,7 +503,7 @@ def poincare_defect(C, gauge: GaugeSeries) -> float:
     """
     import numpy as np
 
-    return _defect(*_series_parts(_as_connection(C)), np.array(gauge.coefficients))
+    return _defect(*_series_parts(C.to_log_connection()), np.array(gauge.coefficients))
 
 
 def _toeplitz(Y, rows: int, cols: int):

@@ -33,7 +33,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .algebra import TWO_PI, ProjectiveClass, proj_equal
-from .connections import FuchsianSystem, LocalModel, _as_connection
+from .connections import FuchsianSystem, LocalModel
 from .errors import (
     DegenerateConfiguration,
     PoleProximity,
@@ -145,8 +145,6 @@ class MonodromyRep:
     """
 
     basepoint: complex
-    loops: tuple
-    names: tuple
     matrices: tuple
     composition_convention: str = "antirepresentation"
     infinity: object = None
@@ -180,19 +178,24 @@ def standard_loops(F: FuchsianSystem, basepoint=None):
     basepoint is, of the 8 points R exp(i k pi/4) with R = 1 + max|p|, the one whose
     least relative corridor gap (``_corridor_gaps``) is largest, the first on a tie:
     collocation on a panel converges at a rate set by the nearest pole, so a corridor
-    that grazes a pole needs narrow panels there.  Every candidate lies on the circle
-    |x| = R, so the loop at infinity is that circle; one pole keeps R itself.
+    that grazes a pole needs narrow panels there.  When all 8 are crowded, the same
+    choice is made among the 8 turned by pi/8 before the default is refused.  Every
+    candidate lies on the circle |x| = R, so the loop at infinity is that circle; one
+    pole keeps R itself.
     """
     poles = F.pole_array.tolist()
     defaulted = basepoint is None
     if defaulted:
-        # rounded, so that the four on the axes are exact
-        turns = np.exp(0.25j * np.pi * np.arange(8)).round(15)
-        candidates = (1.0 + max(abs(p) for p in poles)) * turns
-        gaps = _corridor_gaps(candidates, poles)
-        # rounded, so that mirror-image candidates tie and the first of them is kept
-        best = int(np.argmax(gaps.min(axis=(1, 2)).round(12)))
-        basepoint, gaps = complex(candidates[best]), gaps[best]
+        R = 1.0 + max(abs(p) for p in poles)
+        for offset in (0.0, 0.5):  # the second ring only when the first is all crowded
+            # rounded, so that the four on the axes are exact
+            turns = np.exp(0.25j * np.pi * (np.arange(8) + offset)).round(15)
+            gaps = _corridor_gaps(R * turns, poles)
+            # rounded, so that mirror-image candidates tie and the first of them is kept
+            best = int(np.argmax(gaps.min(axis=(1, 2)).round(12)))
+            basepoint, gaps = complex(R * turns[best]), gaps[best]
+            if gaps.min() >= CORRIDOR_CLEARANCE:
+                break
     else:
         basepoint = complex(basepoint)
         if any(abs(basepoint - p) < 1e-9 for p in poles):
@@ -233,7 +236,7 @@ def _poles_of(C):
         return C.pole_array.tolist()
     if isinstance(C, LocalModel):
         return [0.0]
-    conn = _as_connection(C)
+    conn = C.to_log_connection()
     if conn.n != 1:
         return []
     return [to_complex(c) for _, c in conn.divisor]
@@ -256,7 +259,7 @@ def _omega_callable(C):
             )
         A = C.residue_array(0)
         return lambda x, dx: A * (dx / x)[..., None, None]
-    conn = _as_connection(C)
+    conn = C.to_log_connection()
     if conn.n != 1:
         raise ValueError("transport is defined for one-variable charts")
     omega = conn.component_callable(0)
@@ -553,9 +556,7 @@ def monodromy_rep(C, loops, tol: float = 1e-10) -> MonodromyRep:
         around, outward = _infinity_loop(_poles_of(C), bp)
         infinity = transport(C, around, tol)
         order = _spoke_order(loops, outward)
-    names = tuple(f"p{i}" for i in range(len(loops)))
-    return MonodromyRep(basepoint=bp, loops=tuple(loops), names=names,
-                        matrices=tuple(mats), infinity=infinity, order=order)
+    return MonodromyRep(basepoint=bp, matrices=tuple(mats), infinity=infinity, order=order)
 
 
 def projective_monodromy(C, loops, tol: float = 1e-10) -> MonodromyRep:

@@ -15,7 +15,7 @@ it; fixing the trace recovers omega uniquely.
 
 from __future__ import annotations
 
-from .connections import LogConnection, flatness_check, _as_connection
+from .connections import LogConnection, flatness_check
 from .errors import NonIntegrable
 from .ratfunc import RationalFunction
 
@@ -60,7 +60,7 @@ def _with_diagonal(comp, diagonal):
 
 def projectivize(C) -> RiccatiSystem:
     """The Riccati data of a linear connection: omega - omega_{m,m} I."""
-    conn = _as_connection(C)
+    conn = C.to_log_connection()
     last = conn.m - 1
     zero = RationalFunction.zero(conn.gens)
     comps = [

@@ -385,7 +385,7 @@ def validate_schema(doc):
     if not isinstance(doc, dict):
         raise SchemaViolation("", "expected a JSON object")
     kind = doc.get("type")
-    if kind not in PARSERS:
+    if not isinstance(kind, str) or kind not in PARSERS:
         raise SchemaViolation(
             "/type", f"unknown or missing type; expected one of {sorted(PARSERS)}"
         )

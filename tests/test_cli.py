@@ -166,6 +166,96 @@ def test_unknown_type_is_error():
     assert "/type" in result.output
 
 
+CONNECTIONS = ("fuchsian", "local_model", "log_connection")
+# the document kinds each verb reads, and one fixture of each kind
+READS = {"check-flat": CONNECTIONS, "residues": CONNECTIONS, "monodromy": CONNECTIONS,
+         "projectivize": CONNECTIONS, "reconstruct": ("riccati",),
+         "lift-trace-free": ("riccati",), "predicates": ("matrix",), "pullback": CONNECTIONS,
+         "normalize": CONNECTIONS, "realize-local": ("presentation",),
+         "realize-fuchsian": ("presentation",), "lift-rep": ("presentation",),
+         "exponent": ("presentation",)}
+SAMPLES = {"fuchsian": "fuchsian_quarter.json", "local_model": "local_model_commuting.json",
+           "log_connection": "normalize_tau.json", "riccati": "riccati_from_fuchsian.json",
+           "presentation": "presentation_diagonal.json", "matrix": "matrix_pm_ok.json"}
+REQUIRED = {"pullback": ["--nu", "2"]}
+
+
+@pytest.mark.parametrize("verb, kind", [(v, k) for v, kinds in READS.items()
+                                        for k in SAMPLES if k not in kinds])
+def test_a_document_of_another_kind_is_refused_at_type(verb, kind):
+    result = invoke([verb, SAMPLES[kind], *REQUIRED.get(verb, [])])
+    assert result.exit_code == 2, result.output
+    payload = json.loads(result.output)["payload"]
+    assert (payload["error"], payload["pointer"]) == ("SchemaViolation", "/type")
+    assert payload["message"].startswith(f"expected one of: {', '.join(READS[verb])};")
+    assert repr(kind) in payload["message"]
+
+
+@pytest.mark.parametrize("verb", READS)
+def test_a_document_of_a_read_kind_is_not_refused_at_type(verb):
+    for kind in READS[verb]:
+        result = invoke([verb, SAMPLES[kind], *REQUIRED.get(verb, [])])
+        assert json.loads(result.output)["payload"].get("pointer") != "/type", result.output
+
+
+@pytest.mark.parametrize("doc", [[], "fuchsian", {"rank": 1}, {"type": ["fuchsian"]},
+                                 {"type": {"kind": "matrix"}}, {"type": None}])
+def test_a_document_without_a_known_type_keeps_the_schema_error(tmp_path, doc):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    result = invoke(["predicates", str(path)])
+    assert result.exit_code == 2, result.output
+    payload = json.loads(result.output)["payload"]
+    assert payload["error"] == "SchemaViolation"
+    assert payload["pointer"] == ("" if not isinstance(doc, dict) else "/type")
+
+
+# each verb's parameters in order: (name, default, or "required")
+SURFACE = {
+    "check-flat": [("input", "required"), ("tol", None), ("output", "-")],
+    "residues": [("input", "required"), ("output", "-")],
+    "monodromy": [("input", "required"), ("tol", None), ("basepoint", None),
+                  ("loops_path", None), ("output", "-")],
+    "projectivize": [("input", "required"), ("output", "-")],
+    "reconstruct": [("input", "required"), ("trace_json", None), ("output", "-")],
+    "lift-trace-free": [("input", "required"), ("output", "-")],
+    "predicates": [("input", "required"), ("tol", None), ("output", "-")],
+    "pullback": [("input", "required"), ("var", 0), ("nu", "required"), ("output", "-")],
+    "normalize": [("input", "required"), ("order", 10), ("output", "-")],
+    "realize-local": [("input", "required"), ("output", "-")],
+    "realize-fuchsian": [("input", "required"), ("output", "-")],
+    "lift-rep": [("input", "required"), ("nu", 1), ("output", "-")],
+    "exponent": [("input", "required"), ("output", "-")],
+}
+
+
+def test_the_cli_surface_is_pinned():
+    from logconnect.serialization import PARSERS
+
+    assert list(main.commands) == list(SURFACE) == list(READS)
+    for name, command in main.commands.items():
+        got = [(p.name, "required" if p.required else p.default) for p in command.params]
+        assert got == SURFACE[name], name
+    # every document kind is read by some verb, and has a sample for the refusal test
+    assert {k for kinds in READS.values() for k in kinds} == set(SAMPLES) == set(PARSERS)
+    for kind, name in SAMPLES.items():
+        assert json.loads((FIXTURES / name).read_text())["type"] == kind
+
+
+@pytest.mark.parametrize("args, conflict", [
+    (["fuchsian_quarter.json", "--loops", "loops_unit_circle.json", "--basepoint", "5,5"],
+     "--loops"),
+    (["local_model_commuting.json", "--basepoint", "5,5"], "'fuchsian'"),
+    (["normalize_tau.json", "--basepoint", "5,5"], "'fuchsian'"),
+], ids=["with-loops", "local-model", "log-connection"])
+def test_a_basepoint_that_places_no_loop_is_refused(args, conflict):
+    result = invoke(["monodromy", *args])
+    assert result.exit_code == 2, result.output
+    payload = json.loads(result.output)["payload"]
+    assert payload["error"] == "ValueError"
+    assert "--basepoint" in payload["message"] and conflict in payload["message"]
+
+
 def test_monodromy_matches_residue_exponential():
     result = invoke(["monodromy", "fuchsian_quarter.json"])
     payload = json.loads(result.output)["payload"]

@@ -150,6 +150,33 @@ def test_riccati_fields_are_named_in_one_place():
     assert set(named) == {"serialization.py"}, named
 
 
+CLI = PACKAGE / "cli.py"
+# the calls that only the runner makes: ``_verb`` registers each command (``main.command``)
+# to call ``_run``, and ``_run`` parses the document
+RUNNER_CALLS = {"command": ["_verb"], "_run": ["_verb"], "validate_schema": ["_run"]}
+
+
+def test_every_verb_joins_through_the_runner():
+    """A command of cli.py is a plain function registered by ``_verb``: it defines no
+    function of its own, and no function but the runner registers a command, calls
+    ``_run`` or parses a document, so a new verb can only join through the runner."""
+    tree = ast.parse(CLI.read_text(), filename=str(CLI))
+    commands = [f for f in tree.body if isinstance(f, ast.FunctionDef)
+                and any(isinstance(d, ast.Call) and called_name(d) == "_verb"
+                        for d in f.decorator_list)]
+    assert len(commands) > 1
+    nested = {f.name: lines for f in commands if (lines := [
+        n.lineno for n in ast.walk(f) if n is not f
+        and isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda))])}
+    assert not nested, f"functions defined inside a command: {nested}"
+    callers = {name: [] for name in RUNNER_CALLS}
+    for stmt in tree.body:
+        for n in ast.walk(stmt):
+            if isinstance(n, ast.Call) and called_name(n) in callers:
+                callers[called_name(n)].append(getattr(stmt, "name", None))
+    assert callers == RUNNER_CALLS, callers
+
+
 # the functions of ratfunc that may reach sympy, each on call: the reader of sympy
 # numbers (through an already loaded sympy), and the sympy numbers that
 # ``Polynomial.all_coeffs`` and ``terms`` return, which the benchmark's checker reads

@@ -80,8 +80,22 @@ class TestStandardLoops:
                     for p in poles for q in poles if q != p)
         assert least >= 0.1
 
-    def test_poles_on_every_candidate_corridor_refuse_the_default(self):
+    def test_poles_on_every_first_ring_corridor_take_the_second_ring(self):
+        # from each R exp(i k pi/4) the corridor to 0 runs through a pole of the ring
         poles = [0] + [0.5 * np.exp(0.25j * np.pi * k) for k in range(8)]
+        F = FuchsianSystem(1, poles, [[[0.1]]] * len(poles))
+        b = standard_loops(F)[0].basepoint
+        assert b == pytest.approx(1.5 * np.exp(0.125j * np.pi), rel=1e-14)
+        least = min(LineSegment(b, p).distance(q) / abs(p - b)
+                    for p in poles for q in poles if q != p)
+        assert least >= monodromy.CORRIDOR_CLEARANCE
+        rep = monodromy_rep(F, standard_loops(F))
+        assert all(abs(M[0, 0] - np.exp(0.2j * np.pi)) < 1e-9 for M in rep.matrices)
+        assert relation_check(rep)
+
+    def test_poles_on_every_candidate_corridor_refuse_the_default(self):
+        # the poles at 0.5 exp(i k pi/8) stand on the corridors to 0 of both rings
+        poles = [0] + [0.5 * np.exp(0.125j * np.pi * k) for k in range(16)]
         F = FuchsianSystem(1, poles, [[[0.1]]] * len(poles))
         with pytest.raises(DegenerateConfiguration, match="pass a basepoint"):
             standard_loops(F)
@@ -286,8 +300,7 @@ class TestRelationCheck:
 
     def test_violating_rep(self):
         bad = MonodromyRep(
-            basepoint=2.0, loops=(), names=("p0",),
-            matrices=(np.diag([2.0, 1.0]),), infinity=np.eye(2),
+            basepoint=2.0, matrices=(np.diag([2.0, 1.0]),), infinity=np.eye(2),
         )
         assert not relation_check(bad)
 
