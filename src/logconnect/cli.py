@@ -113,8 +113,8 @@ def main():
 
 def _verb(name, reads, tol=None):
     """Register ``verb(document, **options) -> (status, payload)`` as the command
-    ``name``: INPUT, ``--tol`` when the verb has a default ``tol``, the options the
-    verb is decorated with, and ``--output``, all run through ``_run``."""
+    ``name``: INPUT, ``--tol`` when the verb has a default ``tol`` (its help names it),
+    the options the verb is decorated with, and ``--output``, all run through ``_run``."""
     def register(verb):
         @functools.wraps(verb)  # the docstring, and the verb's own click options
         def command(input, output, **options):
@@ -123,7 +123,7 @@ def _verb(name, reads, tol=None):
         params = [click.Argument(["input"], type=str)]
         if tol is not None:
             params.append(click.Option(["--tol"], default=None, type=float,
-                                       help="tolerance (default from LOGCONNECT_TOL or 1e-10)"))
+                                       help=f"tolerance (default from LOGCONNECT_TOL or {tol:g})"))
         cmd = main.command(name, params=params)(command)
         return click.option("--output", default="-", help="output path, '-' for stdout")(cmd)
     return register
@@ -286,19 +286,20 @@ def lift_rep(pres, nu):
     """Lift a presentation to SL and report obstruction scalars."""
     from . import lifting
 
-    if pres.relations:
-        report = lifting.verify_lift_after_power(pres, nu)
-    else:
-        report = lifting.lift_commuting(pres.powered(nu).generator_list())
+    report = lifting.verify_lift_after_power(pres, nu)
     return ("ok" if report.success else "fail"), system_to_json(report)
 
 
 @_verb("exponent", ("presentation",))
 def exponent_cmd(pres):
-    """Lifting exponent: lcm of orders of finite-order eigenvalue ratios."""
+    """Lifting exponent: the least power nu <= rank whose lifts make every word scalar 1."""
     from . import lifting
 
-    return "ok", {"nu": lifting.lifting_exponent([g.canonical for g in pres.generator_list()])}
+    nu = lifting.lifting_exponent(pres)
+    if nu is None:
+        return "fail", {"nu": None,
+                        "message": f"no power nu in 1..{pres.m} makes every word scalar 1"}
+    return "ok", {"nu": nu}
 
 
 if __name__ == "__main__":

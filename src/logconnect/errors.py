@@ -54,10 +54,6 @@ class NonDiagonalizableFamily(LogConnectError):
     """Commuting lifts are not simultaneously diagonalizable within tolerance."""
 
 
-class OrderOverflow(LogConnectError):
-    """Eigenvalue ratio looks like a root of unity of order above the search bound."""
-
-
 class NonAbelianUnsupported(LogConnectError):
     """Presentation generators do not commute pairwise; realization unsupported."""
 

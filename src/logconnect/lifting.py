@@ -2,11 +2,14 @@
 
 A representation lifts to SL when each obstruction scalar is 1: the lambda with
 K = lambda I for the value K of a relation word in the canonical SL lifts, an
-m-th root of unity.  ``_lift`` alone evaluates words and reads their scalars; a
-commuting tuple is lifted with its commutator words.  Local models realizing
-commuting classes are built from branch-normalized logarithms; the lifting
-exponent is the lcm of the orders of finite-order eigenvalue ratios, and raising
-generators to that power kills the obstruction.  The realizations check
+m-th root of unity.  ``_lift`` alone evaluates words and reads their scalars: a
+presentation's relation words, or the commutator words of its generators when it
+has none.  The simple loops of a degree-nu pull-back map to nu-th powers, so
+``verify_lift_after_power`` lifts the nu-th powers of the generators, and the
+lifting exponent is the least nu in 1..m whose lifts make every word scalar 1;
+for commutators nu = m always does, since lambda^m = 1 and the powers' scalar is
+lambda^(nu^2).  Local models realizing commuting classes are built from
+branch-normalized logarithms.  The realizations check
 themselves in closed form: their residues commute, so the loop around a branch
 has monodromy exp(2 pi i A_j), and nothing here transports.  Only the two
 realizations build systems, so only they import ``connections``.
@@ -15,19 +18,16 @@ realizations build systems, so only they import ``connections``.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, permutations
-from math import lcm
+from itertools import combinations
 
 import numpy as np
 
-from . import algebra
 from .algebra import TWO_PI, ProjectiveClass, proj_equal, property_Pm
 from .errors import (
     DimensionMismatch,
     NonAbelianUnsupported,
     NonDiagonalizableFamily,
     NotProjectivelyCommuting,
-    OrderOverflow,
     ToleranceNotMet,
 )
 
@@ -45,8 +45,6 @@ TOL = 1e-8  # relative: a word is scalar, its lambda^m = 1 and lambda = 1; the c
 RELATION_TOL = 1e-9  # relative: a presentation's relation words hold projectively
 REALIZE_TOL = 1e-7  # relative: a realization's exp(2 pi i A_j) reproduces class j
 ATTEMPTS = 8  # random combinations tried for a common eigenbasis
-K_MAX = 360  # largest order searched for a unit eigenvalue ratio
-ORDER_TOL = 1e-9  # a ratio on the unit circle, and k theta an integer, within this
 
 
 @dataclass(frozen=True)
@@ -240,35 +238,35 @@ def local_realize(tuple_of_classes) -> LocalModel:
     return model
 
 
-def lifting_exponent(lifts) -> int:
-    """lcm of the orders (at most ``K_MAX``) of finite-order eigenvalue ratios across
-    the lifts."""
-    orders = set()
-    for M in lifts:
-        for a, b in permutations(np.linalg.eigvals(algebra.as_matrix(M)), 2):
-            r = a / b
-            if abs(abs(r) - 1.0) > ORDER_TOL:
-                continue  # off the unit circle: infinite order, not collected
-            theta = np.angle(r) / TWO_PI
-            for k in range(1, K_MAX + 1):
-                if abs(k * theta - round(k * theta)) < ORDER_TOL * max(1, k):
-                    orders.add(k)
-                    break
-            else:
-                raise OrderOverflow(
-                    f"eigenvalue ratio looks like a root of unity of order > {K_MAX}"
-                )
-    return lcm(*orders) if orders else 1
-
-
 def verify_lift_after_power(P: ProjectivePresentation, nu: int) -> LiftReport:
-    """Replace generators by their nu-th powers, re-lift, re-evaluate relations.
+    """Replace generators by their nu-th powers, re-lift, re-evaluate the relation
+    words, or lift the powers with ``lift_commuting`` when ``P`` has no relations.
 
     Models the ramified-cover pullback group-theoretically: simple loops of the
-    cover map to nu-th powers of the original simple loops.
+    cover map to nu-th powers of the original simple loops.  A powered relation
+    that does not hold projectively raises ``ValueError``.
     """
     powered = P.powered(nu)
+    if not powered.relations:
+        return lift_commuting(powered.generator_list())
     return _lift(powered.generators, powered.relations)
+
+
+def lifting_exponent(P: ProjectivePresentation) -> int | None:
+    """The least nu in 1..m for which ``verify_lift_after_power(P, nu)`` succeeds, or
+    None when none does (only possible with relations).
+
+    A nu whose powered relations do not hold projectively raises a ``ValueError``
+    that names it.
+    """
+    for nu in range(1, P.m + 1):
+        try:
+            report = verify_lift_after_power(P, nu)
+        except ValueError as exc:
+            raise ValueError(f"at nu = {nu}: {exc}") from None
+        if report.success:
+            return nu
+    return None
 
 
 def realize_fuchsian(P: ProjectivePresentation, poles=None,

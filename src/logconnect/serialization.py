@@ -4,12 +4,12 @@ Complex scalars serialize as two-element arrays [re, im]; matrices as
 row-major nested arrays.  On input, each part of a scalar may also be a
 string fraction like "1/3" to request exact coefficients; output always
 emits numbers.  Numbers must be finite and ranks integers >= 1; a pole,
-residue or branch value, which verbs also read as a float, must be within
-float range.  Rational
-functions are {num, den} maps from keys "e1,...,en" (exponents >= 0) to
-scalars, read directly into ``ratfunc`` polynomials over the Gaussian
-rationals, whose generators are the distinct names in ``"vars"``; each
-emitted coefficient part is the correctly rounded float of its exact value.
+residue, branch value or rational-function coefficient, which verbs also read
+as a float, must be within float range.  Rational functions are {num, den}
+maps from keys "e1,...,en" (exponents >= 0) to scalars, read directly into
+``ratfunc`` polynomials over the Gaussian rationals, whose generators are the
+distinct names in ``"vars"``; each emitted coefficient part is the correctly
+rounded float of its exact value.
 
 In the exact kinds every scalar (pole, residue, branch value, coefficient) is
 read by ``parse_scalar`` to its ``GaussianRational`` as written, a float part
@@ -84,8 +84,9 @@ def parse_scalar(value, pointer=""):
 
 
 def _parse_value(value, pointer):
-    """``parse_scalar`` of a residue or branch value, which verbs also read as a float:
-    one beyond float range is refused here, as a ``fuchsian`` pole is by its system."""
+    """``parse_scalar`` of a residue, branch value or coefficient, which verbs also read
+    as a float: one beyond float range is refused here, as a ``fuchsian`` pole is by
+    its system."""
     _complex(value, pointer)
     return parse_scalar(value, pointer)
 
@@ -168,7 +169,7 @@ def parse_ratfunc(doc, gens, pointer):
                 raise SchemaViolation(f"{ptr}/{key}", "monomial arity mismatch")
             if min(exps) < 0:
                 raise SchemaViolation(f"{ptr}/{key}", "negative exponent")
-            c, ex = parse_scalar(val, f"{ptr}/{key}")
+            c, ex = _parse_value(val, f"{ptr}/{key}")
             exact = exact and ex
             coeffs[exps] = coeffs.get(exps, ZERO) + c
         return from_terms(coeffs, gens), exact

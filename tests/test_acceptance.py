@@ -194,7 +194,7 @@ def test_heisenberg_lifting_exponent(capfd):
     rep1 = verify_lift_after_power(P, 1)
     assert not rep1.success
     assert any(abs(lam + 1) < 1e-12 for lam in rep1.obstruction_scalars)
-    nu = lifting_exponent([g.canonical for g in P.generator_list()])
+    nu = lifting_exponent(P)
     assert nu == 2
     rep2 = verify_lift_after_power(P, 2)
     assert rep2.success

@@ -242,6 +242,20 @@ def test_the_cli_surface_is_pinned():
         assert json.loads((FIXTURES / name).read_text())["type"] == kind
 
 
+# the default tolerance of each verb that takes --tol
+DEFAULT_TOL = {"check-flat": 1e-12, "monodromy": 1e-10, "predicates": 1e-9}
+
+
+@pytest.mark.parametrize("verb", list(SURFACE))
+def test_tol_help_names_the_verbs_own_default(verb):
+    result = CliRunner().invoke(main, [verb, "--help"])
+    assert result.exit_code == 0, result.output
+    assert ("--tol" in result.output) == (("tol", None) in SURFACE[verb]) == (verb in DEFAULT_TOL)
+    if verb in DEFAULT_TOL:
+        help_text = " ".join(result.output.split())
+        assert f"default from LOGCONNECT_TOL or {DEFAULT_TOL[verb]:g})" in help_text, help_text
+
+
 @pytest.mark.parametrize("args, conflict", [
     (["fuchsian_quarter.json", "--loops", "loops_unit_circle.json", "--basepoint", "5,5"],
      "--loops"),
@@ -351,10 +365,51 @@ def test_tolerance_env_var_respected():
     assert result.exit_code == 0
 
 
+# the lifting exponent of every fixture presentation: the diagonal pair commutes, and
+# the swap and flip commute up to -1, which their squares' scalar (-1)^(2^2) kills
+EXPONENTS = {"presentation_diagonal.json": 1, "presentation_heisenberg.json": 2}
+
+
 def test_exponent_payload():
-    result = invoke(["exponent", "presentation_heisenberg.json"])
+    docs = {p.name: json.loads(p.read_text()) for p in FIXTURES.glob("*.json")}
+    assert {name for name, doc in docs.items()
+            if isinstance(doc, dict) and doc.get("type") == "presentation"} == set(EXPONENTS)
+    for fixture, nu in EXPONENTS.items():
+        result = invoke(["exponent", fixture])
+        assert result.exit_code == 0, result.output
+        assert json.loads(result.output)["payload"] == {"nu": nu}, fixture
+        # nu lifts, and no smaller power does
+        assert [invoke(["lift-rep", fixture, "--nu", str(k)]).exit_code
+                for k in range(1, nu + 1)] == [1] * (nu - 1) + [0], fixture
+
+
+def test_exponent_of_relations_that_no_power_lifts_is_a_fail(tmp_path):
+    # a b = 1 holds at every power, and the canonical lifts of a^nu and b^nu multiply
+    # to -I for nu = 1, 2
+    a = np.diag([np.exp(1j * np.pi / 4), np.exp(-1j * np.pi / 4)])
+    path = tmp_path / "inverse_pair.json"
+    path.write_text(json.dumps({**_presentation_json(a, np.linalg.inv(a)),
+                                "relations": [["a", "b"]]}))
+    result = invoke(["exponent", str(path)])
+    assert result.exit_code == 1, result.output
     payload = json.loads(result.output)["payload"]
-    assert payload["nu"] == 2
+    assert payload["nu"] is None and "1..2" in payload["message"]
+
+
+def test_exponent_names_the_power_that_breaks_a_relation(tmp_path):
+    # a b c = 1 holds with scalar -1 in the lifts, and fails projectively for the squares
+    a, b = np.array([[0.0, 1.0], [-1.0, 0.0]]), np.array([[1.0, 1.0], [0.0, 1.0]])
+    doc = {**_presentation_json(a, b), "relations": [["a", "b", "c"]]}
+    doc["generators"]["c"] = _matrix_json(np.linalg.inv(a @ b))
+    path = tmp_path / "product.json"
+    path.write_text(json.dumps(doc))
+    result = invoke(["exponent", str(path)])
+    assert result.exit_code == 2, result.output
+    payload = json.loads(result.output)["payload"]
+    assert payload["error"] == "ValueError"
+    assert payload["message"].startswith("at nu = 2: relation")
+    powered = json.loads(invoke(["lift-rep", str(path), "--nu", "2"]).output)["payload"]
+    assert payload["message"] == f"at nu = 2: {powered['message']}"
 
 
 def test_lift_rep_obstruction_reported():
@@ -486,6 +541,43 @@ def test_scalar_beyond_float_range_is_schema_error(tmp_path, part, kind):
     result = invoke([verb, str(path)])
     assert result.exit_code == 2, result.output
     assert json.loads(result.output)["payload"]["pointer"] == pointer
+
+
+HUGE = 10 ** 400
+
+
+def _huge_coefficient(kind):
+    """A fixture of ``kind`` with one numerator coefficient replaced by HUGE, and the
+    pointer to it."""
+    if kind == "log_connection":
+        doc = json.loads((FIXTURES / "normalize_tau.json").read_text())
+        doc["components"][0][1][1]["num"]["0"] = [HUGE, 0]
+        return doc, "/components/0/1/1/num/0"
+    doc = json.loads((FIXTURES / "riccati_from_fuchsian.json").read_text())
+    doc["b"][0][0]["num"]["0"] = [0, HUGE]
+    return doc, "/b/0/0/num/0"
+
+
+@pytest.mark.parametrize("verb, kind", [(v, k) for v, kinds in READS.items() for k in kinds
+                                        if k in ("log_connection", "riccati")])
+def test_coefficient_beyond_float_range_is_schema_error(tmp_path, verb, kind):
+    # refused where the document is read, before any verb computes with it
+    doc, pointer = _huge_coefficient(kind)
+    path = tmp_path / "huge.json"
+    path.write_text(json.dumps(doc))
+    result = invoke([verb, str(path), *REQUIRED.get(verb, [])])
+    assert result.exit_code == 2, result.output
+    payload = json.loads(result.output)["payload"]
+    assert (payload["error"], payload["pointer"]) == ("SchemaViolation", pointer)
+
+
+def test_trace_coefficient_beyond_float_range_is_schema_error(tmp_path):
+    trace = tmp_path / "trace.json"
+    trace.write_text(json.dumps([{"num": {"0": [f"{HUGE}/3", 0]}, "den": {"1": [1, 0]}}]))
+    result = invoke(["reconstruct", "riccati_from_fuchsian.json", "--trace", str(trace)])
+    assert result.exit_code == 2, result.output
+    payload = json.loads(result.output)["payload"]
+    assert (payload["error"], payload["pointer"]) == ("SchemaViolation", "/trace/0/num/0")
 
 
 def test_riccati_missing_offdiag_is_schema_error(tmp_path):

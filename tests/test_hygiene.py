@@ -133,6 +133,38 @@ def test_obstruction_scalars_are_read_in_one_place():
     assert knobs == {"realize_fuchsian", "_diagonal", "_closed_form_monodromy"}, knobs
 
 
+ERRORS = PACKAGE / "errors.py"
+
+
+def error_classes():
+    """The subclasses of ``LogConnectError`` that errors.py defines, at any depth."""
+    tree = ast.parse(ERRORS.read_text(), filename=str(ERRORS))
+    found = {"LogConnectError"}
+    for node in tree.body:  # a class follows its bases in the module
+        if isinstance(node, ast.ClassDef) and {getattr(b, "id", None) for b in node.bases} & found:
+            found.add(node.name)
+    return found - {"LogConnectError"}
+
+
+def raised_names(tree):
+    """Names in a ``raise`` statement, or handed to a call, as an error for it to raise
+    (``_realizing_residues(classes, NonAbelianUnsupported)``)."""
+    sites = [n.exc for n in ast.walk(tree) if isinstance(n, ast.Raise) and n.exc is not None]
+    sites += [a for n in ast.walk(tree) if isinstance(n, ast.Call)
+              for a in n.args + [k.value for k in n.keywords]]
+    return {n.id for site in sites for n in ast.walk(site) if isinstance(n, ast.Name)}
+
+
+def test_every_error_class_is_raised():
+    """Every error class is raised somewhere in the library, so a deleted code path
+    cannot leave its error behind."""
+    raised = set().union(*(raised_names(ast.parse(p.read_text(), filename=str(p)))
+                           for p in MODULES if p != ERRORS))
+    classes = error_classes()
+    assert len(classes) > 10
+    assert classes <= raised, f"error classes never raised: {sorted(classes - raised)}"
+
+
 RICCATI_FIELDS = {"b", "delta", "c", "offdiag"}
 
 

@@ -1,4 +1,6 @@
 import itertools
+import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -23,7 +25,6 @@ from logconnect.errors import (
     NonAbelianUnsupported,
     NonDiagonalizableFamily,
     NotProjectivelyCommuting,
-    OrderOverflow,
 )
 
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -142,26 +143,128 @@ class TestLocalRealize:
             local_realize([ProjectiveClass(SWAP), ProjectiveClass(FLIP)])
 
 
+def presentation(*gens, relations=()):
+    """The rank-m presentation of the matrices ``gens``, named a, b, c, ..."""
+    return ProjectivePresentation(len(gens[0]), dict(zip("abcdefgh", gens)), relations)
+
+
 class TestLiftingExponent:
     def test_flip(self):
-        assert lifting_exponent([FLIP]) == 2
+        # one generator has no commutator words, so it lifts as it is, although its
+        # eigenvalue ratio -1 has order 2
+        assert lifting_exponent(presentation(FLIP)) == 1
 
     def test_no_finite_ratios(self):
-        assert lifting_exponent([np.diag([1.0, 2.0])]) == 1
+        assert lifting_exponent(presentation(np.diag([1.0, 2.0]), np.diag([3.0, 4.0]))) == 1
 
-    def test_lcm_of_orders(self):
-        assert lifting_exponent([np.diag([1.0, 1j]), FLIP]) == 4
+    def test_least_power_below_the_lcm_of_orders(self):
+        # the clock and shift of rank 4 have eigenvalue ratios of order 4, yet their
+        # commutator scalar i becomes i^(2^2) = 1 at nu = 2
+        clock, shift = clock_and_shift(np.random.default_rng(0), 4)
+        P = presentation(clock, shift)
+        assert lifting_exponent(P) == 2
+        assert not verify_lift_after_power(P, 1).success
 
-    def test_order_overflow(self):
+    def test_a_high_order_ratio_lifts_at_one(self):
+        # a unit eigenvalue ratio of order 1001: nothing searches its order
         theta = 2 * np.pi / 1001.0
-        with pytest.raises(OrderOverflow):
-            lifting_exponent([np.diag([1.0, np.exp(1j * theta)])])
+        assert lifting_exponent(presentation(np.diag([1.0, np.exp(1j * theta)]), FLIP)) == 1
 
     def test_squares_drop_order(self):
-        rep = lift_commuting([SWAP, FLIP])
-        assert lifting_exponent(rep.lifts) == 2
-        squares = [np.linalg.matrix_power(np.asarray(M), 2) for M in rep.lifts]
-        assert lifting_exponent(squares) == 1
+        assert lifting_exponent(presentation(SWAP, FLIP)) == 2
+        assert lifting_exponent(presentation(SWAP @ SWAP, FLIP @ FLIP)) == 1
+
+    def test_relations_count(self):
+        # the relation a b = 1 between diag(e^{i pi/4}, e^{-i pi/4}) and its inverse
+        # holds at every power, but the canonical lifts of a^nu and b^nu multiply to -I
+        # for nu = 1, 2: no power up to the rank lifts
+        a = np.diag([np.exp(1j * np.pi / 4), np.exp(-1j * np.pi / 4)])
+        assert lifting_exponent(presentation(a, np.linalg.inv(a))) == 1
+        P = presentation(a, np.linalg.inv(a), relations=[["a", "b"]])
+        assert lifting_exponent(P) is None
+        assert [verify_lift_after_power(P, nu).obstruction_scalars for nu in (1, 2)] == \
+            [(pytest.approx(-1.0),)] * 2
+
+    def test_a_relation_that_breaks_when_powered_names_its_power(self):
+        # a b c = 1 with scalar -1 in the lifts; the squares break the relation
+        a, b = np.array([[0.0, 1.0], [-1.0, 0.0]]), np.array([[1.0, 1.0], [0.0, 1.0]])
+        P = presentation(a, b, np.linalg.inv(a @ b), relations=[["a", "b", "c"]])
+        assert not verify_lift_after_power(P, 1).success
+        with pytest.raises(ValueError, match=r"^at nu = 2: relation .* does not hold"):
+            lifting_exponent(P)
+
+
+def least_lifting_power(m, a):
+    """The least nu with m | a nu^2: the commutator scalar of (C^a, S) is zeta^a, and
+    that of their nu-th powers zeta^(a nu^2)."""
+    return next(nu for nu in range(1, m + 1) if a * nu * nu % m == 0)
+
+
+def conjugator(rng, m):
+    """A seeded complex matrix of condition number at most 10."""
+    while True:
+        Q = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+        if np.linalg.cond(Q) <= 10:
+            return Q
+
+
+def lcm_of_ratio_orders(diagonals):
+    """The lcm of the orders of the unit eigenvalue ratios of diagonals whose entries
+    are exp(2 pi i f) for Fractions f: the order of a ratio is the denominator of the
+    difference of its two fractions."""
+    return math.lcm(*(Fraction(f - g).denominator for d in diagonals
+                      for f, g in itertools.permutations(d, 2)))
+
+
+def sweep_cases():
+    """(label, generators, nu, the lcm of eigenvalue-ratio orders): clock-and-shift
+    pairs (C^a, S), and commuting diagonal tuples of rank 2-4 whose entries are roots
+    of unity."""
+    rng = np.random.default_rng(26)
+    cases = []
+    for m in (2, 3, 4, 6, 8, 9):
+        clock = np.diag(np.exp(2j * np.pi * np.arange(m) / m))
+        shift = np.roll(np.eye(m), 1, axis=0)
+        for a in (1, 2, 3):
+            # S has the ratio zeta of order m, and every ratio of C^a has an order dividing m
+            cases.append((f"clock{a}-shift-{m}", (np.linalg.matrix_power(clock, a), shift),
+                          least_lifting_power(m, a), m))
+    for m in (2, 3, 4):
+        for k in (2, 3):
+            fractions = [[Fraction(int(rng.integers(0, q)), q)
+                          for q in rng.choice([1, 2, 3, 4, 5, 6, 8], size=m)]
+                         for _ in range(k)]
+            gens = tuple(np.diag([np.exp(2j * np.pi * float(f)) for f in d]) for d in fractions)
+            cases.append((f"diagonal-{m}x{k}", gens, 1, lcm_of_ratio_orders(fractions)))
+    return cases
+
+
+SWEEP = sweep_cases()
+
+
+@pytest.mark.parametrize("m, nu", [(4, 2), (8, 4), (9, 3)])
+def test_clock_and_shift_lift_below_their_rank(m, nu):
+    clock = np.diag(np.exp(2j * np.pi * np.arange(m) / m))
+    assert lifting_exponent(presentation(clock, np.roll(np.eye(m), 1, axis=0))) == nu
+
+
+@pytest.mark.parametrize("seed, gens, nu, bound",
+                         [(seed, *case[1:]) for seed, case in enumerate(SWEEP)],
+                         ids=[case[0] for case in SWEEP])
+def test_lifting_exponent_is_the_least_lifting_power(seed, gens, nu, bound):
+    # as given, and conjugated by three seeded matrices
+    rng = np.random.default_rng(seed)
+    conjugators = [np.eye(len(gens[0]))] + [conjugator(rng, len(gens[0])) for _ in range(3)]
+    for Q in conjugators:
+        conjugated = [Q @ g @ np.linalg.inv(Q) for g in gens]
+        P = presentation(*conjugated)
+        assert lifting_exponent(P) == nu <= bound
+        commutators = [[x, y, f"{x}^-1", f"{y}^-1"]
+                       for x, y in itertools.combinations(P.names, 2)]
+        related = presentation(*conjugated, relations=commutators)
+        assert verify_lift_after_power(related, nu).success
+        for smaller in range(1, nu):
+            assert not verify_lift_after_power(related, smaller).success
 
 
 class TestVerifyLiftAfterPower:
