@@ -162,7 +162,10 @@ def residues_cmd(conn):
 @click.option("--loops", "loops_path", default=None, type=str,
               help="loop override file (JSON list of loops)")
 def monodromy_cmd(conn, tol, basepoint, loops_path):
-    """Numerical monodromy matrices over standard (or supplied) loops."""
+    """Monodromy matrices over standard (or supplied) loops.
+
+    A Fuchsian system whose residues share an eigenbasis is read in closed form from
+    each loop's winding numbers; any other system is transported numerically."""
     from . import monodromy
     from .connections import FuchsianSystem, LocalModel
 

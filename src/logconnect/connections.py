@@ -7,8 +7,8 @@ Each system's ``exact`` flag (``exact=True`` ANDed with ``ratfunc.to_scalar``'s
 verdict on every scalar read) decides its predicates: exact data is compared
 structurally, inexact data within a tolerance.  The exact path runs on these
 types alone (``exact_residue`` among them): numpy and ``algebra`` are imported
-on call by the functions that compute with floats (the residue arrays,
-``residue``, ``GaugeSeries`` and the normalization).
+on call by the functions that compute with floats (the residue arrays and their
+common eigenbasis, ``residue``, ``GaugeSeries`` and the normalization).
 """
 
 from __future__ import annotations
@@ -160,6 +160,15 @@ class FuchsianSystem(_Residues):
     def pole_array(self):
         """The poles as a read-only complex ndarray."""
         return _read_only([to_complex(p) for p in self.poles])
+
+    @cached_property
+    def residue_eigenbasis(self):
+        """(V, V^-1, the rows d_i, cond(V)) when every residue is V diag(d_i) V^-1 up
+        to rounding (``algebra.eigenbasis_up_to_rounding``), so that the residues
+        commute and Y(x) = prod_i (x - p_i)^{A_i} is a fundamental solution; else None."""
+        from .algebra import eigenbasis_up_to_rounding
+
+        return eigenbasis_up_to_rounding(self.residue_arrays)
 
     @cached_property
     def infinity_residue(self) -> tuple:

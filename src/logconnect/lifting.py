@@ -22,7 +22,13 @@ from itertools import combinations
 
 import numpy as np
 
-from .algebra import TWO_PI, ProjectiveClass, proj_equal, property_Pm
+from .algebra import (
+    TWO_PI,
+    ProjectiveClass,
+    proj_equal,
+    property_Pm,
+    simultaneous_eigenbasis,
+)
 from .errors import (
     DimensionMismatch,
     NonAbelianUnsupported,
@@ -44,7 +50,7 @@ __all__ = [
 TOL = 1e-8  # relative: a word is scalar, its lambda^m = 1 and lambda = 1; the common eigenbasis
 RELATION_TOL = 1e-9  # relative: a presentation's relation words hold projectively
 REALIZE_TOL = 1e-7  # relative: a realization's exp(2 pi i A_j) reproduces class j
-ATTEMPTS = 8  # random combinations tried for a common eigenbasis
+BASIS_COND = 1e8  # the largest cond(V) accepted for the lifts' common eigenbasis
 
 
 @dataclass(frozen=True)
@@ -155,25 +161,6 @@ def _diagonal(D, tol: float):
     return d if off <= tol * max(np.linalg.norm(D), 1.0) else None
 
 
-def _simultaneous_eigenbasis(mats):
-    """Common eigenvector basis V of a commuting diagonalizable family, with V^-1 and
-    the diagonal of V^-1 M V for each M."""
-    rng = np.random.default_rng(7)
-    for _ in range(ATTEMPTS):
-        coeffs = rng.normal(size=len(mats)) + 1j * rng.normal(size=len(mats))
-        combo = sum(c * M for c, M in zip(coeffs, mats))
-        w, V = np.linalg.eig(combo)
-        if np.linalg.cond(V) > 1e8:
-            continue
-        Vinv = np.linalg.inv(V)
-        diagonals = [_diagonal(Vinv @ M @ V, TOL) for M in mats]
-        if all(d is not None for d in diagonals):
-            return V, Vinv, diagonals
-    raise NonDiagonalizableFamily(
-        "commuting lifts are not simultaneously diagonalizable within tolerance"
-    )
-
-
 def _log_in_basis(d, V, Vinv):
     """Branch-normalized log of V diag(d) V^-1, computed eigenvalue-wise.
 
@@ -193,7 +180,8 @@ def _realizing_residues(classes, error):
         raise error(str(exc)) from exc
     if not report.success:
         raise error("linear lifts do not commute (nontrivial obstruction scalar)")
-    V, Vinv, diagonals = _simultaneous_eigenbasis(report.lifts)
+    V, Vinv, diagonals = simultaneous_eigenbasis(report.lifts, lambda kappa: TOL,
+                                                 BASIS_COND)
     return [_log_in_basis(d, V, Vinv) for d in diagonals], V, Vinv, report.lifts
 
 

@@ -1,14 +1,21 @@
 """Numerical parallel transport and monodromy of linear and projective systems.
 
-Paths are piecewise lines and circular arcs in one chart variable; transport
-solves dY = Omega(x) dx Y segment by segment and multiplies the segment
-matrices in path order.  An arc of a Fuchsian system (or of a one-residue local
-model) about a pole with no other pole near it, or about infinity, is taken in
-closed form from the Frobenius gauge G = I + sum_k G_k z^k that turns the
-system into A dz/z there: its matrix is G(end) exp(i sweep A) G(start)^-1, with
-the series summed in A's eigenbasis to an order that a majorant certifies a
-priori (van der Hoeven, Fast evaluation of holonomic functions, TCS 1999;
-Mezzarobba and Salvy, Effective bounds for P-recursive sequences, JSC 2010).
+Paths are piecewise lines and circular arcs in one chart variable.  A Fuchsian
+system whose residues are all diagonal in one eigenbasis V up to rounding
+(``FuchsianSystem.residue_eigenbasis``: cond(V) <= 1e4 and each V^-1 A_i V off
+its diagonal by at most 64 cond(V) u max(||A_i||_F, 1)) has the fundamental
+solution prod_i (x - p_i)^{A_i}, so any closed loop has the matrix
+V diag(exp(2 pi i sum_i w_i d_i)) V^-1, with w_i its winding number about p_i,
+summed exactly segment by segment (``_winding_numbers``); no panel or series is
+needed.  Every other system is transported by solving dY = Omega(x) dx Y segment
+by segment and multiplying the segment matrices in path order.  An arc of a
+Fuchsian system (or of a one-residue local model) about a pole with no other pole
+near it, or about infinity, is taken in closed form from the Frobenius gauge
+G = I + sum_k G_k z^k that turns the system into A dz/z there: its matrix is
+G(end) exp(i sweep A) G(start)^-1, with the series summed in A's eigenbasis to
+an order that a majorant certifies a priori (van der Hoeven, Fast evaluation of
+holonomic functions, TCS 1999; Mezzarobba and Salvy, Effective bounds for
+P-recursive sequences, JSC 2010).
 An arc the rule refuses (an ill-conditioned or defective eigenbasis, a
 near-resonance, another pole too near, or no certified order by the cap) and
 every line is cut into panels, each solved by Gauss-Legendre collocation: Omega
@@ -28,11 +35,12 @@ sphere relation compares two computed numbers.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .algebra import TWO_PI, ProjectiveClass, proj_equal
+from .algebra import EIGENBASIS_COND, TWO_PI, ProjectiveClass, proj_equal
 from .connections import FuchsianSystem, LocalModel
 from .errors import (
     DegenerateConfiguration,
@@ -354,7 +362,6 @@ def _flow(omega, seg, Y0: np.ndarray, tol: float) -> np.ndarray:
 # past MAX_RATIO the order nears MAX_ORDER and the closed form costs what panels do
 MAX_RATIO = 0.75
 MAX_ORDER = 160
-EIGENBASIS_COND = 1e4
 RESONANCE_GAP = 1e-2
 # the series is summed until its certified tail times cond(V) is tol / INVERSE_ALLOWANCE,
 # so the arc is accepted when its ||G(theta_0)^-1|| is at most this
@@ -451,10 +458,60 @@ def _closed_form_arc(C, arc, tol: float):
     return V @ (G1 * np.exp(1j * (angles[1] - angles[0]) * lam)) @ G0inv @ Vinv
 
 
+def _winding_numbers(path: LoopPath, poles) -> list:
+    """The winding number of the closed ``path`` about each pole, summed exactly segment
+    by segment.  A line adds Arg((end - p) / (start - p)).  An arc about c of radius r
+    adds, for |p - c| < r, its sweep plus the change of Arg(1 - (p - c) / (x - c)) and
+    otherwise the change of Arg(1 - (x - c) / (p - c)): x - p is (x - c) or (c - p)
+    times that factor, whose second term has modulus below 1 (at most 1 on the circle,
+    where only x = p would reach 0), so it stays in the right half-plane and its
+    principal Arg never wraps."""
+    total = [0.0] * len(poles)
+    for seg in path.segments:
+        if isinstance(seg, LineSegment):
+            for i, p in enumerate(poles):
+                total[i] += cmath.phase((seg.end - p) / (seg.start - p))
+            continue
+        sweep = seg.to_angle - seg.from_angle
+        ends = [cmath.rect(seg.radius, a) for a in (seg.from_angle, seg.to_angle)]
+        for i, p in enumerate(poles):
+            d = p - seg.center
+            if abs(d) < seg.radius:
+                total[i] += sweep + cmath.phase(1 - d / ends[1]) - cmath.phase(1 - d / ends[0])
+            else:
+                total[i] += cmath.phase(1 - ends[1] / d) - cmath.phase(1 - ends[0] / d)
+    return [round(t / TWO_PI) for t in total]
+
+
+def _closed_form_loop(F: FuchsianSystem, path: LoopPath, tol: float):
+    """The transport matrix of the closed ``path`` for a Fuchsian system whose residues
+    are diagonal in one eigenbasis up to rounding (``FuchsianSystem.residue_eigenbasis``);
+    None for any other system, or when the phases lose ``tol`` to rounding.
+
+    Then Y(x) = prod_i (x - p_i)^{A_i} is a fundamental solution (Deligne, Equations
+    differentielles a points singuliers reguliers, LNM 163), and continuing it around a
+    loop with winding number w_i about p_i multiplies it by
+    V diag(exp(2 pi i sum_i w_i d_i)) V^-1.  The phases are rounded by about
+    eps |2 pi sum_i w_i d_i|, so the loop is accepted when cond(V) times that is within
+    ``tol``, as an arc is by ``_closed_form_arc``.
+    """
+    basis = F.residue_eigenbasis
+    if basis is None:
+        return None
+    V, Vinv, d, kappa = basis
+    phases = TWO_PI * (np.array(_winding_numbers(path, F.pole_array.tolist()), dtype=float) @ d)
+    if kappa * np.finfo(float).eps * np.abs(phases).max(initial=0.0) > tol:
+        return None
+    return (V * np.exp(1j * phases)) @ Vinv
+
+
 def transport(C, path: LoopPath, tol: float = 1e-10) -> np.ndarray:
     """Fundamental-solution transport matrix along a path: Y(end) = T Y(start).
 
-    An arc of a Fuchsian system or one-residue local model about a pole (or a
+    A Fuchsian system whose residues are diagonal in one eigenbasis up to rounding
+    takes the whole closed path in closed form from its winding numbers
+    (``_closed_form_loop``), after the pole-proximity check.  Otherwise an arc of a
+    Fuchsian system or one-residue local model about a pole (or a
     regular point) with no other pole near it, or about infinity, is taken in
     closed form from the Frobenius gauge (``_closed_form_arc``) when its truncation
     is certified.  Other segments are integrated in path order by Gauss-Legendre
@@ -470,6 +527,8 @@ def transport(C, path: LoopPath, tol: float = 1e-10) -> np.ndarray:
         clr = path.clearance(conn_poles)
         if clr < 1e-12:
             raise PoleProximity("path passes within 1e-12 of the polar divisor")
+    if isinstance(C, FuchsianSystem) and (T := _closed_form_loop(C, path, tol)) is not None:
+        return T
     omega = _omega_callable(C)
     last = {seg: i for i, seg in enumerate(path.segments)}  # segment -> its last index
     identity = np.eye(C.m, dtype=complex)

@@ -397,19 +397,22 @@ def validate_schema(doc):
 
 
 def parse_loops(doc, pointer="/loops"):
-    """Parse a list of loop documents into LoopPath objects."""
+    """Parse a nonempty list of loop documents into LoopPath objects; each loop needs
+    at least one segment and must close (``LoopPath``'s check)."""
     from .monodromy import ArcSegment, LineSegment, LoopPath
 
-    if not isinstance(doc, list):
-        raise SchemaViolation(pointer, "expected a list of loops")
+    if not isinstance(doc, list) or not doc:
+        raise SchemaViolation(pointer, "expected a nonempty list of loops")
     loops = []
     for i, entry in enumerate(doc):
         ptr = f"{pointer}/{i}"
         if not isinstance(entry, dict):
             raise SchemaViolation(ptr, "expected {basepoint, segments}")
         current = bp = _complex(_require(entry, "basepoint", ptr), ptr + "/basepoint")
-        segs = []
-        for j, s in enumerate(_require(entry, "segments", ptr, list)):
+        segs, docs = [], _require(entry, "segments", ptr, list)
+        if not docs:
+            raise SchemaViolation(ptr + "/segments", "a loop needs at least one segment")
+        for j, s in enumerate(docs):
             sptr = f"{ptr}/segments/{j}"
             if not isinstance(s, dict):
                 raise SchemaViolation(sptr, "expected a segment object")
@@ -428,7 +431,10 @@ def parse_loops(doc, pointer="/loops"):
                 current = seg.point(1.0)
             else:
                 raise SchemaViolation(sptr + "/kind", "expected 'line' or 'arc'")
-        loops.append(LoopPath(segs, basepoint=bp))
+        try:
+            loops.append(LoopPath(segs, basepoint=bp))
+        except ValueError as exc:  # LoopPath's closure and join checks
+            raise SchemaViolation(ptr, str(exc)) from None
     return loops
 
 

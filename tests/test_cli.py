@@ -297,16 +297,15 @@ UNMOVED = {
     ("fuchsian_quarter.json",): {
         "composition_convention": "antirepresentation",
         "infinity": [[[6.123233995736766e-17, -1.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
-        "matrices": [[[[6.123233995736765e-17, 0.9999999999999999], [0.0, 0.0]],
-                      [[0.0, 0.0], [1.0, 0.0]]]]},
+        "matrices": [[[[6.123233995736766e-17, 1.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]]]},
     ("fuchsian_two_poles.json", "--basepoint", "0.5,2"): {
         "composition_convention": "antirepresentation",
-        "infinity": [[[-0.8090169943749471, -0.5877852522924731], [0.0, 0.0]],
+        "infinity": [[[-0.8090169943749473, -0.5877852522924732], [0.0, 0.0]],
                      [[0.0, 0.0], [0.9510565162951536, -0.30901699437494734]]],
-        "matrices": [[[[-0.30901699437494723, 0.9510565162951534], [0.0, 0.0]],
-                      [[0.0, 0.0], [0.30901699437494745, -0.9510565162951534]]],
-                     [[[0.8090169943749476, 0.5877852522924732], [0.0, 0.0]],
-                      [[0.0, 0.0], [3.244325033751234e-16, 0.9999999999999996]]]]},
+        "matrices": [[[[-0.30901699437494734, 0.9510565162951536], [0.0, 0.0]],
+                      [[0.0, 0.0], [0.30901699437494745, -0.9510565162951535]]],
+                     [[[0.8090169943749475, 0.5877852522924731], [0.0, 0.0]],
+                      [[0.0, 0.0], [6.123233995736766e-17, 1.0]]]]},
 }
 
 
@@ -1005,6 +1004,38 @@ def test_malformed_loop_is_schema_error(tmp_path, segment, pointer):
     payload = json.loads(result.output)["payload"]
     assert payload["error"] == "SchemaViolation"
     assert payload["pointer"] == "/loops/0/segments/0" + pointer
+
+
+def _loops_verdict(tmp_path, loops):
+    path = tmp_path / "loops.json"
+    path.write_text(json.dumps(loops))
+    result = invoke(["monodromy", "fuchsian_quarter.json", "--loops", str(path)])
+    assert result.exit_code == 2, result.output
+    return json.loads(result.output)["payload"]
+
+
+def test_an_empty_loops_file_is_schema_error(tmp_path):
+    # it used to print no matrices with the pole 0 as their basepoint
+    payload = _loops_verdict(tmp_path, [])
+    assert (payload["error"], payload["pointer"]) == ("SchemaViolation", "/loops")
+
+
+def test_a_loop_without_segments_is_schema_error(tmp_path):
+    payload = _loops_verdict(tmp_path, [{"basepoint": [1, 0], "segments": [ARC]},
+                                        {"basepoint": [1, 0], "segments": []}])
+    assert (payload["error"], payload["pointer"]) == ("SchemaViolation", "/loops/1/segments")
+
+
+@pytest.mark.parametrize("segments, message", [
+    ([{**ARC, "to_angle": 3.141592653589793}], "not closed"),
+    # the arc starts 1e-10 off the line's end: within the reader's 1e-9 for an arc's
+    # start, but not within the loop's 1e-12 for a join
+    ([{"kind": "line", "to": [2, 0]}, {"kind": "line", "to": [1, 0]},
+      {**ARC, "from_angle": 1e-10}], "do not join")], ids=["open", "gap"])
+def test_a_loop_that_does_not_close_is_schema_error(tmp_path, segments, message):
+    payload = _loops_verdict(tmp_path, [{"basepoint": [1, 0], "segments": segments}])
+    assert (payload["error"], payload["pointer"]) == ("SchemaViolation", "/loops/0")
+    assert message in payload["message"]
 
 
 @pytest.mark.parametrize("value", ["NaN", "Infinity"])

@@ -331,6 +331,32 @@ def test_heavy_libraries_load_only_where_pinned():
     assert {module: loads(module, set()) for module in graph} == TIERS
 
 
+def package_imports(tree):
+    """The package's own modules that a module imports anywhere, on import or on call."""
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level:
+            out.update([node.module] if node.module else [a.name for a in node.names])
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("logconnect."):
+            out.add(node.module.split(".")[1])
+    return out
+
+
+def test_lifting_never_imports_monodromy():
+    """No module that lifting imports, on import or on call, directly or through algebra
+    or connections, imports monodromy: the realize-*, lift-rep and exponent verbs then
+    never compile monodromy.py or load numpy.polynomial."""
+    graph = {p.stem: package_imports(ast.parse(p.read_text(), filename=str(p)))
+             for p in PACKAGE.glob("*.py")}
+    reached, stack = set(), ["lifting"]
+    while stack:
+        module = stack.pop()
+        reached.add(module)
+        stack.extend(graph[module] - reached)
+    assert {"algebra", "connections"} <= reached
+    assert "monodromy" not in reached, reached
+
+
 @pytest.mark.parametrize("c", [0.3, "3/10"], ids=["float", "exact"])
 def test_residues_of_a_log_connection_load_no_numpy(tmp_path, c):
     """``connections.exact_residue`` restricts each entry to its branch by exact

@@ -391,7 +391,8 @@ class TestClosedFormCheck:
     @pytest.mark.parametrize("m, k", STRATA)
     def test_closed_form_is_the_transport(self, m, k, monkeypatch):
         # the realizations compare exp(2 pi i A_j) with their classes; here it is
-        # compared with the transport of each standard loop or coordinate circle
+        # compared with the transport of each standard loop or coordinate circle, the
+        # loops transported as a log connection, so by panels and not in closed form
         seen = []
         check = lifting._closed_form_monodromy
 
@@ -403,7 +404,7 @@ class TestClosedFormCheck:
         F, model = realize_both(np.random.default_rng(10 * m + k), m, k)
         fuchsian, local = seen
         for lp, E in zip(standard_loops(F), fuchsian, strict=True):
-            M = transport(F, lp, tol=1e-12)
+            M = transport(F.to_log_connection(), lp, tol=1e-12)
             assert np.linalg.norm(M - E) < 1e-9 * np.linalg.norm(M)
         for j, E in enumerate(local):
             branch = LocalModel(m, [model.residues[j]])

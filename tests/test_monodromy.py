@@ -405,7 +405,9 @@ class TestSegmentReuse:
         assert _relative(twice, once @ once) < 1e-9
 
     def test_retrace_after_other_segments_is_solved(self, solves):
-        F = FuchsianSystem(2, [0], [np.diag([0.3, -0.2])])
+        # the residues do not commute, so the loop is not closed form as a whole; the
+        # pole 10 is far enough for the circles about 0 to be
+        F = FuchsianSystem(2, [0, 10], [np.diag([0.3, -0.2]), [[0.1, 0.2], [0.05, -0.1]]])
         spoke = LineSegment(2.0 + 0j, 1.0 + 0j)
         circle = ArcSegment(0j, 1.0, 0.0, 2 * np.pi)
         lasso = LoopPath([spoke, circle, circle, spoke.reversed()])
@@ -442,16 +444,22 @@ class TestSegmentReuse:
         assert solves == [spoke, spoke.reversed()]
 
 
-def _noncommuting(seed):
-    """Rank 2 or 3 with 2-4 poles in the disk of radius 2, at least 0.4 apart, and
-    residues 0.3 (N + iN): non-commuting, and nonresonant with probability one."""
-    rng = np.random.default_rng(seed)
-    m, k = int(rng.integers(2, 4)), int(rng.integers(2, 5))
+def _poles_apart(rng, k):
+    """k poles in the disk of radius 2, at least 0.4 apart."""
     poles = []
     while len(poles) < k:
         p = complex(*np.round(rng.uniform(-2, 2, 2), 2))
         if abs(p) <= 2 and all(abs(p - q) >= 0.4 for q in poles):
             poles.append(p)
+    return poles
+
+
+def _noncommuting(seed):
+    """Rank 2 or 3 with 2-4 poles (``_poles_apart``) and residues 0.3 (N + iN):
+    non-commuting, and nonresonant with probability one."""
+    rng = np.random.default_rng(seed)
+    m, k = int(rng.integers(2, 4)), int(rng.integers(2, 5))
+    poles = _poles_apart(rng, k)
     return FuchsianSystem(m, poles, [0.3 * (rng.standard_normal((m, m))
                                             + 1j * rng.standard_normal((m, m)))
                                      for _ in range(k)])
@@ -619,7 +627,8 @@ class TestPanels:
         assert len(calls) == monodromy.MAX_DEPTH + 1  # bisected from the whole segment
 
     def test_a_path_grazing_a_pole_raises_instead_of_looping(self, monkeypatch):
-        F = FuchsianSystem(2, [0], [[[0.3, 0.1], [0.2, -0.1]]])
+        # non-commuting residues, so the loop is not closed form as a whole
+        F = FuchsianSystem(2, [0, 5], [[[0.3, 0.1], [0.2, -0.1]], np.diag([0.2, -0.1])])
         omega, panels = monodromy._omega_callable(F), []
 
         def counting(x, dx):
@@ -656,3 +665,113 @@ def test_stacked_omega_is_the_per_point_omega(kind, nprng):
         want = np.array([C.component_callable(0)(complex(p)) * d for p, d in zip(x, dx)])
     assert stacked.shape == (16, 2, 2)
     assert _relative(stacked, want) < 1e-14
+
+
+def _commuting(seed):
+    """Rank 2-4 with 1-3 poles (``_poles_apart``) and residues Q diag(d_i) Q^-1, for a
+    seeded Q of condition number at most 10 and Re d in [-3/4, 3/4], |Im d| <= 1/4."""
+    rng = np.random.default_rng(seed)
+    m, k = int(rng.integers(2, 5)), int(rng.integers(1, 4))
+    poles = _poles_apart(rng, k)
+    while True:
+        Q = np.linalg.qr(rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)))[0] \
+            + 0.3 * rng.standard_normal((m, m))
+        if np.linalg.cond(Q) <= 10:
+            break
+    d = rng.uniform(-0.75, 0.75, (k, m)) + 1j * rng.uniform(-0.25, 0.25, (k, m))
+    return FuchsianSystem(m, poles, [Q @ np.diag(row) @ np.linalg.inv(Q) for row in d])
+
+
+def _shapes(poles):
+    """(name, loop, its winding numbers about ``poles``), the windings known by
+    construction: each standard lasso; the loop at infinity; a circle about the first
+    pole traversed twice; around the first two poles, and a figure-eight about them
+    with windings +1 and -1 (lassos joined at the basepoint); a half-disk whose arc is
+    not centred at the first pole; a square about the first pole.  Every other pole is
+    at least 0.4 from the first, so the small shapes hold the first pole alone."""
+    k = len(poles)
+    lassos = standard_loops(FuchsianSystem(1, poles, [[[0]]] * k))
+
+    def unit(*pairs):
+        w = [0] * k
+        for i, n in pairs:
+            w[i] += n
+        return w
+
+    p = poles[0]
+    circle = ArcSegment(p, 0.1, 0.0, 2 * np.pi)
+    half = ArcSegment(p - 0.05j, 0.1, 0.0, np.pi)
+    corners = [p + 0.12 * c for c in (1 - 1j, 1 + 1j, -1 + 1j, -1 - 1j)]
+    shapes = [(f"lasso{i}", lp, unit((i, 1))) for i, lp in enumerate(lassos)] + [
+        ("infinity", monodromy._infinity_loop(poles, lassos[0].basepoint)[0], [-1] * k),
+        ("twice", LoopPath([circle, circle]), unit((0, 2))),
+        ("half_disk", LoopPath([half, LineSegment(half.point(1.0), half.point(0.0))]),
+         unit((0, 1))),
+        ("square", LoopPath([LineSegment(a, b) for a, b in zip(corners, corners[1:] + corners[:1])]),
+         unit((0, 1))),
+    ]
+    if k >= 2:
+        first, second = lassos[0].segments, lassos[1].segments
+        shapes += [
+            ("two_poles", LoopPath(first + second), unit((0, 1), (1, 1))),
+            ("figure_eight", LoopPath(first + lassos[1].reversed().segments),
+             unit((0, 1), (1, -1))),
+        ]
+    return shapes
+
+
+class TestClosedFormLoops:
+    @pytest.mark.parametrize("seed", range(12))
+    def test_windings_of_the_shapes(self, seed):
+        poles = _commuting(seed).pole_array.tolist()
+        for name, loop, w in _shapes(poles):
+            assert monodromy._winding_numbers(loop, poles) == w, name
+            assert monodromy._winding_numbers(loop.reversed(), poles) == [-n for n in w], name
+
+    @pytest.mark.parametrize("arc, inside", [
+        (ArcSegment(0j, 1.0, 0.0, np.pi), 1), (ArcSegment(0j, 1.0, np.pi, 0.0), -1),
+        (ArcSegment(0j, 1.0, 0.0, 2 * np.pi), 1), (ArcSegment(0j, 1.0, 0.0, -6 * np.pi), -3)])
+    @pytest.mark.parametrize("scale", [1 - 1e-9, 1 + 1e-9], ids=["inside", "outside"])
+    def test_a_pole_a_hair_from_an_arc(self, arc, inside, scale):
+        # the pole 1e-9 inside or outside the arc at pi/3; a partial arc is closed by
+        # its chord, which passes 0.5 below the pole
+        pole = scale * np.exp(1j * np.pi / 3)
+        segments = [arc] if arc.point(1.0) == arc.point(0.0) else [
+            arc, LineSegment(arc.point(1.0), arc.point(0.0))]
+        assert monodromy._winding_numbers(LoopPath(segments), [pole]) == \
+            [inside if scale < 1 else 0]
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_closed_form_matches_panels(self, seed, solves):
+        F = _commuting(seed)
+        conn = F.to_log_connection()  # transported by collocation at every segment
+        assert F.residue_eigenbasis is not None
+        for name, loop, _ in _shapes(F.pole_array.tolist()):
+            T = transport(F, loop, tol=1e-12)
+            assert solves == [], name
+            assert _relative(T, transport(conn, loop, tol=1e-12)) < 1e-9, name
+            solves.clear()
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_noncommuting_loops_have_the_determinant_of_their_windings(self, seed, solves):
+        # Liouville: det T = exp(2 pi i sum_i w_i tr A_i), with no closed form for T
+        F = _noncommuting(seed)
+        assert F.residue_eigenbasis is None
+        traces = np.trace(F.residue_arrays, axis1=1, axis2=2)
+        for name, loop, w in _shapes(F.pole_array.tolist()):
+            det = np.linalg.det(transport(F, loop))
+            want = np.exp(2j * np.pi * np.dot(w, traces))
+            assert abs(det - want) < 1e-9 * abs(want), name
+        for lp in standard_loops(F):
+            solves.clear()
+            transport(F, lp)
+            assert lp.segments[0] in solves
+
+    def test_residues_commuting_to_1e_9_are_integrated(self, solves):
+        A, B = np.diag([0.3, -0.2]), np.diag([0.1, 0.25]) + 1e-9 * np.array([[0, 1], [1, 0]])
+        F = FuchsianSystem(2, [0, 1], [A, B])
+        assert F.residue_eigenbasis is None
+        loop = standard_loops(F)[0]
+        T = transport(F, loop)
+        assert solves == [loop.segments[0]]
+        assert _relative(T, mat_exp(2j * np.pi * A)) < 1e-8
