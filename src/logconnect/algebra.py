@@ -189,8 +189,11 @@ def simultaneous_eigenbasis(mats, bound, max_cond: float):
     )
 
 
-# the largest cond(V) of an eigenbasis V that the closed forms compute with: rounding
-# in V, V^-1 and the products with them costs about cond(V) ulps
+# the largest cond(V) of an eigenbasis V that a search accepts: a common eigenbasis of
+# lifts, or of residues up to rounding
+BASIS_COND = 1e8
+# the largest cond(V) of an eigenbasis V that transport's closed forms compute with:
+# rounding in V, V^-1 and the products with them costs about cond(V) ulps
 EIGENBASIS_COND = 1e4
 UNIT_ROUNDOFF = 2.0 ** -53
 # V^-1 A V of a residue A diagonal in the exact basis V is off its diagonal by rounding
@@ -209,10 +212,10 @@ ROUNDING_ULPS = 64
 def eigenbasis_up_to_rounding(mats):
     """(V, V^-1, the diagonals d_i of V^-1 M_i V as rows, cond(V)) when the family is
     diagonal in one eigenbasis V up to rounding, ``ROUNDING_ULPS`` cond(V) u, with
-    cond(V) <= ``EIGENBASIS_COND``; None when it is not."""
+    cond(V) <= ``BASIS_COND``; None when it is not."""
     try:
         V, Vinv, diagonals = simultaneous_eigenbasis(
-            mats, lambda kappa: ROUNDING_ULPS * kappa * UNIT_ROUNDOFF, EIGENBASIS_COND)
+            mats, lambda kappa: ROUNDING_ULPS * kappa * UNIT_ROUNDOFF, BASIS_COND)
     except NonDiagonalizableFamily:
         return None
     return V, Vinv, diagonals, np.linalg.cond(V)

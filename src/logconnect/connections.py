@@ -94,6 +94,28 @@ class _Residues:
     def residue_array(self, i: int):
         return self.residue_arrays[i]
 
+    @cached_property
+    def residue_eigenbasis(self):
+        """(V, V^-1, the rows d_i, cond(V)) when every residue is V diag(d_i) V^-1 up
+        to rounding (``algebra.eigenbasis_up_to_rounding``), so that the residues
+        commute and prod_i (x - p_i)^{A_i} (prod_i x_i^{A_i} for a local model) is a
+        fundamental solution; else None."""
+        from .algebra import eigenbasis_up_to_rounding
+
+        return eigenbasis_up_to_rounding(self.residue_arrays)
+
+    def loop_matrix(self, windings):
+        """V diag(exp(2 pi i sum_i w_i d_i)) V^-1 in ``residue_eigenbasis``, which must
+        exist: the matrix of a loop with winding number w_i about branch i, since
+        continuing the fundamental solution around it multiplies it by exactly that
+        (Deligne, Equations differentielles a points singuliers reguliers, LNM 163)."""
+        import numpy as np
+
+        from .algebra import TWO_PI
+
+        V, Vinv, d, _ = self.residue_eigenbasis
+        return (V * np.exp(1j * (TWO_PI * (np.asarray(windings, dtype=float) @ d)))) @ Vinv
+
 
 def _pole_sums(m, gens, lines, residues):
     """The m x m matrix of entries sum_k A_k[i][j] / l_k, built reduced with no gcd.
@@ -160,15 +182,6 @@ class FuchsianSystem(_Residues):
     def pole_array(self):
         """The poles as a read-only complex ndarray."""
         return _read_only([to_complex(p) for p in self.poles])
-
-    @cached_property
-    def residue_eigenbasis(self):
-        """(V, V^-1, the rows d_i, cond(V)) when every residue is V diag(d_i) V^-1 up
-        to rounding (``algebra.eigenbasis_up_to_rounding``), so that the residues
-        commute and Y(x) = prod_i (x - p_i)^{A_i} is a fundamental solution; else None."""
-        from .algebra import eigenbasis_up_to_rounding
-
-        return eigenbasis_up_to_rounding(self.residue_arrays)
 
     @cached_property
     def infinity_residue(self) -> tuple:
@@ -515,38 +528,31 @@ def poincare_defect(C, gauge: GaugeSeries) -> float:
     return _defect(*_series_parts(C.to_log_connection()), np.array(gauge.coefficients))
 
 
-def _toeplitz(Y, rows: int, cols: int):
-    """The (rows, cols, m, m) blocks B[k, j] = Y_{k-j} of the stacked series Y, zero
-    where k - j falls outside 0..len(Y)-1."""
-    import numpy as np
-
-    shift = np.arange(rows)[:, None] - np.arange(cols)[None, :]
-    shift[(shift < 0) | (shift >= len(Y))] = len(Y)  # the index of an appended zero block
-    return np.concatenate([Y, np.zeros_like(Y[:1])])[shift]
-
-
-def _series_product(X, Y, n: int):
-    """The first n coefficients of the product of the stacked series X and Y:
-    Z_k = sum_j X_j Y_{k-j}."""
-    import numpy as np
-
-    return np.einsum("jab,kjbc->kac", X, _toeplitz(Y, n, len(X)))
-
-
 def _defect(A, taus, G) -> float:
-    """``poincare_defect`` of the stacked gauge coefficients G_0..G_N."""
+    """``poincare_defect`` of the stacked gauge coefficients G_0..G_N, by recursion
+    over orders: every array holds at most N + 1 coefficients, so memory is O(N m^2)."""
     import numpy as np
 
-    N, m = len(G) - 1, A.shape[0]
-    # the series inverse H = G^{-1} from G H = I: one block lower-triangular solve
-    L = _toeplitz(G, N + 1, N + 1).transpose(0, 2, 1, 3).reshape((N + 1) * m, (N + 1) * m)
-    H = np.linalg.solve(L, np.eye((N + 1) * m, m)).reshape(N + 1, m, m)
+    N = len(G) - 1
+    # [x^k](tau G) for k = 0..N-1, one shifted product per coefficient of tau
+    tau_G = np.zeros_like(G[1:])
+    for d, tau in enumerate(taus[:N]):
+        tau_G[d:] += tau @ G[:N - d]
     # Laurent coefficients of P = (A/x + tau) G - G', shifted by one: P[0] = A G_0 and
     # P[k + 1] = (A - (k + 1)) G_{k+1} + [x^k](tau G), for k = 0..N-1, which is all
-    # that W~ = H P needs through x^{N-1}
+    # that W~ = G^{-1} P needs through x^{N-1}
     k = np.arange(1, N + 1)[:, None, None]
-    P = np.concatenate([A @ G[:1], A @ G[1:] - k * G[1:] + _series_product(taus, G, N)])
-    # W~ = H P: its x^{-1} coefficient must be A, x^0..x^{N-1} must vanish
-    W = _series_product(H, P, N + 1)
+    P = np.concatenate([A @ G[:1], A @ G[1:] - k * G[1:] + tau_G])
+    # W~ from G W~ = P, one order at a time: G_0 W_n = P_n - sum_{j=1..n} G_j W_(n-j),
+    # the sum one product of [G_1 ... G_n] with W_(n-1), ..., W_0 stacked, which the
+    # reversed stack R (W_n at R[N - n]) holds contiguously
+    m = A.shape[0]
+    rows = G[1:].transpose(1, 0, 2).reshape(m, N * m)
+    R = np.empty_like(P)
+    G0inv = np.linalg.inv(G[0])
+    for n in range(N + 1):
+        R[N - n] = G0inv @ (P[n] - rows[:, :n * m] @ R[N - n + 1:].reshape(n * m, m))
+    # its x^{-1} coefficient must be A, x^0..x^{N-1} must vanish
+    W = R[::-1]
     W[0] -= A
     return float(np.max(np.linalg.norm(W, axis=(1, 2))))

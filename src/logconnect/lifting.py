@@ -9,10 +9,11 @@ has none.  The simple loops of a degree-nu pull-back map to nu-th powers, so
 lifting exponent is the least nu in 1..m whose lifts make every word scalar 1;
 for commutators nu = m always does, since lambda^m = 1 and the powers' scalar is
 lambda^(nu^2).  Local models realizing commuting classes are built from
-branch-normalized logarithms.  The realizations check
-themselves in closed form: their residues commute, so the loop around a branch
-has monodromy exp(2 pi i A_j), and nothing here transports.  Only the two
-realizations build systems, so only they import ``connections``.
+branch-normalized logarithms.  The realizations check themselves in closed form,
+in the realized system's own residue eigenbasis: their residues commute, so the
+loop around a branch has monodromy exp(2 pi i A_j), the system's ``loop_matrix``,
+and nothing here transports.  Only the two realizations build systems, so only
+they import ``connections``.
 """
 
 from __future__ import annotations
@@ -23,6 +24,7 @@ from itertools import combinations
 import numpy as np
 
 from .algebra import (
+    BASIS_COND,
     TWO_PI,
     ProjectiveClass,
     proj_equal,
@@ -50,7 +52,6 @@ __all__ = [
 TOL = 1e-8  # relative: a word is scalar, its lambda^m = 1 and lambda = 1; the common eigenbasis
 RELATION_TOL = 1e-9  # relative: a presentation's relation words hold projectively
 REALIZE_TOL = 1e-7  # relative: a realization's exp(2 pi i A_j) reproduces class j
-BASIS_COND = 1e8  # the largest cond(V) accepted for the lifts' common eigenbasis
 
 
 @dataclass(frozen=True)
@@ -154,13 +155,6 @@ def lift_commuting(tuple_of_classes) -> LiftReport:
     return report
 
 
-def _diagonal(D, tol: float):
-    """diag(D) if D is diagonal within tol relative to |D| (at least 1), else None."""
-    d = np.diag(D)
-    off = np.linalg.norm(D - np.diag(d))
-    return d if off <= tol * max(np.linalg.norm(D), 1.0) else None
-
-
 def _log_in_basis(d, V, Vinv):
     """Branch-normalized log of V diag(d) V^-1, computed eigenvalue-wise.
 
@@ -172,8 +166,8 @@ def _log_in_basis(d, V, Vinv):
 
 def _realizing_residues(classes, error):
     """Branch-normalized logs of the commuting SL lifts of the classes in their common
-    eigenbasis V, with V, V^-1 and the lifts.  A nontrivial obstruction scalar, or a
-    pair of classes that does not commute projectively, raises ``error``."""
+    eigenbasis, with the lifts.  A nontrivial obstruction scalar, or a pair of classes
+    that does not commute projectively, raises ``error``."""
     try:
         report = lift_commuting(classes)
     except NotProjectivelyCommuting as exc:
@@ -182,26 +176,24 @@ def _realizing_residues(classes, error):
         raise error("linear lifts do not commute (nontrivial obstruction scalar)")
     V, Vinv, diagonals = simultaneous_eigenbasis(report.lifts, lambda kappa: TOL,
                                                  BASIS_COND)
-    return [_log_in_basis(d, V, Vinv) for d in diagonals], V, Vinv, report.lifts
+    return [_log_in_basis(d, V, Vinv) for d in diagonals], report.lifts
 
 
-def _closed_form_monodromy(system, V, Vinv, lifts, tol: float, error):
+def _closed_form_monodromy(system, lifts, tol: float, error):
     """The loop matrices exp(2 pi i A_j) of the residues A_j read back from ``system``,
     each checked against lift j of ``lifts``.
 
-    Every V^-1 A_j V must be diagonal within ``tol`` relative to its norm, so the A_j
-    commute.  Then Y(x) = prod_i (x - p_i)^{A_i} (prod_i x_i^{A_i} for a local model) is
-    a fundamental solution, and the loop once around the j-th branch multiplies it by
-    exp(2 pi i A_j) = V diag(exp(2 pi i d_j)) V^-1, exactly (Deligne, Equations
-    differentielles a points singuliers reguliers, LNM 163).  A residue off the common
-    basis, or an exponential off its class within ``tol``, raises ``error``.
+    The residues must share the eigenbasis ``system.residue_eigenbasis``, so they
+    commute and the loop once around the j-th branch has the matrix
+    ``system.loop_matrix`` of winding number 1 about branch j alone, exp(2 pi i A_j).
+    Residues with no common eigenbasis, or an exponential off its class within ``tol``,
+    raise ``error``.
     """
+    if system.residue_eigenbasis is None:
+        raise error("the residues are not diagonal in one eigenbasis")
     mats = []
-    for j, N in enumerate(lifts):
-        d = _diagonal(Vinv @ system.residue_array(j) @ V, tol)
-        if d is None:
-            raise error(f"residue {j} is not diagonal in the common eigenbasis")
-        M = V @ np.diag(np.exp(TWO_PI * 1j * d)) @ Vinv
+    for j, (windings, N) in enumerate(zip(np.eye(len(lifts)), lifts)):
+        M = system.loop_matrix(windings)
         if not proj_equal(M, N, tol):
             raise error(f"monodromy {j} of the realization does not reproduce its class")
         mats.append(M)
@@ -219,10 +211,9 @@ def local_realize(tuple_of_classes) -> LocalModel:
 
     if len(tuple_of_classes) == 0:
         raise ValueError("a local model needs at least one generator")
-    residues, V, Vinv, lifts = _realizing_residues(tuple_of_classes,
-                                                   NotProjectivelyCommuting)
+    residues, lifts = _realizing_residues(tuple_of_classes, NotProjectivelyCommuting)
     model = LocalModel(residues[0].shape[0], residues)
-    _closed_form_monodromy(model, V, Vinv, lifts, REALIZE_TOL, NonDiagonalizableFamily)
+    _closed_form_monodromy(model, lifts, REALIZE_TOL, NonDiagonalizableFamily)
     return model
 
 
@@ -274,7 +265,7 @@ def realize_fuchsian(P: ProjectivePresentation, poles=None,
         poles = P.poles
     if poles is None or len(poles) != len(P.names):
         raise ValueError("one pole per generator required")
-    residues, V, Vinv, lifts = _realizing_residues(P.generator_list(), NonAbelianUnsupported)
+    residues, lifts = _realizing_residues(P.generator_list(), NonAbelianUnsupported)
     system = FuchsianSystem(P.m, poles, residues)
-    _closed_form_monodromy(system, V, Vinv, lifts, tol, NonAbelianUnsupported)
+    _closed_form_monodromy(system, lifts, tol, NonAbelianUnsupported)
     return system

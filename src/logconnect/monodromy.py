@@ -1,16 +1,17 @@
 """Numerical parallel transport and monodromy of linear and projective systems.
 
-Paths are piecewise lines and circular arcs in one chart variable.  A Fuchsian
-system whose residues are all diagonal in one eigenbasis V up to rounding
-(``FuchsianSystem.residue_eigenbasis``: cond(V) <= 1e4 and each V^-1 A_i V off
-its diagonal by at most 64 cond(V) u max(||A_i||_F, 1)) has the fundamental
-solution prod_i (x - p_i)^{A_i}, so any closed loop has the matrix
-V diag(exp(2 pi i sum_i w_i d_i)) V^-1, with w_i its winding number about p_i,
-summed exactly segment by segment (``_winding_numbers``); no panel or series is
-needed.  Every other system is transported by solving dY = Omega(x) dx Y segment
-by segment and multiplying the segment matrices in path order.  An arc of a
-Fuchsian system (or of a one-residue local model) about a pole with no other pole
-near it, or about infinity, is taken in closed form from the Frobenius gauge
+Paths are piecewise lines and circular arcs in one chart variable.  A one-branch
+local model A dx/x is transported as the Fuchsian system with the one pole 0, so
+every later step sees Fuchsian data in one form.  A Fuchsian system whose residues
+are all diagonal in one eigenbasis V up to rounding (``residue_eigenbasis``: each
+V^-1 A_i V off its diagonal by at most 64 cond(V) u max(||A_i||_F, 1)), with
+cond(V) <= 1e4, has the fundamental solution prod_i (x - p_i)^{A_i}, so any closed
+loop has the matrix V diag(exp(2 pi i sum_i w_i d_i)) V^-1 (``loop_matrix``), with
+w_i its winding number about p_i, summed exactly segment by segment
+(``_winding_numbers``); no panel or series is needed.  Every other system is
+transported by solving dY = Omega(x) dx Y segment by segment and multiplying the
+segment matrices in path order.  An arc of a Fuchsian system about a pole with no
+other pole near it, or about infinity, is taken in closed form from the Frobenius gauge
 G = I + sum_k G_k z^k that turns the system into A dz/z there: its matrix is
 G(end) exp(i sweep A) G(start)^-1, with the series summed in A's eigenbasis to
 an order that a majorant certifies a priori (van der Hoeven, Fast evaluation of
@@ -30,7 +31,8 @@ Under path concatenation the loop -> matrix map is an antirepresentation:
 T(alpha then beta) = T(beta) @ T(alpha).  For a Fuchsian system the matrix of
 the loop at infinity is computed on its own (its circle in closed form from
 the residue at infinity), not as the inverse of the loops' product, so the
-sphere relation compares two computed numbers.
+sphere relation compares two computed numbers.  A Riccati system is transported
+once per loop, as its trace-free lift.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from .errors import (
     ToleranceNotMet,
 )
 from .projective import reconstruct, RiccatiSystem
-from .ratfunc import RationalFunction, to_complex
+from .ratfunc import to_complex
 
 __all__ = [
     "LineSegment",
@@ -118,21 +120,26 @@ class LoopPath:
 
     Closure and joins are checked to 1e-12 relative to the path's scale, the largest
     |x| at a segment's end (at least 1): an arc's end is computed through its angle,
-    so it lands within rounding of |x|, not of 0."""
+    so it lands within rounding of |x|, not of 0.  A failed join raises a ValueError
+    whose second argument is the index of the segment that does not join."""
 
     def __init__(self, segments, basepoint=None):
         self.segments = tuple(segments)
         if not self.segments:
             raise ValueError("a loop needs at least one segment")
         ends = [(s.point(0.0), s.point(1.0)) for s in self.segments]
-        gap = 1e-12 * max(1.0, max(abs(x) for pair in ends for x in pair))
+        self._gap = 1e-12 * max(1.0, max(abs(x) for pair in ends for x in pair))
         start, end = ends[0][0], ends[-1][1]
-        if abs(start - end) > gap:
+        if abs(start - end) > self._gap:
             raise ValueError("path is not closed")
-        for (_, a), (b, _) in zip(ends, ends[1:]):
-            if abs(a - b) > gap:
-                raise ValueError("consecutive segments do not join")
+        for j, ((_, a), (b, _)) in enumerate(zip(ends, ends[1:]), start=1):
+            if abs(a - b) > self._gap:
+                raise ValueError("consecutive segments do not join", j)
         self.basepoint = complex(basepoint) if basepoint is not None else complex(start)
+
+    def starts_at(self, x) -> bool:
+        """Whether the path starts at x, to the tolerance of its joins."""
+        return abs(self.segments[0].point(0.0) - x) <= self._gap
 
     def clearance(self, poles) -> float:
         """The least distance from the path to any of the complex ``poles`` (inf for none)."""
@@ -242,8 +249,6 @@ def standard_loops(F: FuchsianSystem, basepoint=None):
 def _poles_of(C):
     if isinstance(C, FuchsianSystem):
         return C.pole_array.tolist()
-    if isinstance(C, LocalModel):
-        return [0.0]
     conn = C.to_log_connection()
     if conn.n != 1:
         return []
@@ -259,14 +264,6 @@ def _omega_callable(C):
         stacked, poles = C.residue_arrays.reshape(C.k, m * m), C.pole_array
         return lambda x, dx: ((dx[..., None] / (x[..., None] - poles)) @ stacked).reshape(
             x.shape + (m, m))
-    if isinstance(C, LocalModel):
-        if C.k != 1:
-            raise ValueError(
-                "transport of a local model needs a one-dimensional slice; "
-                "use a single-branch slice"
-            )
-        A = C.residue_array(0)
-        return lambda x, dx: A * (dx / x)[..., None, None]
     conn = C.to_log_connection()
     if conn.n != 1:
         raise ValueError("transport is defined for one-variable charts")
@@ -396,8 +393,8 @@ def _certified_order(g, c, gaps, top, m, need):
 
 
 def _closed_form_arc(C, arc, tol: float):
-    """The transport matrix of ``arc`` for a Fuchsian system or a one-residue local
-    model from its Frobenius gauge, or None where the rule refuses it.
+    """The transport matrix of ``arc`` for a Fuchsian system from its Frobenius gauge,
+    or None where the rule refuses it (and for any other system).
 
     Inside a disk about the centre c that holds no pole but c, the system is
     A/z + tau(z) in z = x - c, with A the residue at c (0 at a regular point) and
@@ -411,9 +408,9 @@ def _closed_form_arc(C, arc, tol: float):
     It is accepted when the certified tail times cond(V) ||G(theta_0)^-1|| is
     within ``tol``, and so is cond(V) times the rounding of the phases.
     """
-    if not (isinstance(C, FuchsianSystem) or isinstance(C, LocalModel) and C.k == 1):
+    if not isinstance(C, FuchsianSystem):
         return None
-    poles, residues = np.array(_poles_of(C), dtype=complex), C.residue_arrays
+    poles, residues = C.pole_array, C.residue_arrays
     d = poles - arc.center
     at = d == 0
     angles = np.array([arc.from_angle, arc.to_angle])
@@ -485,48 +482,53 @@ def _winding_numbers(path: LoopPath, poles) -> list:
 
 def _closed_form_loop(F: FuchsianSystem, path: LoopPath, tol: float):
     """The transport matrix of the closed ``path`` for a Fuchsian system whose residues
-    are diagonal in one eigenbasis up to rounding (``FuchsianSystem.residue_eigenbasis``);
-    None for any other system, or when the phases lose ``tol`` to rounding.
-
-    Then Y(x) = prod_i (x - p_i)^{A_i} is a fundamental solution (Deligne, Equations
-    differentielles a points singuliers reguliers, LNM 163), and continuing it around a
-    loop with winding number w_i about p_i multiplies it by
-    V diag(exp(2 pi i sum_i w_i d_i)) V^-1.  The phases are rounded by about
-    eps |2 pi sum_i w_i d_i|, so the loop is accepted when cond(V) times that is within
-    ``tol``, as an arc is by ``_closed_form_arc``.
+    are diagonal in one eigenbasis V up to rounding (``residue_eigenbasis``) with
+    cond(V) <= ``EIGENBASIS_COND``: ``loop_matrix`` of the path's winding numbers,
+    V diag(exp(2 pi i sum_i w_i d_i)) V^-1.  None for any other system, or when the
+    phases lose ``tol`` to rounding: they are rounded by about eps |2 pi sum_i w_i d_i|,
+    so the loop is accepted when cond(V) times that is within ``tol``, as an arc is by
+    ``_closed_form_arc``.
     """
     basis = F.residue_eigenbasis
-    if basis is None:
+    if basis is None or not basis[3] <= EIGENBASIS_COND:
         return None
-    V, Vinv, d, kappa = basis
-    phases = TWO_PI * (np.array(_winding_numbers(path, F.pole_array.tolist()), dtype=float) @ d)
+    _, _, d, kappa = basis
+    windings = _winding_numbers(path, F.pole_array.tolist())
+    phases = TWO_PI * (np.array(windings, dtype=float) @ d)
     if kappa * np.finfo(float).eps * np.abs(phases).max(initial=0.0) > tol:
         return None
-    return (V * np.exp(1j * phases)) @ Vinv
+    return F.loop_matrix(windings)
 
 
 def transport(C, path: LoopPath, tol: float = 1e-10) -> np.ndarray:
     """Fundamental-solution transport matrix along a path: Y(end) = T Y(start).
 
+    A one-branch local model A dx/x is read as the Fuchsian system with the one pole
+    0 and residue A; a local model with any other number of branches is refused.
     A Fuchsian system whose residues are diagonal in one eigenbasis up to rounding
     takes the whole closed path in closed form from its winding numbers
     (``_closed_form_loop``), after the pole-proximity check.  Otherwise an arc of a
-    Fuchsian system or one-residue local model about a pole (or a
-    regular point) with no other pole near it, or about infinity, is taken in
-    closed form from the Frobenius gauge (``_closed_form_arc``) when its truncation
-    is certified.  Other segments are integrated in path order by Gauss-Legendre
-    panel collocation (``_flow``), each from the product so far, except one that
-    the path retraces later: its matrix S is integrated from the identity and
-    multiplies the product (T = S @ T), and the retrace solves with S when
-    cond(S) <= ``WELL_CONDITIONED`` and is integrated otherwise.  A solved retrace
-    carries S's error times cond(S), so a path with one can miss ``tol`` by up to a
-    factor ``WELL_CONDITIONED`` in relative error.  Nothing outlives the call.
+    Fuchsian system about a pole (or a regular point) with no other pole near it, or
+    about infinity, is taken in closed form from the Frobenius gauge
+    (``_closed_form_arc``) when its truncation is certified.  Other segments are
+    integrated in path order by Gauss-Legendre panel collocation (``_flow``), each
+    from the product so far, except one that the path retraces later: its matrix S
+    is integrated from the identity and multiplies the product (T = S @ T), and the
+    retrace solves with S when cond(S) <= ``WELL_CONDITIONED`` and is integrated
+    otherwise.  A solved retrace carries S's error times cond(S), so a path with one
+    can miss ``tol`` by up to a factor ``WELL_CONDITIONED`` in relative error.
+    Nothing outlives the call.
     """
+    if isinstance(C, LocalModel):
+        if C.k != 1:
+            raise ValueError(
+                "transport of a local model needs a one-dimensional slice; "
+                "use a single-branch slice"
+            )
+        C = FuchsianSystem(C.m, [0], C.residues, exact=C.exact)
     conn_poles = _poles_of(C)
-    if conn_poles:
-        clr = path.clearance(conn_poles)
-        if clr < 1e-12:
-            raise PoleProximity("path passes within 1e-12 of the polar divisor")
+    if conn_poles and path.clearance(conn_poles) < 1e-12:
+        raise PoleProximity("path passes within 1e-12 of the polar divisor")
     if isinstance(C, FuchsianSystem) and (T := _closed_form_loop(C, path, tol)) is not None:
         return T
     omega = _omega_callable(C)
@@ -619,23 +621,13 @@ def monodromy_rep(C, loops, tol: float = 1e-10) -> MonodromyRep:
 
 
 def projective_monodromy(C, loops, tol: float = 1e-10) -> MonodromyRep:
-    """Projective classes of the linear transport; trace-choice independence is
-    asserted when the input is a Riccati system."""
-    loops = list(loops)
-    riccati = isinstance(C, RiccatiSystem)
-    rep = monodromy_rep(reconstruct(C, None) if riccati else C, loops, tol)
-    if riccati:
-        # a second, distinct trace: m * dx in the first chart variable
-        other = tuple(
-            RationalFunction.constant(C.m if v == 0 else 0, C.gens)
-            for v in range(C.n)
-        )
-        lifted1 = reconstruct(C, other)
-        for M0, lp in zip(rep.matrices, loops):
-            if not proj_equal(M0, transport(lifted1, lp, tol), 1e-7):
-                raise ToleranceNotMet(
-                    "projective transport depends on the chosen trace beyond tolerance"
-                )
+    """Projective classes of the linear transport; a Riccati system is transported once
+    per loop, as its trace-free lift ``reconstruct(C, None)``.  Any other trace gives the
+    same classes: the lifts differ by a scalar 1-form s I, which commutes with omega, so
+    each loop's matrix changes by the scalar exp(the integral of s around it)."""
+    if isinstance(C, RiccatiSystem):
+        C = reconstruct(C, None)
+    rep = monodromy_rep(C, loops, tol)
     infinity = None if rep.infinity is None else ProjectiveClass(rep.infinity)
     return replace(rep, matrices=tuple(ProjectiveClass(M) for M in rep.matrices),
                    infinity=infinity)

@@ -398,7 +398,9 @@ def validate_schema(doc):
 
 def parse_loops(doc, pointer="/loops"):
     """Parse a nonempty list of loop documents into LoopPath objects; each loop needs
-    at least one segment and must close (``LoopPath``'s check)."""
+    at least one segment, and every join, the basepoint's to the first segment among
+    them, is judged by ``LoopPath``'s rule: a segment that does not join is named by
+    its own pointer, a loop that does not close by the loop's."""
     from .monodromy import ArcSegment, LineSegment, LoopPath
 
     if not isinstance(doc, list) or not doc:
@@ -425,16 +427,19 @@ def parse_loops(doc, pointer="/loops"):
                 center = _complex(_require(s, "center", sptr), sptr + "/center")
                 seg = ArcSegment(center, _real(s, "radius", sptr, positive=True),
                                  _real(s, "from_angle", sptr), _real(s, "to_angle", sptr))
-                if abs(seg.point(0.0) - current) > 1e-9:
-                    raise SchemaViolation(sptr, "arc does not start at the current point")
                 segs.append(seg)
                 current = seg.point(1.0)
             else:
                 raise SchemaViolation(sptr + "/kind", "expected 'line' or 'arc'")
         try:
-            loops.append(LoopPath(segs, basepoint=bp))
-        except ValueError as exc:  # LoopPath's closure and join checks
-            raise SchemaViolation(ptr, str(exc)) from None
+            loop = LoopPath(segs, basepoint=bp)
+        except ValueError as exc:  # LoopPath's closure check, or its join check at a segment
+            message, *segment = exc.args
+            where = f"{ptr}/segments/{segment[0]}" if segment else ptr
+            raise SchemaViolation(where, message) from None
+        if not loop.starts_at(bp):  # only an arc can start elsewhere
+            raise SchemaViolation(ptr + "/segments/0", "arc does not start at the basepoint")
+        loops.append(loop)
     return loops
 
 

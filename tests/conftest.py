@@ -86,6 +86,17 @@ def refined(loop, parts=2):
     return LoopPath(out, basepoint=loop.basepoint)
 
 
+def mat_exp(A, digits: int = 50) -> np.ndarray:
+    """exp(A) computed with ``digits`` significant digits (mpmath) and rounded: exact to
+    double precision where A's eigenbasis is ill-conditioned, where scipy's expm loses
+    about cond(V)^2 u (4e-5 of exp(2 pi i A) at cond(V) = 1e6)."""
+    import mpmath
+
+    with mpmath.workdps(digits):
+        E = mpmath.expm(mpmath.matrix(np.asarray(A, dtype=complex).tolist()))
+        return np.array(E.tolist(), dtype=complex)
+
+
 def mat_log_normalized(M, tol: float = 1e-12) -> np.ndarray:
     """Return A with exp(2*pi*i*A) = M and eigenvalues of A in the strip 0 <= Re < 1.
 

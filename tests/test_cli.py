@@ -720,6 +720,28 @@ def test_normalize_reads_the_exact_series(tmp_path, components, A, taus):
         assert np.max(np.abs(G - W)) <= 1e-9 * max(1.0, np.max(np.abs(W)))
 
 
+# PROBE, then the process's peak resident set size in kB (Linux's unit for ru_maxrss)
+PEAK = PROBE.replace("sys.exit(code)\n", "import resource\nprint('PEAK', resource.getrusage("
+                     "resource.RUSAGE_SELF).ru_maxrss, file=sys.stderr)\nsys.exit(code)\n")
+
+
+def test_a_high_order_normalization_fits_in_the_memory_of_a_low_one():
+    # the defect check runs by recursion over orders, so order 800 holds 801
+    # coefficients where a dense block-Toeplitz form held 801^2 blocks (89 MB more)
+    src = str(pathlib.Path(logconnect.__file__).parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p)}
+    peaks = []
+    for order in ("10", "800"):
+        r = subprocess.run([sys.executable, "-c", PEAK, "normalize",
+                            str(FIXTURES / "normalize_tau.json"), "--order", order],
+                           capture_output=True, text=True, timeout=60, env=env)
+        assert r.returncode == 0, r.stdout + r.stderr
+        assert len(json.loads(r.stdout)["payload"]["coefficients"]) == int(order) + 1
+        peaks.append(int(r.stderr.split("PEAK")[-1]))
+    assert peaks[1] - peaks[0] < 10 * 1024, peaks
+
+
 def test_importing_the_cli_loads_no_heavy_library():
     code = ("import sys, logconnect.cli; print('LOADED', *(m for m in "
             f"{HEAVY + NUMERIC!r} if m in sys.modules), file=sys.stderr)")
@@ -1026,16 +1048,26 @@ def test_a_loop_without_segments_is_schema_error(tmp_path):
     assert (payload["error"], payload["pointer"]) == ("SchemaViolation", "/loops/1/segments")
 
 
-@pytest.mark.parametrize("segments, message", [
-    ([{**ARC, "to_angle": 3.141592653589793}], "not closed"),
-    # the arc starts 1e-10 off the line's end: within the reader's 1e-9 for an arc's
-    # start, but not within the loop's 1e-12 for a join
+@pytest.mark.parametrize("segments, pointer, message", [
+    ([{**ARC, "to_angle": 3.141592653589793}], "/loops/0", "not closed"),
+    # the arc starts 1e-10, or 1e-6, off the line's end: past the loop's 1e-12 for a
+    # join either way, so both are named at the arc that does not join
     ([{"kind": "line", "to": [2, 0]}, {"kind": "line", "to": [1, 0]},
-      {**ARC, "from_angle": 1e-10}], "do not join")], ids=["open", "gap"])
-def test_a_loop_that_does_not_close_is_schema_error(tmp_path, segments, message):
+      {**ARC, "from_angle": 1e-10}], "/loops/0/segments/2", "do not join"),
+    ([{"kind": "line", "to": [2, 0]}, {"kind": "line", "to": [1, 0]},
+      {**ARC, "from_angle": 1e-6}], "/loops/0/segments/2", "do not join"),
+], ids=["open", "gap", "wide_gap"])
+def test_a_loop_that_does_not_close_is_schema_error(tmp_path, segments, pointer, message):
     payload = _loops_verdict(tmp_path, [{"basepoint": [1, 0], "segments": segments}])
-    assert (payload["error"], payload["pointer"]) == ("SchemaViolation", "/loops/0")
+    assert (payload["error"], payload["pointer"]) == ("SchemaViolation", pointer)
     assert message in payload["message"]
+
+
+def test_an_arc_off_the_basepoint_is_schema_error(tmp_path):
+    # the unit circle closes, but the loop is declared at 1 + 1e-6
+    payload = _loops_verdict(tmp_path, [{"basepoint": [1 + 1e-6, 0], "segments": [ARC]}])
+    assert (payload["error"], payload["pointer"]) == ("SchemaViolation", "/loops/0/segments/0")
+    assert "basepoint" in payload["message"]
 
 
 @pytest.mark.parametrize("value", ["NaN", "Infinity"])

@@ -292,6 +292,27 @@ def loop_defect(A, taus, G):
     return defect
 
 
+def dense_defect(A, taus, G):
+    """The defect with every series product as one dense block-Toeplitz array, (N + 1)^2
+    blocks of m x m: the reference for ``poincare_defect``'s recursion over orders."""
+    G, taus = np.asarray(G, dtype=complex), np.asarray(taus, dtype=complex)
+    N, m = len(G) - 1, A.shape[0]
+
+    def toeplitz(Y, rows, cols):  # B[k, j] = Y_(k-j), zero outside 0..len(Y)-1
+        shift = np.arange(rows)[:, None] - np.arange(cols)[None, :]
+        shift[(shift < 0) | (shift >= len(Y))] = len(Y)
+        return np.concatenate([Y, np.zeros_like(Y[:1])])[shift]
+
+    L = toeplitz(G, N + 1, N + 1).transpose(0, 2, 1, 3).reshape((N + 1) * m, (N + 1) * m)
+    H = np.linalg.solve(L, np.eye((N + 1) * m, m)).reshape(N + 1, m, m)
+    k = np.arange(1, N + 1)[:, None, None]
+    tau_G = np.einsum("jab,kjbc->kac", taus, toeplitz(G, N, len(taus)))
+    P = np.concatenate([A @ G[:1], A @ G[1:] - k * G[1:] + tau_G])
+    W = np.einsum("jab,kjbc->kac", H, toeplitz(P, N + 1, N + 1))
+    W[0] -= A
+    return float(np.max(np.linalg.norm(W, axis=(1, 2))))
+
+
 def seeded_series(nprng, m, degree=3):
     """A nonresonant A (diagonal spread below 1, small complex noise) and degree + 1
     complex tau coefficients."""
@@ -339,6 +360,20 @@ class TestNormalizationRecursion:
                 Gk + 0.1 * nprng.normal(size=Gk.shape) for Gk in gauge.coefficients[1:]]
             want = loop_defect(A, taus or [np.zeros_like(A)], G)
             assert abs(poincare_defect(conn, GaugeSeries(G)) - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_defect_matches_the_dense_form_through_order_40(self, nprng, m):
+        A, taus = seeded_series(nprng, m)
+        conn = series_document(A, taus)
+        for order in range(41):
+            gauge = poincare_normalize(conn, order=order)
+            assert dense_defect(A, taus, gauge.coefficients) <= 1e-12
+            assert poincare_defect(conn, gauge) <= 1e-12
+            # a gauge off by 0.1 / k at order k: a defect of order one, the same to rounding
+            G = [gauge.coefficients[0]] + [Gk + 0.1 / k * nprng.normal(size=Gk.shape)
+                                           for k, Gk in enumerate(gauge.coefficients[1:], 1)]
+            want = dense_defect(A, taus, G)
+            assert abs(poincare_defect(conn, GaugeSeries(G)) - want) <= 1e-12 * want, order
 
     @pytest.mark.parametrize("order, raises", [(2, False), (3, True), (5, True)])
     def test_resonance_at_one_order_is_refused_there(self, nprng, order, raises):

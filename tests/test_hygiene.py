@@ -122,15 +122,35 @@ def test_obstruction_scalars_are_read_in_one_place():
     """Every obstruction scalar comes from ``lifting._lift``: only it and the relation
     check of ``ProjectivePresentation.__init__`` evaluate words, the two older scalar
     readers are gone, and the tolerances and search bounds are module constants: no
-    function of lifting takes one except ``realize_fuchsian`` and the two checks it
-    hands its ``tol`` to (the diagonal test and the closed-form monodromy)."""
+    function of lifting takes one except ``realize_fuchsian`` and the closed-form
+    monodromy check it hands its ``tol`` to."""
     assert functions_naming(LIFTING, {"_evaluate"}) == {
         ("lifting.py", None, "_lift"), ("lifting.py", "ProjectivePresentation", "__init__")}
     assert functions_naming(LIFTING, {"_scalar_of", "_commutator_scalar"}) == set()
     knobs = {f.name for f in ast.walk(ast.parse(LIFTING.read_text()))
              if isinstance(f, ast.FunctionDef)
              and KNOBS & {a.arg for a in f.args.args + f.args.kwonlyargs}}
-    assert knobs == {"realize_fuchsian", "_diagonal", "_closed_form_monodromy"}, knobs
+    assert knobs == {"realize_fuchsian", "_closed_form_monodromy"}, knobs
+
+
+MONODROMY = PACKAGE / "monodromy.py"
+
+
+def test_a_residue_basis_forms_its_loop_matrix_in_one_place():
+    """V diag(exp(2 pi i sum_i w_i d_i)) V^-1 is written once, in
+    ``_Residues.loop_matrix``: it is the one function that reads ``residue_eigenbasis``
+    and calls ``exp``, lifting calls no ``exp`` at all, and the closed forms of transport
+    and of the realizations both call it.  monodromy names ``LocalModel`` only in
+    ``transport``, which reads a one-branch local model as a Fuchsian system, so every
+    later step of transport sees one representation of Fuchsian data."""
+    readers = set().union(*(functions_naming(p, {"residue_eigenbasis"}) for p in MODULES))
+    exps = set().union(*(functions_naming(p, {"exp"}) for p in MODULES))
+    assert readers & exps == {("connections.py", "_Residues", "loop_matrix")}, readers & exps
+    assert functions_naming(LIFTING, {"exp"}) == set()
+    assert set().union(*(functions_naming(p, {"loop_matrix"}) for p in MODULES)) == {
+        ("monodromy.py", None, "_closed_form_loop"),
+        ("lifting.py", None, "_closed_form_monodromy")}
+    assert functions_naming(MONODROMY, {"LocalModel"}) == {("monodromy.py", None, "transport")}
 
 
 ERRORS = PACKAGE / "errors.py"

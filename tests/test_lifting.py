@@ -27,6 +27,8 @@ from logconnect.errors import (
     NotProjectivelyCommuting,
 )
 
+from conftest import mat_exp
+
 SWAP = np.array([[0.0, 1.0], [1.0, 0.0]])
 FLIP = np.diag([1.0, -1.0])
 
@@ -445,3 +447,40 @@ class TestClosedFormCheck:
             realize_fuchsian(P)
         with pytest.raises(NonDiagonalizableFamily):
             local_realize(classes)
+
+
+def conditioned(rng, m, k):
+    """A seeded complex matrix of condition number 10^k: unitary factors about the
+    singular values 1 down to 10^-k."""
+    U, W = (np.linalg.qr(rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))[0]
+            for _ in range(2))
+    return U @ np.diag(np.logspace(0, -k, m)) @ W.conj().T
+
+
+@pytest.mark.parametrize("k", range(2, 8))
+@pytest.mark.parametrize("m, n", [(2, 1), (3, 1), (2, 2), (3, 2)])
+def test_realization_envelope(k, m, n):
+    # n commuting classes Q diag(unit eigenvalues) Q^-1 with cond(Q) = 10^k.  A single
+    # class is realized through 10^6: its residue's eigenbasis is accepted within
+    # 64 cond(V) u of diagonal, and each exp(2 pi i A_j) checked against its class.  A
+    # pair's commutator is read in lifts with entries of size 10^k, so pairs are
+    # realized through 10^3.  Past those a refusal is the realization's own error.
+    rng = np.random.default_rng(100 * k + 10 * m + n)
+    Q = conditioned(rng, m, k)
+    classes = [Q @ np.diag(np.exp(1j * (np.sort(rng.uniform(0.05, 0.9, size=m))
+                                        + 1.1 * np.arange(m)))) @ np.linalg.inv(Q)
+               for _ in range(n)]
+    P = ProjectivePresentation(m, {f"g{j}": g for j, g in enumerate(classes)},
+                               poles=list(range(n)))
+    for realize, error in [(lambda: realize_fuchsian(P), NonAbelianUnsupported),
+                           (lambda: local_realize(classes),
+                            (NotProjectivelyCommuting, NonDiagonalizableFamily))]:
+        try:
+            system = realize()
+        except error:
+            assert k > (6 if n == 1 else 3)
+            continue
+        for j, N in enumerate(classes):
+            # the 50-digit exponential: scipy's expm is itself off by up to 4e-5 here
+            assert proj_equal(mat_exp(2j * np.pi * system.residue_array(j)), N,
+                              10 * lifting.REALIZE_TOL)

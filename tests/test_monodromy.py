@@ -268,6 +268,21 @@ class TestProjectiveMonodromy:
         lin = monodromy_rep(F, standard_loops(F))
         assert proj_equal(rep.matrices[0].canonical, lin.matrices[0], 1e-6)
 
+    def test_a_riccati_system_is_transported_once_per_loop(self, monkeypatch):
+        F = FuchsianSystem(2, [0, 1], [[[0.25, 0.1], [0.0, -0.25]], [[0.1, 0.0], [0.3, 0.2]]])
+        loops = standard_loops(F)
+        calls, original = [], monodromy.transport
+
+        def spy(C, path, *args, **kwargs):
+            calls.append(path)
+            return original(C, path, *args, **kwargs)
+
+        monkeypatch.setattr(monodromy, "transport", spy)
+        rep = projective_monodromy(projectivize(F), loops)
+        assert calls == loops
+        for P, M in zip(rep.matrices, monodromy_rep(F, loops).matrices):
+            assert proj_equal(P.canonical, M, 1e-9)
+
     def test_zero_riccati_identity(self):
         F = FuchsianSystem(2, [0], [np.zeros((2, 2))])
         rep = projective_monodromy(projectivize(F), standard_loops(F))
@@ -766,6 +781,25 @@ class TestClosedFormLoops:
             solves.clear()
             transport(F, lp)
             assert lp.segments[0] in solves
+
+    def test_a_local_model_from_a_loops_file_is_closed_form(self, nprng, solves):
+        # read as the Fuchsian system with one pole at 0: a square about 0, and a
+        # figure-eight whose first lobe leaves 0 outside and whose second goes once
+        # clockwise about it, so that its winding number about 0 is -1
+        from logconnect.serialization import parse_loops
+
+        A = 0.5 * (nprng.normal(size=(3, 3)) + 1j * nprng.normal(size=(3, 3)))
+        square = {"basepoint": [1, -1], "segments": [
+            {"kind": "line", "to": to} for to in ([1, 1], [-1, 1], [-1, -1], [1, -1])]}
+        eight = {"basepoint": [1, 0], "segments": [
+            {"kind": "arc", "center": [2, 0], "radius": 1, "from_angle": np.pi,
+             "to_angle": -np.pi},
+            {"kind": "arc", "center": [0, 0], "radius": 1, "from_angle": 0,
+             "to_angle": -2 * np.pi}]}
+        for loop, w in zip(parse_loops([square, eight]), (1, -1)):
+            T = transport(LocalModel(3, [A]), loop)
+            assert solves == []
+            assert _relative(T, mat_exp(2j * np.pi * w * A)) < 1e-12
 
     def test_residues_commuting_to_1e_9_are_integrated(self, solves):
         A, B = np.diag([0.3, -0.2]), np.diag([0.1, 0.25]) + 1e-9 * np.array([[0, 1], [1, 0]])
