@@ -141,20 +141,20 @@ def check_flat(conn, tol):
 @_verb("residues", CONNECTIONS)
 def residues_cmd(conn):
     """All residue matrices (plus infinity for Fuchsian systems)."""
-    from .connections import FuchsianSystem, LocalModel, exact_residue
+    from .connections import LogConnection, exact_residue
 
     # exact, each entry written correctly rounded
-    if isinstance(conn, (FuchsianSystem, LocalModel)):
-        mats = conn.residues
-    else:
+    if isinstance(conn, LogConnection):
         mats = [exact_residue(conn, i) for i in range(len(conn.divisor))]
+    else:  # a fuchsian or local_model document, which stores its residues
+        mats = conn.residues
     payload = {"residues": [matrix_to_json(R) for R in mats]}
-    if isinstance(conn, FuchsianSystem):
-        payload["infinity"] = matrix_to_json(conn.infinity_residue)
+    if (infinity := getattr(conn, "infinity_residue", None)) is not None:  # fuchsian
+        payload["infinity"] = matrix_to_json(infinity)
     return "ok", payload
 
 
-@_verb("monodromy", CONNECTIONS, tol=1e-10)
+@_verb("monodromy", CONNECTIONS + ("riccati",), tol=1e-10)
 @click.option("--basepoint", default=None, type=str,
               help="basepoint as 're,im' (default: of the 8 points (1 + max|p|) "
                    "exp(i k pi/4), the one whose corridors pass farthest from the other "
@@ -164,12 +164,17 @@ def residues_cmd(conn):
 def monodromy_cmd(conn, tol, basepoint, loops_path):
     """Monodromy matrices over standard (or supplied) loops.
 
-    A Fuchsian system whose residues share an eigenbasis is read in closed form from
-    each loop's winding numbers; any other system is transported numerically."""
+    A system in Fuchsian form (fuchsian, or a one-variable log_connection or riccati of
+    entries sum A_i/(x - p_i)) gets standard loops and the loop at infinity; a riccati
+    document gives the canonical representatives of its projective classes."""
     from . import monodromy
-    from .connections import FuchsianSystem, LocalModel
+    from .connections import LocalModel, fuchsian_form
+    from .projective import RiccatiSystem, reconstruct
 
-    fuchsian = isinstance(conn, FuchsianSystem)
+    projective = isinstance(conn, RiccatiSystem)
+    conn = reconstruct(conn, None) if projective else conn
+    form = fuchsian_form(conn)
+    fuchsian = form is not None and not isinstance(conn, LocalModel)
     if basepoint is not None and (loops_path is not None or not fuchsian):
         raise ValueError("--basepoint places the standard loops of a 'fuchsian' document; "
                          + ("--loops gives its own" if loops_path is not None
@@ -187,16 +192,17 @@ def monodromy_cmd(conn, tol, basepoint, loops_path):
             bp = complex(re, im)
             if not math.isfinite(abs(bp)):
                 raise ValueError(f"--basepoint must be finite, got {basepoint!r}")
-        loops = monodromy.standard_loops(conn, basepoint=bp)
-    elif isinstance(conn, LocalModel) and conn.k == 1:
+        loops = monodromy.standard_loops(form, basepoint=bp)
+    elif form is not None:  # a one-branch local model
         loops = [monodromy.circle_loop(0.0, 1.0)]
     else:
         raise SchemaViolation("", "supply --loops for this system kind")
-    rep = monodromy.monodromy_rep(conn, loops, tol=tol)
-    payload = {"matrices": [matrix_to_json(M) for M in rep.matrices],
+    rep = (monodromy.projective_monodromy if projective else monodromy.monodromy_rep)(
+        conn, loops, tol=tol)
+    payload = {"matrices": [system_to_json(M) for M in rep.matrices],
                "basepoint": [rep.basepoint.real, rep.basepoint.imag]}
     if rep.infinity is not None:
-        payload["infinity"] = matrix_to_json(rep.infinity)
+        payload["infinity"] = system_to_json(rep.infinity)
         payload["composition_convention"] = rep.composition_convention
         payload["order"] = list(rep.order)
     return "ok", payload

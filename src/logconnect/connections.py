@@ -47,6 +47,7 @@ __all__ = [
     "flatness_check",
     "residue",
     "exact_residue",
+    "fuchsian_form",
     "line_quotient",
     "pullback_power",
     "poincare_normalize",
@@ -392,6 +393,27 @@ def _constant_quotient(num, den, exact: bool, tol: float):
                                       <= tol * max(1.0, abs(complex(r)))):
         return r
     raise NonConstantResidue("residue varies along the branch beyond tolerance")
+
+
+def fuchsian_form(C):
+    """The ``FuchsianSystem`` that ``C`` is, or None, read once per object: a one-branch
+    local model has the pole 0, and a one-variable ``LogConnection`` the system of its
+    branch values and ``exact_residue``s if that system's embedding ``equals`` it."""
+    if isinstance(C, FuchsianSystem):
+        return C
+    if "_fuchsian_form" not in vars(C):  # cached like ``cached_property``, None included
+        form = None
+        if isinstance(C, LocalModel) and C.k == 1:
+            form = FuchsianSystem(C.m, [0], C.residues, exact=C.exact)
+        elif isinstance(C, LogConnection) and C.n == 1:
+            try:
+                F = FuchsianSystem(C.m, [c for _, c in C.divisor], [
+                    exact_residue(C, i) for i in range(len(C.divisor))], exact=C.exact)
+                form = F if F.to_log_connection().equals(C) else None
+            except (NonConstantResidue, SchemaViolation):
+                pass
+        vars(C)["_fuchsian_form"] = form
+    return vars(C)["_fuchsian_form"]
 
 
 def residue(C, branch, tol: float = 1e-10):

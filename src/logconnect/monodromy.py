@@ -1,8 +1,8 @@
 """Numerical parallel transport and monodromy of linear and projective systems.
 
-Paths are piecewise lines and circular arcs in one chart variable.  A one-branch
-local model A dx/x is transported as the Fuchsian system with the one pole 0, so
-every later step sees Fuchsian data in one form.  A Fuchsian system whose residues
+Paths are piecewise lines and circular arcs in one chart variable.  A system is
+transported in its Fuchsian form (``connections.fuchsian_form``) when it has one,
+so every later step sees Fuchsian data in one form.  A Fuchsian system whose residues
 are all diagonal in one eigenbasis V up to rounding (``residue_eigenbasis``: each
 V^-1 A_i V off its diagonal by at most 64 cond(V) u max(||A_i||_F, 1)), with
 cond(V) <= 1e4, has the fundamental solution prod_i (x - p_i)^{A_i}, so any closed
@@ -43,7 +43,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .algebra import EIGENBASIS_COND, TWO_PI, ProjectiveClass, proj_equal
-from .connections import FuchsianSystem, LocalModel
+from .connections import FuchsianSystem, LocalModel, fuchsian_form
 from .errors import (
     DegenerateConfiguration,
     PoleProximity,
@@ -196,9 +196,11 @@ def standard_loops(F: FuchsianSystem, basepoint=None):
     that grazes a pole needs narrow panels there.  When all 8 are crowded, the same
     choice is made among the 8 turned by pi/8 before the default is refused.  Every
     candidate lies on the circle |x| = R, so the loop at infinity is that circle; one
-    pole keeps R itself.
+    pole keeps R itself.  A system with no poles has no standard loops.
     """
     poles = F.pole_array.tolist()
+    if not poles:
+        raise DegenerateConfiguration("no poles to take standard loops about; supply --loops")
     defaulted = basepoint is None
     if defaulted:
         R = 1.0 + max(abs(p) for p in poles)
@@ -246,27 +248,16 @@ def standard_loops(F: FuchsianSystem, basepoint=None):
     return loops
 
 
-def _poles_of(C):
-    if isinstance(C, FuchsianSystem):
-        return C.pole_array.tolist()
-    conn = C.to_log_connection()
-    if conn.n != 1:
-        return []
-    return [to_complex(c) for _, c in conn.divisor]
-
-
-def _omega_callable(C):
-    """(x, dx) -> Omega(x) dx for a one-variable system: for arrays x and dx of one
-    shape S, an array of shape S + (m, m) (fast path for Fuchsian data)."""
-    if isinstance(C, FuchsianSystem):
-        m = C.m
+def _omega_callable(F, conn):
+    """(x, dx) -> Omega(x) dx for a one-variable system, from its Fuchsian form ``F``
+    when it has one, else from its ``LogConnection`` ``conn``: for arrays x and dx of
+    one shape S, an array of shape S + (m, m)."""
+    if F is not None:
+        m = F.m
         # the k residues stacked as rows, so sum_i A_i dx / (x - p_i) is one product
-        stacked, poles = C.residue_arrays.reshape(C.k, m * m), C.pole_array
+        stacked, poles = F.residue_arrays.reshape(F.k, m * m), F.pole_array
         return lambda x, dx: ((dx[..., None] / (x[..., None] - poles)) @ stacked).reshape(
             x.shape + (m, m))
-    conn = C.to_log_connection()
-    if conn.n != 1:
-        raise ValueError("transport is defined for one-variable charts")
     omega = conn.component_callable(0)
     return lambda x, dx: omega(x) * dx[..., None, None]
 
@@ -392,9 +383,9 @@ def _certified_order(g, c, gaps, top, m, need):
     return N, float(nu[N])
 
 
-def _closed_form_arc(C, arc, tol: float):
+def _closed_form_arc(F: FuchsianSystem, arc, tol: float):
     """The transport matrix of ``arc`` for a Fuchsian system from its Frobenius gauge,
-    or None where the rule refuses it (and for any other system).
+    or None where the rule refuses it.
 
     Inside a disk about the centre c that holds no pole but c, the system is
     A/z + tau(z) in z = x - c, with A the residue at c (0 at a regular point) and
@@ -408,9 +399,7 @@ def _closed_form_arc(C, arc, tol: float):
     It is accepted when the certified tail times cond(V) ||G(theta_0)^-1|| is
     within ``tol``, and so is cond(V) times the rounding of the phases.
     """
-    if not isinstance(C, FuchsianSystem):
-        return None
-    poles, residues = C.pole_array, C.residue_arrays
+    poles, residues = F.pole_array, F.residue_arrays
     d = poles - arc.center
     at = d == 0
     angles = np.array([arc.from_angle, arc.to_angle])
@@ -503,9 +492,8 @@ def _closed_form_loop(F: FuchsianSystem, path: LoopPath, tol: float):
 def transport(C, path: LoopPath, tol: float = 1e-10) -> np.ndarray:
     """Fundamental-solution transport matrix along a path: Y(end) = T Y(start).
 
-    A one-branch local model A dx/x is read as the Fuchsian system with the one pole
-    0 and residue A; a local model with any other number of branches is refused.
-    A Fuchsian system whose residues are diagonal in one eigenbasis up to rounding
+    A system is read in its Fuchsian form (``connections.fuchsian_form``) when it has
+    one.  A Fuchsian system whose residues are diagonal in one eigenbasis up to rounding
     takes the whole closed path in closed form from its winding numbers
     (``_closed_form_loop``), after the pole-proximity check.  Otherwise an arc of a
     Fuchsian system about a pole (or a regular point) with no other pole near it, or
@@ -517,21 +505,18 @@ def transport(C, path: LoopPath, tol: float = 1e-10) -> np.ndarray:
     retrace solves with S when cond(S) <= ``WELL_CONDITIONED`` and is integrated
     otherwise.  A solved retrace carries S's error times cond(S), so a path with one
     can miss ``tol`` by up to a factor ``WELL_CONDITIONED`` in relative error.
-    Nothing outlives the call.
+    Nothing outlives the call but the form, which the system caches.
     """
-    if isinstance(C, LocalModel):
-        if C.k != 1:
-            raise ValueError(
-                "transport of a local model needs a one-dimensional slice; "
-                "use a single-branch slice"
-            )
-        C = FuchsianSystem(C.m, [0], C.residues, exact=C.exact)
-    conn_poles = _poles_of(C)
-    if conn_poles and path.clearance(conn_poles) < 1e-12:
+    F = fuchsian_form(C)
+    conn = None if F is not None else C.to_log_connection()
+    if conn is not None and conn.n != 1:
+        raise ValueError("transport is defined for one-variable charts")
+    poles = F.pole_array.tolist() if conn is None else [to_complex(c) for _, c in conn.divisor]
+    if path.clearance(poles) < 1e-12:
         raise PoleProximity("path passes within 1e-12 of the polar divisor")
-    if isinstance(C, FuchsianSystem) and (T := _closed_form_loop(C, path, tol)) is not None:
+    if F is not None and (T := _closed_form_loop(F, path, tol)) is not None:
         return T
-    omega = _omega_callable(C)
+    omega = _omega_callable(F, conn)
     last = {seg: i for i, seg in enumerate(path.segments)}  # segment -> its last index
     identity = np.eye(C.m, dtype=complex)
     T, kept = identity, {}  # kept: segment -> S, for the segments the path retraces
@@ -540,7 +525,8 @@ def transport(C, path: LoopPath, tol: float = 1e-10) -> np.ndarray:
         S = kept.pop(rev, None)
         if S is not None and np.linalg.cond(S) <= WELL_CONDITIONED:
             T = np.linalg.solve(S, T)
-        elif isinstance(seg, ArcSegment) and (A := _closed_form_arc(C, seg, tol)) is not None:
+        elif (F is not None and isinstance(seg, ArcSegment)
+              and (A := _closed_form_arc(F, seg, tol)) is not None):
             T = A @ T
         elif S is None and last.get(rev, -1) > i:
             kept[seg] = _flow(omega, seg, identity, tol)
@@ -606,15 +592,16 @@ def _spoke_order(loops, outward) -> tuple:
 
 
 def monodromy_rep(C, loops, tol: float = 1e-10) -> MonodromyRep:
-    """Transport each loop; for Fuchsian systems also transport ``_infinity_loop`` from
-    the loops' basepoint, and record the order of the loops by spoke angle, in which
-    their product times the infinity matrix is the identity."""
+    """Transport each loop; for a system with a Fuchsian form with poles, but not a local
+    model (a polydisk has no infinity), also transport ``_infinity_loop`` from the loops'
+    basepoint, and record the order of the loops by spoke angle, in which their product
+    times the infinity matrix is the identity."""
     loops = list(loops)
     mats = [transport(C, lp, tol) for lp in loops]
     bp = loops[0].basepoint if loops else 0.0
     infinity = order = None
-    if isinstance(C, FuchsianSystem) and loops:
-        around, outward = _infinity_loop(_poles_of(C), bp)
+    if (F := fuchsian_form(C)) is not None and F.k and loops and not isinstance(C, LocalModel):
+        around, outward = _infinity_loop(F.pole_array.tolist(), bp)
         infinity = transport(C, around, tol)
         order = _spoke_order(loops, outward)
     return MonodromyRep(basepoint=bp, matrices=tuple(mats), infinity=infinity, order=order)

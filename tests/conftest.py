@@ -131,6 +131,20 @@ def trace_form(conn):
 
 
 @pytest.fixture
+def by_panels(monkeypatch):
+    """``transport`` with no system read in Fuchsian form, so that every segment is
+    integrated by panel collocation: an oracle that shares no code with the closed forms."""
+    from logconnect import monodromy
+
+    def run(C, path, tol=1e-10):
+        with monkeypatch.context() as patch:
+            patch.setattr(monodromy, "fuchsian_form", lambda C: None)
+            return monodromy.transport(C, path, tol)
+
+    return run
+
+
+@pytest.fixture
 def rng():
     return random.Random(20240817)
 

@@ -17,10 +17,11 @@ from click.testing import CliRunner
 from scipy.linalg import expm as mat_exp
 
 import logconnect
-from logconnect import FuchsianSystem, RiccatiSystem, projective, realize_fuchsian
+from logconnect import FuchsianSystem, RiccatiSystem, proj_equal, projective, realize_fuchsian
 from logconnect.cli import main
 from logconnect.ratfunc import RationalFunction
-from logconnect.serialization import ratfunc_to_json, system_to_json, validate_schema
+from logconnect.serialization import (matrix_to_json, ratfunc_to_json, system_to_json,
+                                      validate_schema)
 
 ROOT = pathlib.Path(__file__).parent.parent
 FIXTURES = ROOT / "fixtures"
@@ -168,7 +169,8 @@ def test_unknown_type_is_error():
 
 CONNECTIONS = ("fuchsian", "local_model", "log_connection")
 # the document kinds each verb reads, and one fixture of each kind
-READS = {"check-flat": CONNECTIONS, "residues": CONNECTIONS, "monodromy": CONNECTIONS,
+READS = {"check-flat": CONNECTIONS, "residues": CONNECTIONS,
+         "monodromy": CONNECTIONS + ("riccati",),
          "projectivize": CONNECTIONS, "reconstruct": ("riccati",),
          "lift-trace-free": ("riccati",), "predicates": ("matrix",), "pullback": CONNECTIONS,
          "normalize": CONNECTIONS, "realize-local": ("presentation",),
@@ -328,6 +330,81 @@ def test_monodromy_names_the_basepoint_of_a_local_model(tmp_path):
     assert result.exit_code == 0, result.output
     payload = json.loads(result.output)["payload"]
     assert payload["basepoint"] == [1.0, 0.0] and "order" not in payload
+
+
+NO_POLES = {
+    "fuchsian": {"type": "fuchsian", "rank": 1, "poles": [], "residues": []},
+    "log_connection": {"type": "log_connection", "rank": 1, "vars": ["x"], "divisor": [],
+                       "components": [[[{"num": {"0": [0, 0]}, "den": {"0": [1, 0]}}]]]},
+}
+
+
+@pytest.mark.parametrize("kind", NO_POLES)
+def test_a_system_with_no_poles_asks_for_loops(tmp_path, kind):
+    path = tmp_path / "no_poles.json"
+    path.write_text(json.dumps(NO_POLES[kind]))
+    result = invoke(["monodromy", str(path)])
+    assert result.exit_code == 2, result.output
+    payload = json.loads(result.output)["payload"]
+    assert payload["error"] == "DegenerateConfiguration"
+    assert "no poles" in payload["message"] and "supply --loops" in payload["message"]
+    result = invoke(["monodromy", str(path), "--loops", "loops_unit_circle.json"])
+    assert result.exit_code == 0, result.output
+    assert json.loads(result.output)["payload"] == {"basepoint": [1.0, 0.0],
+                                                    "matrices": [[[[1.0, 0.0]]]]}
+
+
+def seeded_presentation(seed):
+    """A seeded abelian presentation of rank 2 or 3 with 1-3 generators
+    Q diag(exp(i angles)) Q^-1, at poles drawn from a pool, as a JSON document."""
+    rng = np.random.default_rng(seed)
+    m, k = 2 + seed % 2, 1 + seed % 3
+    Q = np.linalg.qr(rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))[0] \
+        + 0.2 * rng.normal(size=(m, m))
+    gens = {f"g{j}": Q @ np.diag(np.exp(1j * (np.sort(rng.uniform(0.05, 0.9, size=m))
+                                              + 1.1 * np.arange(m)))) @ np.linalg.inv(Q)
+            for j in range(k)}
+    poles = [[0, 0], [1, 0], [-1, 0], [2, 0], [0.5, 0]]
+    return {"type": "presentation", "rank": m,
+            "generators": {name: matrix_to_json(G) for name, G in gens.items()},
+            "poles": [poles[i] for i in rng.permutation(len(poles))[:k]]}
+
+
+PRESENTATIONS = [json.loads((FIXTURES / "presentation_diagonal.json").read_text())] + [
+    seeded_presentation(seed) for seed in range(6)]
+
+
+@pytest.mark.parametrize("stages", [["projectivize"], ["projectivize", "lift-trace-free"]],
+                         ids=["riccati", "trace_free_lift"])
+@pytest.mark.parametrize("doc", PRESENTATIONS,
+                         ids=["diagonal"] + [f"seed{s}" for s in range(6)])
+def test_the_realization_pipeline_closes_without_loops(tmp_path, doc, stages):
+    # realize-fuchsian | projectivize [| lift-trace-free] | monodromy, each stage reading
+    # the float-rounded JSON the one before wrote: the last document is recognized in
+    # Fuchsian form, so it gets standard loops and the loop at infinity, and each loop
+    # reproduces its generator's class within the benchmark checker's 1e-7
+    path = tmp_path / "presentation.json"
+    path.write_text(json.dumps(doc))
+    for verb in ["realize-fuchsian", *stages]:
+        result = invoke([verb, str(path)])
+        assert result.exit_code == 0, result.output
+        path = tmp_path / f"{verb}.json"
+        path.write_text(json.dumps(json.loads(result.output)["payload"]))
+    result = invoke(["monodromy", str(path)])
+    assert result.exit_code == 0, result.output
+    payload = json.loads(result.output)["payload"]
+    got = [np.array([[complex(*e) for e in row] for row in M])
+           for M in [*payload["matrices"], payload["infinity"]]]
+    gens = [np.array([[complex(*map(float, e)) for e in row] for row in G])
+            for G in doc["generators"].values()]
+    assert len(got) == len(gens) + 1
+    for M, G in zip(got, gens):
+        assert proj_equal(M, G, 1e-7)
+    # the sphere relation: the loops in spoke order, then infinity, compose to a scalar
+    product = np.eye(doc["rank"])
+    for M in [got[i] for i in payload["order"]] + [got[-1]]:
+        product = M @ product
+    assert proj_equal(product, np.eye(doc["rank"]), 1e-7)
 
 
 def test_a_segment_past_the_panel_budget_is_an_error(tmp_path):

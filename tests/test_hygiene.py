@@ -140,9 +140,11 @@ def test_a_residue_basis_forms_its_loop_matrix_in_one_place():
     """V diag(exp(2 pi i sum_i w_i d_i)) V^-1 is written once, in
     ``_Residues.loop_matrix``: it is the one function that reads ``residue_eigenbasis``
     and calls ``exp``, lifting calls no ``exp`` at all, and the closed forms of transport
-    and of the realizations both call it.  monodromy names ``LocalModel`` only in
-    ``transport``, which reads a one-branch local model as a Fuchsian system, so every
-    later step of transport sees one representation of Fuchsian data."""
+    and of the realizations both call it.  Whether a system is Fuchsian is asked only of
+    ``connections.fuchsian_form``, by transport, ``monodromy_rep`` and the ``monodromy``
+    verb, so every later step of transport sees one representation of Fuchsian data;
+    monodromy names ``LocalModel`` only in ``monodromy_rep``, which gives a local model,
+    on its polydisk, no loop at infinity."""
     readers = set().union(*(functions_naming(p, {"residue_eigenbasis"}) for p in MODULES))
     exps = set().union(*(functions_naming(p, {"exp"}) for p in MODULES))
     assert readers & exps == {("connections.py", "_Residues", "loop_matrix")}, readers & exps
@@ -150,7 +152,11 @@ def test_a_residue_basis_forms_its_loop_matrix_in_one_place():
     assert set().union(*(functions_naming(p, {"loop_matrix"}) for p in MODULES)) == {
         ("monodromy.py", None, "_closed_form_loop"),
         ("lifting.py", None, "_closed_form_monodromy")}
-    assert functions_naming(MONODROMY, {"LocalModel"}) == {("monodromy.py", None, "transport")}
+    assert set().union(*(functions_naming(p, {"fuchsian_form"}) for p in MODULES)) == {
+        ("monodromy.py", None, "transport"), ("monodromy.py", None, "monodromy_rep"),
+        ("cli.py", None, "monodromy_cmd")}
+    assert functions_naming(MONODROMY, {"LocalModel"}) == {
+        ("monodromy.py", None, "monodromy_rep")}
 
 
 ERRORS = PACKAGE / "errors.py"
@@ -227,6 +233,21 @@ def test_every_verb_joins_through_the_runner():
             if isinstance(n, ast.Call) and called_name(n) in callers:
                 callers[called_name(n)].append(getattr(stmt, "name", None))
     assert callers == RUNNER_CALLS, callers
+
+
+def test_no_type_dispatch_on_fuchsian_systems():
+    """Whether a system is Fuchsian is decided from its entries by
+    ``connections.fuchsian_form``, not from its type: monodromy and cli name
+    ``FuchsianSystem`` in no ``isinstance``."""
+    stray = {}
+    for path in (MONODROMY, CLI):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        if lines := [n.lineno for n in ast.walk(tree) if isinstance(n, ast.Call)
+                     and called_name(n) == "isinstance" and any(
+                         getattr(x, "id", getattr(x, "attr", None)) == "FuchsianSystem"
+                         for a in n.args[1:] for x in ast.walk(a))]:
+            stray[path.name] = lines
+    assert not stray, f"isinstance(..., FuchsianSystem) on lines {stray}"
 
 
 # the functions of ratfunc that may reach sympy, each on call: the reader of sympy

@@ -391,7 +391,7 @@ STRATA = list(itertools.product((2, 3, 4), (1, 2, 3)))
 
 class TestClosedFormCheck:
     @pytest.mark.parametrize("m, k", STRATA)
-    def test_closed_form_is_the_transport(self, m, k, monkeypatch):
+    def test_closed_form_is_the_transport(self, m, k, monkeypatch, by_panels):
         # the realizations compare exp(2 pi i A_j) with their classes; here it is
         # compared with the transport of each standard loop or coordinate circle, the
         # loops transported as a log connection, so by panels and not in closed form
@@ -406,11 +406,11 @@ class TestClosedFormCheck:
         F, model = realize_both(np.random.default_rng(10 * m + k), m, k)
         fuchsian, local = seen
         for lp, E in zip(standard_loops(F), fuchsian, strict=True):
-            M = transport(F.to_log_connection(), lp, tol=1e-12)
+            M = by_panels(F.to_log_connection(), lp, tol=1e-12)
             assert np.linalg.norm(M - E) < 1e-9 * np.linalg.norm(M)
         for j, E in enumerate(local):
             branch = LocalModel(m, [model.residues[j]])
-            M = transport(branch, circle_loop(0.0, 1.0), tol=1e-12)
+            M = by_panels(branch, circle_loop(0.0, 1.0), tol=1e-12)
             assert np.linalg.norm(M - E) < 1e-9 * np.linalg.norm(M)
 
     @pytest.fixture
@@ -447,6 +447,30 @@ class TestClosedFormCheck:
             realize_fuchsian(P)
         with pytest.raises(NonDiagonalizableFamily):
             local_realize(classes)
+
+
+@pytest.mark.parametrize("seed", range(40))
+def test_classes_that_commute_only_to_rounding_are_realized(seed):
+    # a pair of classes whose commutator is 1e-12 to 1e-9 of their size, as float data
+    # gives: the residues are the logs in the one eigenbasis that the lifts share within
+    # TOL, so they commute to rounding and share an eigenbasis at the rounding bound.
+    # The log of each lift in its own eigenbasis would carry the commutator into the
+    # residues, which would then share none, and the realization would be refused.
+    rng = np.random.default_rng(seed)
+    m = 2 + seed % 3
+    Q = np.linalg.qr(rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m)))[0] \
+        + 0.2 * rng.normal(size=(m, m))
+    A, B = (Q @ np.diag(np.exp(1j * (np.sort(rng.uniform(0.05, 0.9, size=m))
+                                     + 1.1 * np.arange(m)))) @ np.linalg.inv(Q)
+            for _ in range(2))
+    E = rng.normal(size=(m, m)) + 1j * rng.normal(size=(m, m))
+    B = B + 10 ** rng.uniform(-12, -9) * np.linalg.norm(B) / np.linalg.norm(E) * E
+    defect = np.linalg.norm(A @ B - B @ A) / (np.linalg.norm(A) * np.linalg.norm(B))
+    assert 1e-13 < defect < 1e-8
+    F = realize_fuchsian(ProjectivePresentation(m, {"a": A, "b": B}, poles=[0, 1]))
+    assert F.residue_eigenbasis is not None
+    for M, N in zip(F.residue_arrays, (A, B)):
+        assert proj_equal(mat_exp(2j * np.pi * M), N, lifting.REALIZE_TOL)
 
 
 def conditioned(rng, m, k):

@@ -1,3 +1,5 @@
+import json
+import pathlib
 import random
 import time
 from dataclasses import replace
@@ -28,7 +30,7 @@ from logconnect import monodromy
 from logconnect.errors import DegenerateConfiguration, PoleProximity, ToleranceNotMet
 from logconnect.monodromy import ArcSegment, LineSegment
 
-from conftest import random_fuchsian, rational_matrix, refined
+from conftest import from_expr, random_fuchsian, rational_matrix, refined
 
 
 def _near_real(seed):
@@ -279,7 +281,9 @@ class TestProjectiveMonodromy:
 
         monkeypatch.setattr(monodromy, "transport", spy)
         rep = projective_monodromy(projectivize(F), loops)
-        assert calls == loops
+        # the lift is in Fuchsian form, so the loop at infinity is transported too
+        around = monodromy._infinity_loop(F.pole_array.tolist(), loops[0].basepoint)[0]
+        assert [lp.segments for lp in calls] == [lp.segments for lp in loops + [around]]
         for P, M in zip(rep.matrices, monodromy_rep(F, loops).matrices):
             assert proj_equal(P.canonical, M, 1e-9)
 
@@ -570,14 +574,14 @@ TWO_POLES = FuchsianSystem(2, [0, 1], [[[0.2, 0.3], [0.1, -0.1]], [[0.1, 0.0], [
 
 class TestClosedFormArcs:
     @pytest.mark.parametrize("seed", range(40))
-    def test_arcs_match_the_log_connection_transport(self, seed, solves):
+    def test_arcs_match_the_log_connection_transport(self, seed, solves, by_panels):
         F = _noncommuting(seed)
         loops = _arc_loops(F)
         got = [transport(F, lp) for lp in loops]
         assert solves and not any(isinstance(seg, ArcSegment) for seg in solves)
         conn = F.to_log_connection()  # transported by collocation at every segment
         for T, lp in zip(got, loops):
-            assert _relative(T, transport(conn, lp, tol=1e-13)) < 1e-9
+            assert _relative(T, by_panels(conn, lp, tol=1e-13)) < 1e-9
 
     @pytest.mark.parametrize("F, arc", [
         (JORDAN, ArcSegment(0j, 1.0, 0.0, 2 * np.pi)),
@@ -588,12 +592,12 @@ class TestClosedFormArcs:
         (TWO_POLES, ArcSegment(0j, 0.8, 0.0, 2 * np.pi)),
         (TWO_POLES, ArcSegment(0j, 1.25, 0.0, 2 * np.pi)),
     ], ids=["jordan", "near_resonant", "strong_gauge", "oversized", "oversized_at_infinity"])
-    def test_a_refused_arc_is_integrated(self, F, arc, solves):
+    def test_a_refused_arc_is_integrated(self, F, arc, solves, by_panels):
         assert monodromy._closed_form_arc(F, arc, 1e-10) is None
         loop = LoopPath([arc])
         T = transport(F, loop)
         assert solves == [arc]
-        assert _relative(T, transport(F.to_log_connection(), loop, tol=1e-13)) < 1e-9
+        assert _relative(T, by_panels(F.to_log_connection(), loop, tol=1e-13)) < 1e-9
 
     def test_a_phase_lost_to_rounding_is_refused(self):
         # 2 pi 1e8 is rounded by about 1.4e-7 radians, so the closed form would give
@@ -644,13 +648,13 @@ class TestPanels:
     def test_a_path_grazing_a_pole_raises_instead_of_looping(self, monkeypatch):
         # non-commuting residues, so the loop is not closed form as a whole
         F = FuchsianSystem(2, [0, 5], [[[0.3, 0.1], [0.2, -0.1]], np.diag([0.2, -0.1])])
-        omega, panels = monodromy._omega_callable(F), []
+        omega, panels = monodromy._omega_callable(F, None), []
 
         def counting(x, dx):
             panels.append(1)
             return omega(x, dx)
 
-        monkeypatch.setattr(monodromy, "_omega_callable", lambda C: counting)
+        monkeypatch.setattr(monodromy, "_omega_callable", lambda F, conn: counting)
         # clears the pole by 1e-11: that passes the proximity check, but resolving it
         # needs panels narrower than 2**-MAX_DEPTH of the segment
         path = LoopPath([LineSegment(-1 + 1e-11j, 1 + 1e-11j), LineSegment(1 + 1e-11j, -1j),
@@ -662,18 +666,22 @@ class TestPanels:
 
 @pytest.mark.parametrize("kind", ["fuchsian", "local_model", "trace_free_lift"])
 def test_stacked_omega_is_the_per_point_omega(kind, nprng):
+    # a Fuchsian system, and the form transport reads a one-branch local model in, are
+    # stacked; the lift's evaluator is the path of a system with no Fuchsian form
     from logconnect import trace_free_lift
+    from logconnect.connections import fuchsian_form
 
     A = 0.5 * (nprng.normal(size=(2, 2)) + 1j * nprng.normal(size=(2, 2)))
     F = FuchsianSystem(2, [0, 1, -0.5j], [A, A.T, np.diag([0.25, -0.5])])
-    C = {"fuchsian": F, "local_model": LocalModel(2, [A]),
-         "trace_free_lift": trace_free_lift(projectivize(F))}[kind]
+    C = trace_free_lift(projectivize(F))
+    form = {"fuchsian": F, "local_model": fuchsian_form(LocalModel(2, [A])),
+            "trace_free_lift": None}[kind]
     x = 2.0 * np.exp(2j * np.pi * nprng.uniform(size=16)) + 0.3
     dx = nprng.normal(size=16) + 1j * nprng.normal(size=16)
-    stacked = monodromy._omega_callable(C)(x, dx)
+    stacked = monodromy._omega_callable(form, C)(x, dx)
     if kind == "fuchsian":
         want = np.array([sum(F.residue_array(i) * d / (p - q) for i, q in
-                             enumerate(monodromy._poles_of(F))) for p, d in zip(x, dx)])
+                             enumerate(F.pole_array)) for p, d in zip(x, dx)])
     elif kind == "local_model":
         want = np.array([A * d / p for p, d in zip(x, dx)])
     else:
@@ -757,14 +765,14 @@ class TestClosedFormLoops:
             [inside if scale < 1 else 0]
 
     @pytest.mark.parametrize("seed", range(12))
-    def test_closed_form_matches_panels(self, seed, solves):
+    def test_closed_form_matches_panels(self, seed, solves, by_panels):
         F = _commuting(seed)
         conn = F.to_log_connection()  # transported by collocation at every segment
         assert F.residue_eigenbasis is not None
         for name, loop, _ in _shapes(F.pole_array.tolist()):
             T = transport(F, loop, tol=1e-12)
             assert solves == [], name
-            assert _relative(T, transport(conn, loop, tol=1e-12)) < 1e-9, name
+            assert _relative(T, by_panels(conn, loop, tol=1e-12)) < 1e-9, name
             solves.clear()
 
     @pytest.mark.parametrize("seed", range(8))
@@ -809,3 +817,63 @@ class TestClosedFormLoops:
         T = transport(F, loop)
         assert solves == [loop.segments[0]]
         assert _relative(T, mat_exp(2j * np.pi * A)) < 1e-8
+
+
+def test_a_local_model_searches_its_eigenbasis_once(monkeypatch):
+    # its Fuchsian form is read once and kept, so three circles make one search
+    from logconnect import algebra
+
+    calls, search = [], algebra.eigenbasis_up_to_rounding
+
+    def spy(mats):
+        calls.append(mats)
+        return search(mats)
+
+    monkeypatch.setattr(algebra, "eigenbasis_up_to_rounding", spy)
+    model = LocalModel(2, [np.diag([0.25, -0.1])])
+    for _ in range(3):
+        T = transport(model, circle_loop(0, 1.0))
+    assert len(calls) == 1
+    assert _relative(T, np.diag(np.exp(2j * np.pi * np.array([0.25, -0.1])))) < 1e-14
+
+
+def _not_fuchsian(name):
+    """One-variable systems with no Fuchsian form: a polynomial part (the fixture), a pole
+    off the divisor, and two branch values 1e-10 apart, closer than any two poles of a
+    Fuchsian system may be."""
+    from logconnect import LogConnection
+    from logconnect.serialization import validate_schema
+
+    if name == "normalize_tau":
+        fixture = pathlib.Path(__file__).parent.parent / "fixtures" / "normalize_tau.json"
+        return validate_schema(json.loads(fixture.read_text()))
+    divisor, entry = {"pole_off_divisor": ([0], "1/(4*x) + 1/(5*(x - 2))"),
+                      "near_branches": ([0, 1e-10], "1/(4*x) + 1/(4*(x - 1e-10))")}[name]
+    return LogConnection(1, ["x"], [(0, c) for c in divisor], [[[from_expr(entry, ["x"])]]])
+
+
+@pytest.mark.parametrize("name", ["normalize_tau", "pole_off_divisor", "near_branches"])
+def test_a_system_not_in_fuchsian_form_stays_on_panels(name, solves, by_panels):
+    from logconnect.connections import fuchsian_form
+
+    C = _not_fuchsian(name)
+    assert fuchsian_form(C) is None
+    loop = circle_loop(0, 1.0)
+    rep = monodromy_rep(C, [loop])
+    assert solves == [loop.segments[0]] and rep.infinity is None
+    assert np.array_equal(rep.matrices[0], by_panels(C, loop))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_a_trace_free_lift_is_transported_in_fuchsian_form(seed, solves, by_panels):
+    # float residues, so the lift is compared with its form within a tolerance; its
+    # residues commute, so every loop and the loop at infinity is closed form
+    from logconnect import trace_free_lift
+
+    F = _commuting(seed)
+    lift = trace_free_lift(projectivize(F))
+    loops = standard_loops(F)
+    rep = monodromy_rep(lift, loops)
+    assert solves == [] and rep.infinity is not None
+    for T, lp in zip(rep.matrices, loops, strict=True):
+        assert _relative(T, by_panels(lift, lp)) < 1e-9

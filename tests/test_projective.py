@@ -148,6 +148,30 @@ class TestTraceFreeLift:
             assert diff == t / 3
 
 
+def test_the_exact_layer_never_reads_a_fuchsian_form(rng, monkeypatch):
+    # projectivize, reconstruct, trace_free_lift and equals stay exact work: only
+    # transport and the monodromy verb ask whether a system is Fuchsian
+    from logconnect import connections, monodromy, monodromy_rep, standard_loops
+
+    calls, recognize = [], connections.fuchsian_form
+
+    def spy(C):
+        calls.append(C)
+        return recognize(C)
+
+    for module in (connections, monodromy):
+        monkeypatch.setattr(module, "fuchsian_form", spy)
+    for _ in range(5):
+        F = random_fuchsian(rng)
+        conn = F.to_log_connection()
+        R = projectivize(F)
+        lift = trace_free_lift(projectivize(conn))
+        assert conn.equals(reconstruct(R, trace_form(conn))) and R.equals(projectivize(lift))
+    assert calls == []
+    monodromy_rep(lift, standard_loops(F))  # the spy does see a transport
+    assert calls and calls[0] is lift
+
+
 class TestRiccatiJson:
     """The ``riccati`` document names the entries of omega - omega_mm I: b_i at
     (i, m-1), delta_i at (i, i), c_k at (m-1, k) and offdiag "i,k" at (i, k)."""
