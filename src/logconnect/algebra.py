@@ -229,13 +229,13 @@ class ProjectiveClass:
     unity ambiguity deterministically.
     """
 
-    def __init__(self, rep, tol: float = 1e-10):
+    def __init__(self, rep):
         A = as_matrix(rep)
         m = A.shape[0]
         det = np.linalg.det(A)
         scale = np.max(np.abs(A))
         # scale-invariant singularity test: det is homogeneous of degree m
-        if scale == 0.0 or abs(det) < (tol * scale) ** m:
+        if scale == 0.0 or abs(det) < (1e-10 * scale) ** m:
             raise SingularMatrix("projective classes need invertible representatives")
         self.rep = A
         self.m = m
@@ -249,12 +249,6 @@ class ProjectiveClass:
 
     def power(self, nu: int) -> "ProjectiveClass":
         return ProjectiveClass(np.linalg.matrix_power(self.canonical, nu))
-
-    def __matmul__(self, other: "ProjectiveClass") -> "ProjectiveClass":
-        return ProjectiveClass(self.canonical @ other.canonical)
-
-    def equals(self, other: "ProjectiveClass", tol: float = 1e-9) -> bool:
-        return proj_equal(self, other, tol)
 
     def __repr__(self):
         return f"ProjectiveClass({np.array2string(self.canonical, precision=4)})"

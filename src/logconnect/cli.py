@@ -141,7 +141,7 @@ def check_flat(conn, tol):
 @_verb("residues", CONNECTIONS)
 def residues_cmd(conn):
     """All residue matrices (plus infinity for Fuchsian systems)."""
-    from .connections import LogConnection, exact_residue
+    from .connections import LogConnection, exact_residue, sphere_form
 
     # exact, each entry written correctly rounded
     if isinstance(conn, LogConnection):
@@ -149,16 +149,16 @@ def residues_cmd(conn):
     else:  # a fuchsian or local_model document, which stores its residues
         mats = conn.residues
     payload = {"residues": [matrix_to_json(R) for R in mats]}
-    if (infinity := getattr(conn, "infinity_residue", None)) is not None:  # fuchsian
-        payload["infinity"] = matrix_to_json(infinity)
+    if (form := sphere_form(conn)) is not None:  # the system lies on the sphere
+        payload["infinity"] = matrix_to_json(form.infinity_residue)
     return "ok", payload
 
 
 @_verb("monodromy", CONNECTIONS + ("riccati",), tol=1e-10)
 @click.option("--basepoint", default=None, type=str,
-              help="basepoint as 're,im' (default: of the 8 points (1 + max|p|) "
-                   "exp(i k pi/4), the one whose corridors pass farthest from the other "
-                   "poles)")
+              help="basepoint as 're,im' of the standard loops of a system in Fuchsian "
+                   "form (default: of the 8 points (1 + max|p|) exp(i k pi/4), the one "
+                   "whose corridors pass farthest from the other poles)")
 @click.option("--loops", "loops_path", default=None, type=str,
               help="loop override file (JSON list of loops)")
 def monodromy_cmd(conn, tol, basepoint, loops_path):
@@ -168,37 +168,24 @@ def monodromy_cmd(conn, tol, basepoint, loops_path):
     entries sum A_i/(x - p_i)) gets standard loops and the loop at infinity; a riccati
     document gives the canonical representatives of its projective classes."""
     from . import monodromy
-    from .connections import LocalModel, fuchsian_form
-    from .projective import RiccatiSystem, reconstruct
+    from .projective import RiccatiSystem
 
-    projective = isinstance(conn, RiccatiSystem)
-    conn = reconstruct(conn, None) if projective else conn
-    form = fuchsian_form(conn)
-    fuchsian = form is not None and not isinstance(conn, LocalModel)
-    if basepoint is not None and (loops_path is not None or not fuchsian):
-        raise ValueError("--basepoint places the standard loops of a 'fuchsian' document; "
-                         + ("--loops gives its own" if loops_path is not None
-                            else "this document has none"))
-    if loops_path is not None:
-        loops = parse_loops(_load(loops_path))
-    elif fuchsian:
-        bp = None
-        if basepoint is not None:
-            try:
-                re, im = (float(s) for s in basepoint.split(","))
-            except ValueError:
-                raise ValueError(
-                    f"--basepoint must be two numbers 're,im', got {basepoint!r}") from None
-            bp = complex(re, im)
-            if not math.isfinite(abs(bp)):
-                raise ValueError(f"--basepoint must be finite, got {basepoint!r}")
-        loops = monodromy.standard_loops(form, basepoint=bp)
-    elif form is not None:  # a one-branch local model
-        loops = [monodromy.circle_loop(0.0, 1.0)]
-    else:
-        raise SchemaViolation("", "supply --loops for this system kind")
-    rep = (monodromy.projective_monodromy if projective else monodromy.monodromy_rep)(
-        conn, loops, tol=tol)
+    bp = None
+    if basepoint is not None:
+        if loops_path is not None:
+            raise ValueError("--basepoint places the standard loops of a system in "
+                             "Fuchsian form; --loops gives its own")
+        try:
+            re, im = (float(s) for s in basepoint.split(","))
+        except ValueError:
+            raise ValueError(
+                f"--basepoint must be two numbers 're,im', got {basepoint!r}") from None
+        bp = complex(re, im)
+        if not math.isfinite(abs(bp)):
+            raise ValueError(f"--basepoint must be finite, got {basepoint!r}")
+    loops = None if loops_path is None else parse_loops(_load(loops_path))
+    rep = (monodromy.projective_monodromy if isinstance(conn, RiccatiSystem)
+           else monodromy.monodromy_rep)(conn, loops, tol=tol, basepoint=bp)
     payload = {"matrices": [system_to_json(M) for M in rep.matrices],
                "basepoint": [rep.basepoint.real, rep.basepoint.imag]}
     if rep.infinity is not None:

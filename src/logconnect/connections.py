@@ -13,7 +13,7 @@ common eigenbasis, ``residue``, ``GaugeSeries`` and the normalization).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property, reduce
 from itertools import product
 from operator import add, mul
@@ -48,6 +48,7 @@ __all__ = [
     "residue",
     "exact_residue",
     "fuchsian_form",
+    "sphere_form",
     "line_quotient",
     "pullback_power",
     "poincare_normalize",
@@ -349,7 +350,8 @@ def line_quotient(poly, line, exact: bool, tol: float = 1e-10):
 
 def exact_residue(C, branch, tol: float = 1e-10) -> tuple:
     """Residue matrix along a divisor branch, as rows of ``GaussianRational``s;
-    ``branch='inf'`` for Fuchsian infinity.
+    ``branch='inf'`` for the point at infinity of a system on the sphere
+    (``sphere_form``), else ``UnsupportedBranch``.
 
     Along x_var = c, an entry num/den has residue num/q restricted to the branch when
     den = (x_var - c) q, else 0 (Deligne 1970).  Each restriction is the remainder of
@@ -357,8 +359,11 @@ def exact_residue(C, branch, tol: float = 1e-10) -> tuple:
     branch: exactly for exact data, within ``tol`` for inexact data, else
     ``NonConstantResidue``.
     """
-    if isinstance(C, FuchsianSystem) and branch in ("inf", C.k):
-        return C.infinity_residue
+    if branch == "inf":
+        if (F := sphere_form(C)) is None:
+            raise UnsupportedBranch("infinity is a branch of a system on the sphere in "
+                                    "Fuchsian form only")
+        return F.infinity_residue
     if isinstance(C, _Residues):
         return C.residues[branch]
     conn = C.to_log_connection()
@@ -416,6 +421,13 @@ def fuchsian_form(C):
     return vars(C)["_fuchsian_form"]
 
 
+def sphere_form(C):
+    """``fuchsian_form(C)`` of a system on the sphere, whose point at infinity carries
+    the residue -sum A_i; None for a local model, whose polydisk has no infinity, and
+    for a system with no Fuchsian form."""
+    return None if isinstance(C, LocalModel) else fuchsian_form(C)
+
+
 def residue(C, branch, tol: float = 1e-10):
     """``exact_residue`` as a read-only complex ndarray, each entry correctly rounded."""
     return _read_only([[to_complex(e) for e in row] for row in exact_residue(C, branch, tol)])
@@ -424,34 +436,25 @@ def residue(C, branch, tol: float = 1e-10):
 def pullback_power(C, var: int, nu: int):
     """Pull back along x_var -> x_var**nu (the nu-fold covering substitution).
 
-    The substituted variable's branch must be x_var = 0 and must be the only
-    branch in that variable; its residue multiplies by nu, all other branches
-    are untouched.  ``var`` must index a chart variable (a Fuchsian system has
-    one); a local model has no term in a chart variable without a branch.
+    Every branch in x_var, read from the divisor of ``C.to_log_connection()``, must be
+    x_var = 0; its residue multiplies by nu, and all other branches are untouched.
+    ``var`` must index a chart variable (a Fuchsian system has one).  A Fuchsian system
+    or a local model comes back as one with that residue scaled (a local model has no
+    term in a chart variable without a branch); any other system as its substituted
+    ``LogConnection``.
     """
     if nu < 1 or int(nu) != nu:
         raise ValueError("nu must be a positive integer")
-    n = 1 if isinstance(C, FuchsianSystem) else C.n
-    if not 0 <= var < n:
-        raise ValueError(f"var must index a chart variable, 0 <= var < {n}")
-    if isinstance(C, LocalModel) and var >= C.k:
-        return C
-    if isinstance(C, FuchsianSystem) and C.k != 1:
-        return pullback_power(C.to_log_connection(), var, nu)
-    if isinstance(C, FuchsianSystem) and C.poles[0]:
-        raise UnsupportedBranch("pullback branch must pass through the origin")
-    if isinstance(C, _Residues):
-        scaled = list(C.residues)
-        scaled[var] = [[nu * e for e in row] for row in scaled[var]]
-        if isinstance(C, FuchsianSystem):
-            return FuchsianSystem(C.m, C.poles, scaled, exact=C.exact)
-        return LocalModel(C.m, scaled, n=C.n, exact=C.exact)
     conn = C.to_log_connection()
-    branches = [b for b in conn.divisor if b[0] == var]
-    if any(c for _, c in branches):
+    if not 0 <= var < conn.n:
+        raise ValueError(f"var must index a chart variable, 0 <= var < {conn.n}")
+    at = [i for i, (v, _) in enumerate(conn.divisor) if v == var]
+    if any(conn.divisor[i][1] for i in at):
         raise UnsupportedBranch(
-            "pullback branch must be of the form x_var = 0 (translate first)"
-        )
+            "pullback branch must be of the form x_var = 0 (translate first)")
+    if isinstance(C, _Residues):
+        return replace(C, residues=[[[nu * e for e in row] for row in A] if i in at else A
+                                    for i, A in enumerate(C.residues)])
     if nu == 1:
         return conn
     x = conn.gens[var]

@@ -22,7 +22,8 @@ class NonConstantResidue(LogConnectError):
 
 
 class UnsupportedBranch(LogConnectError):
-    """Pullback requested along a branch not of the form x = 0."""
+    """A branch an operation is not defined on: a pullback branch not of the form x = 0,
+    or infinity of a system that is not on the sphere in Fuchsian form."""
 
 
 class ResonantResidue(ResonantSpectrum):

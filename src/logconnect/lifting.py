@@ -97,7 +97,7 @@ class ProjectivePresentation:
         table = {n: g.canonical for n, g in self.generators.items()}
         for word in self.relations:
             if not proj_equal(_evaluate(word, table, self.m), np.eye(self.m), RELATION_TOL):
-                raise ValueError(f"relation {word} does not hold projectively")
+                raise ValueError(f"relation {' '.join(word)} does not hold projectively")
 
     def generator_list(self):
         return [self.generators[n] for n in self.names]

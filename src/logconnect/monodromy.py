@@ -28,11 +28,12 @@ within that transport call the retrace (the return spoke) solves with its
 matrix S when S is well conditioned.  Every other segment is integrated from
 the product so far, so its error stays relative to the solution it carries.
 Under path concatenation the loop -> matrix map is an antirepresentation:
-T(alpha then beta) = T(beta) @ T(alpha).  For a Fuchsian system the matrix of
-the loop at infinity is computed on its own (its circle in closed form from
-the residue at infinity), not as the inverse of the loops' product, so the
-sphere relation compares two computed numbers.  A Riccati system is transported
-once per loop, as its trace-free lift.
+T(alpha then beta) = T(beta) @ T(alpha).  Without loops, a system gets the
+standard loops of its Fuchsian form.  For a system on the sphere
+(``connections.sphere_form``) the matrix of the loop at infinity is computed on its
+own (its circle in closed form from the residue at infinity), not as the inverse of
+the loops' product, so the sphere relation compares two computed numbers.  A Riccati
+system is transported once per loop, as its trace-free lift.
 """
 
 from __future__ import annotations
@@ -43,7 +44,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .algebra import EIGENBASIS_COND, TWO_PI, ProjectiveClass, proj_equal
-from .connections import FuchsianSystem, LocalModel, fuchsian_form
+from .connections import FuchsianSystem, fuchsian_form, sphere_form
 from .errors import (
     DegenerateConfiguration,
     PoleProximity,
@@ -184,8 +185,9 @@ def _corridor_gaps(basepoints, poles) -> np.ndarray:
     return np.where(inside, np.abs(q - t * d) / np.abs(d), np.inf)
 
 
-def standard_loops(F: FuchsianSystem, basepoint=None):
-    """One lasso per pole: spoke toward the pole, ccw circle, spoke back.
+def standard_loops(C, basepoint=None):
+    """One lasso per pole of the Fuchsian form of ``C`` (``connections.fuchsian_form``):
+    spoke toward the pole, ccw circle, spoke back.
 
     Corridors are straight; a pole within ``CORRIDOR_CLEARANCE`` times a corridor's
     length of it (collinear poles among them) is rejected rather than silently
@@ -196,11 +198,13 @@ def standard_loops(F: FuchsianSystem, basepoint=None):
     that grazes a pole needs narrow panels there.  When all 8 are crowded, the same
     choice is made among the 8 turned by pi/8 before the default is refused.  Every
     candidate lies on the circle |x| = R, so the loop at infinity is that circle; one
-    pole keeps R itself.  A system with no poles has no standard loops.
+    pole keeps R itself, so a one-branch local model gets the lasso from 1 about 0.  A
+    system with no Fuchsian form, or with no poles, has no standard loops.
     """
-    poles = F.pole_array.tolist()
+    poles = [] if (F := fuchsian_form(C)) is None else F.pole_array.tolist()
     if not poles:
-        raise DegenerateConfiguration("no poles to take standard loops about; supply --loops")
+        raise DegenerateConfiguration(
+            "no poles of a Fuchsian form to take standard loops about; supply --loops")
     defaulted = basepoint is None
     if defaulted:
         R = 1.0 + max(abs(p) for p in poles)
@@ -591,30 +595,34 @@ def _spoke_order(loops, outward) -> tuple:
     return tuple(sorted(range(len(loops)), key=lambda i: angle(loops[i])))
 
 
-def monodromy_rep(C, loops, tol: float = 1e-10) -> MonodromyRep:
-    """Transport each loop; for a system with a Fuchsian form with poles, but not a local
-    model (a polydisk has no infinity), also transport ``_infinity_loop`` from the loops'
-    basepoint, and record the order of the loops by spoke angle, in which their product
-    times the infinity matrix is the identity."""
-    loops = list(loops)
+def monodromy_rep(C, loops=None, tol: float = 1e-10, basepoint=None) -> MonodromyRep:
+    """Transport each loop, by default the ``standard_loops(C, basepoint)``, which are
+    the only loops a ``basepoint`` places; for a system on the sphere
+    (``connections.sphere_form``) with poles, also transport ``_infinity_loop`` from the
+    loops' basepoint, and record the order of the loops by spoke angle, in which their
+    product times the infinity matrix is the identity."""
+    if loops is not None and basepoint is not None:
+        raise ValueError("a basepoint places the standard loops; given loops have their own")
+    loops = standard_loops(C, basepoint) if loops is None else list(loops)
     mats = [transport(C, lp, tol) for lp in loops]
     bp = loops[0].basepoint if loops else 0.0
     infinity = order = None
-    if (F := fuchsian_form(C)) is not None and F.k and loops and not isinstance(C, LocalModel):
+    if (F := sphere_form(C)) is not None and F.k and loops:
         around, outward = _infinity_loop(F.pole_array.tolist(), bp)
         infinity = transport(C, around, tol)
         order = _spoke_order(loops, outward)
     return MonodromyRep(basepoint=bp, matrices=tuple(mats), infinity=infinity, order=order)
 
 
-def projective_monodromy(C, loops, tol: float = 1e-10) -> MonodromyRep:
-    """Projective classes of the linear transport; a Riccati system is transported once
-    per loop, as its trace-free lift ``reconstruct(C, None)``.  Any other trace gives the
-    same classes: the lifts differ by a scalar 1-form s I, which commutes with omega, so
-    each loop's matrix changes by the scalar exp(the integral of s around it)."""
+def projective_monodromy(C, loops=None, tol: float = 1e-10, basepoint=None) -> MonodromyRep:
+    """Projective classes of the linear transport of ``monodromy_rep``; a Riccati system
+    is transported once per loop, as its trace-free lift ``reconstruct(C, None)``.  Any
+    other trace gives the same classes: the lifts differ by a scalar 1-form s I, which
+    commutes with omega, so each loop's matrix changes by the scalar exp(the integral of
+    s around it)."""
     if isinstance(C, RiccatiSystem):
         C = reconstruct(C, None)
-    rep = monodromy_rep(C, loops, tol)
+    rep = monodromy_rep(C, loops, tol, basepoint)
     infinity = None if rep.infinity is None else ProjectiveClass(rep.infinity)
     return replace(rep, matrices=tuple(ProjectiveClass(M) for M in rep.matrices),
                    infinity=infinity)

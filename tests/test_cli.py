@@ -17,7 +17,8 @@ from click.testing import CliRunner
 from scipy.linalg import expm as mat_exp
 
 import logconnect
-from logconnect import FuchsianSystem, RiccatiSystem, proj_equal, projective, realize_fuchsian
+from logconnect import (FuchsianSystem, RiccatiSystem, connections, proj_equal, projective,
+                        realize_fuchsian)
 from logconnect.cli import main
 from logconnect.ratfunc import RationalFunction
 from logconnect.serialization import (matrix_to_json, ratfunc_to_json, system_to_json,
@@ -258,18 +259,23 @@ def test_tol_help_names_the_verbs_own_default(verb):
         assert f"default from LOGCONNECT_TOL or {DEFAULT_TOL[verb]:g})" in help_text, help_text
 
 
-@pytest.mark.parametrize("args, conflict", [
+# a two-branch local model and a system with a polynomial part have no Fuchsian form,
+# so no standard loops for a basepoint to place
+NO_STANDARD_LOOPS = ("DegenerateConfiguration", ["no poles of a Fuchsian form", "supply --loops"])
+
+
+@pytest.mark.parametrize("args, error, words", [
     (["fuchsian_quarter.json", "--loops", "loops_unit_circle.json", "--basepoint", "5,5"],
-     "--loops"),
-    (["local_model_commuting.json", "--basepoint", "5,5"], "'fuchsian'"),
-    (["normalize_tau.json", "--basepoint", "5,5"], "'fuchsian'"),
+     "ValueError", ["--basepoint", "--loops"]),
+    (["local_model_commuting.json", "--basepoint", "5,5"], *NO_STANDARD_LOOPS),
+    (["normalize_tau.json", "--basepoint", "5,5"], *NO_STANDARD_LOOPS),
 ], ids=["with-loops", "local-model", "log-connection"])
-def test_a_basepoint_that_places_no_loop_is_refused(args, conflict):
+def test_a_basepoint_that_places_no_loop_is_refused(args, error, words):
     result = invoke(["monodromy", *args])
     assert result.exit_code == 2, result.output
     payload = json.loads(result.output)["payload"]
-    assert payload["error"] == "ValueError"
-    assert "--basepoint" in payload["message"] and conflict in payload["message"]
+    assert payload["error"] == error
+    assert all(word in payload["message"] for word in words), payload["message"]
 
 
 def test_monodromy_matches_residue_exponential():
@@ -374,6 +380,17 @@ PRESENTATIONS = [json.loads((FIXTURES / "presentation_diagonal.json").read_text(
     seeded_presentation(seed) for seed in range(6)]
 
 
+def _pipe(tmp_path, path, verbs):
+    """Run each verb on the payload the one before it wrote, as its JSON file; the path
+    of the last payload."""
+    for verb in verbs:
+        result = invoke([verb, str(path)])
+        assert result.exit_code == 0, result.output
+        path = tmp_path / f"{verb}.json"
+        path.write_text(json.dumps(json.loads(result.output)["payload"]))
+    return path
+
+
 @pytest.mark.parametrize("stages", [["projectivize"], ["projectivize", "lift-trace-free"]],
                          ids=["riccati", "trace_free_lift"])
 @pytest.mark.parametrize("doc", PRESENTATIONS,
@@ -385,11 +402,7 @@ def test_the_realization_pipeline_closes_without_loops(tmp_path, doc, stages):
     # reproduces its generator's class within the benchmark checker's 1e-7
     path = tmp_path / "presentation.json"
     path.write_text(json.dumps(doc))
-    for verb in ["realize-fuchsian", *stages]:
-        result = invoke([verb, str(path)])
-        assert result.exit_code == 0, result.output
-        path = tmp_path / f"{verb}.json"
-        path.write_text(json.dumps(json.loads(result.output)["payload"]))
+    path = _pipe(tmp_path, path, ["realize-fuchsian", *stages])
     result = invoke(["monodromy", str(path)])
     assert result.exit_code == 0, result.output
     payload = json.loads(result.output)["payload"]
@@ -405,6 +418,73 @@ def test_the_realization_pipeline_closes_without_loops(tmp_path, doc, stages):
     for M in [got[i] for i in payload["order"]] + [got[-1]]:
         product = M @ product
     assert proj_equal(product, np.eye(doc["rank"]), 1e-7)
+
+
+ONE_BRANCH = {"type": "local_model", "rank": 1, "vars": 1, "residues": [[[["1/4", 0]]]]}
+
+
+@pytest.mark.parametrize("doc, stages, loops, sphere", [
+    ("fuchsian_two_poles.json", [], [], True),
+    ("presentation_diagonal.json", ["realize-fuchsian", "projectivize", "lift-trace-free"],
+     [], True),
+    (ONE_BRANCH, [], [], False),
+    ("normalize_tau.json", [], ["--loops", "loops_unit_circle.json"], False),
+], ids=["fuchsian", "trace_free_lift", "one_branch_local_model", "polynomial_part"])
+def test_residues_and_monodromy_agree_on_infinity(tmp_path, doc, stages, loops, sphere):
+    # a system lies on the sphere when it has a Fuchsian form and is not a local model;
+    # there residues prints its exact -sum A_i and monodromy the loop around infinity
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc) if isinstance(doc, dict) else (FIXTURES / doc).read_text())
+    path = _pipe(tmp_path, path, stages)
+    residues = json.loads(invoke(["residues", str(path)]).output)["payload"]
+    result = invoke(["monodromy", str(path), *loops])
+    assert result.exit_code == 0, result.output
+    assert ("infinity" in residues) == ("infinity" in json.loads(result.output)["payload"]) \
+        == sphere
+    if sphere:
+        conn = validate_schema(json.loads(path.read_text()))
+        form = connections.fuchsian_form(conn)
+        assert residues["infinity"] == matrix_to_json(form.infinity_residue)
+        assert residues["infinity"] == matrix_to_json(connections.exact_residue(conn, "inf"))
+        total = sum(np.array([[complex(*e) for e in row] for row in R])
+                    for R in [*residues["residues"], residues["infinity"]])
+        assert np.max(np.abs(total)) < 1e-15
+
+
+def test_a_one_branch_local_model_takes_a_basepoint(tmp_path):
+    # its standard loop is the lasso of its form about 0, and every lasso once about 0
+    # has the same closed-form matrix exp(2 pi i A)
+    path = tmp_path / "local.json"
+    path.write_text(json.dumps(ONE_BRANCH))
+    default = invoke(["monodromy", str(path)])
+    moved = invoke(["monodromy", str(path), "--basepoint", "0.5,0.5"])
+    assert (default.exit_code, moved.exit_code) == (0, 0), moved.output
+    default, moved = (json.loads(r.output)["payload"] for r in (default, moved))
+    assert (default["basepoint"], moved["basepoint"]) == ([1.0, 0.0], [0.5, 0.5])
+    assert moved["matrices"] == default["matrices"] and "infinity" not in moved
+    assert abs(complex(*default["matrices"][0][0][0]) - 1j) < 1e-15
+
+
+@pytest.mark.parametrize("poles", [[], [[0, 0]], [[1, 0]], [[0, 0], [1, 0]]],
+                         ids=["no-poles", "origin", "one", "origin-and-one"])
+def test_pullback_reads_its_branches_by_one_rule(tmp_path, poles):
+    # every branch in x_var must be x_var = 0, whatever kind carries it, and a fuchsian
+    # document pulls back to a fuchsian document
+    fuchsian = {"type": "fuchsian", "rank": 1, "poles": poles,
+                "residues": [[[["1/4", 0]]]] * len(poles)}
+    for doc in (fuchsian, system_to_json(validate_schema(fuchsian).to_log_connection())):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        result = invoke(["pullback", str(path), "--nu", "2"])
+        payload = json.loads(result.output)["payload"]
+        if [1, 0] in poles:
+            assert result.exit_code == 2, result.output
+            assert (payload["error"], payload["message"]) == (
+                "UnsupportedBranch", "pullback branch must be of the form x_var = 0 "
+                                     "(translate first)")
+        else:
+            assert result.exit_code == 0, result.output
+            assert payload["type"] == doc["type"]
 
 
 def test_a_segment_past_the_panel_budget_is_an_error(tmp_path):
@@ -1300,6 +1380,106 @@ def test_bad_input_keeps_the_cli_contract(tmp_path, args, doc, error, pointer):
     assert (result.exit_code, verdict["status"]) == (2, "error"), result.output
     assert verdict["payload"]["error"] == error
     assert verdict["payload"].get("pointer") == pointer
+
+
+DELETE = object()
+
+
+def _edited(name, edits):
+    """The document ``name`` from the fixtures (None for a name that is none) with the
+    value at each JSON pointer of ``edits`` replaced, or removed for ``DELETE``; the
+    pointer "" replaces the whole document."""
+    doc = json.loads((FIXTURES / name).read_text()) if (FIXTURES / name).exists() else None
+    for pointer, value in edits.items():
+        if not pointer:
+            doc = value
+            continue
+        *keys, last = pointer[1:].split("/")
+        parent = doc
+        for key in keys:
+            parent = parent[int(key) if isinstance(parent, list) else key]
+        last = int(last) if isinstance(parent, list) else last
+        if value is DELETE:
+            del parent[last]
+        else:
+            parent[last] = value
+    return doc
+
+
+PROJECTIVIZED_NONCOMMUTING = system_to_json(projective.projectivize(
+    validate_schema(json.loads((FIXTURES / "local_model_noncommuting.json").read_text()))))
+TAU = "normalize_tau.json"
+PRESENTATION = "presentation_diagonal.json"
+# id: the arguments, the edited documents they name, the error and its pointer
+REFUSALS = {
+    "relation-does-not-hold": (["realize-local", PRESENTATION],
+                               {PRESENTATION: {"/relations": [["a", "b"]]}},
+                               "SchemaViolation", "/relations"),
+    "unknown-generator": (["realize-local", PRESENTATION],
+                          {PRESENTATION: {"/relations": [["a", "z"]]}},
+                          "SchemaViolation", "/relations/0"),
+    "relations-not-a-list": (["realize-local", PRESENTATION],
+                             {PRESENTATION: {"/relations": "a"}}, "SchemaViolation", "/relations"),
+    "relation-not-tokens": (["realize-local", PRESENTATION],
+                            {PRESENTATION: {"/relations": [["a", 1]]}},
+                            "SchemaViolation", "/relations/0"),
+    "segment-kind": (["monodromy", "fuchsian_quarter.json", "--loops", "loops_unit_circle.json"],
+                     {"loops_unit_circle.json": {"/0/segments/0/kind": "spiral"}},
+                     "SchemaViolation", "/loops/0/segments/0/kind"),
+    "loop-not-an-object": (["monodromy", "fuchsian_quarter.json", "--loops", "loops.json"],
+                           {"loops.json": {"": [5]}}, "SchemaViolation", "/loops/0"),
+    "trace-empty": (["reconstruct", "riccati_from_fuchsian.json", "--trace", "trace.json"],
+                    {"trace.json": {"": []}}, "SchemaViolation", "/trace"),
+    "offdiag-bad-pair": (["reconstruct", "riccati_from_fuchsian.json"],
+                         {"riccati_from_fuchsian.json": {"/offdiag": {"x": []}}},
+                         "SchemaViolation", "/offdiag/x"),
+    "not-integrable": (["lift-trace-free", "riccati.json"],
+                       {"riccati.json": {"": PROJECTIVIZED_NONCOMMUTING}}, "NonIntegrable", None),
+    "basepoint-at-a-pole": (["monodromy", "fuchsian_two_poles.json", "--basepoint", "0,0"], {},
+                            "ValueError", None),
+    "part-not-a-number": (["residues", "fuchsian_quarter.json"],
+                          {"fuchsian_quarter.json": {"/residues/0/0/0/0": True}},
+                          "SchemaViolation", "/residues/0/0/0/0"),
+    "scalar-not-a-pair": (["residues", "fuchsian_quarter.json"],
+                          {"fuchsian_quarter.json": {"/residues/0/0/0": "1/4"}},
+                          "SchemaViolation", "/residues/0/0/0"),
+    "pole-missing": (["residues", "fuchsian_quarter.json"],
+                     {"fuchsian_quarter.json": {"/poles": DELETE}}, "SchemaViolation", "/poles"),
+    "residue-per-pole": (["residues", "fuchsian_quarter.json"],
+                         {"fuchsian_quarter.json": {"/residues": []}},
+                         "SchemaViolation", "/residues"),
+    "entry-without-den": (["residues", TAU], {TAU: {"/components/0/0/0": {"num": {"0": [1, 0]}}}},
+                          "SchemaViolation", "/components/0/0/0"),
+    "bad-monomial-key": (["residues", TAU], {TAU: {"/components/0/0/0/num": {"a": [1, 0]}}},
+                         "SchemaViolation", "/components/0/0/0/num/a"),
+    "monomial-arity": (["residues", TAU], {TAU: {"/components/0/0/0/num": {"0,0": [1, 0]}}},
+                       "SchemaViolation", "/components/0/0/0/num/0,0"),
+    "zero-denominator": (["residues", TAU], {TAU: {"/components/0/0/0/den": {"0": [0, 0]}}},
+                         "SchemaViolation", "/components/0/0/0/den"),
+    "branch-not-an-object": (["residues", TAU], {TAU: {"/divisor/0": 5}},
+                             "SchemaViolation", "/divisor/0"),
+    "component-per-variable": (["residues", TAU], {TAU: {"/components": []}},
+                               "SchemaViolation", "/components"),
+}
+
+
+@pytest.mark.parametrize("args, edits, error, pointer", REFUSALS.values(), ids=REFUSALS)
+def test_a_refusal_names_its_error_and_pointer(tmp_path, args, edits, error, pointer):
+    for name, changes in edits.items():
+        (tmp_path / name).write_text(json.dumps(_edited(name, changes)))
+    args = [str(tmp_path / a) if a in edits else str(FIXTURES / a) if a.endswith(".json")
+            else a for a in args]
+    verdict = _keeps_the_contract(CliRunner().invoke(main, args))
+    assert verdict["status"] == "error"
+    assert (verdict["payload"]["error"], verdict["payload"].get("pointer")) == (error, pointer)
+
+
+def test_a_relation_is_named_as_its_word(tmp_path):
+    # as the lifts name a word whose value is not scalar: its tokens, space-separated
+    path = tmp_path / "presentation.json"
+    path.write_text(json.dumps(_edited(PRESENTATION, {"/relations": [["a", "b^-1"]]})))
+    payload = json.loads(invoke(["realize-local", str(path)]).output)["payload"]
+    assert payload["message"] == "relation a b^-1 does not hold projectively"
 
 
 def _matrix_json(M):

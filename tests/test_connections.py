@@ -92,6 +92,19 @@ class TestResidue:
         total = sum(residue(F, i) for i in range(F.k)) + residue(F, "inf")
         assert np.allclose(total, 0.0, atol=1e-12)
 
+    def test_infinity_of_a_log_connection_in_fuchsian_form_is_exact(self, rng):
+        # the embedding of F is read in Fuchsian form, so its infinity is F's exact -sum A_i
+        F = random_fuchsian(rng, m=2, max_poles=3)
+        assert exact_residue(F.to_log_connection(), "inf") == F.infinity_residue
+
+    @pytest.mark.parametrize("system", [
+        LocalModel(2, [[[1, 0], [0, 2]]]),  # a polydisk has no point at infinity
+        make_log_connection([[[1 / sp.Symbol("x") + 1, 0], [0, 0]]], ("x",), [(0, 0)]),
+    ], ids=["local_model", "polynomial_part"])
+    def test_infinity_off_the_sphere_is_an_unsupported_branch(self, system):
+        with pytest.raises(UnsupportedBranch, match="on the sphere in Fuchsian form"):
+            exact_residue(system, "inf")
+
     def test_local_model_branch(self):
         A1 = [[1, 0], [0, 2]]
         A2 = [[3, 0], [0, 4]]

@@ -141,10 +141,9 @@ def test_a_residue_basis_forms_its_loop_matrix_in_one_place():
     ``_Residues.loop_matrix``: it is the one function that reads ``residue_eigenbasis``
     and calls ``exp``, lifting calls no ``exp`` at all, and the closed forms of transport
     and of the realizations both call it.  Whether a system is Fuchsian is asked only of
-    ``connections.fuchsian_form``, by transport, ``monodromy_rep`` and the ``monodromy``
-    verb, so every later step of transport sees one representation of Fuchsian data;
-    monodromy names ``LocalModel`` only in ``monodromy_rep``, which gives a local model,
-    on its polydisk, no loop at infinity."""
+    ``connections.fuchsian_form``, by transport, ``standard_loops`` and
+    ``connections.sphere_form``, so every later step of transport sees one
+    representation of Fuchsian data."""
     readers = set().union(*(functions_naming(p, {"residue_eigenbasis"}) for p in MODULES))
     exps = set().union(*(functions_naming(p, {"exp"}) for p in MODULES))
     assert readers & exps == {("connections.py", "_Residues", "loop_matrix")}, readers & exps
@@ -153,10 +152,8 @@ def test_a_residue_basis_forms_its_loop_matrix_in_one_place():
         ("monodromy.py", None, "_closed_form_loop"),
         ("lifting.py", None, "_closed_form_monodromy")}
     assert set().union(*(functions_naming(p, {"fuchsian_form"}) for p in MODULES)) == {
-        ("monodromy.py", None, "transport"), ("monodromy.py", None, "monodromy_rep"),
-        ("cli.py", None, "monodromy_cmd")}
-    assert functions_naming(MONODROMY, {"LocalModel"}) == {
-        ("monodromy.py", None, "monodromy_rep")}
+        ("monodromy.py", None, "transport"), ("monodromy.py", None, "standard_loops"),
+        ("connections.py", None, "sphere_form")}
 
 
 ERRORS = PACKAGE / "errors.py"
@@ -248,6 +245,27 @@ def test_no_type_dispatch_on_fuchsian_systems():
                          for a in n.args[1:] for x in ast.walk(a))]:
             stray[path.name] = lines
     assert not stray, f"isinstance(..., FuchsianSystem) on lines {stray}"
+
+
+# what the ``monodromy`` verb leaves to the monodromy module: the Fuchsian form, the
+# trace-free lift of a riccati document and the default loops
+MONODROMY_OWNS = {"fuchsian_form", "reconstruct", "standard_loops", "circle_loop"}
+
+
+def test_where_a_system_lives_is_decided_in_one_place():
+    """A local model's polydisk has no point at infinity, and that is written once, in
+    ``connections.sphere_form``: ``exact_residue``, ``monodromy_rep`` and the
+    ``residues`` verb ask it, and neither cli nor monodromy names ``LocalModel``.  The
+    ``monodromy`` verb parses its options and passes them on: its default loops are
+    ``monodromy``'s to choose."""
+    assert set().union(*(functions_naming(p, {"sphere_form"}) for p in MODULES)) == {
+        ("connections.py", None, "exact_residue"), ("monodromy.py", None, "monodromy_rep"),
+        ("cli.py", None, "residues_cmd")}
+    for path in (MONODROMY, CLI):
+        assert "LocalModel" not in {
+            getattr(n, "id", getattr(n, "attr", getattr(n, "name", None)))
+            for n in ast.walk(ast.parse(path.read_text()))}, path.name
+    assert ("cli.py", None, "monodromy_cmd") not in functions_naming(CLI, MONODROMY_OWNS)
 
 
 # the functions of ratfunc that may reach sympy, each on call: the reader of sympy
@@ -398,17 +416,22 @@ def test_lifting_never_imports_monodromy():
     assert "monodromy" not in reached, reached
 
 
-@pytest.mark.parametrize("c", [0.3, "3/10"], ids=["float", "exact"])
-def test_residues_of_a_log_connection_load_no_numpy(tmp_path, c):
+@pytest.mark.parametrize("c, one_var", [(0.3, False), ("3/10", False), ("3/10", True)],
+                         ids=["float", "exact", "fuchsian-form"])
+def test_residues_of_a_log_connection_load_no_numpy(tmp_path, c, one_var):
     """``connections.exact_residue`` restricts each entry to its branch by exact
     division, so ``residues`` of a ``log_connection`` runs without numpy, for float data
-    as for exact data."""
+    as for exact data; a one-variable document in Fuchsian form is read in that form
+    (``sphere_form``) for its residue at infinity, still without numpy."""
     neg = -c if isinstance(c, float) else "-" + c
     doc = {"type": "log_connection", "rank": 1, "vars": ["x", "y"],
            "divisor": [{"var": 0, "value": [c, 0]}],
            "components": [[[{"num": {"0,0": [0.5, "1/4"]},
                              "den": {"1,0": [1, 0], "0,0": [neg, 0]}}]],
                           [[{"num": {"0,0": [0, 0]}, "den": {"0,0": [1, 0]}}]]]}
+    if one_var:
+        doc = {**doc, "vars": ["x"], "components": [[[{"num": {"0": [0.5, "1/4"]},
+                                                       "den": {"1": [1, 0], "0": [neg, 0]}}]]]}
     path = tmp_path / "branch.json"
     path.write_text(json.dumps(doc))
     code = ("import sys\nfrom logconnect.cli import main\ntry:\n    main(sys.argv[1:])\n"
@@ -419,7 +442,9 @@ def test_residues_of_a_log_connection_load_no_numpy(tmp_path, c):
     r = subprocess.run([sys.executable, "-c", code, "residues", str(path)], capture_output=True,
                        text=True, timeout=60, env={**os.environ, "PYTHONPATH": pythonpath})
     assert r.returncode == 0, r.stdout + r.stderr
-    assert json.loads(r.stdout)["payload"]["residues"] == [[[[0.5, 0.25]]]]
+    payload = json.loads(r.stdout)["payload"]
+    assert payload["residues"] == [[[[0.5, 0.25]]]]
+    assert payload.get("infinity") == ([[[-0.5, -0.25]]] if one_var else None)
     assert r.stderr.split()[-1] == "False", "residues loaded numpy"
 
 

@@ -168,8 +168,8 @@ def test_the_exact_layer_never_reads_a_fuchsian_form(rng, monkeypatch):
         lift = trace_free_lift(projectivize(conn))
         assert conn.equals(reconstruct(R, trace_form(conn))) and R.equals(projectivize(lift))
     assert calls == []
-    monodromy_rep(lift, standard_loops(F))  # the spy does see a transport
-    assert calls and calls[0] is lift
+    monodromy_rep(lift, standard_loops(F))  # the spy does see the loops and a transport
+    assert len(calls) > 1 and calls[0] is F and calls[1] is lift
 
 
 class TestRiccatiJson:
