@@ -43,6 +43,16 @@ def as_matrix(M) -> np.ndarray:
     return A
 
 
+def _invertible_det(A, message: str):
+    """det A, or ``SingularMatrix(message)`` when |det A| < (1e-10 max |A_ij|)^m: the
+    test is scale-invariant, since det is homogeneous of degree m."""
+    det = np.linalg.det(A)
+    scale = np.max(np.abs(A))
+    if scale == 0.0 or abs(det) < (1e-10 * scale) ** A.shape[0]:
+        raise SingularMatrix(message)
+    return det
+
+
 _DISJOINT_TOL = 1e-9  # relative separation of two spectra for a Sylvester solve
 
 
@@ -131,9 +141,7 @@ def property_Pm(M, m: int | None = None, tol: float = 1e-9) -> bool:
     A = as_matrix(M)
     if m is None:
         m = A.shape[0]
-    scale = np.max(np.abs(A))
-    if scale == 0.0 or abs(np.linalg.det(A)) < (1e-10 * scale) ** A.shape[0]:
-        raise SingularMatrix("predicate defined on invertible classes only")
+    _invertible_det(A, "predicate defined on invertible classes only")
     eig = np.linalg.eigvals(A)
     for i in range(len(eig)):
         for j in range(i + 1, len(eig)):
@@ -232,11 +240,7 @@ class ProjectiveClass:
     def __init__(self, rep):
         A = as_matrix(rep)
         m = A.shape[0]
-        det = np.linalg.det(A)
-        scale = np.max(np.abs(A))
-        # scale-invariant singularity test: det is homogeneous of degree m
-        if scale == 0.0 or abs(det) < (1e-10 * scale) ** m:
-            raise SingularMatrix("projective classes need invertible representatives")
+        det = _invertible_det(A, "projective classes need invertible representatives")
         self.rep = A
         self.m = m
         M1 = A * det ** (-1.0 / m)

@@ -144,12 +144,14 @@ def residues_cmd(conn):
     from .connections import LogConnection, exact_residue, sphere_form
 
     # exact, each entry written correctly rounded
-    if isinstance(conn, LogConnection):
+    form = sphere_form(conn)
+    if form is None and isinstance(conn, LogConnection):
         mats = [exact_residue(conn, i) for i in range(len(conn.divisor))]
-    else:  # a fuchsian or local_model document, which stores its residues
-        mats = conn.residues
+    else:  # held by the Fuchsian form of a system on the sphere, in divisor order, or
+        # stored by a fuchsian or local_model document
+        mats = (conn if form is None else form).residues
     payload = {"residues": [matrix_to_json(R) for R in mats]}
-    if (form := sphere_form(conn)) is not None:  # the system lies on the sphere
+    if form is not None:  # the system lies on the sphere
         payload["infinity"] = matrix_to_json(form.infinity_residue)
     return "ok", payload
 
@@ -262,7 +264,7 @@ def realize_local(pres):
     """Local model realizing a commuting presentation's generators."""
     from . import lifting
 
-    return "ok", system_to_json(lifting.local_realize(pres.generator_list()))
+    return "ok", system_to_json(lifting.local_realize(pres))
 
 
 @_verb("realize-fuchsian", ("presentation",))

@@ -192,19 +192,21 @@ class FuchsianSystem(_Residues):
                      for i in range(self.m))
 
     def to_log_connection(self) -> "LogConnection":
-        """The embedding: entry (i, j) is sum_k A_k[i][j] / (x - p_k), summed over
-        the poles where A_k[i][j] != 0.  Built with no gcd (``_pole_sums``): the
-        poles are distinct, so at each such p_k the numerator is
-        A_k[i][j] prod_{l != k} (p_k - p_l) != 0 and the fraction is reduced."""
-        cached = getattr(self, "_log_connection", None)
-        if cached is not None:
-            return cached
-        lines = [branch_line(("x",), 0, p) for p in self.poles]
-        comp = _pole_sums(self.m, ("x",), lines, self.residues)
+        """The embedding in the chart variable x (``_embedding``), built once."""
+        if "_log_connection" not in vars(self):
+            vars(self)["_log_connection"] = self._embedding(("x",))
+        return vars(self)["_log_connection"]
+
+    def _embedding(self, gens) -> "LogConnection":
+        """The embedding in the one chart variable ``gens``: entry (i, j) is
+        sum_k A_k[i][j] / (x - p_k), summed over the poles where A_k[i][j] != 0.  Built
+        with no gcd (``_pole_sums``): the poles are distinct, so at each such p_k the
+        numerator is A_k[i][j] prod_{l != k} (p_k - p_l) != 0 and the fraction is
+        reduced."""
+        lines = [branch_line(gens, 0, p) for p in self.poles]
+        comp = _pole_sums(self.m, gens, lines, self.residues)
         divisor = tuple((0, p) for p in self.poles)
-        conn = LogConnection(self.m, ("x",), divisor, (comp,), exact=self.exact)
-        object.__setattr__(self, "_log_connection", conn)
-        return conn
+        return LogConnection(self.m, gens, divisor, (comp,), exact=self.exact)
 
 
 @dataclass(frozen=True)
@@ -283,9 +285,9 @@ class LogConnection:
         return self._callables[var]
 
     def equals(self, other: "LogConnection", tol: float = 1e-12) -> bool:
-        """Entrywise equality: structural when both are exact, whose normalized form is
-        canonical, else each difference within ``tol``."""
-        if self.m != other.m or self.n != other.n:
+        """Entrywise equality in the same chart variables: structural when both are
+        exact, whose normalized form is canonical, else each difference within ``tol``."""
+        if self.m != other.m or self.gens != other.gens:
             return False
         exact = self.exact and other.exact
         return all(f == g if exact else (f - g).is_zero_within(tol)
@@ -403,7 +405,8 @@ def _constant_quotient(num, den, exact: bool, tol: float):
 def fuchsian_form(C):
     """The ``FuchsianSystem`` that ``C`` is, or None, read once per object: a one-branch
     local model has the pole 0, and a one-variable ``LogConnection`` the system of its
-    branch values and ``exact_residue``s if that system's embedding ``equals`` it."""
+    branch values and ``exact_residue``s if that system's embedding in the chart's own
+    variable ``equals`` it."""
     if isinstance(C, FuchsianSystem):
         return C
     if "_fuchsian_form" not in vars(C):  # cached like ``cached_property``, None included
@@ -414,7 +417,7 @@ def fuchsian_form(C):
             try:
                 F = FuchsianSystem(C.m, [c for _, c in C.divisor], [
                     exact_residue(C, i) for i in range(len(C.divisor))], exact=C.exact)
-                form = F if F.to_log_connection().equals(C) else None
+                form = F if F._embedding(C.gens).equals(C) else None
             except (NonConstantResidue, SchemaViolation):
                 pass
         vars(C)["_fuchsian_form"] = form

@@ -258,8 +258,7 @@ def _parse_divisor(doc, nvars, pointer):
 
 
 def _parse_log_connection(doc):
-    from .connections import LogConnection, line_quotient
-    from .ratfunc import branch_line, to_complex
+    from .connections import LogConnection
 
     m = _integer(doc, "rank")
     gens = _parse_gens_field(doc, "")
@@ -272,9 +271,19 @@ def _parse_log_connection(doc):
         for v, comp in enumerate(comps_doc))
     divisor, divisor_exact = _split(branches)
     exact = divisor_exact and comps_exact
+    _require_logarithmic(comps, gens, branches, exact, lambda v, i, j: f"/components/{v}/{i}/{j}")
+    return LogConnection(m, gens, divisor, comps, exact=exact)
+
+
+def _require_logarithmic(components, gens, branches, exact, where):
+    """Refuse an entry (i, j) of the dx_v part of ``components`` with a pole of order > 1
+    along one of ``_parse_divisor``'s ``branches``, at the pointer ``where(v, i, j)``."""
+    from .connections import line_quotient
+    from .ratfunc import branch_line, to_complex
+
     for (v, c), c_exact in branches:
         line = branch_line(gens, v, c)
-        for i, row in enumerate(comps[v]):
+        for i, row in enumerate(components[v]):
             for j, f in enumerate(row):
                 # (x - c)^2 divides the denominator, within tolerance for inexact data
                 q = line_quotient(f.den, line, exact)
@@ -283,11 +292,10 @@ def _parse_log_connection(doc):
                     z = to_complex(c)
                     value = c if c_exact else repr(z.real) if z.imag == 0 else z
                     raise SchemaViolation(
-                        f"/components/{v}/{i}/{j}",
+                        where(v, i, j),
                         f"pole of order > 1 along the branch {gens[v]} = {value}; "
                         "entries must be logarithmic",
                     )
-    return LogConnection(m, gens, divisor, comps, exact=exact)
 
 
 def _parse_oneform(doc, gens, pointer):
@@ -312,15 +320,18 @@ def _parse_riccati(doc):
 
     m = _integer(doc, "rank")
     gens = _parse_gens_field(doc, "")
-    divisor, exact = _split(_parse_divisor(doc, len(gens), "") if "divisor" in doc else ())
+    branches = _parse_divisor(doc, len(gens), "") if "divisor" in doc else []
+    divisor, exact = _split(branches)
     lists, pairs = _chart_entries(m)
     forms = {(m - 1, m - 1): [RationalFunction.zero(gens)] * len(gens)}
+    pointers = {}  # the pointer of each form the document gives
     for key, at in lists.items():
         doc_forms = _require(doc, key, "", list)
         if len(doc_forms) != m - 1:
             raise SchemaViolation(f"/{key}", f"expected rank - 1 = {m - 1} 1-forms")
         for i, e in enumerate(doc_forms):
-            forms[at[i]], ex = _parse_oneform(e, gens, f"/{key}/{i}")
+            pointers[at[i]] = f"/{key}/{i}"
+            forms[at[i]], ex = _parse_oneform(e, gens, pointers[at[i]])
             exact = exact and ex
     for key, val in (_require(doc, "offdiag", "", dict) if "offdiag" in doc else {}).items():
         try:
@@ -329,13 +340,15 @@ def _parse_riccati(doc):
             raise SchemaViolation(f"/offdiag/{key}", "bad index pair") from exc
         if i == k or (i, k) in forms or not (0 <= i < m - 1 and 0 <= k < m - 1):
             raise SchemaViolation(f"/offdiag/{key}", f"expected i != k below {m - 1}, each once")
-        forms[i, k], ex = _parse_oneform(val, gens, f"/offdiag/{key}")
+        pointers[i, k] = f"/offdiag/{key}"
+        forms[i, k], ex = _parse_oneform(val, gens, pointers[i, k])
         exact = exact and ex
     for i, k in pairs:
         if (i, k) not in forms:
             raise SchemaViolation("/offdiag", f"missing the pair {i},{k}")
     components = [[[forms[i, j][v] for j in range(m)] for i in range(m)]
                   for v in range(len(gens))]
+    _require_logarithmic(components, gens, branches, exact, lambda v, i, j: f"{pointers[i, j]}/{v}")
     return RiccatiSystem(m, gens, divisor, components, exact=exact)
 
 
@@ -353,17 +366,15 @@ def _parse_presentation(doc):
     for i, word in enumerate(relations):
         if not isinstance(word, list) or not all(isinstance(t, str) for t in word):
             raise SchemaViolation(f"/relations/{i}", "expected a list of generator tokens")
-        for t in word:
-            base = t[:-3] if t.endswith("^-1") else t
-            if base not in generators:
-                raise SchemaViolation(f"/relations/{i}", f"unknown generator {base!r}")
     poles = None
     if "poles" in doc:
         poles = [_complex(p, f"/poles/{i}") for i, p in enumerate(_require(doc, "poles", "", list))]
     try:
         return ProjectivePresentation(m, generators, relations, poles=poles)
-    except ValueError as exc:
-        raise SchemaViolation("/relations", str(exc)) from exc
+    except ValueError as exc:  # an unknown token, or a relation that does not hold
+        message, *word = exc.args
+        raise SchemaViolation(f"/relations/{word[0]}" if word else "/relations",
+                              message) from None
 
 
 def _parse_matrix_doc(doc):

@@ -17,8 +17,8 @@ from click.testing import CliRunner
 from scipy.linalg import expm as mat_exp
 
 import logconnect
-from logconnect import (FuchsianSystem, RiccatiSystem, connections, proj_equal, projective,
-                        realize_fuchsian)
+from logconnect import (FuchsianSystem, RiccatiSystem, connections, lifting, proj_equal,
+                        projective, realize_fuchsian)
 from logconnect.cli import main
 from logconnect.ratfunc import RationalFunction
 from logconnect.serialization import (matrix_to_json, ratfunc_to_json, system_to_json,
@@ -451,6 +451,53 @@ def test_residues_and_monodromy_agree_on_infinity(tmp_path, doc, stages, loops, 
         assert np.max(np.abs(total)) < 1e-15
 
 
+LIFT_STAGES = ["realize-fuchsian", "projectivize", "lift-trace-free"]
+
+
+def test_residues_reads_each_branch_once(tmp_path, monkeypatch):
+    # a one-variable log_connection in Fuchsian form prints the residues its form holds:
+    # each branch is divided out once, when the form is read
+    path = _pipe(tmp_path, FIXTURES / "presentation_diagonal.json", LIFT_STAGES)
+    exact_residue, branches = connections.exact_residue, []
+
+    def spy(C, branch, *args):
+        branches.append(branch)
+        return exact_residue(C, branch, *args)
+
+    monkeypatch.setattr(connections, "exact_residue", spy)
+    result = invoke(["residues", str(path)])
+    assert result.exit_code == 0, result.output
+    assert branches == [0, 1]
+    assert "infinity" in json.loads(result.output)["payload"]
+
+
+def _over_x(c):
+    return {"num": {"0": [c, 0]}, "den": {"1": [1, 0]}}
+
+
+# (1/4)/x and (1/3)/x on the diagonal, one branch x = 0
+EXACT_ONE_BRANCH = {"type": "log_connection", "rank": 2, "vars": ["x"],
+                    "divisor": [{"var": 0, "value": [0, 0]}],
+                    "components": [[[_over_x("1/4"), _over_x(0)], [_over_x(0), _over_x("1/3")]]]}
+
+
+@pytest.mark.parametrize("doc", [EXACT_ONE_BRANCH, None], ids=["exact", "pipeline-lift"])
+def test_the_chart_variable_may_have_any_name(tmp_path, doc):
+    # a one-variable system is read in its Fuchsian form whatever its variable is called:
+    # renaming x to t changes no byte of residues or monodromy
+    if doc is None:
+        doc = json.loads(_pipe(tmp_path, FIXTURES / "presentation_diagonal.json",
+                               LIFT_STAGES).read_text())
+    outputs = {}
+    for name in ("x", "t"):
+        path = tmp_path / f"in_{name}.json"
+        path.write_text(json.dumps({**doc, "vars": [name]}))
+        outputs[name] = [(r.exit_code, r.output) for r in (invoke([verb, str(path)])
+                                                           for verb in ("residues", "monodromy"))]
+    assert outputs["x"] == outputs["t"]
+    assert all(code == 0 and '"infinity"' in out for code, out in outputs["t"]), outputs["t"]
+
+
 def test_a_one_branch_local_model_takes_a_basepoint(tmp_path):
     # its standard loop is the lasso of its form about 0, and every lasso once about 0
     # has the same closed-form matrix exp(2 pi i A)
@@ -564,8 +611,9 @@ def test_exponent_names_the_power_that_breaks_a_relation(tmp_path):
     payload = json.loads(result.output)["payload"]
     assert payload["error"] == "ValueError"
     assert payload["message"].startswith("at nu = 2: relation")
+    # the powered presentation names its power, so lift-rep --nu 2 gives the same refusal
     powered = json.loads(invoke(["lift-rep", str(path), "--nu", "2"]).output)["payload"]
-    assert payload["message"] == f"at nu = 2: {powered['message']}"
+    assert powered == payload
 
 
 def test_lift_rep_obstruction_reported():
@@ -1414,7 +1462,10 @@ PRESENTATION = "presentation_diagonal.json"
 REFUSALS = {
     "relation-does-not-hold": (["realize-local", PRESENTATION],
                                {PRESENTATION: {"/relations": [["a", "b"]]}},
-                               "SchemaViolation", "/relations"),
+                               "SchemaViolation", "/relations/0"),
+    "second-relation-does-not-hold": (
+        ["lift-rep", PRESENTATION], {PRESENTATION: {"/relations": [["a", "a^-1"], ["a", "b"]]}},
+        "SchemaViolation", "/relations/1"),
     "unknown-generator": (["realize-local", PRESENTATION],
                           {PRESENTATION: {"/relations": [["a", "z"]]}},
                           "SchemaViolation", "/relations/0"),
@@ -1430,6 +1481,10 @@ REFUSALS = {
                            {"loops.json": {"": [5]}}, "SchemaViolation", "/loops/0"),
     "trace-empty": (["reconstruct", "riccati_from_fuchsian.json", "--trace", "trace.json"],
                     {"trace.json": {"": []}}, "SchemaViolation", "/trace"),
+    "riccati-double-pole": (["lift-trace-free", "riccati_from_fuchsian.json"],
+                            {"riccati_from_fuchsian.json": {"/b/0/0": _entry({"0": [1, 0]},
+                                                                             {"2": [1, 0]})}},
+                            "SchemaViolation", "/b/0/0"),
     "offdiag-bad-pair": (["reconstruct", "riccati_from_fuchsian.json"],
                          {"riccati_from_fuchsian.json": {"/offdiag": {"x": []}}},
                          "SchemaViolation", "/offdiag/x"),
@@ -1480,6 +1535,37 @@ def test_a_relation_is_named_as_its_word(tmp_path):
     path.write_text(json.dumps(_edited(PRESENTATION, {"/relations": [["a", "b^-1"]]})))
     payload = json.loads(invoke(["realize-local", str(path)]).output)["payload"]
     assert payload["message"] == "relation a b^-1 does not hold projectively"
+
+
+def test_a_commutator_is_named_by_its_letters(tmp_path):
+    # the realizations read the commutators of the presentation's own generators, named
+    # as a relation is; a pair that does not commute projectively is refused at its word
+    path = tmp_path / "pair.json"
+    path.write_text(json.dumps(_presentation_json([[0, 1], [-1, 1]], [[1, 1], [0, 1]])))
+    for verb, error in [("realize-fuchsian", "NonAbelianUnsupported"),
+                        ("realize-local", "NotProjectivelyCommuting")]:
+        payload = json.loads(invoke([verb, str(path)]).output)["payload"]
+        assert payload == {"error": error, "message": "word a b a^-1 b^-1 does not evaluate "
+                                                      "to a scalar matrix in the lifts"}
+
+
+@pytest.mark.parametrize("args, exit_code, evaluations",
+                         [(["lift-rep"], 1, 1), (["lift-rep", "--nu", "2"], 0, 2),
+                          (["exponent"], 0, 2)],
+                         ids=["lift-rep", "lift-rep --nu 2", "exponent"])
+def test_a_word_is_evaluated_once_per_presentation(monkeypatch, args, exit_code, evaluations):
+    # the heisenberg relation is evaluated when the presentation is read, and again only
+    # in a powered presentation (nu = 2); each lift reads the value its presentation holds
+    evaluate, seen = lifting._evaluate, []
+
+    def spy(word, *args):
+        seen.append(word)
+        return evaluate(word, *args)
+
+    monkeypatch.setattr(lifting, "_evaluate", spy)
+    result = invoke([args[0], "presentation_heisenberg.json", *args[1:]])
+    assert result.exit_code == exit_code, result.output
+    assert len(seen) == evaluations, seen
 
 
 def _matrix_json(M):

@@ -19,7 +19,7 @@ from logconnect import (
     sylvester_solve,
     transport,
 )
-from logconnect.connections import LogConnection, exact_residue
+from logconnect.connections import LogConnection, exact_residue, fuchsian_form
 from logconnect.errors import (
     ResonantResidue, ResonantSpectrum, SchemaViolation, UnsupportedBranch,
 )
@@ -531,6 +531,22 @@ class TestEmbedding:
         LocalModel(3, residues, n=4).to_log_connection()
         quotient = entry / c
         assert (quotient.num, quotient.den) == (expected.num, expected.den)
+
+
+    @pytest.mark.parametrize("pole", [0, 0.25], ids=["exact", "inexact"])
+    def test_equality_is_in_one_chart_variable(self, pole):
+        # the same entries in x and in t are different connections, exact or not; the
+        # Fuchsian form is read in the chart's own variable, so both have one
+        quarter, third = Fraction(1, 4), Fraction(1, 3)
+        F = FuchsianSystem(2, [pole, 1], [[[quarter, 0], [0, third]], [[0, 1], [0, 0]]])
+        in_x, in_t = F.to_log_connection(), F._embedding(("t",))
+        assert in_x.exact is in_t.exact is isinstance(pole, int)
+        assert in_t.gens == ("t",) and in_x.equals(in_x) and in_t.equals(in_t)
+        assert not in_x.equals(in_t) and not in_t.equals(in_x)
+        for conn in (in_x, in_t):
+            form = fuchsian_form(LogConnection(2, conn.gens, conn.divisor, conn.components,
+                                               exact=conn.exact))
+            assert form is not None and form.residues == F.residues
 
 
 class TestStoredScalars:

@@ -119,18 +119,47 @@ KNOBS = {"tol", "k_max", "attempts"}
 
 
 def test_obstruction_scalars_are_read_in_one_place():
-    """Every obstruction scalar comes from ``lifting._lift``: only it and the relation
-    check of ``ProjectivePresentation.__init__`` evaluate words, the two older scalar
-    readers are gone, and the tolerances and search bounds are module constants: no
-    function of lifting takes one except ``realize_fuchsian`` and the closed-form
-    monodromy check it hands its ``tol`` to."""
+    """Every obstruction scalar comes from ``lifting._lift``: a word is evaluated only by
+    ``ProjectivePresentation.value``, which only ``_lift`` and the relation check of
+    ``ProjectivePresentation.__init__`` read, the two older scalar readers are gone,
+    and the tolerances and search bounds are module constants: no function of lifting
+    takes one except ``realize_fuchsian`` and the closed-form monodromy check it hands
+    its ``tol`` to."""
     assert functions_naming(LIFTING, {"_evaluate"}) == {
+        ("lifting.py", "ProjectivePresentation", "value")}
+    assert functions_naming(LIFTING, {"value"}) == {
         ("lifting.py", None, "_lift"), ("lifting.py", "ProjectivePresentation", "__init__")}
     assert functions_naming(LIFTING, {"_scalar_of", "_commutator_scalar"}) == set()
     knobs = {f.name for f in ast.walk(ast.parse(LIFTING.read_text()))
              if isinstance(f, ast.FunctionDef)
              and KNOBS & {a.arg for a in f.args.args + f.args.kwonlyargs}}
     assert knobs == {"realize_fuchsian", "_closed_form_monodromy"}, knobs
+
+
+def docstrings(tree):
+    """The ids of the docstring nodes of a module, its classes and its functions."""
+    return {id(node.body[0].value) for node in ast.walk(tree)
+            if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+            and node.body and isinstance(node.body[0], ast.Expr)
+            and isinstance(node.body[0].value, ast.Constant)}
+
+
+def test_a_word_is_spelled_in_one_place():
+    """The inverse token ``g^-1`` is written once: the literal "^-1" appears, outside
+    docstrings, only in ``lifting._spelled``, which names words, and whose spelling
+    ``ProjectivePresentation`` reads tokens with, so no second parser of the grammar
+    can appear."""
+    sites = set()
+    for path in PACKAGE.glob("*.py"):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        skip = docstrings(tree)
+        for n in ast.walk(tree):
+            if (isinstance(n, ast.Constant) and isinstance(n.value, str)
+                    and "^-1" in n.value and id(n) not in skip):
+                sites.add((path.name, tuple(f.name for f in ast.walk(tree)
+                                            if isinstance(f, ast.FunctionDef)
+                                            and any(c is n for c in ast.walk(f)))))
+    assert sites == {("lifting.py", ("_spelled",))}, sites
 
 
 MONODROMY = PACKAGE / "monodromy.py"

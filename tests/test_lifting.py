@@ -106,7 +106,7 @@ def test_commuting_tuple_and_commutator_relation_give_one_scalar(m, seed):
     # scalar, an m-th root of unity
     a, b = (SWAP, FLIP) if seed is None else clock_and_shift(np.random.default_rng(seed), m)
     P = ProjectivePresentation(m, {"a": a, "b": b}, relations=[["a", "b", "a^-1", "b^-1"]])
-    commuting = lift_commuting(P.generator_list())
+    commuting = lift_commuting(list(P.generators.values()))
     related = verify_lift_after_power(P, 1)
     assert commuting.obstruction_scalars == related.obstruction_scalars
     assert commuting.success is related.success is False
@@ -394,21 +394,26 @@ class TestClosedFormCheck:
     def test_closed_form_is_the_transport(self, m, k, monkeypatch, by_panels):
         # the realizations compare exp(2 pi i A_j) with their classes; here it is
         # compared with the transport of each standard loop or coordinate circle, the
-        # loops transported as a log connection, so by panels and not in closed form
+        # loops transported as a log connection, so by panels and not in closed form.
+        # The check is handed each realized system, whose ``loop_matrix`` of one unit
+        # winding is the exponential it compares
         seen = []
         check = lifting._closed_form_monodromy
 
-        def spy(*args):
-            seen.append(check(*args))
-            return seen[-1]
+        def spy(system, *args):
+            seen.append(system)
+            check(system, *args)
 
         monkeypatch.setattr(lifting, "_closed_form_monodromy", spy)
         F, model = realize_both(np.random.default_rng(10 * m + k), m, k)
-        fuchsian, local = seen
-        for lp, E in zip(standard_loops(F), fuchsian, strict=True):
+        assert len(seen) == 2 and seen[0] is F and seen[1] is model
+        windings = np.eye(k)
+        for lp, w in zip(standard_loops(F), windings, strict=True):
+            E = F.loop_matrix(w)
             M = by_panels(F.to_log_connection(), lp, tol=1e-12)
             assert np.linalg.norm(M - E) < 1e-9 * np.linalg.norm(M)
-        for j, E in enumerate(local):
+        for j, w in enumerate(windings):
+            E = model.loop_matrix(w)
             branch = LocalModel(m, [model.residues[j]])
             M = by_panels(branch, circle_loop(0.0, 1.0), tol=1e-12)
             assert np.linalg.norm(M - E) < 1e-9 * np.linalg.norm(M)

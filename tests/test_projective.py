@@ -225,6 +225,17 @@ class TestPropertyPm:
         with pytest.raises(SingularMatrix):
             property_Pm(np.zeros((2, 2)))
 
+    @pytest.mark.parametrize("scale", [1e-6, 1.0, 1e6])
+    def test_one_singularity_test_with_each_callers_message(self, scale):
+        # |det A| against (1e-10 max|A_ij|)^m, so the verdict does not move with the
+        # scale; the predicate and a projective class each name their own use
+        below, above = (scale * np.diag([1.0, d]) for d in (1e-21, 1e-19))
+        with pytest.raises(SingularMatrix, match="^predicate defined on invertible classes"):
+            property_Pm(below)
+        with pytest.raises(SingularMatrix, match="^projective classes need invertible"):
+            ProjectiveClass(below)
+        assert property_Pm(above) and ProjectiveClass(above).m == 2
+
 
 class TestNonresonant:
     def test_half(self):
