@@ -8,6 +8,8 @@ the common eigenbasis of a commuting family and projective classes of matrices.
 
 from __future__ import annotations
 
+from itertools import chain
+
 import numpy as np
 
 from .errors import (
@@ -166,23 +168,36 @@ def commuting(family, tol: float = 1e-10) -> bool:
     return True
 
 
-ATTEMPTS = 8  # random combinations tried for a common eigenbasis
+ATTEMPTS = 8  # combinations tried for a common eigenbasis
+# the pairs (frac(n g), frac(n s)), n = 1, 2, ..., with these g and s are equidistributed
+# in the unit square (Weyl: 1, g and s are independent over the rationals), so the
+# coefficients they give serve as generic ones, and no two of them are equal
+_GOLDEN, _SILVER = (5.0 ** 0.5 - 1.0) / 2.0, 2.0 ** 0.5 - 1.0
 
 
-def simultaneous_eigenbasis(mats, bound, max_cond: float):
+def _combination(attempt: int, k: int) -> np.ndarray:
+    """The k coefficients of combination ``attempt`` of a family of k matrices,
+    exp(2 pi i frac(n g)) (1 + frac(n s)) for n = attempt k + j + 1, j < k."""
+    n = attempt * k + np.arange(1, k + 1)
+    return np.exp(1j * TWO_PI * (n * _GOLDEN % 1.0)) * (1.0 + n * _SILVER % 1.0)
+
+
+def simultaneous_eigenbasis(mats, bound, max_cond: float, first=None):
     """Common eigenvector basis V of a commuting diagonalizable family, with V^-1 and
     the diagonal of V^-1 M V for each M, as rows.
 
-    V is the eigenbasis of a random combination of the family, one of ``ATTEMPTS``
-    from a fixed seed, and the first accepted: cond(V) <= ``max_cond`` and every
-    V^-1 M V off its diagonal by at most bound(cond(V)) max(||M||_F, 1) in Frobenius
-    norm.  When none is, ``NonDiagonalizableFamily``.
+    The candidates are ``first``, when given (an eigenbasis the family is known to have
+    been built in), then the eigenbases of ``ATTEMPTS`` fixed generic combinations of
+    the family (Bunse-Gerstner, Byers and Mehrmann, SIAM J. Matrix Anal. Appl. 14,
+    1993): the same V for the same family on every call.  V is the first accepted:
+    cond(V) <= ``max_cond`` and every V^-1 M V off its diagonal by at most
+    bound(cond(V)) max(||M||_F, 1) in Frobenius norm.  When none is,
+    ``NonDiagonalizableFamily``.
     """
     mats = np.asarray(mats, dtype=complex)
-    rng = np.random.default_rng(7)
-    for _ in range(ATTEMPTS):
-        coeffs = rng.normal(size=len(mats)) + 1j * rng.normal(size=len(mats))
-        _, V = np.linalg.eig(np.tensordot(coeffs, mats, 1))
+    combined = (np.linalg.eig(np.tensordot(_combination(a, len(mats)), mats, 1))[1]
+                for a in range(ATTEMPTS))
+    for V in chain([] if first is None else [first], combined):
         kappa = np.linalg.cond(V)
         if not kappa <= max_cond:
             continue
@@ -209,21 +224,23 @@ UNIT_ROUNDOFF = 2.0 ** -53
 # of the four rounded steps after them (the backward-stable eigenvectors, the LU
 # inverse and the two products) by at most m u cond(V) ||A||: (4m + 1) u cond(V) ||A||
 # in 2-norm, 17 of it at the ranks m <= 4 this package meets, and at most sqrt(m) <= 2
-# times that, 34, in Frobenius norm.  A random combination whose eigenvalue gap is
+# times that, 34, in Frobenius norm.  A combination whose eigenvalue gap is
 # narrower than the family's spreads the eigenvector error further, which the factor
-# to the next power of two absorbs.  Measured: the first accepted V of the 1920
-# realized systems of ``monodromy_lift`` seeds 0-39 (perfbench) spends a median 1.6
-# of these ulps and at most 46.
+# to the next power of two absorbs.  Measured on the 1920 realized systems of
+# ``monodromy_lift`` seeds 0-39 (perfbench): the lifts' eigenbasis, which each tries
+# first and accepts, spends a median 0.84 of these ulps and at most 3.8; searched with
+# no basis given, the first accepted combination a median 2.1 and at most 54.
 ROUNDING_ULPS = 64
 
 
-def eigenbasis_up_to_rounding(mats):
+def eigenbasis_up_to_rounding(mats, first=None):
     """(V, V^-1, the diagonals d_i of V^-1 M_i V as rows, cond(V)) when the family is
     diagonal in one eigenbasis V up to rounding, ``ROUNDING_ULPS`` cond(V) u, with
-    cond(V) <= ``BASIS_COND``; None when it is not."""
+    cond(V) <= ``BASIS_COND``; None when it is not.  ``first`` is tried first, as in
+    ``simultaneous_eigenbasis``."""
     try:
         V, Vinv, diagonals = simultaneous_eigenbasis(
-            mats, lambda kappa: ROUNDING_ULPS * kappa * UNIT_ROUNDOFF, BASIS_COND)
+            mats, lambda kappa: ROUNDING_ULPS * kappa * UNIT_ROUNDOFF, BASIS_COND, first)
     except NonDiagonalizableFamily:
         return None
     return V, Vinv, diagonals, np.linalg.cond(V)

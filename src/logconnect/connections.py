@@ -69,6 +69,10 @@ class _Residues:
     """What the two residue models share: ``residues`` hold ``GaussianRational``s, and
     ``residue_arrays`` are their complex values, built on first use."""
 
+    # an eigenbasis the residues were built in (a realization's, found on its lifts),
+    # which the search of ``residue_eigenbasis`` tries before any combination
+    _built_in_basis = None
+
     def _read_residues(self, m, residues) -> bool:
         """Store the rank m and the residues as nested tuples of ``GaussianRational``s, each
         checked m x m, and return whether every entry was exact; an entry is any scalar
@@ -104,7 +108,7 @@ class _Residues:
         fundamental solution; else None."""
         from .algebra import eigenbasis_up_to_rounding
 
-        return eigenbasis_up_to_rounding(self.residue_arrays)
+        return eigenbasis_up_to_rounding(self.residue_arrays, self._built_in_basis)
 
     def loop_matrix(self, windings):
         """V diag(exp(2 pi i sum_i w_i d_i)) V^-1 in ``residue_eigenbasis``, which must

@@ -59,6 +59,20 @@ class NonAbelianUnsupported(LogConnectError):
     """Presentation generators do not commute pairwise; realization unsupported."""
 
 
+class IndexedValueError(ValueError):
+    """A ``ValueError`` about one item of a sequence: a presentation's relation word, or
+    a loop's segment.  ``args`` are (message, index), which the JSON parsers read for
+    their pointers, and ``str()`` is the message with the item named."""
+
+    def __init__(self, message, index, item):
+        super().__init__(message, index)
+        self.item = item
+
+    def __str__(self):
+        message, index = self.args
+        return f"{message} ({self.item} {index})"
+
+
 class SchemaViolation(LogConnectError):
     """Input document failed validation.
 

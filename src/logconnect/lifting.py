@@ -33,6 +33,7 @@ from .algebra import (
 )
 from .errors import (
     DimensionMismatch,
+    IndexedValueError,
     NonAbelianUnsupported,
     NonDiagonalizableFamily,
     NotProjectivelyCommuting,
@@ -87,8 +88,8 @@ class ProjectivePresentation:
 
     A relation word, tokens ``"g"`` or ``"g^-1"`` or letters (g, +-1), is read once into
     letters, and each word's value in the canonical lifts is evaluated once (``value``).
-    A token naming no generator, or a relation that does not hold projectively, is a
-    ``ValueError`` whose second argument is the word's index.
+    A token naming no generator, or a relation that does not hold projectively, is an
+    ``IndexedValueError`` whose second argument is the word's index.
     """
 
     def __init__(self, m, generators, relations=(), poles=None):
@@ -106,7 +107,7 @@ class ProjectivePresentation:
                    for key in ((n, s), _spelled([(n, s)]))}
         for i, word in enumerate(relations):
             if unknown := [t for t in word if t not in letters]:
-                raise ValueError(f"unknown generator token {unknown[0]!r}", i)
+                raise IndexedValueError(f"unknown generator token {unknown[0]!r}", i, "relation")
         self.relations = tuple(tuple(letters[t] for t in word) for word in relations)
         # a b a^-1 b^-1 for each pair of generators, a named before b
         self.commutators = tuple(((a, 1), (b, 1), (a, -1), (b, -1))
@@ -114,7 +115,8 @@ class ProjectivePresentation:
         self.words = self.relations or self.commutators  # the words that decide a lift
         for i, word in enumerate(self.relations):
             if not proj_equal(self.value(word), np.eye(self.m), RELATION_TOL):
-                raise ValueError(f"relation {_spelled(word)} does not hold projectively", i)
+                raise IndexedValueError(
+                    f"relation {_spelled(word)} does not hold projectively", i, "relation")
 
     def value(self, word):
         """The word's value in the canonical lifts, evaluated on first use."""
@@ -191,8 +193,8 @@ def _log_in_basis(d, V, Vinv):
 
 def _realizing_residues(P: ProjectivePresentation, error):
     """Branch-normalized logs of the commuting SL lifts of ``P``'s generators in their
-    common eigenbasis.  A nontrivial commutator scalar, or a pair of generators that
-    does not commute projectively, raises ``error``."""
+    common eigenbasis V, and V.  A nontrivial commutator scalar, or a pair of
+    generators that does not commute projectively, raises ``error``."""
     try:
         report = _lift(P, P.commutators)
     except NotProjectivelyCommuting as exc:
@@ -200,19 +202,21 @@ def _realizing_residues(P: ProjectivePresentation, error):
     if not report.success:
         raise error("linear lifts do not commute (nontrivial obstruction scalar)")
     V, Vinv, diagonals = simultaneous_eigenbasis(P.lifts, lambda kappa: TOL, BASIS_COND)
-    return [_log_in_basis(d, V, Vinv) for d in diagonals]
+    return [_log_in_basis(d, V, Vinv) for d in diagonals], V
 
 
-def _closed_form_monodromy(system, lifts, tol: float, error):
+def _closed_form_monodromy(system, V, lifts, tol: float, error):
     """Check each loop matrix exp(2 pi i A_j) of the residues A_j read back from
     ``system`` against lift j of ``lifts``.
 
     The residues must share the eigenbasis ``system.residue_eigenbasis``, so they
     commute and the loop once around the j-th branch has the matrix
     ``system.loop_matrix`` of winding number 1 about branch j alone, exp(2 pi i A_j).
-    Residues with no common eigenbasis, or an exponential off its class within ``tol``,
-    raise ``error``.
+    Its search tries V, the lifts' eigenbasis that the residues were built in, first,
+    so a realization that rounding leaves diagonal in V searches once.  Residues with no
+    common eigenbasis, or an exponential off its class within ``tol``, raise ``error``.
     """
+    object.__setattr__(system, "_built_in_basis", V)
     if system.residue_eigenbasis is None:
         raise error("the residues are not diagonal in one eigenbasis")
     for j, (windings, N) in enumerate(zip(np.eye(len(lifts)), lifts)):
@@ -234,9 +238,9 @@ def local_realize(P) -> LocalModel:
         P = _indexed(P)
     if not P.names:
         raise ValueError("a local model needs at least one generator")
-    residues = _realizing_residues(P, NotProjectivelyCommuting)
+    residues, V = _realizing_residues(P, NotProjectivelyCommuting)
     model = LocalModel(P.m, residues)
-    _closed_form_monodromy(model, P.lifts, REALIZE_TOL, NonDiagonalizableFamily)
+    _closed_form_monodromy(model, V, P.lifts, REALIZE_TOL, NonDiagonalizableFamily)
     return model
 
 
@@ -281,6 +285,7 @@ def realize_fuchsian(P: ProjectivePresentation, poles=None,
         poles = P.poles
     if poles is None or len(poles) != len(P.names):
         raise ValueError("one pole per generator required")
-    system = FuchsianSystem(P.m, poles, _realizing_residues(P, NonAbelianUnsupported))
-    _closed_form_monodromy(system, P.lifts, tol, NonAbelianUnsupported)
+    residues, V = _realizing_residues(P, NonAbelianUnsupported)
+    system = FuchsianSystem(P.m, poles, residues)
+    _closed_form_monodromy(system, V, P.lifts, tol, NonAbelianUnsupported)
     return system

@@ -40,6 +40,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass, replace
+from functools import cache
 
 import numpy as np
 
@@ -47,6 +48,7 @@ from .algebra import EIGENBASIS_COND, TWO_PI, ProjectiveClass, proj_equal
 from .connections import FuchsianSystem, fuchsian_form, sphere_form
 from .errors import (
     DegenerateConfiguration,
+    IndexedValueError,
     PoleProximity,
     ToleranceNotMet,
 )
@@ -121,8 +123,9 @@ class LoopPath:
 
     Closure and joins are checked to 1e-12 relative to the path's scale, the largest
     |x| at a segment's end (at least 1): an arc's end is computed through its angle,
-    so it lands within rounding of |x|, not of 0.  A failed join raises a ValueError
-    whose second argument is the index of the segment that does not join."""
+    so it lands within rounding of |x|, not of 0.  A failed join raises an
+    ``IndexedValueError`` whose second argument is the index of the segment that does
+    not join."""
 
     def __init__(self, segments, basepoint=None):
         self.segments = tuple(segments)
@@ -135,7 +138,7 @@ class LoopPath:
             raise ValueError("path is not closed")
         for j, ((_, a), (b, _)) in enumerate(zip(ends, ends[1:]), start=1):
             if abs(a - b) > self._gap:
-                raise ValueError("consecutive segments do not join", j)
+                raise IndexedValueError("consecutive segments do not join", j, "segment")
         self.basepoint = complex(basepoint) if basepoint is not None else complex(start)
 
     def starts_at(self, x) -> bool:
@@ -185,6 +188,15 @@ def _corridor_gaps(basepoints, poles) -> np.ndarray:
     return np.where(inside, np.abs(q - t * d) / np.abs(d), np.inf)
 
 
+def _one_variable(C):
+    """``C.to_log_connection()``, or a ``ValueError`` when its chart has several
+    variables: paths, and so transport and loops, live in one chart variable."""
+    conn = C.to_log_connection()
+    if conn.n != 1:
+        raise ValueError("transport is defined for one-variable charts")
+    return conn
+
+
 def standard_loops(C, basepoint=None):
     """One lasso per pole of the Fuchsian form of ``C`` (``connections.fuchsian_form``):
     spoke toward the pole, ccw circle, spoke back.
@@ -199,9 +211,12 @@ def standard_loops(C, basepoint=None):
     choice is made among the 8 turned by pi/8 before the default is refused.  Every
     candidate lies on the circle |x| = R, so the loop at infinity is that circle; one
     pole keeps R itself, so a one-branch local model gets the lasso from 1 about 0.  A
-    system with no Fuchsian form, or with no poles, has no standard loops.
+    system with no Fuchsian form, or with no poles, has no standard loops, and one in
+    a chart of several variables no loops at all (``_one_variable``).
     """
-    poles = [] if (F := fuchsian_form(C)) is None else F.pole_array.tolist()
+    if (F := fuchsian_form(C)) is None:
+        _one_variable(C)
+    poles = [] if F is None else F.pole_array.tolist()
     if not poles:
         raise DegenerateConfiguration(
             "no poles of a Fuchsian form to take standard loops about; supply --loops")
@@ -272,9 +287,12 @@ def _omega_callable(F, conn):
 WELL_CONDITIONED = 1e2
 
 
+@cache
 def _gauss_collocation(s: int):
     """Nodes c, weights b and integration matrix A[i, j] = int_0^{c_i} l_j of s-point
-    Gauss-Legendre collocation on [0, 1], with l_j the Lagrange basis on the nodes."""
+    Gauss-Legendre collocation on [0, 1], with l_j the Lagrange basis on the nodes,
+    built on first use: a process whose loops are all closed form never loads
+    ``numpy.polynomial``."""
     x, w = np.polynomial.legendre.leggauss(s)
     P = np.polynomial.legendre.legvander(x, s)  # P[i, n] = P_n(x_i)
     # l_j = sum_n (n + 1/2) w_j P_n(x_j) P_n, exactly, by Gauss quadrature
@@ -284,12 +302,6 @@ def _gauss_collocation(s: int):
     return (x + 1) / 2, w / 2, integrals @ coefficients / 2
 
 
-# a panel is solved with 16 nodes (order 32) and checked against 11 (order 22); the
-# node counts differ in parity because s-node collocation sends a component with
-# h|B| -> infinity to (-1)^s times its start, so two even rules agree there
-# (16 and 12 nodes to 2e-10 at h B = -1e12) on a panel that resolves nothing
-_HIGH, _LOW = _gauss_collocation(16), _gauss_collocation(11)
-_NODES = np.concatenate([_HIGH[0], _LOW[0]])
 # a panel narrower than 2**-MAX_DEPTH of its segment is a tolerance failure
 MAX_DEPTH = 40
 # a segment is a tolerance failure past MAX_PANELS panel attempts (MAX_DEPTH bounds
@@ -324,13 +336,18 @@ def _flow(omega, seg, Y0: np.ndarray, tol: float) -> np.ndarray:
     segment still short of t = 1 after ``MAX_PANELS`` attempts misses ``tol``.
     """
     t, h, Y = 0.0, 1.0, Y0
-    s = len(_HIGH[0])
+    # a panel is solved with 16 nodes (order 32) and checked against 11 (order 22); the
+    # node counts differ in parity because s-node collocation sends a component with
+    # h|B| -> infinity to (-1)^s times its start, so two even rules agree there
+    # (16 and 12 nodes to 2e-10 at h B = -1e12) on a panel that resolves nothing
+    s, high_rule, low_rule = 16, _gauss_collocation(16), _gauss_collocation(11)
+    nodes = np.concatenate([high_rule[0], low_rule[0]])
     for _ in range(MAX_PANELS):
         end = min(t + h, 1.0)
         h = end - t
-        B = omega(*seg.point_and_velocity(t + h * _NODES))
-        high = _collocate(B[:s], h, Y, _HIGH)
-        err = np.max(np.abs(high - _collocate(B[s:], h, Y, _LOW)))
+        B = omega(*seg.point_and_velocity(t + h * nodes))
+        high = _collocate(B[:s], h, Y, high_rule)
+        err = np.max(np.abs(high - _collocate(B[s:], h, Y, low_rule)))
         bound = tol * max(1.0, np.max(np.abs(high)))
         if err <= bound:
             t, Y, h = end, high, 2 * h
@@ -512,9 +529,7 @@ def transport(C, path: LoopPath, tol: float = 1e-10) -> np.ndarray:
     Nothing outlives the call but the form, which the system caches.
     """
     F = fuchsian_form(C)
-    conn = None if F is not None else C.to_log_connection()
-    if conn is not None and conn.n != 1:
-        raise ValueError("transport is defined for one-variable charts")
+    conn = None if F is not None else _one_variable(C)
     poles = F.pole_array.tolist() if conn is None else [to_complex(c) for _, c in conn.divisor]
     if path.clearance(poles) < 1e-12:
         raise PoleProximity("path passes within 1e-12 of the polar divisor")

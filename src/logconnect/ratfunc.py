@@ -198,6 +198,13 @@ def to_complex(value) -> complex:
 # -- polynomials --------------------------------------------------------
 
 
+def _same_chart(a, b) -> None:
+    """Refuse arithmetic between two polynomials or rational functions in different
+    generators, which would otherwise identify the variables by position."""
+    if a.gens != b.gens:
+        raise ValueError(f"operands are in different charts: gens {a.gens} and {b.gens}")
+
+
 class Polynomial:
     """sum_e rep[e] x^e / den in the generators ``gens`` (names): ``rep`` maps each
     exponent tuple to its nonzero Gaussian-integer numerator (re, im), over one
@@ -292,6 +299,7 @@ class Polynomial:
 
     def _combine(self, other, sign):
         """self + sign * other, over the least common denominator."""
+        _same_chart(self, other)
         d1, d2 = self.den, other.den
         g = math.gcd(d1, d2)
         s1, s2 = d2 // g, sign * (d1 // g)
@@ -319,6 +327,7 @@ class Polynomial:
         return Polynomial({e: (-a, -b) for e, (a, b) in self.rep.items()}, self.den, self.gens)
 
     def __mul__(self, other):
+        _same_chart(self, other)
         rep = {}
         one_var = len(self.gens) == 1
         for e1, (a, b) in self.rep.items():
@@ -355,6 +364,7 @@ class Polynomial:
         """(q, r) with self = q * other + r, where no term of r is divisible by the
         lexicographically leading term of ``other``: long division in one variable,
         and the remainder at x_var = c when ``other`` is a line x_var - c."""
+        _same_chart(self, other)
         divisor = other.to_dict()
         lead = max(divisor)
         inv = ONE / divisor.pop(lead)
@@ -583,6 +593,7 @@ class RationalFunction:
 
     def _coerce(self, other) -> "RationalFunction":
         if isinstance(other, RationalFunction):
+            _same_chart(self, other)
             return other
         return RationalFunction.constant(other, self.gens)
 
@@ -657,7 +668,7 @@ class RationalFunction:
     def __eq__(self, other):
         try:
             o = self._coerce(other)
-        except TypeError:
+        except (TypeError, ValueError):  # not a scalar, or in another chart
             return NotImplemented
         return self.num == o.num and self.den == o.den
 

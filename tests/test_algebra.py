@@ -3,6 +3,7 @@ import pytest
 from scipy.linalg import expm as mat_exp
 
 from logconnect import commuting, sylvester_solve
+from logconnect.algebra import simultaneous_eigenbasis
 from logconnect.errors import DimensionMismatch, ResonantSpectrum, SingularMatrix
 
 from conftest import mat_log_normalized
@@ -108,3 +109,35 @@ class TestCommuting:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             commuting([np.eye(2), np.eye(3)])
+
+
+def diagonal_in(V, rows):
+    """The family V diag(d) V^-1, one matrix per row d."""
+    return [V @ np.diag(d) @ np.linalg.inv(V) for d in rows]
+
+
+class TestSimultaneousEigenbasis:
+    V = np.array([[1.0, 0.5, 0.0], [0.0, 1.0, 0.25j], [0.3, 0.0, 1.0]])
+    FAMILY = diagonal_in(V, [[1.0, 2.0, 3.0], [1j, -1.0, 1j]])
+
+    @staticmethod
+    def search(family, first=None):
+        return simultaneous_eigenbasis(family, lambda kappa: 1e-10, 1e8, first)
+
+    def test_a_search_is_stateless(self, nprng):
+        # bitwise the same basis on every call, whatever ran before it: no generator
+        # state, global or seeded, enters the search
+        before = self.search(self.FAMILY)
+        np.random.seed(5)
+        nprng.normal(size=100)
+        self.search(diagonal_in(np.eye(2) + 0.5j, [[1.0, 2.0]]))
+        after = self.search(self.FAMILY)
+        assert all(np.array_equal(a, b) for a, b in zip(before, after, strict=True))
+
+    def test_a_known_basis_is_tried_first(self):
+        # a basis the family is diagonal in is taken as it is; one it is not diagonal in
+        # falls through to the same combinations as a search given none
+        W = 2.0 * self.V
+        assert self.search(self.FAMILY, W)[0] is W
+        fallback, plain = self.search(self.FAMILY, np.eye(3)), self.search(self.FAMILY)
+        assert all(np.array_equal(a, b) for a, b in zip(fallback, plain, strict=True))

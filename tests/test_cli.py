@@ -32,13 +32,17 @@ MANIFEST = json.loads((FIXTURES / "manifest.json").read_text())
 HEAVY = ("sympy", "scipy.linalg", "scipy.integrate")
 # numpy and the package's modules that import it, which only the numeric verbs load
 NUMERIC = ("numpy", "logconnect.algebra", "logconnect.lifting")
-# Runs the CLI's main, then writes to stderr which HEAVY and NUMERIC modules it loaded.
+# numpy's submodules that ``import numpy`` leaves unloaded: no verb draws random numbers,
+# and only a transport that integrates builds its collocation rules
+LAZY_NUMPY = ("numpy.random", "numpy.polynomial")
+PROBED = HEAVY + NUMERIC + LAZY_NUMPY
+# Runs the CLI's main, then writes to stderr which PROBED modules it loaded.
 PROBE = (
     "import sys\n"
     "from logconnect.cli import main\n"
     "try:\n    main(sys.argv[1:])\n"
     "except SystemExit as exc:\n    code = exc.code\n"
-    f"print('LOADED', *(m for m in {HEAVY + NUMERIC!r} if m in sys.modules), file=sys.stderr)\n"
+    f"print('LOADED', *(m for m in {PROBED!r} if m in sys.modules), file=sys.stderr)\n"
     "sys.exit(code)\n"
 )
 # the verbs that compute exactly, from and to ``ratfunc``'s Gaussian-rational types
@@ -48,7 +52,7 @@ EXACT_VERBS = {"check-flat", "residues", "projectivize", "reconstruct", "lift-tr
 
 def run_process(args, env=None, code=PROBE):
     """Run ``code`` with ``args`` in a fresh interpreter that imports this
-    session's ``logconnect``: (exit code, stdout, heavy and numeric modules it loaded)."""
+    session's ``logconnect``: (exit code, stdout, the ``PROBED`` modules it loaded)."""
     src = str(pathlib.Path(logconnect.__file__).parent.parent)
     pythonpath = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
     fixed = [str(FIXTURES / a) if a.endswith(".json") and "/" not in a else a for a in args]
@@ -259,15 +263,16 @@ def test_tol_help_names_the_verbs_own_default(verb):
         assert f"default from LOGCONNECT_TOL or {DEFAULT_TOL[verb]:g})" in help_text, help_text
 
 
-# a two-branch local model and a system with a polynomial part have no Fuchsian form,
-# so no standard loops for a basepoint to place
+# a system with a polynomial part has no Fuchsian form, so no standard loops for a
+# basepoint to place; a two-branch local model lives in two variables, so no loops at all
 NO_STANDARD_LOOPS = ("DegenerateConfiguration", ["no poles of a Fuchsian form", "supply --loops"])
+ONE_VARIABLE = ("ValueError", ["one-variable charts"])
 
 
 @pytest.mark.parametrize("args, error, words", [
     (["fuchsian_quarter.json", "--loops", "loops_unit_circle.json", "--basepoint", "5,5"],
      "ValueError", ["--basepoint", "--loops"]),
-    (["local_model_commuting.json", "--basepoint", "5,5"], *NO_STANDARD_LOOPS),
+    (["local_model_commuting.json", "--basepoint", "5,5"], *ONE_VARIABLE),
     (["normalize_tau.json", "--basepoint", "5,5"], *NO_STANDARD_LOOPS),
 ], ids=["with-loops", "local-model", "log-connection"])
 def test_a_basepoint_that_places_no_loop_is_refused(args, error, words):
@@ -276,6 +281,17 @@ def test_a_basepoint_that_places_no_loop_is_refused(args, error, words):
     payload = json.loads(result.output)["payload"]
     assert payload["error"] == error
     assert all(word in payload["message"] for word in words), payload["message"]
+
+
+@pytest.mark.parametrize("loops", [[], ["--loops", "loops_unit_circle.json"]],
+                         ids=["standard", "given"])
+def test_a_chart_of_two_variables_is_refused_without_advice_to_supply_loops(loops):
+    # no loop of one chart variable can help, so the refusal names the limit, not --loops
+    result = invoke(["monodromy", "local_model_commuting.json", *loops])
+    assert result.exit_code == 2, result.output
+    payload = json.loads(result.output)["payload"]
+    assert payload["error"] == "ValueError"
+    assert "one-variable charts" in payload["message"] and "--loops" not in payload["message"]
 
 
 def test_monodromy_matches_residue_exponential():
@@ -949,20 +965,32 @@ def test_a_high_order_normalization_fits_in_the_memory_of_a_low_one():
 
 def test_importing_the_cli_loads_no_heavy_library():
     code = ("import sys, logconnect.cli; print('LOADED', *(m for m in "
-            f"{HEAVY + NUMERIC!r} if m in sys.modules), file=sys.stderr)")
+            f"{PROBED!r} if m in sys.modules), file=sys.stderr)")
     assert run_process([], code=code)[2] == set()
 
 
 @pytest.mark.parametrize(
     "entry", MANIFEST, ids=lambda e: " ".join(e["args"]))
 def test_each_verb_loads_only_its_libraries(entry):
-    # no verb loads a HEAVY library; the exact verbs run on click alone, and
-    # the numeric ones add numpy and the modules that import it
+    # no verb loads a HEAVY library or numpy.random; the exact verbs run on click
+    # alone, and the numeric ones add numpy and the modules that import it
     code, _, loaded = run_process(entry["args"])
     assert code == entry["expect"]
-    assert loaded <= set(NUMERIC), loaded
+    assert loaded <= {*NUMERIC, "numpy.polynomial"}, loaded
     if entry["args"][0] in EXACT_VERBS:
         assert loaded == set(), loaded
+
+
+@pytest.mark.parametrize("args, integrates", [
+    (["monodromy", "fuchsian_quarter.json"], False),
+    (["monodromy", "normalize_tau.json", "--loops", "loops_unit_circle.json"], True),
+], ids=["closed-form", "integrated"])
+def test_only_an_integrated_loop_builds_collocation_rules(args, integrates):
+    # a loop of a system with commuting residues is closed form, so its process never
+    # loads numpy.polynomial; one of a system with a polynomial part is integrated
+    code, _, loaded = run_process(args)
+    assert code == 0
+    assert ("numpy.polynomial" in loaded) == integrates, loaded
 
 
 @pytest.mark.parametrize("args, expect", [

@@ -478,6 +478,31 @@ def test_classes_that_commute_only_to_rounding_are_realized(seed):
         assert proj_equal(mat_exp(2j * np.pi * M), N, lifting.REALIZE_TOL)
 
 
+def test_a_realization_searches_its_eigenbasis_once(monkeypatch):
+    # the residues are logs in the lifts' common eigenbasis, which the search of the
+    # residues' own basis tries first and accepts: one eigendecomposition in all
+    from logconnect import algebra
+
+    calls, eig = [], np.linalg.eig
+    monkeypatch.setattr(algebra.np.linalg, "eig", lambda M: calls.append(M) or eig(M))
+    a, b = np.diag([1j, 1.0, -1.0]), np.diag([1.0, 1j, 1j])
+    for realize in (lambda: realize_fuchsian(presentation(a, b), poles=[0, 1]),
+                    lambda: local_realize([a, b])):
+        calls.clear()
+        assert realize().residue_eigenbasis is not None
+        assert len(calls) == 1
+
+
+def test_a_refused_relation_reads_as_text_and_keeps_its_index():
+    with pytest.raises(ValueError) as info:
+        ProjectivePresentation(2, {"a": np.diag([1.0, 2.0])}, [["a^-1", "a^-1"], ["a"]])
+    assert str(info.value) == "relation a^-1 a^-1 does not hold projectively (relation 0)"
+    assert info.value.args == ("relation a^-1 a^-1 does not hold projectively", 0)
+    with pytest.raises(ValueError) as info:
+        ProjectivePresentation(2, {"a": FLIP}, [["a", "a"], ["c"]])
+    assert str(info.value) == "unknown generator token 'c' (relation 1)"
+
+
 def conditioned(rng, m, k):
     """A seeded complex matrix of condition number 10^k: unitary factors about the
     singular values 1 down to 10^-k."""

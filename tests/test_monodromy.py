@@ -161,6 +161,14 @@ def test_a_line_ends_exactly_at_its_endpoints(start, end):
     assert seg.reversed().point(1.0) == start
 
 
+def test_a_join_refusal_reads_as_text_and_keeps_its_segment():
+    segments = [LineSegment(0j, 1 + 0j), LineSegment(1 + 0j, 1j), LineSegment(2j, 0j)]
+    with pytest.raises(ValueError) as info:
+        LoopPath(segments)
+    assert str(info.value) == "consecutive segments do not join (segment 2)"
+    assert info.value.args == ("consecutive segments do not join", 2)
+
+
 @pytest.mark.parametrize("seg", [
     LineSegment(-1 + 0j, 1 + 1j), LineSegment(2j, 2j), ArcSegment(0.5j, 1.5, 0.3, 2.5),
     ArcSegment(0j, 1.0, 1.0, -4.0), ArcSegment(1 + 0j, 0.5, 0.0, 8.0)])
@@ -825,9 +833,9 @@ def test_a_local_model_searches_its_eigenbasis_once(monkeypatch):
 
     calls, search = [], algebra.eigenbasis_up_to_rounding
 
-    def spy(mats):
+    def spy(mats, first=None):
         calls.append(mats)
-        return search(mats)
+        return search(mats, first)
 
     monkeypatch.setattr(algebra, "eigenbasis_up_to_rounding", spy)
     model = LocalModel(2, [np.diag([0.25, -0.1])])

@@ -1,4 +1,5 @@
 import math
+import operator
 from fractions import Fraction
 
 import pytest
@@ -424,6 +425,27 @@ def test_float_data_makes_its_system_compare_within_tolerance():
            "components": [[[{"num": {"1": [0.5, 0], "0": [0.1, 0]}, "den": {"0": [1, 0]}}]]]}
     parsed = validate_schema(doc)
     assert not parsed.exact and parsed.entry(0, 0, 0) == f and parsed.equals(exact)
+
+
+# x in the chart ("x",) and t in ("t",): different variables, which no operation may
+# identify by position, as f - g = 0 and f * g in ("x",) once did
+X_IN_X, T_IN_T = from_expr(x, (x,)), from_expr(sp.Symbol("t"), (sp.Symbol("t"),))
+BINARY = {"add": operator.add, "sub": operator.sub, "mul": operator.mul,
+          "truediv": operator.truediv, "div": lambda p, q: p.div(q)}
+
+
+@pytest.mark.parametrize("a, b, op", [
+    *((X_IN_X, T_IN_T, op) for op in ["add", "sub", "mul", "truediv"]),
+    *((X_IN_X.num, T_IN_T.num, op) for op in ["add", "sub", "mul", "div"]),
+    (X_IN_X, RationalFunction.zero(("t",)), "add"),
+], ids=lambda v: v if isinstance(v, str) else type(v).__name__)
+def test_arithmetic_across_charts_is_refused(a, b, op):
+    with pytest.raises(ValueError, match=r"gens \('x',\) and \('t',\)"):
+        BINARY[op](a, b)
+
+
+def test_rational_functions_in_different_charts_are_unequal():
+    assert X_IN_X != T_IN_T and X_IN_X == from_expr(x, (x,))
 
 
 def test_diff_quotient_rule():
